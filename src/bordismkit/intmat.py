@@ -8,7 +8,6 @@ tuples of int tuples; sizes are tiny (rank ≤ 6), so clarity wins over speed.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
@@ -38,10 +37,6 @@ def det(mat: Matrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[-1][-1]
-
-
-def is_unimodular(mat: Matrix) -> bool:
-    return len(mat) > 0 and all(len(r) == len(mat) for r in mat) and det(mat) in (1, -1)
 
 
 def adjugate(mat: Matrix) -> list[list[int]]:
@@ -126,28 +121,3 @@ def reduce_mod_vector(x: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
     k = sum(a * b for a, b in zip(phi, x))
     return tuple(a - k * b for a, b in zip(x, v))
 
-
-def rank_rational(mat: Matrix) -> int:
-    """Rank over Q by exact fraction elimination (small matrices only)."""
-    rows = [list(map(Fraction, r)) for r in mat]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col] / prow[col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
-        rank += 1
-        col += 1
-    return rank

@@ -12,6 +12,16 @@ streaming unimodular row reduction, so the reported basis generates the full
 kernel lattice of the window (any integral relation among the rows is an
 integer combination of the basis).
 
+Both the window search and its rows rest on one table: for each
+(n-1)-subset S of the window's characters, the cofactor vector v_S with
+v_S . x = det[S; x] for every x, built from n exact (n-1)-minors.
+``window_monomials`` keeps S + (x) exactly when v_S . x = +-1, which is the
+same test as a full determinant.  For a kept A with det d, Laplace expansion
+gives v_(A without row j) . A_i = 0 for i != j and (-1)^(n-1-j) d for i = j,
+so d (-1)^(n-1-j) v_(A without row j) is row j of the dual basis (A^-1)^T:
+the rows d(m*) come from table lookups and a sort, without inverting A.
+Everything is Python integer arithmetic, so nothing is rounded or bounded.
+
 ``support_floor`` turns the same row matrix into a proof: a relation with one
 monomial needs a zero row, a relation with two needs a proportional pair of
 rows, so when neither exists every nonzero kernel element of the window —
@@ -22,14 +32,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
-from . import algebra, gf2, intmat
-from .algebra import DUAL, PRIMAL, ExtPolynomial, Gf2Polynomial, Monomial
+from . import algebra, intmat
+from .algebra import PRIMAL, ExtPolynomial, Gf2Polynomial, Monomial
 from .errors import ResourceLimitError, ValidationError
 
-DEFAULT_MAX_N = 5
+DEFAULT_MAX_N = 4
 DEFAULT_SAMPLE_MAX_N = 3
 DEFAULT_SAMPLE_MAX_WEIGHT = 2
 
@@ -77,7 +89,7 @@ def kernel_space(n: int, max_n: int | None = None) -> KernelSpace:
         raise ResourceLimitError(
             f"rank {n} exceeds the configured maximum {cap}; the elimination "
             f"would run over a {_basis_count(n, n)} x {_basis_count(n, n - 1)} matrix "
-            "(raise BORDISMKIT_MAX_N to allow it)")
+            f"(set BORDISMKIT_MAX_N={n} or pass max_n={n} to allow it)")
     monomials = algebra.all_faithful_monomials_gf2(n)
     col_ids: dict[Monomial, int] = {}
     rows: list[int] = []
@@ -113,24 +125,51 @@ def kernel_space(n: int, max_n: int | None = None) -> KernelSpace:
 # integral window kernels
 
 
-def window_monomials(n: int, weight_bound: int) -> list[Monomial]:
-    """Faithful monomials whose character entries all lie in [-w, w]."""
+def _cofactor(sub: Monomial, n: int) -> tuple[int, ...]:
+    """The vector v with v . x = det[sub; x] for every x (Laplace on the last row)."""
+    return tuple((-1) ** (n - 1 + k) * intmat.det([c[:k] + c[k + 1:] for c in sub])
+                 for k in range(n))
+
+
+def window_monomials(n: int, weight_bound: int,
+                     cofactors: dict[Monomial, tuple[int, ...]] | None = None
+                     ) -> list[Monomial]:
+    """Faithful monomials whose character entries all lie in [-w, w], in lex order.
+
+    ``cofactors``, when given, receives the cofactor table the search built.
+    """
     chars = [c for c in itertools.product(range(-weight_bound, weight_bound + 1), repeat=n)
              if any(c)]
+    table = {} if cofactors is None else cofactors
     out = []
-    for sub in itertools.combinations(chars, n):
-        if intmat.det([list(c) for c in sub]) in (1, -1):
-            out.append(sub)
+    for idx in itertools.combinations(range(len(chars)), n - 1):
+        prefix = tuple(chars[i] for i in idx)
+        v = table[prefix] = _cofactor(prefix, n)
+        if math.gcd(*v) != 1:  # every det[prefix; x] is a multiple of gcd(v)
+            continue
+        for x in chars[idx[-1] + 1 if idx else 0:]:
+            if sum(map(operator.mul, v, x)) in (1, -1):
+                out.append(prefix + (x,))
     return out
 
 
-def _window_rows(monomials: list[Monomial], n: int) -> list[dict[Monomial, int]]:
-    rows = []
+def _window_rows(monomials: list[Monomial],
+                 cofactors: dict[Monomial, tuple[int, ...]]) -> Iterator[dict[Monomial, int]]:
+    """The rows d(m*) of the window, read off the cofactor table.
+
+    Sorting the dual-basis rows gives m* and the sign
+    ``algebra.dual_monomial_z`` folds in; d then deletes one character at a
+    time with alternating signs.
+    """
     for mono in monomials:
-        image = algebra.differential(algebra.dual(
-            ExtPolynomial(n, {mono: 1}, space=PRIMAL)))
-        rows.append(dict(image.terms))
-    return rows
+        n = len(mono)
+        d = sum(map(operator.mul, cofactors[mono[:-1]], mono[-1]))
+        dual_rows = []
+        for j in range(n):
+            v = cofactors[mono[:j] + mono[j + 1:]]
+            dual_rows.append(v if d * (-1) ** (n - 1 - j) == 1 else tuple(-a for a in v))
+        sign, star = algebra.sort_monomial(dual_rows)
+        yield {star[:j] + star[j + 1:]: sign * (-1) ** j for j in range(n)}
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int]:
@@ -145,7 +184,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int]:
     return old_s, old_t
 
 
-def _left_kernel(rows: list[dict[Monomial, int]]) -> tuple[int, list[dict[int, int]]]:
+def _left_kernel(rows: Iterable[dict[Monomial, int]]) -> tuple[int, list[dict[int, int]]]:
     """Rank and an integral basis of {x : sum_i x_i row_i = 0}.
 
     Streaming row reduction of [M | I] by unimodular operations: combinations
@@ -211,47 +250,62 @@ class WindowKernel:
     basis: list[ExtPolynomial] = field(repr=False)
 
 
-def kernel_sample_unitary(n: int, weight_bound: int = 1,
-                          max_n: int | None = None,
-                          max_weight_bound: int | None = None) -> WindowKernel:
-    """Integral kernel basis over the window of weight-bounded monomials."""
+def _check_window(n: int, weight_bound: int, max_n: int | None,
+                  max_weight_bound: int | None) -> None:
     if n < 1:
         raise ValidationError(f"ambient rank must be positive, got {n}")
     if weight_bound < 0:
         raise ValidationError(f"weight bound must be nonnegative, got {weight_bound}")
     cap_n = DEFAULT_SAMPLE_MAX_N if max_n is None else max_n
     cap_w = DEFAULT_SAMPLE_MAX_WEIGHT if max_weight_bound is None else max_weight_bound
-    if n > cap_n or weight_bound > cap_w:
+    hit = []
+    if n > cap_n:
+        hit.append(f"n <= {cap_n} (pass max_n={n} to allow it)")
+    if weight_bound > cap_w:
+        hit.append(f"weight_bound <= {cap_w} (pass max_weight_bound={weight_bound} "
+                   "to allow it)")
+    if hit:
         chars = (2 * weight_bound + 1) ** n - 1
         raise ResourceLimitError(
-            f"window (n={n}, weight_bound={weight_bound}) exceeds the caps "
-            f"(n <= {cap_n}, weight_bound <= {cap_w}); it would scan "
-            f"C({chars}, {n}) candidate monomials")
-    monomials = window_monomials(n, weight_bound)
-    rank, combos = _left_kernel(_window_rows(monomials, n))
+            f"window (n={n}, weight_bound={weight_bound}) exceeds the cap "
+            f"{' and '.join(hit)}; it would scan C({chars}, {n}) candidate monomials")
+
+
+def kernel_sample_unitary(n: int, weight_bound: int = 1,
+                          max_n: int | None = None,
+                          max_weight_bound: int | None = None) -> WindowKernel:
+    """Integral kernel basis over the window of weight-bounded monomials."""
+    _check_window(n, weight_bound, max_n, max_weight_bound)
+    cofactors: dict[Monomial, tuple[int, ...]] = {}
+    monomials = window_monomials(n, weight_bound, cofactors)
+    rank, combos = _left_kernel(_window_rows(monomials, cofactors))
     basis = []
     for comb in combos:
+        # window monomials are canonical and the combination has no zeros
         terms = {monomials[i]: c for i, c in comb.items()}
-        lead = min(terms)
-        if terms[lead] < 0:
+        if terms[min(terms)] < 0:
             terms = {m: -c for m, c in terms.items()}
-        basis.append(ExtPolynomial(n, terms, space=PRIMAL))
+        basis.append(algebra._ext_from_dict(n, PRIMAL, terms))
     return WindowKernel(n=n, weight_bound=weight_bound, dim=len(basis),
                         rank=rank, monomials=monomials, basis=basis)
 
 
-def support_floor(n: int, weight_bound: int) -> int:
+def support_floor(n: int, weight_bound: int, max_n: int | None = None,
+                  max_weight_bound: int | None = None) -> int:
     """Proven lower bound on the support of nonzero kernel elements of a window.
 
     Checks two structural facts about the rows d(m*): no row is zero (so no
     relation has support 1) and, when it holds, no two rows are proportional
     over Q (so no relation has support 2).  The argument covers every element
-    of the window kernel, not just a basis.
+    of the window kernel, not just a basis.  The window caps are those of
+    ``kernel_sample_unitary``.
     """
-    monomials = window_monomials(n, weight_bound)
+    _check_window(n, weight_bound, max_n, max_weight_bound)
+    cofactors: dict[Monomial, tuple[int, ...]] = {}
+    monomials = window_monomials(n, weight_bound, cofactors)
     seen: dict[tuple, Monomial] = {}
     floor = 3
-    for mono, row in zip(monomials, _window_rows(monomials, n)):
+    for mono, row in zip(monomials, _window_rows(monomials, cofactors)):
         if not row:
             return 1
         items = tuple(sorted(row.items()))

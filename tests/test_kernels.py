@@ -1,11 +1,13 @@
 """Kernel spaces and integral window kernels: dimensions, membership, bounds."""
 
+import itertools
+import math
 import random
 
 import pytest
 
-from bordismkit import algebra, kernels
-from bordismkit.algebra import Gf2Polynomial
+from bordismkit import algebra, intmat, kernels
+from bordismkit.algebra import PRIMAL, ExtPolynomial, Gf2Polynomial
 from bordismkit.errors import ResourceLimitError, ValidationError
 
 # Computed by two independent eliminations (dense numpy and bit-packed
@@ -66,6 +68,12 @@ def test_kernel_rank_cap():
         kernels.kernel_space(99)
 
 
+def test_kernel_space_refuses_rank_five_by_default(monkeypatch):
+    monkeypatch.delenv("BORDISMKIT_MAX_N", raising=False)
+    with pytest.raises(ResourceLimitError, match="BORDISMKIT_MAX_N=5"):
+        kernels.kernel_space(5)
+
+
 def test_kernel_rank_cap_override(monkeypatch):
     monkeypatch.setenv("BORDISMKIT_MAX_N", "3")
     with pytest.raises(ResourceLimitError):
@@ -122,3 +130,74 @@ def test_support_floor_matches_basis_minimum():
         win = kernels.kernel_sample_unitary(n, w)
         floor = kernels.support_floor(n, w)
         assert min(b.support() for b in win.basis) >= floor
+
+
+def test_support_floor_caps():
+    with pytest.raises(ResourceLimitError) as err:
+        kernels.support_floor(4, 2)
+    msg = str(err.value)
+    assert "n <= 3" in msg and "max_n=4" in msg and "C(624, 4)" in msg
+    with pytest.raises(ResourceLimitError) as err:
+        kernels.support_floor(2, 3)
+    msg = str(err.value)
+    assert "weight_bound <= 2" in msg and "max_weight_bound=3" in msg and "C(48, 2)" in msg
+    assert kernels.support_floor(2, 3, max_weight_bound=3) == 3
+    with pytest.raises(ValidationError):
+        kernels.support_floor(0, 1)
+    with pytest.raises(ValidationError):
+        kernels.support_floor(1, -1)
+
+
+# The scalar path the cofactor table replaced, kept here as the reference:
+# a full determinant per candidate, and d(m*) through the polynomial classes.
+
+def _reference_monomials(n, w):
+    chars = [c for c in itertools.product(range(-w, w + 1), repeat=n) if any(c)]
+    return [sub for sub in itertools.combinations(chars, n)
+            if intmat.det([list(c) for c in sub]) in (1, -1)]
+
+
+def _reference_row(mono, n):
+    return algebra.differential(algebra.dual(ExtPolynomial(n, {mono: 1}, space=PRIMAL)))
+
+
+def _window_with_rows(n, w):
+    cofactors = {}
+    monomials = kernels.window_monomials(n, w, cofactors)
+    return monomials, list(kernels._window_rows(monomials, cofactors))
+
+
+@pytest.mark.parametrize("n,w", sorted(WINDOW_STATS))
+def test_window_matches_scalar_reference(n, w):
+    monomials, rows = _window_with_rows(n, w)
+    assert monomials == _reference_monomials(n, w)
+    for mono, row in zip(monomials, rows):
+        assert list(row.items()) == list(_reference_row(mono, n).terms.items())
+    # the basis as the scalar path built it, term for term
+    _, combos = kernels._left_kernel([dict(_reference_row(m, n).terms) for m in monomials])
+    want = []
+    for comb in combos:
+        terms = {monomials[i]: c for i, c in comb.items()}
+        if terms[min(terms)] < 0:
+            terms = {m: -c for m, c in terms.items()}
+        want.append(ExtPolynomial(n, terms, space=PRIMAL))
+    got = kernels.kernel_sample_unitary(n, w).basis
+    assert got == want
+    assert [list(b.terms.items()) for b in got] == [list(b.terms.items()) for b in want]
+
+
+def test_window_three_two_against_scalar_reference_on_a_stride():
+    chars = [c for c in itertools.product(range(-2, 3), repeat=3) if any(c)]
+    assert math.comb(len(chars), 3) == 310_124
+    monomials, rows = _window_with_rows(3, 2)
+    assert len(monomials) == 22_568
+    assert monomials == sorted(monomials)
+    kept = set(monomials)
+    for prefix in itertools.islice(itertools.combinations(chars, 2), 0, None, 41):
+        for x in chars[chars.index(prefix[-1]) + 1:]:
+            unimodular = intmat.det([list(c) for c in prefix + (x,)]) in (1, -1)
+            assert (prefix + (x,) in kept) == unimodular
+    for i in range(0, len(monomials), 97):
+        mono = monomials[i]
+        assert intmat.det([list(c) for c in mono]) in (1, -1)
+        assert list(rows[i].items()) == list(_reference_row(mono, 3).terms.items())
