@@ -7,12 +7,10 @@ graphs with their polynomials; fixed-point localization sums with exact
 integrality checks and equivariant Chern numbers; and a small graded-ring
 interface for bordism classes with the mod-2 reduction homomorphism.
 
-All arithmetic is exact.  Heavy enumeration kernels run through numba when
-available; set BORDISMKIT_NO_NUMBA=1 to force the pure-numpy fallbacks, and
-BORDISMKIT_MAX_N to raise the rank caps.
+All arithmetic is exact and the package needs only the standard library.
+Set BORDISMKIT_MAX_N to raise the rank cap of ``kernel_space``.
 """
 
-from .accel import active_backend, coloring_blocks
 from .algebra import (DUAL, PRIMAL, ExtPolynomial, Gf2Polynomial, differential,
                       dual, ext_polynomial, gf2_polynomial, in_image,
                       in_image_unitary, in_image_unitary_verdict,
@@ -43,18 +41,18 @@ __all__ = [
     "BordismClass", "BordismError", "BottGenerator", "ColoredGraph",
     "Coloring", "DUAL", "ExtPolynomial", "FixedPoint", "FixedPointData",
     "Gf2Polynomial", "InputFormatError", "KernelSpace", "PRIMAL",
-    "ProbeReport", "ResourceLimitError", "SimplePolytope", "SpanningReport",
-    "SymmetricFunction", "TorusGraph", "UNITARY", "UNORIENTED",
-    "ValidationError", "WindowKernel", "active_backend", "add",
-    "all_gf2_colorings", "bott_generators", "coloring_blocks",
-    "coloring_polynomial", "connected_sum", "differential", "dual",
-    "dual_span_rank", "equivariant_chern_number", "ext_polynomial",
-    "gf2_polynomial", "graph_coloring_polynomial", "graphs_equivalent",
-    "in_image", "in_image_unitary", "in_image_unitary_verdict",
-    "in_image_verdict", "integrality_check_gf2", "integrality_check_z",
-    "is_faithful", "iter_bott_generators", "kernel_sample_unitary",
-    "kernel_space", "min_fixed_points_check", "mod2_reduce", "multiply",
-    "one_skeleton", "product", "product_of_simplices", "random_gf2_coloring",
+    "ProbeReport", "ResourceLimitError", "SimplePolytope",
+    "SpanningReport", "SymmetricFunction", "TorusGraph", "UNITARY",
+    "UNORIENTED", "ValidationError", "WindowKernel", "add",
+    "all_gf2_colorings", "bott_generators", "coloring_polynomial",
+    "connected_sum", "differential", "dual", "dual_span_rank",
+    "equivariant_chern_number", "ext_polynomial", "gf2_polynomial",
+    "graph_coloring_polynomial", "graphs_equivalent", "in_image",
+    "in_image_unitary", "in_image_unitary_verdict", "in_image_verdict",
+    "integrality_check_gf2", "integrality_check_z", "is_faithful",
+    "iter_bott_generators", "kernel_sample_unitary", "kernel_space",
+    "min_fixed_points_check", "mod2_reduce", "multiply", "one_skeleton",
+    "product", "product_of_simplices", "random_gf2_coloring",
     "random_z_coloring", "reduce", "simplex", "spanning_rank",
     "standard_z_coloring", "support_floor", "surjectivity_probe",
     "swap_conjugate", "torus_graph_from_pair", "torus_polynomial",

@@ -6,22 +6,39 @@ basis at every vertex); the manifolds behind these colored shapes generate
 the whole group in ambient rank n, so enumerating their coloring polynomials
 yields an explicit generating family for the kernel.  Compositions of n that
 agree up to reordering give polytopes that differ by a relabeling of facets
-and coordinates, and the relabeled colorings are enumerated anyway, so only
+and coordinates, and the relabeled colorings are reached anyway, so only
 partitions are walked.
 
-``iter_bott_generators`` streams one representative (polytope, coloring,
-polynomial) triple per distinct polynomial, deduplicated across shapes in a
-fixed deterministic order; ``spanning_rank`` folds the stream into the rank
-of the dual span with an optional early stop once a target rank is reached.
+GL(n, 2) acts freely on the basis colorings of a polytope, color by color,
+and the coloring polynomial follows it: P(g.c) = g.P(c).  The colors at any
+one vertex form a basis, so each orbit holds exactly one coloring with the
+standard basis e_1, ..., e_n on the facets of the lexicographically first
+vertex (McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998).
+``orbit_representatives`` walks those colorings by a DFS over the other
+facets.  The polynomials of a shape are then the GL(n, 2)-orbits of its
+representatives' polynomials: for each representative whose polynomial the
+shape has not seen yet, a BFS under the transposition (1 2), the n-cycle and
+the transvection e_1 -> e_1 + e_2, which generate GL(n, 2), reaches the whole
+orbit and carries a witnessing coloring g.c along.
+
+Inside the walk a polynomial is held as its key: the bitset, over the faithful
+monomials in ``algebra.all_faithful_monomials_gf2`` order, of the duals of its
+monomials.  Dualizing permutes the faithful monomials, so the key determines
+the polynomial, and it is the row ``spanning_rank`` folds.
+
+``iter_bott_generators`` streams one (polytope, coloring, polynomial) triple
+per distinct polynomial of each shape, shape by shape in ``partitions`` order;
+``spanning_rank`` folds the same stream into the rank of the dual span with an
+optional early stop once a target rank is reached.
 """
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from typing import Iterable, Iterator, NamedTuple
 
-import numpy as np
-
-from . import accel, algebra, gf2, polytopes
+from . import algebra, gf2, polytopes
 from .algebra import DUAL, Gf2Polynomial, Monomial
 from .errors import ResourceLimitError, ValidationError
 from .polytopes import Coloring, SimplePolytope
@@ -50,61 +67,177 @@ def partitions(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _vertex_array(p: SimplePolytope) -> np.ndarray:
-    return np.array([sorted(v) for v in p.vertices], dtype=np.int16)
+def gl2_order(n: int) -> int:
+    """|GL(n, 2)|, the number of colorings each representative stands for."""
+    out = 1
+    for i in range(n):
+        out *= (1 << n) - (1 << i)
+    return out
 
 
-def _key_monomials(key: np.ndarray, n: int) -> list[Monomial]:
-    monos = []
-    for code in key:
-        if code == accel.PAD:
-            break
-        monos.append(tuple(gf2.unpack((int(code) >> (4 * j)) & 0xF, n)
-                           for j in range(n)))
-    return monos
-
-
-def iter_bott_generators(n: int, max_n: int | None = None,
-                         backend: str | None = None) -> Iterator[BottGenerator]:
-    """Stream deduplicated generator triples over all shapes of rank n."""
+def _check_rank(n: int, max_n: int | None) -> None:
     if n < 1:
         raise ValidationError(f"ambient rank must be positive, got {n}")
     cap = DEFAULT_MAX_N if max_n is None else max_n
     if n > cap:
+        # a shape with r parts has r facets off the first vertex, each taking
+        # one of 2^n - 1 colors; summed over all compositions of n this is
+        # (2^n - 1) 2^(n(n-1)), so log10 keeps the message cheap for any n
+        log2 = math.log10(2)
+        log_reps = n * n * log2 + math.log10(1 - 0.5 ** n)
+        log_gl = sum(n * log2 + math.log10(1 - 0.5 ** (n - i)) for i in range(n))
+        log_colorings = log_reps + log_gl
         raise ResourceLimitError(
-            f"rank {n} exceeds the generator enumeration cap {cap}; the walk "
-            f"would visit up to {((1 << n) - 1) ** (2 * n)} colorings of the cube alone")
-    seen: set[bytes] = set()
-    for shape in partitions(n):
-        polytope = polytopes.product_of_simplices(shape)
-        vf = _vertex_array(polytope)
-        for colors, keys in accel.coloring_blocks(vf, polytope.num_facets, n,
-                                                  backend=backend):
-            for row, key in zip(colors, keys):
-                kb = key.tobytes()
-                if kb in seen:
+            f"rank {n} exceeds the generator enumeration cap n <= {cap}; the "
+            f"orbit walk would visit up to 10^{log_reps:.1f} representative "
+            f"colorings, standing for up to 10^{log_colorings:.1f} basis "
+            f"colorings (pass max_n={n} to allow it)")
+
+
+def _span(vectors: Iterable[int]) -> set[int]:
+    span = {0}
+    for x in vectors:
+        span |= {s ^ x for s in span}
+    return span
+
+
+def orbit_representatives(p: SimplePolytope) -> Iterator[tuple[int, ...]]:
+    """Basis colorings of p with e_1, ..., e_n on the facets of the first vertex.
+
+    Colorings are tuples of packed characters indexed by facet; the facets of
+    the lexicographically first vertex get 1, 2, 4, ... in facet order, and
+    the rest are filled in facet order with colors in increasing order, so
+    the representatives come out in lexicographic order.
+    """
+    vertices = sorted(tuple(sorted(v)) for v in p.vertices)
+    colors = [0] * p.num_facets
+    for j, f in enumerate(vertices[0]):
+        colors[f] = 1 << j
+    free = [f for f in range(p.num_facets) if not colors[f]]
+    # at every vertex through free[i]: its facets colored before free[i]
+    before = [[[g for g in v if g != f and (colors[g] or g < f)]
+               for v in vertices if f in v] for f in free]
+    palette = range(1, 1 << p.dim)
+
+    def walk(i: int) -> Iterator[tuple[int, ...]]:
+        if i == len(free):
+            yield tuple(colors)
+            return
+        spans = [_span(colors[g] for g in others) for others in before[i]]
+        for c in palette:
+            if not any(c in s for s in spans):
+                colors[free[i]] = c
+                yield from walk(i + 1)
+
+    yield from walk(0)
+
+
+def _gl_generators(n: int) -> list[list[int]]:
+    """Images of every packed character under (1 2), the n-cycle and the
+    transvection e_1 -> e_1 + e_2; GL(1, 2) is trivial and needs none."""
+    if n == 1:
+        return []
+    chars = range(1 << n)
+    mask = (1 << n) - 1
+    return [[c ^ ((c ^ c >> 1) & 1) * 3 for c in chars],
+            [(c << 1 | c >> (n - 1)) & mask for c in chars],
+            [c ^ (c & 1) << 1 for c in chars]]
+
+
+def _mask(mono: Monomial) -> int:
+    """A monomial as the set bitmask of its packed characters."""
+    return sum(1 << gf2.pack(c) for c in mono)
+
+
+def _dual_bits(n: int) -> tuple[dict[int, int], list[Monomial]]:
+    """Faithful monomials of rank n: mask -> key bit of the dual, and the
+    index of that bit -> the monomial."""
+    faithful = algebra.all_faithful_monomials_gf2(n)
+    index = {m: i for i, m in enumerate(faithful)}
+    bit_of: dict[int, int] = {}
+    monomial_of: list[Monomial] = [()] * len(faithful)
+    for m in faithful:
+        i = index[algebra.dual_monomial_gf2(m, n)]
+        bit_of[_mask(m)] = 1 << i
+        monomial_of[i] = m
+    return bit_of, monomial_of
+
+
+class _OrbitWalk:
+    """The stream of (polytope, coloring, key), one per distinct polynomial of
+    each shape; ``representatives`` counts the representatives walked so far."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.representatives = 0
+        self.bit_of, self.monomial_of = _dual_bits(n)
+
+    def _key(self, colors: tuple[int, ...], vertices: list[tuple[int, ...]]) -> int:
+        bit_of = self.bit_of
+        key = 0
+        for v in vertices:
+            mask = 0
+            for f in v:
+                mask |= 1 << colors[f]
+            key ^= bit_of[mask]
+        return key
+
+    def __iter__(self) -> Iterator[tuple[SimplePolytope, tuple[int, ...], int]]:
+        generators = _gl_generators(self.n)
+        for shape in partitions(self.n):
+            polytope = polytopes.product_of_simplices(shape)
+            vertices = [tuple(v) for v in polytope.vertices]
+            seen: set[int] = set()
+            for rep in orbit_representatives(polytope):
+                self.representatives += 1
+                key = self._key(rep, vertices)
+                if key in seen:
                     continue
-                seen.add(kb)
-                coloring = Coloring("gf2", {f: gf2.unpack(int(c), n)
-                                            for f, c in enumerate(row)})
-                poly = Gf2Polynomial(n, _key_monomials(key, n), space=DUAL)
-                yield BottGenerator(polytope, coloring, poly)
+                seen.add(key)
+                yield polytope, rep, key
+                queue = deque([rep])
+                while queue:
+                    colors = queue.popleft()
+                    for table in generators:
+                        image = tuple([table[c] for c in colors])
+                        key = self._key(image, vertices)
+                        if key not in seen:
+                            seen.add(key)
+                            queue.append(image)
+                            yield polytope, image, key
 
 
-def bott_generators(n: int, max_n: int | None = None,
-                    backend: str | None = None) -> list[BottGenerator]:
-    """All generator triples of rank n, one per distinct polynomial."""
-    return list(iter_bott_generators(n, max_n=max_n, backend=backend))
+def iter_bott_generators(n: int, max_n: int | None = None) -> Iterator[BottGenerator]:
+    """Stream generator triples over all shapes of rank n, one per distinct
+    polynomial of each shape."""
+    _check_rank(n, max_n)
+    walk = _OrbitWalk(n)
+    unpacked = [gf2.unpack(c, n) for c in range(1 << n)]
+    for polytope, colors, key in walk:
+        coloring = Coloring("gf2", {f: unpacked[c] for f, c in enumerate(colors)})
+        monos = []
+        while key:
+            low = key & -key
+            monos.append(walk.monomial_of[low.bit_length() - 1])
+            key ^= low
+        # key monomials are canonical and distinct
+        yield BottGenerator(polytope, coloring,
+                            algebra._gf2_from_set(n, DUAL, frozenset(monos)))
+
+
+def bott_generators(n: int, max_n: int | None = None) -> list[BottGenerator]:
+    """All generator triples of rank n, one per distinct polynomial of each shape."""
+    return list(iter_bott_generators(n, max_n=max_n))
 
 
 def dual_span_rank(polynomials: Iterable[Gf2Polynomial], n: int) -> int:
     """GF(2) rank of the span of the duals of the given polynomials."""
-    index = {m: i for i, m in enumerate(algebra.all_faithful_monomials_gf2(n))}
+    bit_of, _ = _dual_bits(n)
     acc = gf2.RankAccumulator()
     for p in polynomials:
         bits = 0
         for m in p.monomials:
-            bits ^= 1 << index[algebra.dual_monomial_gf2(m, n)]
+            bits ^= bit_of[_mask(m)]
         acc.add(bits)
     return acc.rank
 
@@ -112,55 +245,30 @@ def dual_span_rank(polynomials: Iterable[Gf2Polynomial], n: int) -> int:
 class SpanningReport(NamedTuple):
     n: int
     rank: int
-    distinct: int
-    colorings: int
+    distinct: int  # stream items folded
+    colorings: int  # representatives walked x |GL(n, 2)|
     stopped_early: bool
 
 
-def spanning_rank(n: int, target: int | None = None, max_n: int | None = None,
-                  backend: str | None = None) -> SpanningReport:
+def spanning_rank(n: int, target: int | None = None,
+                  max_n: int | None = None) -> SpanningReport:
     """Rank of the span of dual generator polynomials.
 
-    Streams the same enumeration as ``iter_bott_generators`` but folds each
-    distinct polynomial straight into a bit-packed rank accumulator via a
-    precomputed monomial-to-dual-index table.  With ``target`` set, stops as
-    soon as the rank reaches it (the span only grows, so the reached rank is
-    final as long as the target is an upper bound, e.g. the kernel dimension).
+    Folds the keys of the ``iter_bott_generators`` stream, which are the dual
+    rows, into a rank accumulator.  With ``target`` set, stops as soon as the
+    rank reaches it (the span only grows, so the reached rank is final as
+    long as the target is an upper bound, e.g. the kernel dimension).
     """
-    if n < 1:
-        raise ValidationError(f"ambient rank must be positive, got {n}")
-    cap = DEFAULT_MAX_N if max_n is None else max_n
-    if n > cap:
-        raise ResourceLimitError(f"rank {n} exceeds the generator enumeration cap {cap}")
-    faithful = algebra.all_faithful_monomials_gf2(n)
-    index = {m: i for i, m in enumerate(faithful)}
-    dual_bit: dict[int, int] = {}
-    for m in faithful:
-        code = 0
-        for j, ch in enumerate(sorted(gf2.pack(c) for c in m)):
-            code |= ch << (4 * j)
-        dual_bit[code] = index[algebra.dual_monomial_gf2(m, n)]
-
+    _check_rank(n, max_n)
+    walk = _OrbitWalk(n)
     acc = gf2.RankAccumulator()
-    seen: set[bytes] = set()
-    examined = 0
-    for shape in partitions(n):
-        polytope = polytopes.product_of_simplices(shape)
-        vf = _vertex_array(polytope)
-        for colors, keys in accel.coloring_blocks(vf, polytope.num_facets, n,
-                                                  backend=backend):
-            examined += len(keys)
-            for key in keys:
-                kb = key.tobytes()
-                if kb in seen:
-                    continue
-                seen.add(kb)
-                bits = 0
-                for code in key:
-                    if code == accel.PAD:
-                        break
-                    bits ^= 1 << dual_bit[int(code)]
-                acc.add(bits)
-            if target is not None and acc.rank >= target:
-                return SpanningReport(n, acc.rank, len(seen), examined, True)
-    return SpanningReport(n, acc.rank, len(seen), examined, False)
+    folded = 0
+    stopped = False
+    for _, _, key in walk:
+        acc.add(key)
+        folded += 1
+        if target is not None and acc.rank >= target:
+            stopped = True
+            break
+    return SpanningReport(n, acc.rank, folded, walk.representatives * gl2_order(n),
+                          stopped)

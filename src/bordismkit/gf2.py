@@ -2,9 +2,9 @@
 
 Vectors over GF(2) are packed into Python ints (bit i = coordinate i), which
 keeps the small dense problems that dominate this package — n×n character
-matrices with n ≤ 6 — allocation free and exact.  The big eliminations
-(kernel_space) use the word-packed numpy/numba path in :mod:`.accel`; this
-module is the reference implementation and the workhorse for tiny matrices.
+matrices with n ≤ 6 — allocation free and exact.  ``RankAccumulator`` folds
+long streams of wide rows (the generator span in :mod:`.bott`) with pivots
+keyed by their leading bit, as the elimination in ``kernel_space`` does.
 """
 
 from __future__ import annotations
@@ -114,16 +114,29 @@ def solve(rows: Sequence[int], n: int, rhs: int) -> int | None:
 
 
 class RankAccumulator:
-    """Incremental GF(2) rank over streaming bitset rows."""
+    """Incremental GF(2) rank over streaming bitset rows.
+
+    ``pivots`` maps the leading bit of each pivot row to the row, so reducing
+    a row touches only the pivots its own leading bits hit.
+    """
 
     def __init__(self) -> None:
-        self.pivots: list[int] = []
+        self.pivots: dict[int, int] = {}
+
+    def _reduce(self, row: int) -> int:
+        pivots = self.pivots
+        while row:
+            hit = pivots.get(row.bit_length() - 1)
+            if hit is None:
+                return row
+            row ^= hit
+        return 0
 
     def add(self, row: int) -> bool:
         """Reduce ``row`` against current pivots; returns True if rank grew."""
-        row = _reduce(row, self.pivots)
+        row = self._reduce(row)
         if row:
-            self.pivots.append(row)
+            self.pivots[row.bit_length() - 1] = row
             return True
         return False
 
@@ -132,27 +145,4 @@ class RankAccumulator:
         return len(self.pivots)
 
     def contains(self, row: int) -> bool:
-        return _reduce(row, self.pivots) == 0
-
-
-def nullspace(rows: Sequence[int], n_cols: int) -> list[int]:
-    """Basis of {x : x·A = 0} for the matrix with the given bitset rows.
-
-    The returned combinations are bitsets over row indices.  This is the
-    plain reference routine; kernel_space uses the word-packed variant.
-    """
-    m = len(rows)
-    work = [(rows[i], 1 << i) for i in range(m)]
-    pivots: list[tuple[int, int]] = []
-    basis: list[int] = []
-    for row, comb in work:
-        for prow, pcomb in pivots:
-            low = prow & -prow
-            if row & low:
-                row ^= prow
-                comb ^= pcomb
-        if row:
-            pivots.append((row, comb))
-        else:
-            basis.append(comb)
-    return basis
+        return self._reduce(row) == 0

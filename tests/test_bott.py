@@ -2,9 +2,11 @@
 
 import pytest
 
-from bordismkit import algebra, bott, kernels
+from bordismkit import algebra, bott, gf2, kernels
 from bordismkit.algebra import DUAL
 from bordismkit.errors import ResourceLimitError
+from bordismkit.polytopes import (Coloring, all_gf2_colorings,
+                                  coloring_polynomial, product_of_simplices)
 
 # rank -> (generators, distinct polynomials, rank of the span of their duals);
 # at n = 3 two distinct colorings of distinct shapes share one polynomial
@@ -46,8 +48,7 @@ def test_spanning_rank_matches_kernel_dim():
 
 
 def test_spanning_rank_early_stop_flag():
-    # the target is checked between coloring batches, so the reported rank
-    # can overshoot it, but the scan must stop well short of a full pass
+    # the scan must stop well short of a full pass
     report = bott.spanning_rank(3, target=1)
     assert report.rank >= 1
     assert report.stopped_early
@@ -75,3 +76,92 @@ def test_enumeration_cap():
         bott.spanning_rank(6)
     with pytest.raises(ResourceLimitError):
         next(bott.iter_bott_generators(6))
+
+
+# shape -> (basis colorings, distinct coloring polynomials)
+SHAPES = {
+    (2,): (6, 1),         # triangle
+    (1, 1): (18, 1),      # square
+    (3,): (168, 7),       # tetrahedron
+    (2, 1): (840, 43),    # prism
+    (1, 1, 1): (4200, 1),  # cube
+}
+
+# rank 4: orbit representatives per shape, in partitions(4) order
+RANK4_REPRESENTATIVES = {(4,): 1, (3, 1): 9, (2, 2): 7, (2, 1, 1): 69,
+                         (1, 1, 1, 1): 543}
+
+
+def test_gl2_order():
+    assert [bott.gl2_order(n) for n in range(1, 6)] == [1, 6, 168, 20160, 9999360]
+
+
+def test_orbit_counts_match_the_full_walk():
+    # all_gf2_colorings walks every basis coloring facet by facet; it is the
+    # independent oracle for both the orbit count and the polynomial orbits
+    for shape, (colorings, distinct) in SHAPES.items():
+        p = product_of_simplices(shape)
+        n = p.dim
+        reps = list(bott.orbit_representatives(p))
+        assert len(reps) * bott.gl2_order(n) == colorings
+        full = all_gf2_colorings(p)
+        assert len(full) == colorings
+        assert len({coloring_polynomial(p, c) for c in full}) == distinct
+        stream = [g for g in bott.iter_bott_generators(n) if g.polytope == p]
+        assert len(stream) == distinct
+        assert len({g.polynomial for g in stream}) == distinct
+
+
+def test_representatives_are_lex_ordered_basis_colorings():
+    for shape in SHAPES:
+        p = product_of_simplices(shape)
+        n = p.dim
+        first = min(sorted(v) for v in p.vertices)
+        reps = list(bott.orbit_representatives(p))
+        assert reps == sorted(set(reps))
+        for rep in reps:
+            assert len(rep) == p.num_facets
+            assert all(0 < c < 1 << n for c in rep)
+            assert [rep[f] for f in first] == [1 << j for j in range(n)]
+            coloring = Coloring("gf2", {f: gf2.unpack(c, n) for f, c in enumerate(rep)})
+            coloring.validate(p)
+
+
+def test_stream_witnesses_carry_their_polynomials():
+    for g in bott.bott_generators(3):
+        assert g.polynomial.space == DUAL
+        assert g.polynomial == coloring_polynomial(g.polytope, g.coloring)
+
+
+def test_rank_four_walk():
+    for shape, count in RANK4_REPRESENTATIVES.items():
+        p = product_of_simplices(shape)
+        assert sum(1 for _ in bott.orbit_representatives(p)) == count
+    assert sum(1 for _ in bott.iter_bott_generators(4)) == 18931
+    full = bott.spanning_rank(4)
+    assert full == bott.SpanningReport(n=4, rank=511, distinct=18931,
+                                       colorings=629 * 20160, stopped_early=False)
+
+
+def test_spanning_rank_with_and_without_target():
+    for n, dim in {1: 0, 2: 1, 3: 13, 4: 511}.items():
+        assert bott.spanning_rank(n).rank == dim
+        assert bott.spanning_rank(n, target=dim).rank == dim
+    early = bott.spanning_rank(4, target=511)
+    assert early.stopped_early
+    assert early.distinct < 18931
+
+
+def test_cap_messages_name_cap_estimate_and_override():
+    for call in (lambda: bott.spanning_rank(5),
+                 lambda: next(bott.iter_bott_generators(5))):
+        with pytest.raises(ResourceLimitError) as exc:
+            call()
+        msg = str(exc.value)
+        assert "cap n <= 4" in msg
+        assert "up to 10^7.5 representative colorings" in msg
+        assert "up to 10^14.5 basis colorings" in msg
+        assert "pass max_n=5 to allow it" in msg
+    with pytest.raises(ResourceLimitError, match="cap n <= 1.*max_n=2"):
+        bott.spanning_rank(2, max_n=1)
+    assert bott.spanning_rank(2, max_n=2).rank == 1

@@ -216,6 +216,22 @@ def test_generators_report():
     assert len(out["generators"]) == 2
 
 
+def test_generators_exact_output_for_ranks_one_and_two():
+    r = run_cli("generators", "--n", "1")
+    assert r.returncode == 0
+    assert r.stdout == ('{"count":1,"generators":[{"n":1,"ring":"gf2","space":"dual",'
+                        '"terms":[]}],"kernel_dim":0,"n":1,"spanning_rank":0,'
+                        '"spans_kernel":true}\n')
+    r = run_cli("generators", "--n", "2")
+    assert r.returncode == 0
+    assert r.stdout == ('{"count":2,"generators":[{"n":2,"ring":"gf2","space":"dual",'
+                        '"terms":[{"chars":[[0,1],[1,0]],"coeff":1},'
+                        '{"chars":[[0,1],[1,1]],"coeff":1},'
+                        '{"chars":[[1,0],[1,1]],"coeff":1}]},'
+                        '{"n":2,"ring":"gf2","space":"dual","terms":[]}],'
+                        '"kernel_dim":1,"n":2,"spanning_rank":1,"spans_kernel":true}\n')
+
+
 def test_verify_json_report():
     r = run_cli("verify", "--format", "json")
     out = json.loads(r.stdout)
