@@ -131,6 +131,8 @@ def _cmd_chern(args: argparse.Namespace) -> int:
     else:
         data = FixedPointData.from_polynomial(_as_polynomial(obj))
     cap = 2 * data.n if args.degree_bound is None else args.degree_bound
+    if cap < 0:
+        raise ValidationError("degree cap must be nonnegative")
     numbers = []
     for i in range(cap + 1):
         for j in range((cap - i) // 2 + 1):

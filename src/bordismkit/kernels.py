@@ -57,12 +57,15 @@ def max_rank_limit() -> int:
     return DEFAULT_MAX_N
 
 
-def _basis_count(n: int, k: int) -> int:
-    """Number of unordered independent k-subsets of nonzero vectors in GF(2)^n."""
-    out = 1
-    for i in range(k):
-        out *= (1 << n) - (1 << i)
-    return out // math.factorial(k)
+def _log10_basis_count(n: int, k: int) -> float:
+    """log10 of the number of unordered independent k-subsets of GF(2)^n.
+
+    The count is prod_{i<k} (2^n - 2^i) / k!; in log10 it stays cheap to
+    compute and to print for any n.  A factor 1 - 2^(i-n) with n - i > 64
+    rounds to 1, so only the last 64 factors are summed.
+    """
+    corrections = sum(math.log10(1 - 0.5 ** (n - i)) for i in range(max(0, k - 64), k))
+    return k * n * math.log10(2) + corrections - math.lgamma(k + 1) / math.log(10)
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,8 @@ def kernel_space(n: int, max_n: int | None = None) -> KernelSpace:
     if n > cap:
         raise ResourceLimitError(
             f"rank {n} exceeds the configured maximum {cap}; the elimination "
-            f"would run over a {_basis_count(n, n)} x {_basis_count(n, n - 1)} matrix "
+            f"would run over a 10^{_log10_basis_count(n, n):.1f} x "
+            f"10^{_log10_basis_count(n, n - 1):.1f} matrix "
             f"(set BORDISMKIT_MAX_N={n} or pass max_n={n} to allow it)")
     monomials = algebra.all_faithful_monomials_gf2(n)
     col_ids: dict[Monomial, int] = {}

@@ -13,6 +13,17 @@ weight forms appearing are primitive (rows of invertible integer matrices),
 so after normalizing each to a canonical sign the common denominator is a
 product of pairwise coprime linear forms, and divisibility can be settled
 one linear factor at a time by exact division with remainder.
+
+Everything these sums share is built once per FixedPointData, on first use,
+and kept in its private ``_memo``: the canonical factors of D, the points
+folded by equal weights (each with its summed units and signed units), each
+folded point's linear forms and cofactor D/chi_p, and for Chern numbers the
+ladders cof*e1^i and e2^j, grown only as far as the indices asked for.  A
+Chern number then costs one product per folded point plus the divisions.
+This is safe because the points are an immutable tuple fixed at
+construction, the memo lives and dies with its data object (there is no
+module-level cache), and every returned polynomial is a fresh sum, never a
+memo entry.
 """
 
 from __future__ import annotations
@@ -94,7 +105,7 @@ class FixedPoint(NamedTuple):
 class FixedPointData:
     """Weights (and signs, integer flavor) of an isolated fixed-point set."""
 
-    __slots__ = ("flavor", "n", "points")
+    __slots__ = ("flavor", "n", "points", "_memo")
 
     def __init__(self, flavor: str, n: int, points: Sequence[FixedPoint]):
         if flavor not in (GF2, Z):
@@ -117,6 +128,7 @@ class FixedPointData:
                 raise ValidationError(f"non-faithful fixed point with weights {weights}")
             checked.append(FixedPoint(sign, weights))
         self.points = tuple(checked)
+        self._memo: _Localization | None = None
 
     @classmethod
     def from_polynomial(cls, p: Gf2Polynomial | ExtPolynomial) -> "FixedPointData":
@@ -160,38 +172,103 @@ def _canonical_char(char: Char, ring: str) -> tuple[Char, int]:
     return char, 1
 
 
-def _localization_numerator(data: FixedPointData, values: Sequence[MPoly],
-                            signs: Sequence[int], ring: str) -> tuple[MPoly, list[MPoly]]:
-    """N = sum_p sign_p * value_p * (D / chi_p) and the factor list of D.
+class _Localization:
+    """What every localization sum over one FixedPointData shares.
 
     D is the least common denominator: every distinct canonical weight form,
     each to the first power (weights within a point are rows of an invertible
     matrix, hence pairwise non-proportional, so each chi_p is square-free).
+    Points with equal weights are folded into one, carrying the sum of their
+    units (``bare``) and of their signs times units (``signed``).  Each
+    folded point keeps its linear forms, its cofactor D/chi_p, and, once a
+    Chern number asks for them, the ladders cof*e1^i and e2^j.
     """
-    n = data.n
-    chars: set[Char] = set()
-    units: list[int] = []
-    for pt in data.points:
-        u = 1
-        for w in pt.weights:
-            c, unit = _canonical_char(w, ring)
-            chars.add(c)
-            u *= unit
-        units.append(u)
-    ordered = sorted(chars)
-    factors = [MPoly.linear(c, ring) for c in ordered]
-    num = MPoly.zero(n, ring)
-    for pt, value, sign, unit in zip(data.points, values, signs, units):
-        # D / chi_p = product of the canonical forms not among p's weights
-        own = {_canonical_char(w, ring)[0] for w in pt.weights}
-        cofactor = mvpoly.product(
-            (MPoly.linear(c, ring) for c in ordered if c not in own), n, ring)
-        num = num + (value * cofactor).scale(sign * unit)
-    return num, factors
+
+    __slots__ = ("n", "ring", "factors", "forms", "bare", "signed",
+                 "cofactors", "_ladders")
+
+    def __init__(self, data: FixedPointData):
+        n = data.n
+        ring = mvpoly.GF2 if data.flavor == GF2 else mvpoly.Q
+        self.n = n
+        self.ring = ring
+        folded: dict[Monomial, list[int]] = {}   # weights -> [unit, bare, signed]
+        chars: set[Char] = set()
+        for pt in data.points:
+            acc = folded.get(pt.weights)
+            if acc is None:
+                unit = 1
+                for w in pt.weights:
+                    c, u = _canonical_char(w, ring)
+                    chars.add(c)
+                    unit *= u
+                acc = folded[pt.weights] = [unit, 0, 0]
+            acc[1] += acc[0]
+            acc[2] += pt.sign * acc[0]
+        ordered = sorted(chars)
+        self.factors = [MPoly.linear(c, ring) for c in ordered]
+        by_char = dict(zip(ordered, self.factors))
+        self.forms = [[MPoly.linear(w, ring) for w in weights] for weights in folded]
+        self.bare = [acc[1] for acc in folded.values()]
+        self.signed = [acc[2] for acc in folded.values()]
+        self.cofactors = []
+        for weights in folded:
+            # D / chi_p = product of the canonical forms not among p's weights
+            own = {_canonical_char(w, ring)[0] for w in weights}
+            self.cofactors.append(mvpoly.product(
+                (by_char[c] for c in ordered if c not in own), n, ring))
+        # per folded point (e1, [cof * e1^i], [e2^(j+1)]), on the first Chern number
+        self._ladders: list[tuple[MPoly, list[MPoly], list[MPoly]]] | None = None
+
+    def chern_term(self, g: int, i: int, j: int) -> MPoly:
+        """cof_g * e1^i * e2^j at folded point g; the ladders grow on demand."""
+        if self._ladders is None:
+            self._ladders = [
+                (mvpoly.eval_monomial_symmetric((1,), forms, self.n, self.ring), [cof], [])
+                for forms, cof in zip(self.forms, self.cofactors)]
+        e1, up, e2 = self._ladders[g]
+        while len(up) <= i:
+            up.append(up[-1] * e1)
+        if not j:
+            return up[i]
+        if not e2:
+            e2.append(mvpoly.eval_monomial_symmetric((1, 1), self.forms[g],
+                                                     self.n, self.ring))
+        while len(e2) < j:
+            e2.append(e2[-1] * e2[0])
+        return up[i] * e2[j - 1]
 
 
-def _divides_all(num: MPoly, factors: list[MPoly]) -> bool:
-    return all(mvpoly.divides_linear(f, num) for f in factors)
+def _localization(data: FixedPointData) -> _Localization:
+    # the points are an immutable tuple, so the memo stays valid for the
+    # data object's lifetime and dies with it
+    if data._memo is None:
+        data._memo = _Localization(data)
+    return data._memo
+
+
+def _localization_numerator(loc: _Localization, term, coeffs: Sequence[int]) -> MPoly:
+    """N = sum_p coeff_p * term(p), with term(p) = value_p * (D / chi_p).
+
+    Folded points whose coefficient cancels to 0 are skipped.
+    """
+    num = MPoly.zero(loc.n, loc.ring)
+    for g, k in enumerate(coeffs):
+        if k:
+            num = num + term(g).scale(k)
+    return num
+
+
+def _sum_is_polynomial(data: FixedPointData, f: SymmetricFunction, signed: bool) -> bool:
+    """Whether sum_p [sign_p] f(weights_p) / chi_p divides out, factor by factor."""
+    if f.max_parts() > data.n:
+        raise ValidationError(
+            f"symmetric function needs {f.max_parts()} variables, data has {data.n}")
+    loc = _localization(data)
+    num = _localization_numerator(
+        loc, lambda g: f.evaluate(loc.forms[g], loc.n, loc.ring) * loc.cofactors[g],
+        loc.signed if signed else loc.bare)
+    return all(mvpoly.divides_linear(form, num) for form in loc.factors)
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +279,7 @@ def integrality_check_gf2(data: FixedPointData, f: SymmetricFunction) -> bool:
     """Whether sum_p f(weights_p) / chi_p is a polynomial over GF(2)."""
     if data.flavor != GF2:
         raise ValidationError("expected GF(2) fixed-point data")
-    if f.max_parts() > data.n:
-        raise ValidationError(
-            f"symmetric function needs {f.max_parts()} variables, data has {data.n}")
-    ring = mvpoly.GF2
-    values = [f.evaluate([MPoly.linear(w, ring) for w in pt.weights], data.n, ring)
-              for pt in data.points]
-    num, factors = _localization_numerator(data, values, [1] * len(data.points), ring)
-    return _divides_all(num, factors)
+    return _sum_is_polynomial(data, f, signed=False)
 
 
 def integrality_check_z(data: FixedPointData, f: SymmetricFunction,
@@ -221,15 +291,7 @@ def integrality_check_z(data: FixedPointData, f: SymmetricFunction,
     """
     if data.flavor != Z:
         raise ValidationError("expected integer fixed-point data")
-    if f.max_parts() > data.n:
-        raise ValidationError(
-            f"symmetric function needs {f.max_parts()} variables, data has {data.n}")
-    ring = mvpoly.Q
-    values = [f.evaluate([MPoly.linear(w, ring) for w in pt.weights], data.n, ring)
-              for pt in data.points]
-    signs = [pt.sign for pt in data.points] if signed else [1] * len(data.points)
-    num, factors = _localization_numerator(data, values, signs, ring)
-    return _divides_all(num, factors)
+    return _sum_is_polynomial(data, f, signed)
 
 
 # ---------------------------------------------------------------------------
@@ -322,25 +384,10 @@ def equivariant_chern_number(data: FixedPointData, i: int, j: int) -> ChernNumbe
         raise ValidationError("Chern number indices must be nonnegative")
     if j and data.n < 2:
         raise ValidationError("e2 needs at least two weights per point")
-    ring = mvpoly.Q
-    n = data.n
-    values = []
-    for pt in data.points:
-        forms = [MPoly.linear(w, ring) for w in pt.weights]
-        value = MPoly.constant(n, ring, 1)
-        if i:
-            e1 = mvpoly.eval_monomial_symmetric((1,), forms, n, ring)
-            for _ in range(i):
-                value = value * e1
-        if j:
-            e2 = mvpoly.eval_monomial_symmetric((1, 1), forms, n, ring)
-            for _ in range(j):
-                value = value * e2
-        values.append(value)
-    signs = [pt.sign for pt in data.points]
-    num, factors = _localization_numerator(data, values, signs, ring)
+    loc = _localization(data)
+    num = _localization_numerator(loc, lambda g: loc.chern_term(g, i, j), loc.signed)
     quo = num
-    for form in factors:
+    for form in loc.factors:
         quo, rem = mvpoly.divmod_linear(quo, form)
         if not rem.is_zero():
             return ChernNumber(i, j, False, False, None, None)

@@ -5,7 +5,10 @@ polynomial is the set of its monomials) and Q (int/Fraction coefficients).
 Just enough structure for localization work: products of linear forms,
 monomial symmetric function evaluation, and exact division with remainder by
 a linear form, which is how divisibility of a localization numerator by the
-common denominator is decided factor by factor.
+common denominator is decided factor by factor.  The division is one pass
+over the dividend: its terms are grouped by their exponent in the pivot
+variable and each group feeds only the next one down, so a polynomial of T
+terms costs O(T) term operations instead of a rescan per quotient term.
 """
 
 from __future__ import annotations
@@ -184,40 +187,47 @@ def product(factors: Iterable[MPoly], nv: int, ring: str) -> MPoly:
 def divmod_linear(p: MPoly, form: MPoly) -> tuple[MPoly, MPoly]:
     """Quotient and remainder of p by a linear form, exactly.
 
-    The division runs with respect to the first variable the form mentions;
-    the remainder is then free of that variable, so ``r == 0`` decides
-    divisibility.  Over Q intermediate coefficients live in Fraction.
+    The division runs with respect to the first variable the form mentions
+    (the pivot); the remainder is then free of that variable, so ``r == 0``
+    decides divisibility.  Over Q the quotient lives in Fraction.
+
+    One pass: p's terms are bucketed by their pivot exponent and the buckets
+    are walked from the top down.  A term c*x^e in bucket d gives the
+    quotient term (c/lead)*x^(e - pivot), and subtracting that times the rest
+    of the form only touches bucket d - 1, so every term is visited once.
+    What is left in bucket 0 is the remainder.
     """
     p._check(form)
     if form.homogeneous_degree() != 1:
         raise ValidationError("divisor must be a nonzero linear form")
     pivot = min(i for e in form.terms for i, v in enumerate(e) if v)
     lead = next(c for e, c in form.terms.items() if e[pivot])
+    rest = [(e.index(1), c) for e, c in form.terms.items() if not e[pivot]]
+    gf2 = p.ring == GF2
+    buckets: dict[int, dict[Expt, object]] = {}
+    for e, c in p.terms.items():
+        buckets.setdefault(e[pivot], {})[e] = c
     quo: dict[Expt, object] = {}
-    rem = dict(p.terms)
-    while True:
-        cand = [(e, c) for e, c in rem.items() if e[pivot] > 0]
-        if not cand:
-            break
-        top = max(cand, key=lambda item: item[0][pivot])
-        e, c = top
-        factor = c if p.ring == GF2 else Fraction(c, 1) / lead
-        qe = e[:pivot] + (e[pivot] - 1,) + e[pivot + 1:]
-        quo[qe] = quo.get(qe, 0) + factor
-        if p.ring == GF2:
-            quo[qe] &= 1
-        if not quo[qe]:
-            del quo[qe]
-        for fe, fc in form.terms.items():
-            ne = tuple(a + b for a, b in zip(qe, fe))
-            v = rem.get(ne, 0) - factor * fc
-            if p.ring == GF2:
-                v &= 1
-            if v:
-                rem[ne] = v
-            else:
-                rem.pop(ne, None)
-    return (_from_dict(p.nv, p.ring, quo), _from_dict(p.nv, p.ring, rem))
+    for d in range(max(buckets, default=0), 0, -1):
+        here = buckets.get(d)
+        if not here:
+            continue
+        below = buckets.setdefault(d - 1, {})
+        for e, c in here.items():
+            factor = c if gf2 else Fraction(c, 1) / lead
+            qe = e[:pivot] + (d - 1,) + e[pivot + 1:]
+            quo[qe] = factor
+            for k, a in rest:
+                ne = qe[:k] + (qe[k] + 1,) + qe[k + 1:]
+                v = below.get(ne, 0) - factor * a
+                if gf2:
+                    v &= 1
+                if v:
+                    below[ne] = v
+                else:
+                    del below[ne]
+    return (_from_dict(p.nv, p.ring, quo),
+            _from_dict(p.nv, p.ring, buckets.get(0, {})))
 
 
 def divides_linear(form: MPoly, p: MPoly) -> bool:

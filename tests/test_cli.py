@@ -54,6 +54,17 @@ def test_dim_over_cap_is_a_domain_error():
     assert err["code"] == "resource-limit"
 
 
+def test_dim_far_over_cap_reports_the_cap():
+    # the matrix size is given as a log10 bound, so no huge integer is printed
+    r = run_cli("dim", "--n", "200")
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    err = json.loads(r.stdout)["error"]
+    assert err["code"] == "resource-limit"
+    assert "BORDISMKIT_MAX_N=200" in err["message"]
+    assert "10^11665.8 x 10^11608.2 matrix" in err["message"]
+
+
 def test_check_single_monomial_exact_output():
     r = run_cli("check", SINGLE_MONOMIAL)
     assert r.returncode == 0
@@ -185,6 +196,31 @@ def test_chern_accepts_fixed_point_data():
     assert r.returncode == 0
     by_ij = {(e["i"], e["j"]): e for e in json.loads(r.stdout)["numbers"]}
     assert by_ij[(1, 0)]["constant"] == 2
+
+
+def test_chern_exact_output_for_cp2():
+    r = run_cli("chern", dumps(jsonio.polynomial_to_obj(CP2)).strip())
+    assert r.returncode == 0
+    assert r.stdout == (
+        '{"degree_bound":4,"n":2,"numbers":['
+        '{"constant":0,"i":0,"integral":true,"j":0,"polynomial":true},'
+        '{"constant":3,"i":0,"integral":true,"j":1,"polynomial":true},'
+        '{"constant":null,"i":0,"integral":true,"j":2,"polynomial":true},'
+        '{"constant":0,"i":1,"integral":true,"j":0,"polynomial":true},'
+        '{"constant":0,"i":1,"integral":true,"j":1,"polynomial":true},'
+        '{"constant":9,"i":2,"integral":true,"j":0,"polynomial":true},'
+        '{"constant":null,"i":2,"integral":true,"j":1,"polynomial":true},'
+        '{"constant":0,"i":3,"integral":true,"j":0,"polynomial":true},'
+        '{"constant":null,"i":4,"integral":true,"j":0,"polynomial":true}]}\n')
+
+
+def test_chern_rejects_a_negative_degree_bound():
+    r = run_cli("chern", dumps(jsonio.polynomial_to_obj(CP2)).strip(),
+                "--degree-bound", "-3")
+    assert r.returncode == 1
+    err = json.loads(r.stdout)["error"]
+    assert err == {"code": "validation-error",
+                   "message": "degree cap must be nonnegative"}
 
 
 def test_reduce_class_and_bare_polynomial():

@@ -1,5 +1,7 @@
 """Fixed-point data, integrality checks, and equivariant Chern numbers."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,12 +10,15 @@ import pytest
 from bordismkit import algebra, kernels, mvpoly
 from bordismkit.algebra import ExtPolynomial, Gf2Polynomial
 from bordismkit.errors import ValidationError
+from bordismkit.graphs import torus_graph_from_pair, torus_polynomial
 from bordismkit.localization import (FixedPoint, FixedPointData,
                                      Gf2IntegralityTable, SymmetricFunction,
                                      equivariant_chern_number,
                                      integrality_check_gf2,
                                      integrality_check_z,
                                      min_fixed_points_check, vanishing_test)
+from bordismkit.polytopes import (product_of_simplices, random_z_coloring,
+                                  standard_z_coloring)
 
 RP2 = Gf2Polynomial(2, [((0, 1), (1, 0)), ((0, 1), (1, 1)), ((1, 0), (1, 1))])
 CP1 = ExtPolynomial(1, {((-1,),): -1, ((1,),): 1})
@@ -189,6 +194,104 @@ def test_chern_sign_sensitivity():
                                    FixedPoint(-1, ((-1,),))])
     r = equivariant_chern_number(data, 0, 0)
     assert not r.is_polynomial
+
+
+def cohomology_chern_numbers(shape):
+    """c1^i c2^j [M] (i + 2j = n) of M = CP^k1 x ... x CP^km, from H*(M) alone.
+
+    H*(M) = Z[x_1..x_m] / (x_l^(k_l + 1)), total Chern class
+    prod_l (1 + x_l)^(k_l + 1), and [M] pairs to 1 with prod_l x_l^k_l.
+    Classes are {exponent tuple: integer} truncated to the ring.
+    """
+    m, n = len(shape), sum(shape)
+
+    def times(a, b):
+        out = {}
+        for (ea, ca), (eb, cb) in itertools.product(a.items(), b.items()):
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if all(x <= k for x, k in zip(e, shape)):
+                out[e] = out.get(e, 0) + ca * cb
+        return out
+
+    total = {(0,) * m: 1}
+    for l, k in enumerate(shape):
+        total = times(total, {tuple(a if t == l else 0 for t in range(m)): math.comb(k + 1, a)
+                              for a in range(k + 2)})
+    c1 = {e: c for e, c in total.items() if sum(e) == 1}
+    c2 = {e: c for e, c in total.items() if sum(e) == 2}
+    numbers = {}
+    for j in range(n // 2 + 1):
+        i = n - 2 * j
+        cls = {(0,) * m: 1}
+        for factor in [c1] * i + [c2] * j:
+            cls = times(cls, factor)
+        numbers[(i, j)] = cls.get(tuple(shape), 0)
+    return numbers
+
+
+def sweep_indices(n):
+    return [(i, j) for i in range(2 * n + 1) for j in range((2 * n - i) // 2 + 1)
+            if not (j and n < 2)]
+
+
+def fixed_point_data(shape, coloring):
+    return FixedPointData.from_polynomial(
+        torus_polynomial(torus_graph_from_pair(product_of_simplices(shape), coloring)))
+
+
+def exact(r):
+    value = None if r.value is None else sorted(
+        (e, type(c).__name__, c) for e, c in r.value.terms.items())
+    return (r.is_polynomial, r.integral, value, r.constant)
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)])
+def test_chern_sweep_matches_the_cohomology_ring(shape):
+    n = sum(shape)
+    want = cohomology_chern_numbers(shape)
+    data = fixed_point_data(shape, standard_z_coloring(shape))
+    for i, j in sweep_indices(n):
+        r = equivariant_chern_number(data, i, j)
+        assert r.is_polynomial and r.integral, (i, j)
+        if i + 2 * j < n:
+            assert r.value.is_zero(), (i, j)
+        elif i + 2 * j == n:
+            assert r.constant == want[(i, j)], (i, j)
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (1, 1, 1), (3,)])
+def test_chern_sweep_does_not_depend_on_call_order(shape):
+    rng = random.Random(67)
+    colorings = [standard_z_coloring(shape), random_z_coloring(shape, rng)]
+    for coloring in colorings:
+        indices = sweep_indices(sum(shape))
+        fresh = {ij: exact(equivariant_chern_number(fixed_point_data(shape, coloring), *ij))
+                 for ij in indices}
+        data = fixed_point_data(shape, coloring)
+        backwards = {}
+        for ij in reversed(indices):
+            r = equivariant_chern_number(data, *ij)
+            backwards[ij] = exact(r)
+            if r.value is not None:
+                r.value.terms.clear()  # a returned value must not share state
+        assert backwards == fresh
+        middle = indices[len(indices) // 2]
+        assert exact(equivariant_chern_number(data, *middle)) == fresh[middle]
+
+
+def test_integrality_checks_on_one_data_object_match_fresh_ones():
+    # signed and bare sums, and Chern numbers, share one object's cofactors
+    rng = random.Random(71)
+    shape = (1, 2)
+    data = fixed_point_data(shape, random_z_coloring(shape, rng))
+    fns = [SymmetricFunction.monomial(mu) for mu in mvpoly.partitions_up_to(4, 3)]
+    for signed in (True, False, True):
+        got = [integrality_check_z(data, f, signed=signed) for f in fns]
+        assert got == [integrality_check_z(FixedPointData("z", data.n, data.points), f,
+                                           signed=signed) for f in fns]
+        assert (exact(equivariant_chern_number(data, 3, 0))
+                == exact(equivariant_chern_number(
+                    FixedPointData("z", data.n, data.points), 3, 0)))
 
 
 # -- vanishing and support -----------------------------------------------------
