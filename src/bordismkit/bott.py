@@ -82,10 +82,12 @@ def _check_rank(n: int, max_n: int | None) -> None:
     if n > cap:
         # a shape with r parts has r facets off the first vertex, each taking
         # one of 2^n - 1 colors; summed over all compositions of n this is
-        # (2^n - 1) 2^(n(n-1)), so log10 keeps the message cheap for any n
+        # (2^n - 1) 2^(n(n-1)); in log10, summing only the last 64 factors of
+        # |GL(n,2)| (the rest round to 1), the message is cheap for any n
         log2 = math.log10(2)
         log_reps = n * n * log2 + math.log10(1 - 0.5 ** n)
-        log_gl = sum(n * log2 + math.log10(1 - 0.5 ** (n - i)) for i in range(n))
+        log_gl = n * n * log2 + sum(math.log10(1 - 0.5 ** (n - i))
+                                    for i in range(max(0, n - 64), n))
         log_colorings = log_reps + log_gl
         raise ResourceLimitError(
             f"rank {n} exceeds the generator enumeration cap n <= {cap}; the "

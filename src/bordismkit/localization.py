@@ -307,12 +307,15 @@ class Gf2IntegralityTable:
     term of a point with monomial m becomes f(m's forms)·(D/χ_m), and a
     factor ℓ divides the total iff the per-monomial remainders mod ℓ cancel.
     Those remainders depend only on (monomial, partition, factor), so they
-    are precomputed once as bitsets and each query is a few XORs — the
-    result agrees with ``integrality_check_gf2`` on every input (the extra
-    factors of D are units for the divisibility questions asked).
+    are precomputed once: one int per (monomial, partition) holds a bit per
+    (factor, remainder monomial), so the factors fill disjoint bits and the
+    XOR of those ints is every per-factor XOR at once.  A query is one XOR
+    per monomial and one test for zero, and agrees with
+    ``integrality_check_gf2`` on every input (the extra factors of D are
+    units for the divisibility questions asked).
     """
 
-    __slots__ = ("n", "partitions", "_rems", "_index")
+    __slots__ = ("n", "partitions", "_bits")
 
     def __init__(self, n: int, partitions: Sequence[tuple[int, ...]]):
         ring = mvpoly.GF2
@@ -320,8 +323,8 @@ class Gf2IntegralityTable:
         self.partitions = tuple(partitions)
         chars = algebra.nonzero_chars_gf2(n)
         forms = {c: MPoly.linear(c, ring) for c in chars}
-        self._index: dict[tuple, int] = {}
-        self._rems: dict[tuple, int] = {}
+        index: dict[tuple[Char, tuple[int, ...]], int] = {}
+        self._bits = {mu: {} for mu in self.partitions}  # mu -> monomial -> bits
         for mono in algebra.all_faithful_monomials_gf2(n):
             cofactor = mvpoly.product(
                 (forms[c] for c in chars if c not in mono), n, ring)
@@ -332,31 +335,28 @@ class Gf2IntegralityTable:
                 else:
                     value = mvpoly.eval_monomial_symmetric(mu, point_forms, n, ring)
                 term = value * cofactor
+                bits = 0
                 for c in chars:
                     _, rem = mvpoly.divmod_linear(term, forms[c])
-                    bits = 0
                     for e in rem.terms:
-                        bits |= 1 << self._index.setdefault(e, len(self._index))
-                    self._rems[(mono, mu, c)] = bits
+                        bits |= 1 << index.setdefault((c, e), len(index))
+                self._bits[mu][mono] = bits
 
     def passes(self, p: Gf2Polynomial, mu: Sequence[int]) -> bool:
         """Whether the monomial symmetric function m_mu gives a polynomial sum."""
         mu = tuple(sorted((int(x) for x in mu), reverse=True))
-        if mu not in self.partitions:
+        rows = self._bits.get(mu)
+        if rows is None:
             raise ValidationError(f"partition {mu} is not in the table")
         if p.n != self.n:
             raise ValidationError(f"polynomial has rank {p.n}, table has {self.n}")
-        for c in algebra.nonzero_chars_gf2(self.n):
-            acc = 0
-            for mono in p.monomials:
-                try:
-                    acc ^= self._rems[(mono, mu, c)]
-                except KeyError:
-                    raise ValidationError(
-                        f"non-faithful monomial {mono}") from None
-            if acc:
-                return False
-        return True
+        acc = 0
+        for mono in p.monomials:
+            try:
+                acc ^= rows[mono]
+            except KeyError:
+                raise ValidationError(f"non-faithful monomial {mono}") from None
+        return not acc
 
 
 class ChernNumber(NamedTuple):

@@ -1,14 +1,19 @@
 """Sparse multivariate polynomials for localization sums.
 
-Exact coefficient arithmetic in two rings: GF(2) (coefficients implicit, a
-polynomial is the set of its monomials) and Q (int/Fraction coefficients).
-Just enough structure for localization work: products of linear forms,
-monomial symmetric function evaluation, and exact division with remainder by
-a linear form, which is how divisibility of a localization numerator by the
-common denominator is decided factor by factor.  The division is one pass
-over the dividend: its terms are grouped by their exponent in the pivot
-variable and each group feeds only the next one down, so a polynomial of T
-terms costs O(T) term operations instead of a rescan per quotient term.
+Exact coefficient arithmetic in two rings: GF(2) (every stored coefficient
+is 1, so a polynomial is the set of its monomials) and Q (int/Fraction
+coefficients).  Just enough structure for localization work: products of
+linear forms, monomial symmetric function evaluation, and exact division
+with remainder by a linear form, which is how divisibility of a localization
+numerator by the common denominator is decided factor by factor.
+
+Terms are kept under packed exponents: variable i's exponent sits in bits
+[W*i, W*(i+1)) of one int (W = 32), so a product of monomials is one int
+addition.  Each polynomial carries an upper bound on its total degree, and a
+constructor or product that could exceed 2^W - 1 raises ValidationError
+rather than carry into the next field.  ``terms`` unpacks a fresh
+{exponent tuple: coefficient} dict on every read, so what a caller does with
+it never reaches the polynomial (or a memo that holds it).
 """
 
 from __future__ import annotations
@@ -22,55 +27,79 @@ from .errors import ValidationError
 GF2 = "gf2"
 Q = "q"
 
+W = 32                  # bits per variable in a packed exponent
+_MASK = (1 << W) - 1    # also the largest total degree a polynomial may reach
+
 Expt = tuple[int, ...]
 
 
-class MPoly:
-    """Sparse polynomial: {exponent tuple: coefficient}, zero coeffs dropped."""
+def _unpack(key: int, nv: int) -> Expt:
+    return tuple((key >> (W * i)) & _MASK for i in range(nv))
 
-    __slots__ = ("nv", "ring", "terms")
+
+def _check_ring(ring: str) -> str:
+    if ring not in (GF2, Q):
+        raise ValidationError(f"unknown coefficient ring {ring!r}")
+    return ring
+
+
+def _check_degree(deg: int) -> int:
+    if deg > _MASK:
+        raise ValidationError(
+            f"total degree {deg} exceeds the packed-exponent limit {_MASK}")
+    return deg
+
+
+class MPoly:
+    """Sparse polynomial: {packed exponent: coefficient}, zero coeffs dropped."""
+
+    __slots__ = ("nv", "ring", "_terms", "_deg")
 
     def __init__(self, nv: int, ring: str,
                  terms: Mapping[Expt, object] | Iterable[tuple[Expt, object]] = ()):
-        if ring not in (GF2, Q):
-            raise ValidationError(f"unknown coefficient ring {ring!r}")
         self.nv = nv
-        self.ring = ring
-        acc: dict[Expt, object] = {}
+        self.ring = _check_ring(ring)
+        acc: dict[int, object] = {}
+        deg = 0
         items = terms.items() if isinstance(terms, Mapping) else terms
         for expt, coeff in items:
             expt = tuple(int(e) for e in expt)
             if len(expt) != nv or any(e < 0 for e in expt):
                 raise ValidationError(f"bad exponent tuple {expt} for {nv} variables")
+            deg = max(deg, _check_degree(sum(expt)))
+            key = sum(e << (W * i) for i, e in enumerate(expt))
             if ring == GF2:
                 coeff = int(coeff) & 1
-            acc[expt] = acc.get(expt, 0) + coeff
+            acc[key] = acc.get(key, 0) + coeff
             if ring == GF2:
-                acc[expt] &= 1
-            if not acc[expt]:
-                del acc[expt]
-        self.terms = acc
+                acc[key] &= 1
+            if not acc[key]:
+                del acc[key]
+        self._terms = acc
+        self._deg = deg
+
+    @property
+    def terms(self) -> dict[Expt, object]:
+        """A fresh {exponent tuple: coefficient} dict of the nonzero terms."""
+        return {_unpack(k, self.nv): c for k, c in self._terms.items()}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, nv: int, ring: str) -> "MPoly":
-        return cls(nv, ring)
+        return _from_dict(nv, _check_ring(ring), {}, 0)
 
     @classmethod
     def constant(cls, nv: int, ring: str, value) -> "MPoly":
-        return cls(nv, ring, {(0,) * nv: value})
+        if _check_ring(ring) == GF2:
+            value = int(value) & 1
+        return _from_dict(nv, ring, {0: value} if value else {}, 0)
 
     @classmethod
     def linear(cls, coeffs: Sequence[int], ring: str) -> "MPoly":
-        nv = len(coeffs)
-        terms = {}
-        for i, a in enumerate(coeffs):
-            if a:
-                e = [0] * nv
-                e[i] = 1
-                terms[tuple(e)] = a
-        return cls(nv, ring, terms)
+        gf2 = _check_ring(ring) == GF2
+        terms = {1 << (W * i): int(a) & 1 if gf2 else a for i, a in enumerate(coeffs)}
+        return _from_dict(len(coeffs), ring, {k: a for k, a in terms.items() if a}, 1)
 
     # -- ring operations ---------------------------------------------------
 
@@ -82,60 +111,65 @@ class MPoly:
 
     def __add__(self, other: "MPoly") -> "MPoly":
         self._check(other)
-        acc = dict(self.terms)
-        for expt, coeff in other.terms.items():
-            v = acc.get(expt, 0) + coeff
+        acc = dict(self._terms)
+        for key, coeff in other._terms.items():
+            v = acc.get(key, 0) + coeff
             if self.ring == GF2:
                 v &= 1
             if v:
-                acc[expt] = v
+                acc[key] = v
             else:
-                acc.pop(expt, None)
-        return _from_dict(self.nv, self.ring, acc)
+                acc.pop(key, None)
+        return _from_dict(self.nv, self.ring, acc, max(self._deg, other._deg))
 
     def __neg__(self) -> "MPoly":
         if self.ring == GF2:
             return self
-        return _from_dict(self.nv, self.ring, {e: -c for e, c in self.terms.items()})
+        return _from_dict(self.nv, self.ring,
+                          {k: -c for k, c in self._terms.items()}, self._deg)
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
 
     def __mul__(self, other: "MPoly") -> "MPoly":
         self._check(other)
-        acc: dict[Expt, object] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = acc.get(e, 0) + c1 * c2
-                if self.ring == GF2:
-                    v &= 1
-                if v:
-                    acc[e] = v
-                else:
-                    acc.pop(e, None)
-        return _from_dict(self.nv, self.ring, acc)
+        deg = _check_degree(self._deg + other._deg)
+        acc: dict[int, object] = {}
+        get = acc.get
+        if self.ring == GF2:
+            for k1 in self._terms:
+                for k2 in other._terms:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) ^ 1
+        else:
+            right = list(other._terms.items())
+            for k1, c1 in self._terms.items():
+                for k2, c2 in right:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + c1 * c2
+        return _from_dict(self.nv, self.ring, {k: c for k, c in acc.items() if c}, deg)
 
     def scale(self, k) -> "MPoly":
         if self.ring == GF2:
             return self if int(k) & 1 else MPoly.zero(self.nv, self.ring)
         if not k:
             return MPoly.zero(self.nv, self.ring)
-        return _from_dict(self.nv, self.ring, {e: c * k for e, c in self.terms.items()})
+        return _from_dict(self.nv, self.ring,
+                          {e: c * k for e, c in self._terms.items()}, self._deg)
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MPoly):
             return NotImplemented
         return (self.nv == other.nv and self.ring == other.ring
-                and self.terms == other.terms)
+                and self._terms == other._terms)
 
     def __hash__(self) -> int:
-        return hash((self.nv, self.ring, frozenset(self.terms.items())))
+        return hash((self.nv, self.ring, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -151,25 +185,26 @@ class MPoly:
         """The coefficient of x^0 if the polynomial is constant, else None."""
         if self.is_zero():
             return 0
-        if self.terms.keys() == {(0,) * self.nv}:
-            return self.terms[(0,) * self.nv]
+        if self._terms.keys() == {0}:
+            return self._terms[0]
         return None
 
     def homogeneous_degree(self) -> int | None:
-        degs = {sum(e) for e in self.terms}
+        degs = {sum(_unpack(k, self.nv)) for k in self._terms}
         if len(degs) == 1:
             return degs.pop()
         return None
 
     def has_integer_coeffs(self) -> bool:
-        return all(Fraction(c).denominator == 1 for c in self.terms.values())
+        return all(Fraction(c).denominator == 1 for c in self._terms.values())
 
 
-def _from_dict(nv: int, ring: str, terms: dict[Expt, object]) -> MPoly:
+def _from_dict(nv: int, ring: str, terms: dict[int, object], deg: int) -> MPoly:
     p = MPoly.__new__(MPoly)
     p.nv = nv
     p.ring = ring
-    p.terms = terms
+    p._terms = terms
+    p._deg = deg
     return p
 
 
@@ -194,40 +229,43 @@ def divmod_linear(p: MPoly, form: MPoly) -> tuple[MPoly, MPoly]:
     One pass: p's terms are bucketed by their pivot exponent and the buckets
     are walked from the top down.  A term c*x^e in bucket d gives the
     quotient term (c/lead)*x^(e - pivot), and subtracting that times the rest
-    of the form only touches bucket d - 1, so every term is visited once.
-    What is left in bucket 0 is the remainder.
+    of the form only touches bucket d - 1, so every term is visited once and
+    T terms cost O(T) term operations.  What is left in bucket 0 is the
+    remainder.
     """
     p._check(form)
     if form.homogeneous_degree() != 1:
         raise ValidationError("divisor must be a nonzero linear form")
-    pivot = min(i for e in form.terms for i, v in enumerate(e) if v)
-    lead = next(c for e, c in form.terms.items() if e[pivot])
-    rest = [(e.index(1), c) for e, c in form.terms.items() if not e[pivot]]
+    one = min(form._terms)          # x_pivot: the lowest variable has the lowest key
+    shift = one.bit_length() - 1
+    lead = form._terms[one]
+    rest = [(k, c) for k, c in form._terms.items() if k != one]
     gf2 = p.ring == GF2
-    buckets: dict[int, dict[Expt, object]] = {}
-    for e, c in p.terms.items():
-        buckets.setdefault(e[pivot], {})[e] = c
-    quo: dict[Expt, object] = {}
+    buckets: dict[int, dict[int, object]] = {}
+    for k, c in p._terms.items():
+        buckets.setdefault((k >> shift) & _MASK, {})[k] = c
+    quo: dict[int, object] = {}
     for d in range(max(buckets, default=0), 0, -1):
         here = buckets.get(d)
         if not here:
             continue
         below = buckets.setdefault(d - 1, {})
-        for e, c in here.items():
-            factor = c if gf2 else Fraction(c, 1) / lead
-            qe = e[:pivot] + (d - 1,) + e[pivot + 1:]
-            quo[qe] = factor
-            for k, a in rest:
-                ne = qe[:k] + (qe[k] + 1,) + qe[k + 1:]
-                v = below.get(ne, 0) - factor * a
+        for k, c in here.items():
+            # exact either way; c / lead on an int c would give a float
+            factor = c if gf2 else c / lead if type(c) is Fraction else Fraction(c, lead)
+            qk = k - one
+            quo[qk] = factor
+            for a_k, a in rest:
+                nk = qk + a_k
+                v = below.get(nk, 0) - factor * a
                 if gf2:
                     v &= 1
                 if v:
-                    below[ne] = v
+                    below[nk] = v
                 else:
-                    del below[ne]
-    return (_from_dict(p.nv, p.ring, quo),
-            _from_dict(p.nv, p.ring, buckets.get(0, {})))
+                    del below[nk]
+    return (_from_dict(p.nv, p.ring, quo, p._deg),
+            _from_dict(p.nv, p.ring, buckets.get(0, {}), p._deg))
 
 
 def divides_linear(form: MPoly, p: MPoly) -> bool:

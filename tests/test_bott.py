@@ -1,5 +1,11 @@
 """Generator enumeration over products of simplices and its span."""
 
+import json
+import math
+import subprocess
+import sys
+import time
+
 import pytest
 
 from bordismkit import algebra, bott, gf2, kernels
@@ -165,3 +171,26 @@ def test_cap_messages_name_cap_estimate_and_override():
     with pytest.raises(ResourceLimitError, match="cap n <= 1.*max_n=2"):
         bott.spanning_rank(2, max_n=1)
     assert bott.spanning_rank(2, max_n=2).rank == 1
+
+
+def test_cap_message_sums_only_the_last_factors():
+    # the bound summed over all n factors of |GL(n,2)|, written out here;
+    # the rest round to 1, so the message must not change
+    log2 = math.log10(2)
+    for n in range(5, 81):
+        log_reps = n * n * log2 + math.log10(1 - 0.5 ** n)
+        log_gl = sum(n * log2 + math.log10(1 - 0.5 ** (n - i)) for i in range(n))
+        with pytest.raises(ResourceLimitError) as exc:
+            bott.spanning_rank(n)
+        assert (f"up to 10^{log_reps:.1f} representative colorings, standing for "
+                f"up to 10^{log_reps + log_gl:.1f} basis colorings") in str(exc.value)
+
+
+def test_cap_refuses_a_huge_rank_at_once():
+    start = time.perf_counter()
+    r = subprocess.run([sys.executable, "-m", "bordismkit.cli", "generators",
+                        "--n", "1000000000"], capture_output=True, text=True,
+                       timeout=60)
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"]["code"] == "resource-limit"
+    assert time.perf_counter() - start < 30

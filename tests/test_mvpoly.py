@@ -69,3 +69,119 @@ def test_divmod_linear_rejects_non_linear_divisors():
         mvpoly.divmod_linear(p, MPoly(2, Q, {(1, 1): 1}))
     with pytest.raises(ValidationError):
         mvpoly.divmod_linear(p, MPoly.zero(2, Q))
+
+
+def tuple_key_product(a, b):
+    """The product as it was computed on exponent tuples, term by term."""
+    acc = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            v = acc.get(e, 0) + c1 * c2
+            if a.ring == GF2:
+                v &= 1
+            if v:
+                acc[e] = v
+            else:
+                acc.pop(e, None)
+    return acc
+
+
+@pytest.mark.parametrize("ring", [GF2, Q])
+def test_product_matches_the_tuple_key_loop(ring):
+    rng = random.Random(101 if ring == GF2 else 103)
+    for _ in range(300):
+        nv = rng.randint(1, 5)
+        a, b = random_poly(rng, nv, ring), random_poly(rng, nv, ring)
+        want = tuple_key_product(a, b)
+        got = (a * b).terms
+        assert got == want
+        assert a * b == MPoly(nv, ring, want)
+        # the loop restarted a cancelled coefficient from int 0, so types
+        # agree term by term whenever every product has one type
+        if len({type(x * y) for x in a.terms.values() for y in b.terms.values()}) == 1:
+            assert sorted((e, type(c)) for e, c in got.items()) == \
+                sorted((e, type(c)) for e, c in want.items())
+
+
+@pytest.mark.parametrize("ring", [GF2, Q])
+def test_terms_round_trip_the_constructor(ring):
+    rng = random.Random(107)
+    for _ in range(200):
+        nv = rng.randint(1, 5)
+        terms = {}
+        for _ in range(rng.randint(0, 10)):
+            expt = tuple(rng.randint(0, 9) for _ in range(nv))
+            terms[expt] = 1 if ring == GF2 else rng.choice((1, -2, Fraction(3, 4)))
+        p = MPoly(nv, ring, terms)
+        assert p.terms == terms
+        assert MPoly(nv, ring, p.terms) == p
+        assert MPoly(nv, ring, list(p.terms.items())) == p
+
+
+def test_terms_is_a_copy():
+    p = MPoly(2, Q, {(1, 0): 2, (0, 3): -1})
+    before = MPoly(2, Q, {(1, 0): 2, (0, 3): -1})
+    p.terms.clear()
+    p.terms[(5, 5)] = 7
+    assert p == before and p.terms == {(1, 0): 2, (0, 3): -1}
+    with pytest.raises(AttributeError):
+        p.terms = {}
+
+
+def test_eq_hash_and_repr_agree():
+    rng = random.Random(109)
+    for ring in (GF2, Q):
+        for _ in range(100):
+            nv = rng.randint(1, 4)
+            p = random_poly(rng, nv, ring)
+            shuffled = list(p.terms.items())
+            rng.shuffle(shuffled)
+            twin = MPoly(nv, ring, shuffled)
+            assert twin == p and hash(twin) == hash(p) and repr(twin) == repr(p)
+            other = p + MPoly.constant(nv, ring, 1)
+            assert other != p and repr(other) != repr(p)
+    assert repr(MPoly(2, Q, {(0, 0): 3, (2, 1): -1, (0, 1): Fraction(1, 2)})) == \
+        "MPoly(2, 'q', 3*1 + 1/2*x1 + -1*x0^2*x1)"
+    assert repr(MPoly(3, GF2, {(1, 0, 1): 1, (0, 0, 0): 3, (0, 2, 0): 2})) == \
+        "MPoly(3, 'gf2', 1 + x0*x2)"
+    assert repr(MPoly.zero(2, GF2)) == "MPoly(2, 'gf2', 0)"
+    assert MPoly(2, Q, {(1, 0): 1}) != MPoly(2, GF2, {(1, 0): 1})
+    assert MPoly(2, Q, {(1, 0): 1}) != MPoly(3, Q, {(1, 0, 0): 1})
+
+
+def test_constructors_build_what_the_general_constructor_builds():
+    for ring in (GF2, Q):
+        assert MPoly.zero(3, ring) == MPoly(3, ring)
+        for value in (0, 1, 2, -3, Fraction(5, 2)):
+            if ring == GF2 and isinstance(value, Fraction):
+                continue
+            assert MPoly.constant(3, ring, value) == MPoly(3, ring, {(0, 0, 0): value})
+        coeffs = (0, 3, -1, 2)
+        assert MPoly.linear(coeffs, ring) == MPoly(4, ring, {
+            tuple(int(i == k) for i in range(4)): a for k, a in enumerate(coeffs) if a})
+    assert MPoly.constant(2, Q, 7).constant_value() == 7
+    assert MPoly.linear((0, 1), Q).constant_value() is None
+    assert MPoly.linear((0, 1), Q).homogeneous_degree() == 1
+    for build in (lambda: MPoly(2, "z"), lambda: MPoly.zero(2, "z"),
+                  lambda: MPoly.constant(2, "z", 1), lambda: MPoly.linear((1, 0), "z")):
+        with pytest.raises(ValidationError, match="unknown coefficient ring"):
+            build()
+
+
+def test_degree_guard_raises_instead_of_wrapping():
+    top = (1 << mvpoly.W) - 1
+    x = MPoly.linear((1, 0), Q)
+    big = MPoly(2, Q, {(top, 0): 1})
+    assert big.terms == {(top, 0): 1} and big.homogeneous_degree() == top
+    with pytest.raises(ValidationError):
+        big * x
+    with pytest.raises(ValidationError):
+        x * big
+    with pytest.raises(ValidationError):
+        MPoly(2, GF2, {(top, 1): 1})
+    with pytest.raises(ValidationError):
+        MPoly(1, Q, {(top + 1,): 1})
+    # a bound on the total degree: x0^(top-1) * x1 stays below it
+    assert (MPoly(2, Q, {(top - 1, 0): 1}) * MPoly.linear((0, 1), Q)).terms == \
+        {(top - 1, 1): 1}
