@@ -110,15 +110,18 @@ def _aligned_coloring(l2: Coloring, n: int, basis_from: list[int],
     Applies the GF(2)-linear isomorphism sending basis_from to basis_to to
     every color; linear isomorphisms preserve the coloring condition.
     """
+    # row j of inv is the coordinate vector of unit vector j over basis_from
+    images = []
+    for row in gf2.invert(basis_from, n):
+        y = 0
+        for k in gf2.bits(row):
+            y ^= basis_to[k]
+        images.append(y)
     aligned = {}
     for f, c in l2.map.items():
-        coords = gf2.solve(basis_from, n, gf2.pack(c))
-        if coords is None:
-            raise ValueError("color outside the span of the vertex basis")
         y = 0
-        for j in range(n):
-            if coords >> j & 1:
-                y ^= basis_to[j]
+        for j in gf2.bits(gf2.pack(c)):
+            y ^= images[j]
         aligned[f] = gf2.unpack(y, n)
     return Coloring("gf2", aligned)
 
@@ -230,8 +233,8 @@ def formula_properties() -> tuple[bool, str]:
             **{f + p1.num_facets: (0,) * n1 + c for f, c in l2.map.items()},
         })
         lhs = coloring_polynomial(product(p1, p2), both)
-        g1 = algebra.embed_chars_gf2(coloring_polynomial(p1, l1), n1 + n2, 0)
-        g2 = algebra.embed_chars_gf2(coloring_polynomial(p2, l2), n1 + n2, n1)
+        g1 = algebra.embed_chars(coloring_polynomial(p1, l1), n1 + n2, 0)
+        g2 = algebra.embed_chars(coloring_polynomial(p2, l2), n1 + n2, n1)
         if lhs != g1.wedge(g2):
             return False, f"product formula fails on trial {trial}"
     for trial in range(50):

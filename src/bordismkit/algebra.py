@@ -1,21 +1,30 @@
 """Faithful polynomials, dualization, and the deletion differential.
 
-Two coefficient flavors share one shape:
+One polynomial type serves both rings.  A ``Polynomial`` holds its rank
+``n``, a ``space`` tag ("primal" or "dual"), a coefficient ``modulus`` and
+``terms``, a dict from canonical monomials to nonzero coefficients:
 
-* ``Gf2Polynomial`` — square-free polynomials over GF(2) on nonzero
-  characters in GF(2)^n.  A polynomial is a set of monomials; addition is
-  symmetric difference.
-* ``ExtPolynomial`` — elements of the free exterior Z-algebra on nonzero
-  characters in Z^n.  Monomials are stored with characters sorted in the
-  fixed lexicographic order and the reordering sign folded into the
-  coefficient, so equal elements have equal representations.
+* ``Gf2Polynomial`` (modulus 2) — square-free polynomials over GF(2) on
+  nonzero characters in GF(2)^n.  Every coefficient is 1.
+* ``ExtPolynomial`` (modulus 0) — elements of the free exterior Z-algebra
+  on nonzero characters in Z^n.
 
-Both carry a ``space`` tag ("primal" or "dual"); ``dual`` swaps it.  A
-monomial is *faithful* when its characters are a basis (invertible over
-GF(2), determinant ±1 over Z); ``in_image`` / ``in_image_unitary`` test
-membership of a faithful polynomial in the geometric image via d(g*) = 0.
+A canonical monomial lists its characters in lexicographic order with the
+reordering sign folded into the coefficient, and a repeated character makes
+it vanish, so equal elements have equal representations.  Over GF(2) the
+sign is trivial and the wedge is the square-free product, so sums, wedges,
+the dual, the differential, the image test, mod-2 reduction, block
+embeddings and coordinate permutations are written once for both rings.
+Only the character check, the faithfulness test and the dual of one
+monomial differ, and each subclass names its own.  ``mod2_reduce`` maps the
+Z ring onto the GF(2) ring.
 
-Sign convention for the Z-flavor dual (the calibrated design decision): a
+``dual`` swaps the space tag.  A monomial is *faithful* when its characters
+are a basis (invertible over GF(2), determinant ±1 over Z);
+``in_image_verdict`` tests membership of a faithful polynomial in the
+geometric image via d(g*) = 0.
+
+Sign convention for the Z dual (the calibrated design decision): a
 faithful monomial is dualized by rewriting it in a determinant-positive
 character order, taking the dual-basis rows in that same order, and
 re-canonicalizing.  On canonical representations this reads
@@ -32,8 +41,7 @@ hand-checked examples.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import gf2, intmat
 from .errors import ValidationError
@@ -49,23 +57,19 @@ DUAL = "dual"
 # characters and monomials
 
 
-def check_char_gf2(char: Char, n: int) -> Char:
-    char = tuple(int(v) for v in char)
-    if len(char) != n:
-        raise ValidationError(f"character {char} does not have length {n}")
-    if any(v not in (0, 1) for v in char):
-        raise ValidationError(f"GF(2) character {char} has entries outside {{0,1}}")
-    if not any(char):
-        raise ValidationError("zero character is not allowed")
-    return char
-
-
 def check_char_z(char: Char, n: int) -> Char:
     char = tuple(int(v) for v in char)
     if len(char) != n:
         raise ValidationError(f"character {char} does not have length {n}")
     if not any(char):
         raise ValidationError("zero character is not allowed")
+    return char
+
+
+def check_char_gf2(char: Char, n: int) -> Char:
+    char = check_char_z(char, n)
+    if any(v not in (0, 1) for v in char):
+        raise ValidationError(f"GF(2) character {char} has entries outside {{0,1}}")
     return char
 
 
@@ -140,98 +144,184 @@ def dual_monomial_z(mono: Monomial, n: int) -> tuple[int, Monomial]:
 
 
 # ---------------------------------------------------------------------------
-# GF(2) polynomials
+# polynomials
 
 
-class Gf2Polynomial:
-    """Square-free polynomial over GF(2) on characters in GF(2)^n."""
+def _dual_monomial_checked_gf2(mono: Monomial, n: int) -> tuple[int, Monomial]:
+    if not is_faithful_monomial_gf2(mono, n):
+        raise ValidationError(f"cannot dualize non-faithful monomial {mono}")
+    return 1, dual_monomial_gf2(mono, n)
 
-    __slots__ = ("n", "space", "monomials")
 
-    def __init__(self, n: int, monomials: Iterable[Monomial] = (), space: str = PRIMAL):
+def _canonical(pairs: Iterable[tuple[Iterable[Char], int]]
+               ) -> Iterator[tuple[Monomial, int]]:
+    """Sort each monomial's characters, folding the sign into the coefficient;
+    a monomial with a repeated character vanishes."""
+    for chars, coeff in pairs:
+        sign, mono = sort_monomial(chars)
+        if sign:
+            yield mono, sign * coeff
+
+
+def _collect(pairs: Iterable[tuple[Monomial, int]], modulus: int,
+             acc: dict[Monomial, int] | None = None) -> dict[Monomial, int]:
+    """Sum (canonical monomial, coefficient) pairs into ``acc``, mod ``modulus``."""
+    acc = {} if acc is None else acc
+    for mono, coeff in pairs:
+        coeff += acc.get(mono, 0)
+        if modulus:
+            coeff %= modulus
+        if coeff:
+            acc[mono] = coeff
+        elif mono in acc:
+            del acc[mono]
+    return acc
+
+
+class Polynomial:
+    """A polynomial on characters, stored as {canonical monomial: coefficient}.
+
+    Coefficients are nonzero and reduced mod ``modulus`` (2 over GF(2), 0 for
+    Z).  Use the subclasses ``Gf2Polynomial`` and ``ExtPolynomial``.
+    """
+
+    __slots__ = ("n", "space", "terms")
+    modulus: int
+
+    def __init__(self, n: int,
+                 terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] = (),
+                 space: str = PRIMAL):
         if space not in (PRIMAL, DUAL):
             raise ValidationError(f"unknown space {space!r}")
         if n < 1:
             raise ValidationError("rank n must be at least 1")
         self.n = int(n)
         self.space = space
-        seen: set[Monomial] = set()
-        for mono in monomials:
-            mono = tuple(check_char_gf2(c, n) for c in mono)
-            if len(set(mono)) != len(mono):
-                raise ValidationError(f"repeated character in monomial {mono}")
-            _, mono = sort_monomial(mono)
-            seen.symmetric_difference_update({mono})
-        self.monomials = frozenset(seen)
+        modulus = self.modulus
+        pairs = []
+        for mono, coeff in (terms.items() if isinstance(terms, Mapping) else terms):
+            coeff = int(coeff) % modulus if modulus else int(coeff)
+            if coeff == 0:
+                continue
+            mono = tuple(self._check_char(c, n) for c in mono)
+            sign, canonical = sort_monomial(mono)
+            if sign == 0:
+                if modulus == 2:
+                    raise ValidationError(f"repeated character in monomial {mono}")
+                continue
+            pairs.append((canonical, sign * coeff))
+        self.terms = _collect(pairs, modulus)
+
+    @classmethod
+    def from_terms(cls, n: int, terms: Iterable[tuple[Monomial, int]],
+                   space: str = PRIMAL) -> "Polynomial":
+        """Validating constructor from (monomial, coefficient) pairs; the
+        coefficients are read mod the class's modulus."""
+        p = object.__new__(cls)
+        Polynomial.__init__(p, n, terms, space)
+        return p
+
+    @classmethod
+    def _of(cls, n: int, space: str, terms: dict[Monomial, int]) -> "Polynomial":
+        """Unchecked constructor: ``terms`` canonical, nonzero and reduced."""
+        p = object.__new__(cls)
+        p.n = n
+        p.space = space
+        p.terms = terms
+        return p
+
+    def _sum(self, pairs: Iterable[tuple[Monomial, int]], *, n: int | None = None,
+             space: str | None = None) -> "Polynomial":
+        return self._of(n or self.n, space or self.space, _collect(pairs, self.modulus))
 
     # -- basics ----------------------------------------------------------
     def __eq__(self, other: object) -> bool:
         return (
-            isinstance(other, Gf2Polynomial)
+            isinstance(other, Polynomial)
+            and self.modulus == other.modulus
             and self.n == other.n
             and self.space == other.space
-            and self.monomials == other.monomials
+            and self.terms == other.terms
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.space, self.monomials))
+        return hash((self.modulus, self.n, self.space, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
-        if not self.monomials:
-            return f"Gf2Polynomial(n={self.n}, 0, space={self.space!r})"
-        parts = " + ".join(
-            "*".join(str(c) for c in mono) if mono else "1"
-            for mono in self.sorted_monomials()
-        )
-        return f"Gf2Polynomial(n={self.n}, {parts}, space={self.space!r})"
+        body = " ".join(
+            f"{'+' if c > 0 else '-'}{abs(c)}*{'^'.join(map(str, m)) if m else '1'}"
+            for m, c in self.sorted_terms())
+        return f"{type(self).__name__}(n={self.n}, {body or 0}, space={self.space!r})"
+
+    @property
+    def monomials(self) -> frozenset[Monomial]:
+        return frozenset(self.terms)
 
     def is_zero(self) -> bool:
-        return not self.monomials
+        return not self.terms
 
     def sorted_monomials(self) -> list[Monomial]:
-        return sorted(self.monomials)
+        return sorted(self.terms)
 
-    def __add__(self, other: "Gf2Polynomial") -> "Gf2Polynomial":
-        self._check_compatible(other)
-        return _gf2_from_set(self.n, self.space, self.monomials ^ other.monomials)
+    def sorted_terms(self) -> list[tuple[Monomial, int]]:
+        return sorted(self.terms.items())
 
-    def wedge(self, other: "Gf2Polynomial") -> "Gf2Polynomial":
-        """Square-free product; monomials with a repeated character vanish."""
-        self._check_compatible(other)
-        acc: set[Monomial] = set()
-        for m1 in self.monomials:
-            for m2 in other.monomials:
-                merged = m1 + m2
-                if len(set(merged)) != len(merged):
-                    continue
-                _, mono = sort_monomial(merged)
-                acc.symmetric_difference_update({mono})
-        return _gf2_from_set(self.n, self.space, frozenset(acc))
+    def support(self) -> int:
+        """Number of monomials with nonzero coefficient."""
+        return len(self.terms)
 
-    def _check_compatible(self, other: "Gf2Polynomial") -> None:
-        if not isinstance(other, Gf2Polynomial):
-            raise TypeError("expected a Gf2Polynomial")
+    def _check_compatible(self, other: "Polynomial") -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
         if self.n != other.n or self.space != other.space:
             raise ValidationError("polynomials live in different spaces")
 
-    def degrees(self) -> set[int]:
-        return {len(m) for m in self.monomials}
+    # -- arithmetic ------------------------------------------------------
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        self._check_compatible(other)
+        return self._of(self.n, self.space,
+                        _collect(other.terms.items(), self.modulus, dict(self.terms)))
 
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        degs = self.degrees()
-        if not degs:
-            return True
-        if degree is None:
-            return len(degs) == 1
-        return degs == {degree}
+    def __neg__(self) -> "Polynomial":
+        return self.scale(-1)
+
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        return self + (-other)
+
+    def scale(self, k: int) -> "Polynomial":
+        k = int(k)
+        return self._sum((m, k * c) for m, c in self.terms.items())
+
+    def wedge(self, other: "Polynomial") -> "Polynomial":
+        """Exterior product (same ambient rank); over GF(2) the square-free
+        product.  Monomials with a repeated character vanish."""
+        self._check_compatible(other)
+        return self._sum(_canonical((m1 + m2, c1 * c2)
+                                    for m1, c1 in self.terms.items()
+                                    for m2, c2 in other.terms.items()))
 
 
-def _gf2_from_set(n: int, space: str, monos: frozenset[Monomial]) -> Gf2Polynomial:
-    p = Gf2Polynomial.__new__(Gf2Polynomial)
-    p.n = n
-    p.space = space
-    p.monomials = frozenset(monos)
-    return p
+class Gf2Polynomial(Polynomial):
+    """Square-free polynomial over GF(2) on characters in GF(2)^n."""
+
+    __slots__ = ()
+    modulus = 2
+    _check_char = staticmethod(check_char_gf2)
+    _is_faithful_monomial = staticmethod(is_faithful_monomial_gf2)
+    _dual_monomial = staticmethod(_dual_monomial_checked_gf2)
+
+    def __init__(self, n: int, monomials: Iterable[Monomial] = (), space: str = PRIMAL):
+        super().__init__(n, ((m, 1) for m in monomials), space)
+
+
+class ExtPolynomial(Polynomial):
+    """Element of the free exterior Z-algebra on characters in Z^n."""
+
+    __slots__ = ()
+    modulus = 0
+    _check_char = staticmethod(check_char_z)
+    _is_faithful_monomial = staticmethod(is_faithful_monomial_z)
+    _dual_monomial = staticmethod(dual_monomial_z)
 
 
 def gf2_polynomial(n: int, monomials: Iterable[Iterable[Iterable[int]]],
@@ -240,214 +330,52 @@ def gf2_polynomial(n: int, monomials: Iterable[Iterable[Iterable[int]]],
     return Gf2Polynomial(n, [tuple(tuple(c) for c in m) for m in monomials], space)
 
 
-# ---------------------------------------------------------------------------
-# exterior polynomials over Z
-
-
-class ExtPolynomial:
-    """Element of the free exterior Z-algebra on characters in Z^n."""
-
-    __slots__ = ("n", "space", "terms")
-
-    def __init__(self, n: int, terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] = (),
-                 space: str = PRIMAL):
-        if space not in (PRIMAL, DUAL):
-            raise ValidationError(f"unknown space {space!r}")
-        if n < 1:
-            raise ValidationError("rank n must be at least 1")
-        self.n = int(n)
-        self.space = space
-        acc: dict[Monomial, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for mono, coeff in items:
-            coeff = int(coeff)
-            if coeff == 0:
-                continue
-            mono = tuple(check_char_z(c, n) for c in mono)
-            sign, mono = sort_monomial(mono)
-            if sign == 0:
-                continue
-            acc[mono] = acc.get(mono, 0) + sign * coeff
-            if acc[mono] == 0:
-                del acc[mono]
-        self.terms = acc
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ExtPolynomial)
-            and self.n == other.n
-            and self.space == other.space
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.space, tuple(sorted(self.terms.items()))))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return f"ExtPolynomial(n={self.n}, 0, space={self.space!r})"
-        parts = []
-        for mono in sorted(self.terms):
-            c = self.terms[mono]
-            body = "^".join(str(ch) for ch in mono) if mono else "1"
-            parts.append(f"{'+' if c > 0 else '-'}{abs(c)}*{body}")
-        return f"ExtPolynomial(n={self.n}, {' '.join(parts)}, space={self.space!r})"
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        return sorted(self.terms.items())
-
-    def _check_compatible(self, other: "ExtPolynomial") -> None:
-        if not isinstance(other, ExtPolynomial):
-            raise TypeError("expected an ExtPolynomial")
-        if self.n != other.n or self.space != other.space:
-            raise ValidationError("polynomials live in different spaces")
-
-    def __add__(self, other: "ExtPolynomial") -> "ExtPolynomial":
-        self._check_compatible(other)
-        acc = dict(self.terms)
-        for mono, c in other.terms.items():
-            acc[mono] = acc.get(mono, 0) + c
-            if acc[mono] == 0:
-                del acc[mono]
-        return _ext_from_dict(self.n, self.space, acc)
-
-    def __neg__(self) -> "ExtPolynomial":
-        return _ext_from_dict(self.n, self.space, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "ExtPolynomial") -> "ExtPolynomial":
-        return self + (-other)
-
-    def scale(self, k: int) -> "ExtPolynomial":
-        k = int(k)
-        if k == 0:
-            return _ext_from_dict(self.n, self.space, {})
-        return _ext_from_dict(self.n, self.space, {m: k * c for m, c in self.terms.items()})
-
-    def wedge(self, other: "ExtPolynomial") -> "ExtPolynomial":
-        """Exterior product (same ambient rank; distinct characters or zero)."""
-        self._check_compatible(other)
-        acc: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                sign, mono = sort_monomial(m1 + m2)
-                if sign == 0:
-                    continue
-                acc[mono] = acc.get(mono, 0) + sign * c1 * c2
-                if acc[mono] == 0:
-                    del acc[mono]
-        return _ext_from_dict(self.n, self.space, acc)
-
-    def degrees(self) -> set[int]:
-        return {len(m) for m in self.terms}
-
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        degs = self.degrees()
-        if not degs:
-            return True
-        if degree is None:
-            return len(degs) == 1
-        return degs == {degree}
-
-    def support(self) -> int:
-        """Number of monomials with nonzero coefficient."""
-        return len(self.terms)
-
-
-def _ext_from_dict(n: int, space: str, terms: dict[Monomial, int]) -> ExtPolynomial:
-    p = ExtPolynomial.__new__(ExtPolynomial)
-    p.n = n
-    p.space = space
-    p.terms = terms
-    return p
-
-
 def ext_polynomial(n: int, terms: Iterable[tuple[Iterable[Iterable[int]], int]],
                    space: str = PRIMAL) -> ExtPolynomial:
     return ExtPolynomial(n, [(tuple(tuple(c) for c in m), k) for m, k in terms], space)
 
 
 # ---------------------------------------------------------------------------
-# faithfulness
+# faithfulness, dual, differential
 
 
-def is_faithful(p: Gf2Polynomial | ExtPolynomial) -> bool:
+def is_faithful(p: Polynomial) -> bool:
     """True when every monomial is degree-n square-free with basis characters.
 
     The zero polynomial is vacuously faithful (it represents the bounding
     class).
     """
-    if isinstance(p, Gf2Polynomial):
-        return all(is_faithful_monomial_gf2(m, p.n) for m in p.monomials)
-    return all(is_faithful_monomial_z(m, p.n) for m in p.terms)
+    return all(p._is_faithful_monomial(m, p.n) for m in p.terms)
 
 
-# ---------------------------------------------------------------------------
-# dual
-
-
-def dual(p: Gf2Polynomial | ExtPolynomial):
+def dual(p: Polynomial) -> Polynomial:
     """Monomial-wise dual-basis transform; flips the primal/dual space tag."""
-    target = DUAL if p.space == PRIMAL else PRIMAL
-    if isinstance(p, Gf2Polynomial):
-        out: set[Monomial] = set()
-        for mono in p.monomials:
-            if not is_faithful_monomial_gf2(mono, p.n):
-                raise ValidationError(f"cannot dualize non-faithful monomial {mono}")
-            out.symmetric_difference_update({dual_monomial_gf2(mono, p.n)})
-        return _gf2_from_set(p.n, target, frozenset(out))
-    acc: dict[Monomial, int] = {}
+    pairs = []
     for mono, coeff in p.terms.items():
-        sign, dual_mono = dual_monomial_z(mono, p.n)
-        acc[dual_mono] = acc.get(dual_mono, 0) + sign * coeff
-        if acc[dual_mono] == 0:
-            del acc[dual_mono]
-    return _ext_from_dict(p.n, target, acc)
+        sign, star = p._dual_monomial(mono, p.n)
+        pairs.append((star, sign * coeff))
+    return p._sum(pairs, space=DUAL if p.space == PRIMAL else PRIMAL)
 
 
-# ---------------------------------------------------------------------------
-# differential
-
-
-def differential(p: Gf2Polynomial | ExtPolynomial):
+def differential(p: Polynomial) -> Polynomial:
     """Deletion differential d.
 
-    GF(2): d(s1···si) = sum over j of the monomial with sj removed (i > 1),
-    d(s1) = 1, d(1) = 0.  Z: signs alternate, d(s1 ∧ ··· ∧ sk) =
-    Σ (−1)^{i+1} (delete si) on canonically ordered monomials, d(s1) = 1.
-    Square of the differential is zero in both flavors.
+    d(s1 ∧ ··· ∧ sk) = Σ (−1)^{i+1} (delete si) on canonically ordered
+    monomials, d(s1) = 1, d(1) = 0; over GF(2) the signs drop out.  Square of
+    the differential is zero in both rings.
     """
-    if isinstance(p, Gf2Polynomial):
-        out: set[Monomial] = set()
-        for mono in p.monomials:
-            if len(mono) == 0:
-                continue
-            for j in range(len(mono)):
-                out.symmetric_difference_update({mono[:j] + mono[j + 1:]})
-        return _gf2_from_set(p.n, p.space, frozenset(out))
-    acc: dict[Monomial, int] = {}
-    for mono, coeff in p.terms.items():
-        if len(mono) == 0:
-            continue
-        for j in range(len(mono)):
-            sub = mono[:j] + mono[j + 1:]
-            c = coeff * (1 if j % 2 == 0 else -1)
-            acc[sub] = acc.get(sub, 0) + c
-            if acc[sub] == 0:
-                del acc[sub]
-    return _ext_from_dict(p.n, p.space, acc)
+    return p._sum((mono[:j] + mono[j + 1:], -coeff if j % 2 else coeff)
+                  for mono, coeff in p.terms.items() for j in range(len(mono)))
 
 
 # ---------------------------------------------------------------------------
 # membership
 
 
-def in_image_verdict(p: Gf2Polynomial) -> tuple[bool, str]:
-    """Membership of a GF(2) polynomial in the geometric image, with reason."""
-    if not isinstance(p, Gf2Polynomial):
-        raise TypeError("in_image expects a Gf2Polynomial")
+def in_image_verdict(p: Polynomial) -> tuple[bool, str]:
+    """Membership of a polynomial (either ring) in the geometric image, with reason."""
+    if not isinstance(p, Polynomial):
+        raise TypeError("in_image expects a polynomial")
     if p.space != PRIMAL:
         return False, "polynomial is not in the primal space"
     if p.is_zero():
@@ -459,33 +387,20 @@ def in_image_verdict(p: Gf2Polynomial) -> tuple[bool, str]:
     return False, "d(g*) != 0"
 
 
-def in_image(p: Gf2Polynomial) -> bool:
+def in_image(p: Polynomial) -> bool:
     return in_image_verdict(p)[0]
 
 
-def in_image_unitary_verdict(p: ExtPolynomial) -> tuple[bool, str]:
-    if not isinstance(p, ExtPolynomial):
-        raise TypeError("in_image_unitary expects an ExtPolynomial")
-    if p.space != PRIMAL:
-        return False, "polynomial is not in the primal space"
-    if p.is_zero():
-        return True, "zero polynomial (bounding class)"
-    if not is_faithful(p):
-        return False, "not faithful"
-    if differential(dual(p)).is_zero():
-        return True, "d(g*) = 0"
-    return False, "d(g*) != 0"
-
-
-def in_image_unitary(p: ExtPolynomial) -> bool:
-    return in_image_unitary_verdict(p)[0]
+# the unitary names of the same test, kept for the Z reading
+in_image_unitary_verdict = in_image_verdict
+in_image_unitary = in_image
 
 
 # ---------------------------------------------------------------------------
-# mod-2 reduction
+# mod-2 reduction, block embeddings and coordinate permutations
 
 
-def mod2_reduce(p: ExtPolynomial) -> Gf2Polynomial:
+def mod2_reduce(p: Polynomial) -> Gf2Polynomial:
     """Coordinate-wise and coefficient-wise reduction mod 2.
 
     Monomials whose characters collide (or vanish) mod 2 are dropped: in the
@@ -495,62 +410,26 @@ def mod2_reduce(p: ExtPolynomial) -> Gf2Polynomial:
     reduction is literally coordinate-wise.  Dropping instead of raising keeps
     the map total and multiplicative on arbitrary elements.
     """
-    out: set[Monomial] = set()
+    pairs = []
     for mono, coeff in p.terms.items():
-        if coeff % 2 == 0:
-            continue
         reduced = [char_mod2(c) for c in mono]
-        if any(not any(c) for c in reduced):
-            continue
-        if len(set(reduced)) != len(reduced):
-            continue
-        _, sorted_mono = sort_monomial(reduced)
-        out.symmetric_difference_update({sorted_mono})
-    return _gf2_from_set(p.n, p.space, frozenset(out))
+        if all(any(c) for c in reduced):
+            pairs.append((reduced, coeff))
+    return Gf2Polynomial._of(p.n, p.space, _collect(_canonical(pairs), 2))
 
 
-# ---------------------------------------------------------------------------
-# block embeddings (used by the class product)
+def embed_chars(p: Polynomial, total: int, offset: int) -> Polynomial:
+    """Pad every character with zeros to rank ``total``, starting at ``offset``
+    (the block embedding used by the class product)."""
+    head, tail = (0,) * offset, (0,) * (total - offset - p.n)
+    return p._sum(_canonical((tuple(head + c + tail for c in mono), coeff)
+                             for mono, coeff in p.terms.items()), n=total)
 
 
-def embed_chars_gf2(p: Gf2Polynomial, total: int, offset: int) -> Gf2Polynomial:
-    out = set()
-    for mono in p.monomials:
-        new_mono = tuple(
-            (0,) * offset + c + (0,) * (total - offset - p.n) for c in mono
-        )
-        _, new_mono = sort_monomial(new_mono)
-        out.symmetric_difference_update({new_mono})
-    return _gf2_from_set(total, p.space, frozenset(out))
-
-
-def embed_chars_z(p: ExtPolynomial, total: int, offset: int) -> ExtPolynomial:
-    acc: dict[Monomial, int] = {}
-    for mono, coeff in p.terms.items():
-        new_mono = tuple(
-            (0,) * offset + c + (0,) * (total - offset - p.n) for c in mono
-        )
-        sign, new_mono = sort_monomial(new_mono)
-        acc[new_mono] = acc.get(new_mono, 0) + sign * coeff
-    return _ext_from_dict(total, p.space, {m: c for m, c in acc.items() if c})
-
-
-def permute_coords_gf2(p: Gf2Polynomial, perm: tuple[int, ...]) -> Gf2Polynomial:
-    out = set()
-    for mono in p.monomials:
-        new_mono = tuple(tuple(c[i] for i in perm) for c in mono)
-        _, new_mono = sort_monomial(new_mono)
-        out.symmetric_difference_update({new_mono})
-    return _gf2_from_set(p.n, p.space, frozenset(out))
-
-
-def permute_coords_z(p: ExtPolynomial, perm: tuple[int, ...]) -> ExtPolynomial:
-    acc: dict[Monomial, int] = {}
-    for mono, coeff in p.terms.items():
-        new_chars = [tuple(c[i] for i in perm) for c in mono]
-        sign, new_mono = sort_monomial(new_chars)
-        acc[new_mono] = acc.get(new_mono, 0) + sign * coeff
-    return _ext_from_dict(p.n, p.space, {m: c for m, c in acc.items() if c})
+def permute_coords(p: Polynomial, perm: tuple[int, ...]) -> Polynomial:
+    """Reorder the coordinates of every character: new coordinate k is old perm[k]."""
+    return p._sum(_canonical((tuple(tuple(c[i] for i in perm) for c in mono), coeff)
+                             for mono, coeff in p.terms.items()))
 
 
 # ---------------------------------------------------------------------------

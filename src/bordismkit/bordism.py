@@ -13,15 +13,15 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import algebra
-from .algebra import ExtPolynomial, Gf2Polynomial
+from . import algebra, gf2, kernels
+from .algebra import ExtPolynomial, Gf2Polynomial, Polynomial
 from .errors import ValidationError
-from .kernels import (DEFAULT_SAMPLE_MAX_N, KernelSpace, kernel_sample_unitary,
-                      kernel_space)
+from .kernels import kernel_sample_unitary, kernel_space
 
 UNORIENTED = "unoriented-z2torus"
 UNITARY = "unitary-toric"
 FLAVORS = (UNORIENTED, UNITARY)
+POLYNOMIAL_TYPES = {UNORIENTED: Gf2Polynomial, UNITARY: ExtPolynomial}
 
 
 class BordismClass:
@@ -29,17 +29,14 @@ class BordismClass:
 
     __slots__ = ("flavor", "n", "polynomial")
 
-    def __init__(self, flavor: str, polynomial: Gf2Polynomial | ExtPolynomial):
+    def __init__(self, flavor: str, polynomial: Polynomial):
         if flavor not in FLAVORS:
             raise ValidationError(f"unknown flavor {flavor!r}")
-        want = Gf2Polynomial if flavor == UNORIENTED else ExtPolynomial
+        want = POLYNOMIAL_TYPES[flavor]
         if not isinstance(polynomial, want):
             raise ValidationError(
                 f"{flavor} classes carry {want.__name__} polynomials")
-        if flavor == UNORIENTED:
-            ok, why = algebra.in_image_verdict(polynomial)
-        else:
-            ok, why = algebra.in_image_unitary_verdict(polynomial)
+        ok, why = algebra.in_image_verdict(polynomial)
         if not ok:
             raise ValidationError(f"polynomial is not a bordism class: {why}")
         self.flavor = flavor
@@ -48,9 +45,7 @@ class BordismClass:
 
     @classmethod
     def zero(cls, flavor: str, n: int) -> "BordismClass":
-        if flavor == UNORIENTED:
-            return cls(flavor, Gf2Polynomial(n, (), space=algebra.PRIMAL))
-        return cls(flavor, ExtPolynomial(n, {}, space=algebra.PRIMAL))
+        return cls(flavor, POLYNOMIAL_TYPES[flavor](n, (), space=algebra.PRIMAL))
 
     def is_zero(self) -> bool:
         return self.polynomial.is_zero()
@@ -81,12 +76,8 @@ def multiply(a: BordismClass, b: BordismClass) -> BordismClass:
     if a.flavor != b.flavor:
         raise ValidationError("cannot multiply classes of different flavors")
     total = a.n + b.n
-    if a.flavor == UNORIENTED:
-        pa = algebra.embed_chars_gf2(a.polynomial, total, 0)
-        pb = algebra.embed_chars_gf2(b.polynomial, total, a.n)
-    else:
-        pa = algebra.embed_chars_z(a.polynomial, total, 0)
-        pb = algebra.embed_chars_z(b.polynomial, total, a.n)
+    pa = algebra.embed_chars(a.polynomial, total, 0)
+    pb = algebra.embed_chars(b.polynomial, total, a.n)
     return BordismClass(a.flavor, pa.wedge(pb))
 
 
@@ -94,20 +85,18 @@ def swap_conjugate(a: BordismClass, split: int) -> BordismClass:
     """Block-swap lattice automorphism exchanging coordinates [0, split) and
     [split, n): carries multiply(x, y) to multiply(y, x) for split = x.n.
 
-    Integer flavor: the automorphism acts on characters and additionally
-    scales coefficients by its determinant (−1)^{split·(n−split)} — with the
-    ordering sign folded into coefficients, this is exactly the action that
-    keeps every fixed point's sign intact, so a symmetric product is a fixed
-    point of the swap.
+    The automorphism acts on characters and additionally scales coefficients
+    by its determinant (−1)^{split·(n−split)} — with the ordering sign folded
+    into coefficients, this is exactly the action that keeps every fixed
+    point's sign intact, so a symmetric product is a fixed point of the swap.
+    Mod 2 the scaling is the identity.
     """
     if not 0 <= split <= a.n:
         raise ValidationError(f"split {split} out of range for rank {a.n}")
     perm = tuple(range(split, a.n)) + tuple(range(split))
-    if a.flavor == UNORIENTED:
-        return BordismClass(a.flavor, algebra.permute_coords_gf2(a.polynomial, perm))
     det = -1 if (split * (a.n - split)) % 2 else 1
     return BordismClass(a.flavor,
-                        algebra.permute_coords_z(a.polynomial, perm).scale(det))
+                        algebra.permute_coords(a.polynomial, perm).scale(det))
 
 
 def reduce(a: BordismClass) -> BordismClass:
@@ -150,51 +139,30 @@ def surjectivity_probe(n: int, weight_bound: int = 1,
     reduction is exactly the target.  Misses are inconclusive — the window is
     only a weight-bounded slice.
     """
-    limit = DEFAULT_SAMPLE_MAX_N if max_n is None else max_n
-    if n > limit:
-        raise ValidationError(
-            f"surjectivity_probe is capped at n = {limit} (got {n})")
-    target_space: KernelSpace = kernel_space(n)
+    # refuse over the window caps, then the kernel cap, before any work
+    kernels._check_window(n, weight_bound, max_n, None)
+    target_space = kernel_space(n)
     window = kernel_sample_unitary(n, weight_bound, max_n=max_n)
-    reduced = [algebra.mod2_reduce(p) for p in window.basis]
 
     cols: dict[tuple, int] = {}
 
     def bits_of(p: Gf2Polynomial) -> int:
         bits = 0
-        for mono in p.monomials:
+        for mono in p.terms:
             bits |= 1 << cols.setdefault(mono, len(cols))
         return bits
 
-    # eliminate the reduced window elements, tracking combinations
-    pivots: dict[int, tuple[int, int]] = {}  # leading bit -> (row, comb)
-    for i, q in enumerate(reduced):
-        row, comb = bits_of(q), 1 << i
-        while row:
-            lead = row.bit_length() - 1
-            if lead not in pivots:
-                pivots[lead] = (row, comb)
-                break
-            prow, pcomb = pivots[lead]
-            row ^= prow
-            comb ^= pcomb
-
+    acc = gf2.RankAccumulator(track=True)
+    for p in window.basis:
+        acc.add(bits_of(algebra.mod2_reduce(p)))
     entries = []
     for index, g in enumerate(target_space.basis):
-        row, comb = bits_of(g), 0
-        while row:
-            lead = row.bit_length() - 1
-            if lead not in pivots:
-                break
-            prow, pcomb = pivots[lead]
-            row ^= prow
-            comb ^= pcomb
-        if row:
+        rest, comb = acc.express(bits_of(g))
+        if rest:
             entries.append(ProbeEntry(index, False, None))
             continue
         witness = ExtPolynomial(n, {}, space=algebra.PRIMAL)
-        for i, p in enumerate(window.basis):
-            if comb >> i & 1:
-                witness = witness + p
+        for i in gf2.bits(comb):
+            witness = witness + window.basis[i]
         entries.append(ProbeEntry(index, True, witness))
     return ProbeReport(n, weight_bound, target_space.dim, window.dim, tuple(entries))

@@ -217,14 +217,9 @@ def iter_bott_generators(n: int, max_n: int | None = None) -> Iterator[BottGener
     unpacked = [gf2.unpack(c, n) for c in range(1 << n)]
     for polytope, colors, key in walk:
         coloring = Coloring("gf2", {f: unpacked[c] for f, c in enumerate(colors)})
-        monos = []
-        while key:
-            low = key & -key
-            monos.append(walk.monomial_of[low.bit_length() - 1])
-            key ^= low
         # key monomials are canonical and distinct
-        yield BottGenerator(polytope, coloring,
-                            algebra._gf2_from_set(n, DUAL, frozenset(monos)))
+        terms = {walk.monomial_of[i]: 1 for i in gf2.bits(key)}
+        yield BottGenerator(polytope, coloring, Gf2Polynomial._of(n, DUAL, terms))
 
 
 def bott_generators(n: int, max_n: int | None = None) -> list[BottGenerator]:
@@ -238,7 +233,7 @@ def dual_span_rank(polynomials: Iterable[Gf2Polynomial], n: int) -> int:
     acc = gf2.RankAccumulator()
     for p in polynomials:
         bits = 0
-        for m in p.monomials:
+        for m in p.terms:
             bits ^= bit_of[_mask(m)]
         acc.add(bits)
     return acc.rank

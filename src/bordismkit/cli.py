@@ -15,9 +15,8 @@ from fractions import Fraction
 from typing import Any
 
 from . import algebra, bordism, bott, jsonio, kernels
-from .acceptance import format_line, run_all
-from .algebra import ExtPolynomial, Gf2Polynomial
-from .bordism import BordismClass
+from .acceptance import run_all
+from .algebra import ExtPolynomial, Polynomial
 from .errors import BordismError, InputFormatError, ValidationError
 from .graphs import (ColoredGraph, TorusGraph, graph_coloring_polynomial,
                      torus_graph_from_pair, torus_polynomial)
@@ -39,7 +38,7 @@ def _read_input(raw: str) -> Any:
     return jsonio.parse_text(text)
 
 
-def _as_polynomial(obj: Any) -> Gf2Polynomial | ExtPolynomial:
+def _as_polynomial(obj: Any) -> Polynomial:
     """Accept a polynomial object, unwrapping a bordism-class wrapper if given."""
     if isinstance(obj, dict) and "polynomial" in obj:
         obj = obj["polynomial"]
@@ -65,11 +64,7 @@ def _cmd_dim(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    p = _as_polynomial(_read_input(args.input))
-    if isinstance(p, Gf2Polynomial):
-        ok, reason = algebra.in_image_verdict(p)
-    else:
-        ok, reason = algebra.in_image_unitary_verdict(p)
+    ok, reason = algebra.in_image_verdict(_as_polynomial(_read_input(args.input)))
     _emit({"in_image": ok, "reason": reason})
     return 0
 

@@ -2,14 +2,15 @@
 
 Vectors over GF(2) are packed into Python ints (bit i = coordinate i), which
 keeps the small dense problems that dominate this package — n×n character
-matrices with n ≤ 6 — allocation free and exact.  ``RankAccumulator`` folds
-long streams of wide rows (the generator span in :mod:`.bott`) with pivots
-keyed by their leading bit, as the elimination in ``kernel_space`` does.
+matrices with n ≤ 6 — allocation free and exact.  ``RankAccumulator`` is
+the one elimination of wide rows, with pivots keyed by their leading bit: it
+folds the generator span in :mod:`.bott` and, tracking combinations, finds
+the kernel in ``kernel_space`` and the witnesses of ``surjectivity_probe``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def pack(vec: Sequence[int]) -> int:
@@ -23,6 +24,14 @@ def pack(vec: Sequence[int]) -> int:
 
 def unpack(bits: int, n: int) -> tuple[int, ...]:
     return tuple((bits >> i) & 1 for i in range(n))
+
+
+def bits(x: int) -> Iterator[int]:
+    """Indices of the set bits of ``x``, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 def rank(rows: Iterable[int]) -> int:
@@ -85,43 +94,24 @@ def inverse_transpose(rows: Sequence[int], n: int) -> list[int]:
     return transpose(invert(rows, n), n)
 
 
-def solve(rows: Sequence[int], n: int, rhs: int) -> int | None:
-    """Solve x·A = rhs for a row vector x (bitset), or None if unsolvable.
-
-    ``rows`` are the rows of A; the combination returned is a bitset over row
-    indices.  Used for span-membership with witness extraction.
-    """
-    # eliminate [A | I] style, tracking combinations
-    work = [(row, 1 << i) for i, row in enumerate(rows)]
-    pivots: list[tuple[int, int]] = []
-    for row, comb in work:
-        for prow, pcomb in pivots:
-            low = prow & -prow
-            if row & low:
-                row ^= prow
-                comb ^= pcomb
-        if row:
-            pivots.append((row, comb))
-    acc = 0
-    for prow, pcomb in pivots:
-        low = prow & -prow
-        if rhs & low:
-            rhs ^= prow
-            acc ^= pcomb
-    if rhs:
-        return None
-    return acc
-
-
 class RankAccumulator:
     """Incremental GF(2) rank over streaming bitset rows.
 
     ``pivots`` maps the leading bit of each pivot row to the row, so reducing
     a row touches only the pivots its own leading bits hit.
+
+    With ``track=True`` each pivot also carries its combination: the bitset
+    of added rows (bit i = the i-th row passed to ``add``) that sums to it.
+    ``express`` then writes a row in terms of the added rows, and after an
+    ``add`` that did not raise the rank, ``relation`` is the combination of
+    added rows, that row included, that sums to zero.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, track: bool = False) -> None:
         self.pivots: dict[int, int] = {}
+        self._combinations: dict[int, int] | None = {} if track else None
+        self.relation = 0
+        self._added = 0
 
     def _reduce(self, row: int) -> int:
         pivots = self.pivots
@@ -132,12 +122,36 @@ class RankAccumulator:
             row ^= hit
         return 0
 
+    def express(self, row: int) -> tuple[int, int]:
+        """(remainder, combination): what is left of ``row`` after the pivots
+        it hits, and the combination of added rows those pivots sum to."""
+        pivots, combinations = self.pivots, self._combinations
+        comb = 0
+        while row:
+            lead = row.bit_length() - 1
+            hit = pivots.get(lead)
+            if hit is None:
+                break
+            row ^= hit
+            comb ^= combinations[lead]
+        return row, comb
+
     def add(self, row: int) -> bool:
         """Reduce ``row`` against current pivots; returns True if rank grew."""
-        row = self._reduce(row)
+        if self._combinations is None:
+            row = self._reduce(row)
+            comb = 0
+        else:
+            row, comb = self.express(row)
+            comb ^= 1 << self._added
+            self._added += 1
         if row:
-            self.pivots[row.bit_length() - 1] = row
+            lead = row.bit_length() - 1
+            self.pivots[lead] = row
+            if self._combinations is not None:
+                self._combinations[lead] = comb
             return True
+        self.relation = comb
         return False
 
     @property

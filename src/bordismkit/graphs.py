@@ -21,7 +21,8 @@ d(g*) is exactly the orientation relation.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+import operator
+from typing import Mapping, Sequence
 
 from . import algebra, gf2, intmat
 from .algebra import ExtPolynomial, Gf2Polynomial
@@ -147,31 +148,46 @@ class TorusGraph:
             if len(self.sigma) != num_vertices or any(s not in (1, -1) for s in self.sigma):
                 raise ValidationError("sigma must assign ±1 to every vertex")
 
-    def out_edges(self, v: int) -> list[tuple[int, int]]:
-        return sorted(e for e in self.alpha if e[0] == v)
+    def _out_edges(self) -> list[list[tuple[int, int]]]:
+        """Every vertex's out-edges, sorted."""
+        out: list[list[tuple[int, int]]] = [[] for _ in range(self.num_vertices)]
+        for e in sorted(self.alpha):
+            out[e[0]].append(e)
+        return out
 
     def validate(self) -> None:
-        """Torus graph axioms: reversal signs, vertex bases, congruence matching."""
+        """Torus graph axioms: reversal signs, vertex bases, congruence matching.
+
+        Congruence compares canonical representatives x − φ(x)·α(e) of the
+        weights in Z^n / Z·α(e), for one functional φ with φ(α(e)) = 1 per edge.
+        """
         for (u, v), a in self.alpha.items():
             back = self.alpha[(v, u)]
             if back != a and back != tuple(-x for x in a):
                 raise ValidationError(
                     f"axiom (1) fails: alpha({v},{u}) is not ±alpha({u},{v})")
-        for v in range(self.num_vertices):
-            rows = [list(self.alpha[e]) for e in self.out_edges(v)]
+        weights = [[self.alpha[e] for e in edges] for edges in self._out_edges()]
+        for v, rows in enumerate(weights):
             if len(rows) != self.n:
                 raise ValidationError(
                     f"axiom (2) fails: vertex {v} has valence {len(rows)}, expected {self.n}")
             if intmat.det(rows) not in (1, -1):
                 raise ValidationError(
                     f"axiom (2) fails: weights at vertex {v} are not a Z-basis")
+
+        def residues(xs: list[Char], a: Char, phi: tuple[int, ...]) -> list[Char]:
+            out = []
+            for x in xs:
+                k = sum(map(operator.mul, phi, x))
+                out.append(tuple(xi - k * ai for xi, ai in zip(x, a)))
+            return sorted(out)
+
         for (u, v), a in self.alpha.items():
             if u > v:
                 continue
-            left = sorted(intmat.reduce_mod_vector(self.alpha[e], a)
-                          for e in self.out_edges(u))
-            right = sorted(intmat.reduce_mod_vector(self.alpha[e], a)
-                           for e in self.out_edges(v))
+            phi = intmat.integral_functional(a)
+            left = residues(weights[u], a, phi)
+            right = residues(weights[v], a, phi)
             if left != right:
                 raise ValidationError(
                     f"axiom (3) fails along edge {u}-{v}: no color bijection mod alpha(e)")
@@ -182,11 +198,12 @@ class TorusGraph:
         The relation σ(i(e))α(e) = −σ(i(ē))α(ē) fixes σ up to a global sign;
         inconsistency on some cycle means the axial data is non-orientable.
         """
+        out = self._out_edges()
         sigma: dict[int, int] = {0: 1}
         stack = [0]
         while stack:
             u = stack.pop()
-            for (_, v) in self.out_edges(u):
+            for (_, v) in out[u]:
                 a, back = self.alpha[(u, v)], self.alpha[(v, u)]
                 eps = 1 if back == a else -1
                 want = -eps * sigma[u]
@@ -228,8 +245,8 @@ def torus_polynomial(graph: TorusGraph) -> ExtPolynomial:
     if graph.sigma is None:
         raise ValidationError("torus graph is not oriented; call orient() first")
     terms: list[tuple[tuple[Char, ...], int]] = []
-    for v in range(graph.num_vertices):
-        weights = [graph.alpha[e] for e in graph.out_edges(v)]
+    for v, edges in enumerate(graph._out_edges()):
+        weights = [graph.alpha[e] for e in edges]
         sign, mono = algebra.sort_monomial(weights)
         if sign == 0:
             raise ValidationError(f"repeated weight at vertex {v}")

@@ -1,8 +1,8 @@
 """Exact integer matrix helpers for character matrices.
 
 Everything here is exact: Bareiss elimination for determinants, adjugate
-inverses for unimodular matrices, and a canonical reduction map modulo a
-primitive vector (used by the torus-graph congruence axiom).  Matrices are
+inverses for unimodular matrices, and an integral functional φ with φ(v) = 1
+for a primitive vector v (used by the torus-graph congruence axiom).  Matrices are
 tuples of int tuples; sizes are tiny (rank ≤ 6), so clarity wins over speed.
 """
 
@@ -109,15 +109,3 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
         return a, 1, 0
     g, x, y = _ext_gcd(b, a % b)
     return g, y, x - (a // b) * y
-
-
-def reduce_mod_vector(x: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-    """Canonical representative of x in Z^n / Z·v for primitive v.
-
-    Two vectors are congruent mod v iff their representatives agree; the
-    representative is x − φ(x)·v for a fixed functional φ with φ(v)=1.
-    """
-    phi = integral_functional(v)
-    k = sum(a * b for a, b in zip(phi, x))
-    return tuple(a - k * b for a, b in zip(x, v))
-

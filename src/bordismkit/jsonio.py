@@ -14,7 +14,7 @@ import json
 from typing import Any
 
 from . import algebra, bordism, localization
-from .algebra import ExtPolynomial, Gf2Polynomial
+from .algebra import ExtPolynomial, Gf2Polynomial, Polynomial
 from .bordism import BordismClass
 from .errors import InputFormatError
 from .graphs import ColoredGraph, TorusGraph
@@ -23,6 +23,7 @@ from .polytopes import Coloring, SimplePolytope
 
 GF2_RING = "gf2"
 Z_RING = "z-ext"
+RINGS = {GF2_RING: Gf2Polynomial, Z_RING: ExtPolynomial}
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -63,17 +64,14 @@ def _char_list(val: Any, where: str) -> tuple[tuple[int, ...], ...]:
 # polynomials
 
 
-def polynomial_to_obj(p: Gf2Polynomial | ExtPolynomial) -> dict:
-    if isinstance(p, Gf2Polynomial):
-        terms = [{"chars": [list(c) for c in m], "coeff": 1}
-                 for m in p.sorted_monomials()]
-        return {"n": p.n, "ring": GF2_RING, "space": p.space, "terms": terms}
+def polynomial_to_obj(p: Polynomial) -> dict:
     terms = [{"chars": [list(c) for c in m], "coeff": coeff}
              for m, coeff in p.sorted_terms()]
-    return {"n": p.n, "ring": Z_RING, "space": p.space, "terms": terms}
+    ring = GF2_RING if p.modulus == 2 else Z_RING
+    return {"n": p.n, "ring": ring, "space": p.space, "terms": terms}
 
 
-def polynomial_from_obj(obj: Any) -> Gf2Polynomial | ExtPolynomial:
+def polynomial_from_obj(obj: Any) -> Polynomial:
     n = _need(obj, "n", int, "polynomial")
     ring = _need(obj, "ring", str, "polynomial")
     space = _need(obj, "space", str, "polynomial")
@@ -83,14 +81,10 @@ def polynomial_from_obj(obj: Any) -> Gf2Polynomial | ExtPolynomial:
         chars = _char_list(_need(t, "chars", list, f"terms[{i}]"), f"terms[{i}].chars")
         coeff = _need(t, "coeff", int, f"terms[{i}]")
         terms.append((chars, coeff))
-    if ring == GF2_RING:
-        monos = []
-        for chars, coeff in terms:
-            monos.extend([chars] * (coeff % 2))
-        return Gf2Polynomial(n, monos, space=space)
-    if ring == Z_RING:
-        return ExtPolynomial(n, terms, space=space)
-    raise InputFormatError(f"unknown polynomial ring {ring!r}")
+    if ring not in RINGS:
+        raise InputFormatError(f"unknown polynomial ring {ring!r}")
+    # GF(2) coefficients count mod 2: an even one drops its monomial unchecked
+    return RINGS[ring].from_terms(n, terms, space=space)
 
 
 # ---------------------------------------------------------------------------

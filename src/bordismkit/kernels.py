@@ -3,7 +3,7 @@
 ``kernel_space`` works over GF(2): rows are indexed by the faithful degree-n
 monomials, the row of a monomial m is d(m*) expressed in the degree-(n-1)
 square-free monomials, and the kernel (= polynomials g with d(g*) = 0) is
-read off from the vanishing combinations of a bit-packed elimination.
+read off from the vanishing combinations of ``gf2.RankAccumulator``.
 
 ``kernel_sample_unitary`` is the integer analogue restricted to a finite
 window: all faithful monomials whose characters have entries bounded by a
@@ -37,7 +37,7 @@ import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
-from . import algebra, intmat
+from . import algebra, gf2, intmat
 from .algebra import PRIMAL, ExtPolynomial, Gf2Polynomial, Monomial
 from .errors import ResourceLimitError, ValidationError
 
@@ -107,21 +107,13 @@ def kernel_space(n: int, max_n: int | None = None) -> KernelSpace:
             bits ^= 1 << col_ids[deleted]
         rows.append(bits)
 
-    pivots: dict[int, tuple[int, int]] = {}
+    acc = gf2.RankAccumulator(track=True)
     basis: list[Gf2Polynomial] = []
-    for i, row in enumerate(rows):
-        comb = 1 << i
-        while row:
-            lead = row.bit_length() - 1
-            hit = pivots.get(lead)
-            if hit is None:
-                pivots[lead] = (row, comb)
-                break
-            row ^= hit[0]
-            comb ^= hit[1]
-        else:
-            members = [monomials[j] for j in range(i + 1) if comb >> j & 1]
-            basis.append(Gf2Polynomial(n, members, space=PRIMAL))
+    for row in rows:
+        if not acc.add(row):
+            # faithful monomials are canonical and distinct
+            terms = {monomials[j]: 1 for j in gf2.bits(acc.relation)}
+            basis.append(Gf2Polynomial._of(n, PRIMAL, terms))
     return KernelSpace(n=n, dim=len(basis), basis=basis, monomials=monomials)
 
 
@@ -289,7 +281,7 @@ def kernel_sample_unitary(n: int, weight_bound: int = 1,
         terms = {monomials[i]: c for i, c in comb.items()}
         if terms[min(terms)] < 0:
             terms = {m: -c for m, c in terms.items()}
-        basis.append(algebra._ext_from_dict(n, PRIMAL, terms))
+        basis.append(ExtPolynomial._of(n, PRIMAL, terms))
     return WindowKernel(n=n, weight_bound=weight_bound, dim=len(basis),
                         rank=rank, monomials=monomials, basis=basis)
 

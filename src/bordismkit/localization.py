@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from . import algebra, mvpoly
-from .algebra import Char, ExtPolynomial, Gf2Polynomial, Monomial
+from .algebra import Char, ExtPolynomial, Gf2Polynomial, Monomial, Polynomial
 from .errors import ValidationError
 from .mvpoly import MPoly
 
@@ -131,21 +131,19 @@ class FixedPointData:
         self._memo: _Localization | None = None
 
     @classmethod
-    def from_polynomial(cls, p: Gf2Polynomial | ExtPolynomial) -> "FixedPointData":
+    def from_polynomial(cls, p: Polynomial) -> "FixedPointData":
         """Read a faithful polynomial as fixed-point data.
 
-        Integer flavor: a term c*m contributes |c| points with the monomial's
-        characters as weights and sign sgn(c)*sgn(det m) — undoing the fold of
-        the ordering sign into the canonical coefficient.
+        A term c*m contributes |c| points with the monomial's characters as
+        weights.  Integer flavor: the sign is sgn(c)*sgn(det m) — undoing the
+        fold of the ordering sign into the canonical coefficient.
         """
-        if isinstance(p, Gf2Polynomial):
-            pts = [FixedPoint(1, m) for m in p.sorted_monomials()]
-            return cls(GF2, p.n, pts)
+        flavor = GF2 if p.modulus == 2 else Z
         pts = []
         for mono, coeff in p.sorted_terms():
-            sign = (1 if coeff > 0 else -1) * algebra.det_sign(mono)
+            sign = 1 if flavor == GF2 else (1 if coeff > 0 else -1) * algebra.det_sign(mono)
             pts.extend([FixedPoint(sign, mono)] * abs(coeff))
-        return cls(Z, p.n, pts)
+        return cls(flavor, p.n, pts)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -351,7 +349,7 @@ class Gf2IntegralityTable:
         if p.n != self.n:
             raise ValidationError(f"polynomial has rank {p.n}, table has {self.n}")
         acc = 0
-        for mono in p.monomials:
+        for mono in p.terms:
             try:
                 acc ^= rows[mono]
             except KeyError:

@@ -14,12 +14,11 @@ polynomial of the 1-skeleton.
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Iterable, Mapping, Sequence
 
 from . import algebra, gf2, intmat
-from .algebra import Gf2Polynomial, ExtPolynomial
+from .algebra import Gf2Polynomial
 from .errors import ValidationError
 
 Vertex = frozenset[int]
@@ -176,9 +175,6 @@ class Coloring:
             raise ValidationError(f"unknown coloring target {target!r}")
         self.target = target
         self.map = {int(f): tuple(int(x) for x in c) for f, c in colors.items()}
-
-    def color(self, f: int) -> tuple[int, ...]:
-        return self.map[f]
 
     def validate(self, p: SimplePolytope) -> None:
         n = p.dim

@@ -1,0 +1,91 @@
+"""The inline GF(2) eliminations that ``kernel_space`` and
+``surjectivity_probe`` ran before both moved onto ``gf2.RankAccumulator``.
+
+Kept verbatim as test oracles: each walks its own pivot dict and tracks its
+own combinations, so the library's shared eliminator is checked against code
+that does not use it.
+"""
+
+from bordismkit import algebra, kernels
+from bordismkit.algebra import PRIMAL, ExtPolynomial, Gf2Polynomial
+
+
+def kernel_basis(n):
+    """The rank-n GF(2) kernel basis, by the elimination ``kernel_space`` used."""
+    monomials = algebra.all_faithful_monomials_gf2(n)
+    col_ids = {}
+    rows = []
+    for mono in monomials:
+        star = algebra.dual_monomial_gf2(mono, n)
+        bits = 0
+        for j in range(n):
+            deleted = star[:j] + star[j + 1:]
+            if deleted not in col_ids:
+                col_ids[deleted] = len(col_ids)
+            bits ^= 1 << col_ids[deleted]
+        rows.append(bits)
+
+    pivots = {}
+    basis = []
+    for i, row in enumerate(rows):
+        comb = 1 << i
+        while row:
+            lead = row.bit_length() - 1
+            hit = pivots.get(lead)
+            if hit is None:
+                pivots[lead] = (row, comb)
+                break
+            row ^= hit[0]
+            comb ^= hit[1]
+        else:
+            members = [monomials[j] for j in range(i + 1) if comb >> j & 1]
+            basis.append(Gf2Polynomial(n, members, space=PRIMAL))
+    return basis
+
+
+def probe_witnesses(n, weight_bound):
+    """(index, witness or None) per kernel basis element, by the elimination
+    ``surjectivity_probe`` used."""
+    target_basis = kernels.kernel_space(n).basis
+    window = kernels.kernel_sample_unitary(n, weight_bound)
+    reduced = [algebra.mod2_reduce(p) for p in window.basis]
+
+    cols = {}
+
+    def bits_of(p):
+        bits = 0
+        for mono in p.monomials:
+            bits |= 1 << cols.setdefault(mono, len(cols))
+        return bits
+
+    pivots = {}
+    for i, q in enumerate(reduced):
+        row, comb = bits_of(q), 1 << i
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = (row, comb)
+                break
+            prow, pcomb = pivots[lead]
+            row ^= prow
+            comb ^= pcomb
+
+    out = []
+    for index, g in enumerate(target_basis):
+        row, comb = bits_of(g), 0
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in pivots:
+                break
+            prow, pcomb = pivots[lead]
+            row ^= prow
+            comb ^= pcomb
+        if row:
+            out.append((index, None))
+            continue
+        witness = ExtPolynomial(n, {}, space=PRIMAL)
+        for i, p in enumerate(window.basis):
+            if comb >> i & 1:
+                witness = witness + p
+        out.append((index, witness))
+    return out

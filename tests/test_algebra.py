@@ -290,12 +290,43 @@ def test_mod2_reduce_multiplicative():
                 == algebra.mod2_reduce(p).wedge(algebra.mod2_reduce(q)))
 
 
+def random_faithful_ext(n, rng):
+    from bordismkit.polytopes import random_unimodular_matrix
+    terms = [(tuple(tuple(r) for r in random_unimodular_matrix(n, rng)),
+              rng.choice((-3, -2, -1, 1, 2, 3)))
+             for _ in range(rng.randint(1, 5))]
+    return ExtPolynomial(n, terms)
+
+
+def test_mod2_reduce_commutes_with_dual_and_embedding():
+    # GF(2) is the modulus-2 image of the same code: reducing first or last
+    # gives the same dual, the same block embedding and the same block product
+    rng = random.Random(41)
+    nonzero = 0
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        p = random_faithful_ext(n, rng)
+        q = random_faithful_ext(rng.randint(1, 4), rng)
+        nonzero += not algebra.mod2_reduce(p).is_zero()
+        assert (algebra.mod2_reduce(algebra.dual(p))
+                == algebra.dual(algebra.mod2_reduce(p)))
+        total = n + q.n
+        offset = rng.randint(0, total - n)
+        assert (algebra.mod2_reduce(algebra.embed_chars(p, total, offset))
+                == algebra.embed_chars(algebra.mod2_reduce(p), total, offset))
+        product = algebra.embed_chars(p, total, 0).wedge(algebra.embed_chars(q, total, n))
+        assert (algebra.mod2_reduce(product)
+                == algebra.embed_chars(algebra.mod2_reduce(p), total, 0).wedge(
+                    algebra.embed_chars(algebra.mod2_reduce(q), total, n)))
+    assert nonzero > 100  # the reductions are mostly not zero
+
+
 # -- embeddings and coordinate permutations --------------------------------
 
 
 def test_embed_blocks_commute_with_wedge():
-    a = algebra.embed_chars_z(CP1, 2, 0)
-    b = algebra.embed_chars_z(CP1, 2, 1)
+    a = algebra.embed_chars(CP1, 2, 0)
+    b = algebra.embed_chars(CP1, 2, 1)
     prod = a.wedge(b)
     want = ExtPolynomial(2, {((-1, 0), (0, -1)): 1, ((-1, 0), (0, 1)): -1,
                              ((0, -1), (1, 0)): 1, ((0, 1), (1, 0)): -1})
@@ -308,13 +339,13 @@ def test_permute_coords_identity_and_involution():
         n = rng.randint(2, 4)
         p = random_ext(n, rng)
         ident = tuple(range(n))
-        assert algebra.permute_coords_z(p, ident) == p
+        assert algebra.permute_coords(p, ident) == p
         perm = list(range(n))
         rng.shuffle(perm)
         perm = tuple(perm)
         inverse = tuple(perm.index(i) for i in range(n))
-        assert algebra.permute_coords_z(
-            algebra.permute_coords_z(p, perm), inverse) == p
+        assert algebra.permute_coords(
+            algebra.permute_coords(p, perm), inverse) == p
 
 
 def test_permute_coords_gf2_matches_mod2():
@@ -325,5 +356,5 @@ def test_permute_coords_gf2_matches_mod2():
         perm = list(range(n))
         rng.shuffle(perm)
         perm = tuple(perm)
-        assert (algebra.permute_coords_gf2(algebra.mod2_reduce(p), perm)
-                == algebra.mod2_reduce(algebra.permute_coords_z(p, perm)))
+        assert (algebra.permute_coords(algebra.mod2_reduce(p), perm)
+                == algebra.mod2_reduce(algebra.permute_coords(p, perm)))

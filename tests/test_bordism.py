@@ -2,6 +2,7 @@
 
 import random
 
+import elimination_oracles
 import pytest
 
 from bordismkit import algebra, bordism, kernels
@@ -9,7 +10,7 @@ from bordismkit.algebra import ExtPolynomial, Gf2Polynomial
 from bordismkit.bordism import (BordismClass, UNITARY, UNORIENTED, add,
                                 multiply, reduce, surjectivity_probe,
                                 swap_conjugate)
-from bordismkit.errors import ValidationError
+from bordismkit.errors import ResourceLimitError, ValidationError
 from bordismkit.graphs import torus_graph_from_pair, torus_polynomial
 from bordismkit.polytopes import product_of_simplices, standard_z_coloring
 
@@ -195,5 +196,20 @@ def test_probe_witnesses_reduce_to_targets():
 
 
 def test_probe_respects_caps():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ResourceLimitError, match="max_n=4"):
         surjectivity_probe(4)
+
+
+def test_probe_meets_the_kernel_cap_before_building_a_window(monkeypatch):
+    # a raised window cap must not start a rank-5 window the kernel cap refuses
+    monkeypatch.delenv("BORDISMKIT_MAX_N", raising=False)
+    with pytest.raises(ResourceLimitError, match="BORDISMKIT_MAX_N=5"):
+        surjectivity_probe(5, max_n=5)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_probe_witnesses_match_the_inline_elimination(n):
+    report = surjectivity_probe(n, weight_bound=1)
+    want = elimination_oracles.probe_witnesses(n, 1)
+    assert [(e.index, e.witness) for e in report.entries] == want
+    assert all(e.hit == (w is not None) for e, (_, w) in zip(report.entries, want))

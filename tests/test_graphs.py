@@ -122,6 +122,26 @@ def test_non_unimodular_weights_rejected():
         TorusGraph(1, 2, alpha).validate()
 
 
+def test_valence_axiom_enforced():
+    # a single edge at rank 2: both ends have valence 1
+    alpha = {(0, 1): (1, 0), (1, 0): (1, 0)}
+    with pytest.raises(ValidationError,
+                       match=r"^axiom \(2\) fails: vertex 0 has valence 1, expected 2$"):
+        TorusGraph(2, 2, alpha).validate()
+
+
+def test_congruence_axiom_enforced():
+    # a triangle whose vertex weights are Z-bases and whose reversals agree
+    # up to sign, but along edge 0-1 (weight (1,0)) the other weights are
+    # (0,1) at vertex 0 and (1,-1) at vertex 1: (0,1) and (0,-1) mod (1,0)
+    alpha = {(0, 1): (1, 0), (1, 0): (1, 0),
+             (0, 2): (0, 1), (2, 0): (0, 1),
+             (1, 2): (1, -1), (2, 1): (-1, 1)}
+    with pytest.raises(ValidationError, match=r"^axiom \(3\) fails along edge 0-1: "
+                                              r"no color bijection mod alpha\(e\)$"):
+        TorusGraph(2, 3, alpha).validate()
+
+
 def test_orient_flips_are_global():
     # re-orienting an already-oriented graph reproduces sigma up to nothing:
     # sigma(0) is pinned to +1

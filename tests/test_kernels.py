@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import elimination_oracles
 import pytest
 
 from bordismkit import algebra, intmat, kernels
@@ -44,6 +45,12 @@ def test_kernel_n2_is_the_rp2_polynomial():
     space = kernels.kernel_space(2)
     (b,) = space.basis
     assert b.monomials == {((0, 1), (1, 0)), ((0, 1), (1, 1)), ((1, 0), (1, 1))}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kernel_basis_matches_the_inline_elimination(n):
+    # element by element, in order: the same rows, the same relations
+    assert kernels.kernel_space(n).basis == elimination_oracles.kernel_basis(n)
 
 
 def test_kernel_dim_reproducible():
