@@ -15,14 +15,15 @@ it vanish, so equal elements have equal representations.  Over GF(2) the
 sign is trivial and the wedge is the square-free product, so sums, wedges,
 the dual, the differential, the image test, mod-2 reduction, block
 embeddings and coordinate permutations are written once for both rings.
-Only the character check, the faithfulness test and the dual of one
-monomial differ, and each subclass names its own.  ``mod2_reduce`` maps the
-Z ring onto the GF(2) ring.
+Only the character check and the dual of one monomial differ, and each
+subclass names its own.  ``mod2_reduce`` maps the Z ring onto the GF(2) ring.
 
-``dual`` swaps the space tag.  A monomial is *faithful* when its characters
-are a basis (invertible over GF(2), determinant ±1 over Z);
-``in_image_verdict`` tests membership of a faithful polynomial in the
-geometric image via d(g*) = 0.
+A monomial is *faithful* when its characters are a basis (invertible over
+GF(2), determinant ±1 over Z), that is, when their dual basis exists.  Each
+ring's hook ``_dual_monomial(mono, n)`` runs one elimination and returns the
+signed dual monomial, or None when there is no dual; this is the only
+faithfulness test.  ``dual`` swaps the space tag; ``in_image_verdict`` dualizes
+once and tests membership in the geometric image via d(g*) = 0.
 
 Sign convention for the Z dual (the calibrated design decision): a
 faithful monomial is dualized by rewriting it in a determinant-positive
@@ -97,60 +98,35 @@ def sort_monomial(chars: Iterable[Char]) -> tuple[int, Monomial]:
     return sign, tuple(chars)
 
 
-def monomial_matrix(mono: Monomial) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(c) for c in mono)
-
-
 def det_sign(mono: Monomial) -> int:
     """Sign of det of the sorted character matrix of a full-rank Z monomial."""
-    d = intmat.det(monomial_matrix(mono))
+    d = intmat.det(mono)
     if d == 0:
         raise ValidationError(f"monomial {mono} has linearly dependent characters")
     return 1 if d > 0 else -1
 
 
-def is_faithful_monomial_gf2(mono: Monomial, n: int) -> bool:
-    if len(mono) != n:
-        return False
-    rows = [gf2.pack(c) for c in mono]
-    return gf2.is_invertible(rows, n)
+def dual_monomial_gf2(mono: Monomial, n: int) -> Monomial | None:
+    """The sorted dual basis of a GF(2) monomial; None unless its characters
+    are a basis of GF(2)^n."""
+    dual_rows = gf2.inverse_transpose([gf2.pack(c) for c in mono], n)
+    if dual_rows is None:
+        return None
+    return sort_monomial(gf2.unpack(r, n) for r in dual_rows)[1]
 
 
-def is_faithful_monomial_z(mono: Monomial, n: int) -> bool:
-    if len(mono) != n:
-        return False
-    return intmat.det(monomial_matrix(mono)) in (1, -1)
-
-
-def dual_monomial_gf2(mono: Monomial, n: int) -> Monomial:
-    rows = [gf2.pack(c) for c in mono]
-    dual_rows = gf2.inverse_transpose(rows, n)
-    _, sorted_mono = sort_monomial(gf2.unpack(r, n) for r in dual_rows)
-    return sorted_mono
-
-
-def dual_monomial_z(mono: Monomial, n: int) -> tuple[int, Monomial]:
-    """Dual of a canonical faithful Z monomial: (sign factor, sorted dual monomial)."""
-    mat = monomial_matrix(mono)
-    d = intmat.det(mat)
-    if d not in (1, -1):
-        raise ValidationError(f"monomial {mono} is not faithful (det={d})")
-    dual_rows = intmat.inverse_transpose_unimodular(mat)
-    sort_sign, dual_mono = sort_monomial(dual_rows)
-    # sign(det A) * sign(det B) where B is the *sorted* dual matrix; since
-    # det(unsorted dual) = det(A)^{-1} = det(A), this equals the sort sign.
-    assert sort_sign != 0
-    return sort_sign, dual_mono
+def dual_monomial_z(mono: Monomial, n: int) -> tuple[int, Monomial] | None:
+    """(sign factor, sorted dual monomial) of a Z monomial, or None unless its
+    characters are a basis of Z^n.  The sign is sign(det A) * sign(det B), B
+    the *sorted* dual matrix: det(unsorted dual) = det(A), so the sort sign."""
+    dual_rows = intmat.dual_basis(mono) if len(mono) == n else None
+    if dual_rows is None:
+        return None
+    return sort_monomial(dual_rows)
 
 
 # ---------------------------------------------------------------------------
 # polynomials
-
-
-def _dual_monomial_checked_gf2(mono: Monomial, n: int) -> tuple[int, Monomial]:
-    if not is_faithful_monomial_gf2(mono, n):
-        raise ValidationError(f"cannot dualize non-faithful monomial {mono}")
-    return 1, dual_monomial_gf2(mono, n)
 
 
 def _canonical(pairs: Iterable[tuple[Iterable[Char], int]]
@@ -260,9 +236,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def sorted_monomials(self) -> list[Monomial]:
-        return sorted(self.terms)
-
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         return sorted(self.terms.items())
 
@@ -307,11 +280,14 @@ class Gf2Polynomial(Polynomial):
     __slots__ = ()
     modulus = 2
     _check_char = staticmethod(check_char_gf2)
-    _is_faithful_monomial = staticmethod(is_faithful_monomial_gf2)
-    _dual_monomial = staticmethod(_dual_monomial_checked_gf2)
 
     def __init__(self, n: int, monomials: Iterable[Monomial] = (), space: str = PRIMAL):
         super().__init__(n, ((m, 1) for m in monomials), space)
+
+    @staticmethod
+    def _dual_monomial(mono: Monomial, n: int) -> tuple[int, Monomial] | None:
+        star = dual_monomial_gf2(mono, n)
+        return None if star is None else (1, star)
 
 
 class ExtPolynomial(Polynomial):
@@ -320,7 +296,6 @@ class ExtPolynomial(Polynomial):
     __slots__ = ()
     modulus = 0
     _check_char = staticmethod(check_char_z)
-    _is_faithful_monomial = staticmethod(is_faithful_monomial_z)
     _dual_monomial = staticmethod(dual_monomial_z)
 
 
@@ -340,19 +315,26 @@ def ext_polynomial(n: int, terms: Iterable[tuple[Iterable[Iterable[int]], int]],
 
 
 def is_faithful(p: Polynomial) -> bool:
-    """True when every monomial is degree-n square-free with basis characters.
+    """True when every monomial's characters are a basis, that is, when every
+    monomial has a dual.
 
     The zero polynomial is vacuously faithful (it represents the bounding
     class).
     """
-    return all(p._is_faithful_monomial(m, p.n) for m in p.terms)
+    return all(p._dual_monomial(m, p.n) is not None for m in p.terms)
 
 
 def dual(p: Polynomial) -> Polynomial:
-    """Monomial-wise dual-basis transform; flips the primal/dual space tag."""
+    """Monomial-wise dual-basis transform; flips the primal/dual space tag.
+
+    Raises ValidationError on the first monomial that is not faithful.
+    """
     pairs = []
     for mono, coeff in p.terms.items():
-        sign, star = p._dual_monomial(mono, p.n)
+        hit = p._dual_monomial(mono, p.n)
+        if hit is None:
+            raise ValidationError(f"cannot dualize non-faithful monomial {mono}")
+        sign, star = hit
         pairs.append((star, sign * coeff))
     return p._sum(pairs, space=DUAL if p.space == PRIMAL else PRIMAL)
 
@@ -380,9 +362,11 @@ def in_image_verdict(p: Polynomial) -> tuple[bool, str]:
         return False, "polynomial is not in the primal space"
     if p.is_zero():
         return True, "zero polynomial (bounding class)"
-    if not is_faithful(p):
+    try:
+        star = dual(p)
+    except ValidationError:
         return False, "not faithful"
-    if differential(dual(p)).is_zero():
+    if differential(star).is_zero():
         return True, "d(g*) = 0"
     return False, "d(g*) != 0"
 

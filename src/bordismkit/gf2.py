@@ -56,11 +56,11 @@ def is_invertible(rows: Sequence[int], n: int) -> bool:
     return len(rows) == n and rank(rows) == n
 
 
-def invert(rows: Sequence[int], n: int) -> list[int]:
-    """Inverse of an invertible n×n bitset matrix (rows of the inverse).
-
-    Raises ValueError when the matrix is singular.
-    """
+def invert(rows: Sequence[int], n: int) -> list[int] | None:
+    """Inverse of an n×n bitset matrix (rows of the inverse); None unless
+    there are n rows and they are independent."""
+    if len(rows) != n:
+        return None
     work = list(rows)
     inv = [1 << i for i in range(n)]
     for col in range(n):
@@ -70,7 +70,7 @@ def invert(rows: Sequence[int], n: int) -> list[int]:
                 pivot = r
                 break
         if pivot is None:
-            raise ValueError("matrix is singular over GF(2)")
+            return None
         work[col], work[pivot] = work[pivot], work[col]
         inv[col], inv[pivot] = inv[pivot], inv[col]
         for r in range(n):
@@ -89,9 +89,11 @@ def transpose(rows: Sequence[int], n: int) -> list[int]:
     return out
 
 
-def inverse_transpose(rows: Sequence[int], n: int) -> list[int]:
-    """Rows of (A^{-1})^T, i.e. the dual basis of the rows of A."""
-    return transpose(invert(rows, n), n)
+def inverse_transpose(rows: Sequence[int], n: int) -> list[int] | None:
+    """Rows of (A^{-1})^T, i.e. the dual basis of the rows of A; None unless
+    A is invertible."""
+    inv = invert(rows, n)
+    return None if inv is None else transpose(inv, n)
 
 
 class RankAccumulator:

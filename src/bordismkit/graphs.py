@@ -227,8 +227,8 @@ def torus_graph_from_pair(p: SimplePolytope, coloring: Coloring) -> TorusGraph:
     dual_rows: list[dict[int, Char]] = []
     for v in p.vertices:
         fs = sorted(v)
-        rows = [list(coloring.map[f]) for f in fs]
-        dual = intmat.inverse_transpose_unimodular(rows)
+        rows = [coloring.map[f] for f in fs]
+        dual = intmat.dual_basis(rows)
         dual_rows.append({f: tuple(r) for f, r in zip(fs, dual)})
     alpha: dict[tuple[int, int], Char] = {}
     for i, j in p.edges():

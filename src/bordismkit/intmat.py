@@ -1,9 +1,11 @@
 """Exact integer matrix helpers for character matrices.
 
-Everything here is exact: Bareiss elimination for determinants, adjugate
-inverses for unimodular matrices, and an integral functional φ with φ(v) = 1
-for a primitive vector v (used by the torus-graph congruence axiom).  Matrices are
-tuples of int tuples; sizes are tiny (rank ≤ 6), so clarity wins over speed.
+Everything here is exact: Bareiss elimination for determinants, one
+fraction-free Gauss–Jordan elimination for the dual basis of a unimodular
+matrix (and the test that it is unimodular), and an integral functional φ
+with φ(v) = 1 for a primitive vector v (used by the torus-graph congruence
+axiom).  Matrices are tuples of int tuples; sizes are tiny (rank ≤ 6), so
+clarity wins over speed.
 """
 
 from __future__ import annotations
@@ -39,33 +41,37 @@ def det(mat: Matrix) -> int:
     return sign * a[-1][-1]
 
 
-def adjugate(mat: Matrix) -> list[list[int]]:
-    n = len(mat)
-    if n == 1:
-        return [[1]]
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [mat[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            out[j][i] = (-1) ** (i + j) * det(minor)
-    return out
+def dual_basis(mat: Matrix) -> list[tuple[int, ...]] | None:
+    """Rows of (A^{-1})^T, the dual basis of A's rows (row i pairs to 1 with
+    row i of A and to 0 with the others); None unless A is square with det ±1.
 
-
-def inverse_transpose_unimodular(mat: Matrix) -> list[tuple[int, ...]]:
-    """Rows of (A^{-1})^T for unimodular A — the dual basis of A's rows.
-
-    Row i of the result pairs to 1 with row i of A and to 0 with the others.
+    One fraction-free Gauss–Jordan elimination of [A | I]: each step clears
+    the pivot column above and below the pivot, every division is exact, and
+    it ends at [d·I | d·A^{-1}] with d = ±det A.
     """
-    d = det(mat)
-    if d not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (det={d})")
-    adj = adjugate(mat)  # A^{-1} = adj/det, so (A^{-1})^T = adj^T/det
     n = len(mat)
-    return [tuple(d * adj[i][j] for i in range(n)) for j in range(n)]
+    if any(len(row) != n for row in mat):
+        return None
+    a = [[int(v) for v in row] + [int(i == j) for j in range(n)]
+         for i, row in enumerate(mat)]
+    prev = 1
+    for k in range(n):
+        for r in range(k, n):
+            if a[r][k]:
+                a[k], a[r] = a[r], a[k]
+                break
+        else:
+            return None
+        pivot_row = a[k]
+        p = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+    if prev not in (1, -1):
+        return None
+    return [tuple(prev * a[i][n + j] for i in range(n)) for j in range(n)]
 
 
 def is_primitive(vec: Sequence[int]) -> bool:

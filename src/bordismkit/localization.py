@@ -102,6 +102,13 @@ class FixedPoint(NamedTuple):
     weights: Monomial
 
 
+def _check_weights(weights: Sequence[Char], n: int) -> Monomial:
+    weights = tuple(tuple(int(v) for v in w) for w in weights)
+    if len(weights) != n or any(len(w) != n for w in weights):
+        raise ValidationError(f"point weights {weights} are not {n} characters of length {n}")
+    return weights
+
+
 class FixedPointData:
     """Weights (and signs, integer flavor) of an isolated fixed-point set."""
 
@@ -112,6 +119,7 @@ class FixedPointData:
             raise ValidationError(f"unknown flavor {flavor!r}")
         self.flavor = flavor
         self.n = n
+        ring = Gf2Polynomial if flavor == GF2 else ExtPolynomial
         checked = []
         for pt in points:
             sign = int(pt.sign)
@@ -119,12 +127,8 @@ class FixedPointData:
                 sign = 1
             elif sign not in (1, -1):
                 raise ValidationError(f"fixed-point sign must be ±1, got {pt.sign}")
-            weights = tuple(tuple(int(v) for v in w) for w in pt.weights)
-            if len(weights) != n or any(len(w) != n for w in weights):
-                raise ValidationError(f"point weights {weights} are not {n} characters of length {n}")
-            faithful = (algebra.is_faithful_monomial_gf2(weights, n) if flavor == GF2
-                        else algebra.is_faithful_monomial_z(weights, n))
-            if not faithful:
+            weights = _check_weights(pt.weights, n)
+            if ring._dual_monomial(weights, n) is None:
                 raise ValidationError(f"non-faithful fixed point with weights {weights}")
             checked.append(FixedPoint(sign, weights))
         self.points = tuple(checked)
@@ -141,7 +145,9 @@ class FixedPointData:
         flavor = GF2 if p.modulus == 2 else Z
         pts = []
         for mono, coeff in p.sorted_terms():
-            sign = 1 if flavor == GF2 else (1 if coeff > 0 else -1) * algebra.det_sign(mono)
+            sign = 1
+            if flavor == Z:
+                sign = (1 if coeff > 0 else -1) * algebra.det_sign(_check_weights(mono, p.n))
             pts.extend([FixedPoint(sign, mono)] * abs(coeff))
         return cls(flavor, p.n, pts)
 
@@ -405,8 +411,7 @@ def vanishing_test(g: ExtPolynomial, degree_cap: int | None = None) -> bool:
         raise ValidationError("degree cap must be nonnegative")
     if g.is_zero():
         return True
-    if g.space != algebra.PRIMAL or not algebra.is_faithful(g) \
-            or not algebra.differential(algebra.dual(g)).is_zero():
+    if not algebra.in_image(g):
         raise ValidationError("polynomial is not a kernel element")
     data = FixedPointData.from_polynomial(g)
     for i in range(cap + 1):

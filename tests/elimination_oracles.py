@@ -1,12 +1,17 @@
-"""The inline GF(2) eliminations that ``kernel_space`` and
-``surjectivity_probe`` ran before both moved onto ``gf2.RankAccumulator``.
+"""Eliminations the library ran before it moved onto shared routines.
 
-Kept verbatim as test oracles: each walks its own pivot dict and tracks its
-own combinations, so the library's shared eliminator is checked against code
-that does not use it.
+* The inline GF(2) eliminations that ``kernel_space`` and
+  ``surjectivity_probe`` ran before both moved onto ``gf2.RankAccumulator``:
+  each walks its own pivot dict and tracks its own combinations.
+* The adjugate inverse (n² Bareiss minors) and the determinant/rank
+  faithfulness predicates that ``intmat.dual_basis`` and the per-ring dual
+  hooks replaced.
+
+Kept verbatim as test oracles, so the library's shared routines are checked
+against code that does not use them.
 """
 
-from bordismkit import algebra, kernels
+from bordismkit import algebra, gf2, intmat, kernels
 from bordismkit.algebra import PRIMAL, ExtPolynomial, Gf2Polynomial
 
 
@@ -89,3 +94,45 @@ def probe_witnesses(n, weight_bound):
                 witness = witness + p
         out.append((index, witness))
     return out
+
+
+def adjugate(mat):
+    n = len(mat)
+    if n == 1:
+        return [[1]]
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [
+                [mat[r][c] for c in range(n) if c != j]
+                for r in range(n)
+                if r != i
+            ]
+            out[j][i] = (-1) ** (i + j) * intmat.det(minor)
+    return out
+
+
+def inverse_transpose_unimodular(mat):
+    """Rows of (A^{-1})^T for unimodular A — the dual basis of A's rows.
+
+    Row i of the result pairs to 1 with row i of A and to 0 with the others.
+    """
+    d = intmat.det(mat)
+    if d not in (1, -1):
+        raise ValueError(f"matrix is not unimodular (det={d})")
+    adj = adjugate(mat)  # A^{-1} = adj/det, so (A^{-1})^T = adj^T/det
+    n = len(mat)
+    return [tuple(d * adj[i][j] for i in range(n)) for j in range(n)]
+
+
+def is_faithful_monomial_gf2(mono, n):
+    if len(mono) != n:
+        return False
+    rows = [gf2.pack(c) for c in mono]
+    return gf2.is_invertible(rows, n)
+
+
+def is_faithful_monomial_z(mono, n):
+    if len(mono) != n:
+        return False
+    return intmat.det(mono) in (1, -1)

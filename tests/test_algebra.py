@@ -2,6 +2,7 @@
 
 import random
 
+import elimination_oracles
 import pytest
 
 from bordismkit import algebra
@@ -127,6 +128,46 @@ def test_dual_cp2_frozen():
 def test_dual_requires_faithful():
     with pytest.raises(ValidationError):
         algebra.dual(gf2_polynomial(2, [[(1, 1)]]))  # degree 1 < n
+
+
+@pytest.mark.parametrize("chars", [
+    [(0, 1, 1), (1, 0, 0)],                        # 2 characters in rank 3
+    [(1, 0, 0), (0, 1, 0)],
+    [(0, 1, 1), (1, 0, 0), (0, 0, 1), (1, 1, 0)],  # 4 characters in rank 3
+    [(2, 0, 0), (0, 1, 0), (0, 0, 1)],             # det 2
+    [(1, 1, 0), (0, 1, 1), (1, 2, 1)],             # singular
+])
+def test_dual_z_needs_a_basis(chars):
+    p = ext_polynomial(3, [(chars, 1)])
+    with pytest.raises(ValidationError, match="non-faithful"):
+        algebra.dual(p)
+    assert not algebra.is_faithful(p)
+    assert algebra.in_image_verdict(p) == (False, "not faithful")
+
+
+def test_is_faithful_matches_the_det_and_rank_predicates():
+    rng = random.Random(61)
+    verdicts = {Gf2Polynomial: set(), ExtPolynomial: set()}
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        p = random_ext(n, rng)
+        faithful_monos = algebra.all_faithful_monomials_gf2(n)
+        monos = rng.sample(faithful_monos, min(len(faithful_monos), rng.randint(0, 4)))
+        chars = algebra.nonzero_chars_gf2(n)
+        for _ in range(rng.randint(0, 2)):  # wrong degrees and dependent characters
+            monos.append(tuple(rng.sample(chars, min(len(chars), rng.randint(0, n + 1)))))
+        q = Gf2Polynomial(n, monos)
+        for poly, faithful in ((p, elimination_oracles.is_faithful_monomial_z),
+                               (q, elimination_oracles.is_faithful_monomial_gf2)):
+            want = all(faithful(m, n) for m in poly.terms)
+            assert algebra.is_faithful(poly) == want, poly
+            verdicts[type(poly)].add(want)
+            if want:
+                algebra.dual(poly)
+            else:
+                with pytest.raises(ValidationError):
+                    algebra.dual(poly)
+    assert all(v == {True, False} for v in verdicts.values())
 
 
 def test_dual_involutive_random():

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from bordismkit import jsonio
 from bordismkit.algebra import ExtPolynomial, Gf2Polynomial, dual
 from bordismkit.bordism import UNITARY, UNORIENTED, BordismClass
@@ -94,6 +96,33 @@ def test_repeated_character_is_a_domain_error():
     r = run_cli("check", bad)
     assert r.returncode == 1
     assert json.loads(r.stdout)["error"]["code"] == "validation-error"
+
+
+# -- error paths: a wrong input is an error object, never a traceback ----------
+
+# rank 3 monomials with fewer and with more than 3 characters
+WRONG_DEGREE = {"under": [[0, 1, 1], [1, 0, 0]],
+                "over": [[0, 1, 1], [1, 0, 0], [0, 0, 1], [1, 1, 0]]}
+
+
+@pytest.mark.parametrize("verb", ["check", "dual", "diff", "reduce", "chern"])
+@pytest.mark.parametrize("ring", ["gf2", "z-ext"])
+@pytest.mark.parametrize("degree", sorted(WRONG_DEGREE))
+def test_wrong_degree_monomials_never_raise_a_traceback(verb, ring, degree):
+    obj = {"n": 3, "ring": ring, "space": "primal",
+           "terms": [{"chars": WRONG_DEGREE[degree], "coeff": 1}]}
+    r = run_cli(verb, dumps(obj))
+    assert "Traceback" not in r.stderr
+    out = json.loads(r.stdout)
+    assert r.stdout == dumps(out)
+    if verb in ("dual", "chern"):  # only a basis has a dual and is a fixed point
+        assert r.returncode == 1 and out["error"]["code"] == "validation-error"
+    if r.returncode == 0:
+        assert "error" not in out
+    else:
+        assert r.returncode in (1, 2)
+        assert r.stdout.count("\n") == 1
+        assert set(out) == {"error"} and set(out["error"]) == {"code", "message"}
 
 
 # -- piping verbs into each other ---------------------------------------------

@@ -86,6 +86,19 @@ def test_from_polynomial_z_multiplicity():
 def test_fixed_point_data_validates_faithfulness():
     with pytest.raises(ValidationError):
         FixedPointData("z", 2, [FixedPoint(1, ((2, 0), (0, 1)))])
+    with pytest.raises(ValidationError, match="non-faithful"):
+        FixedPointData("gf2", 2, [FixedPoint(1, ((1, 1), (1, 1)))])
+
+
+@pytest.mark.parametrize("ring", [ExtPolynomial, Gf2Polynomial])
+@pytest.mark.parametrize("mono", [
+    ((0, 1, 1), (1, 0, 0)),
+    ((0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 0)),
+])
+def test_from_polynomial_rejects_monomials_of_the_wrong_degree(ring, mono):
+    p = ring.from_terms(3, [(mono, 1)])
+    with pytest.raises(ValidationError, match="are not 3 characters of length 3"):
+        FixedPointData.from_polynomial(p)
 
 
 def test_gf2_flavor_forces_positive_signs():
