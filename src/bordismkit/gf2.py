@@ -2,7 +2,10 @@
 
 Vectors over GF(2) are packed into Python ints (bit i = coordinate i), which
 keeps the small dense problems that dominate this package — n×n character
-matrices with n ≤ 6 — allocation free and exact.  ``RankAccumulator`` is
+matrices with n ≤ 6 — allocation free and exact.  ``inverse_transpose`` is
+the one basis test for such a matrix: it returns the dual basis, or None
+when the rows are not a basis, so callers that go on to use the dual rows
+prove the basis once.  ``RankAccumulator`` is
 the one elimination of wide rows, with pivots keyed by their leading bit: it
 folds the generator span in :mod:`.bott` and, tracking combinations, finds
 the kernel in ``kernel_space`` and the witnesses of ``surjectivity_probe``.
@@ -50,10 +53,6 @@ def _reduce(row: int, pivots: list[int]) -> int:
         if row & low:
             row ^= p
     return row
-
-
-def is_invertible(rows: Sequence[int], n: int) -> bool:
-    return len(rows) == n and rank(rows) == n
 
 
 def invert(rows: Sequence[int], n: int) -> list[int] | None:

@@ -9,7 +9,20 @@ primal space and always passes the image test.
 ``TorusGraph`` is the Z analogue: oriented edges with weights α(e), axioms
 α(ē) = ±α(e), vertex bases, and the congruence matching, plus an orientation
 σ: V → {±1} with σ(i(e))α(e) = −σ(i(ē))α(ē).  σ is pinned down (up to a
-global sign) by BFS propagation from vertex 0.
+global sign) by propagation from vertex 0; ``torus_graph_from_pair`` fixes
+the global sign at the vertex with the smallest sorted facet set, the vertex
+the JSON form lists first, so a polytope's torus polynomial does not depend
+on the order its vertices come in.
+
+Both graph builders read their edge weights off ``Coloring.vertex_duals``:
+at each vertex the weights are the dual basis of the facet colors.  That
+one elimination per vertex is also the proof that the pair is valid.  The
+graphs it yields satisfy the axioms by construction: a dual basis is a
+basis, and along an edge both end weights and the differences of the dual
+rows of each shared facet annihilate the n−1 shared colors, so they are
+multiples of one primitive vector.  Derived graphs are therefore not
+validated again; ``validate`` is for graphs read from outside, and tests
+their vertex bases with the same dual-basis routines.
 
 The torus polynomial of an oriented graph is Σ_v σ(v)·(wedge of the vertex
 weights written in det-normalized order); on canonical monomials the vertex
@@ -61,7 +74,7 @@ class ColoredGraph:
                 raise ValidationError(
                     f"(P1) fails: vertex {v} has degree {len(edges)}, expected {self.n}")
             rows = [gf2.pack(self.alpha[e]) for e in edges]
-            if not gf2.is_invertible(rows, self.n):
+            if gf2.inverse_transpose(rows, self.n) is None:
                 raise ValidationError(
                     f"(P1) fails: edge colors at vertex {v} are not a basis")
         for e in self.alpha:
@@ -103,21 +116,21 @@ def one_skeleton(p: SimplePolytope, coloring: Coloring) -> ColoredGraph:
     """
     if coloring.target != "gf2":
         raise ValidationError("one_skeleton expects a GF(2) coloring")
-    coloring.validate(p)
-    dual_rows: list[dict[int, Char]] = []
-    for v in p.vertices:
-        fs = sorted(v)
-        rows = [gf2.pack(coloring.map[f]) for f in fs]
-        dual = gf2.inverse_transpose(rows, p.dim)
-        dual_rows.append({f: gf2.unpack(r, p.dim) for f, r in zip(fs, dual)})
-    alpha: dict[frozenset[int], Char] = {}
+    alpha = {frozenset(e): a for e, a in _edge_weights(p, coloring).items()
+             if e[0] < e[1]}
+    return ColoredGraph(p.dim, len(p.vertices), alpha)
+
+
+def _edge_weights(p: SimplePolytope, coloring: Coloring) -> dict[tuple[int, int], Char]:
+    """α(i, j) for both orientations of every edge: i's dual row for the
+    facet at i that j does not share.  Raises unless the pair is valid."""
+    duals = coloring.vertex_duals(p)
+    alpha: dict[tuple[int, int], Char] = {}
     for i, j in p.edges():
         shared = p.vertices[i] & p.vertices[j]
-        leaving = next(iter(p.vertices[i] - shared))
-        alpha[frozenset((i, j))] = dual_rows[i][leaving]
-    graph = ColoredGraph(p.dim, len(p.vertices), alpha)
-    graph.validate()
-    return graph
+        alpha[(i, j)] = duals[i][next(iter(p.vertices[i] - shared))]
+        alpha[(j, i)] = duals[j][next(iter(p.vertices[j] - shared))]
+    return alpha
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +184,7 @@ class TorusGraph:
             if len(rows) != self.n:
                 raise ValidationError(
                     f"axiom (2) fails: vertex {v} has valence {len(rows)}, expected {self.n}")
-            if intmat.det(rows) not in (1, -1):
+            if intmat.dual_basis(rows) is None:
                 raise ValidationError(
                     f"axiom (2) fails: weights at vertex {v} are not a Z-basis")
 
@@ -220,24 +233,15 @@ class TorusGraph:
 
 
 def torus_graph_from_pair(p: SimplePolytope, coloring: Coloring) -> TorusGraph:
-    """Torus graph of a Z-colored pair: weights are dual-basis rows per vertex."""
+    """Oriented torus graph of a Z-colored pair: weights are dual-basis rows
+    per vertex, and σ = +1 at the vertex with the smallest sorted facet set."""
     if coloring.target != "z":
         raise ValidationError("torus_graph_from_pair expects a Z coloring")
-    coloring.validate(p)
-    dual_rows: list[dict[int, Char]] = []
-    for v in p.vertices:
-        fs = sorted(v)
-        rows = [coloring.map[f] for f in fs]
-        dual = intmat.dual_basis(rows)
-        dual_rows.append({f: tuple(r) for f, r in zip(fs, dual)})
-    alpha: dict[tuple[int, int], Char] = {}
-    for i, j in p.edges():
-        shared = p.vertices[i] & p.vertices[j]
-        alpha[(i, j)] = dual_rows[i][next(iter(p.vertices[i] - shared))]
-        alpha[(j, i)] = dual_rows[j][next(iter(p.vertices[j] - shared))]
-    graph = TorusGraph(p.dim, len(p.vertices), alpha)
-    graph.validate()
-    return graph.orient()
+    graph = TorusGraph(p.dim, len(p.vertices), _edge_weights(p, coloring)).orient()
+    first = min(range(len(p.vertices)), key=lambda v: sorted(p.vertices[v]))
+    if graph.sigma[first] < 0:
+        graph.sigma = [-s for s in graph.sigma]
+    return graph
 
 
 def torus_polynomial(graph: TorusGraph) -> ExtPolynomial:

@@ -98,7 +98,7 @@ def integral_functional(vec: Sequence[int]) -> tuple[int, ...]:
             g = abs(v)
             u[i] = 1 if v > 0 else -1
             continue
-        new_g, x, y = _ext_gcd(g, abs(v))
+        new_g, x, y = ext_gcd(g, abs(v))
         # x*g + y*|v| = new_g; fold the old combination by x
         for j in range(i):
             u[j] *= x
@@ -110,8 +110,9 @@ def integral_functional(vec: Sequence[int]) -> tuple[int, ...]:
     return tuple(u)
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x·a + y·b = g, the extended Euclid recurrence."""
     if b == 0:
         return a, 1, 0
-    g, x, y = _ext_gcd(b, a % b)
+    g, x, y = ext_gcd(b, a % b)
     return g, y, x - (a // b) * y

@@ -18,7 +18,7 @@ from .algebra import ExtPolynomial, Gf2Polynomial, Polynomial
 from .bordism import BordismClass
 from .errors import InputFormatError
 from .graphs import ColoredGraph, TorusGraph
-from .localization import FixedPoint, FixedPointData, SymmetricFunction
+from .localization import FixedPoint, FixedPointData
 from .polytopes import Coloring, SimplePolytope
 
 GF2_RING = "gf2"
@@ -228,15 +228,3 @@ def fixed_point_data_from_obj(obj: Any) -> FixedPointData:
         points.append(FixedPoint(sign, weights))
     return FixedPointData(flavor, n, points)
 
-
-def symmetric_function_to_obj(f: SymmetricFunction) -> dict:
-    return {"monomial_partitions": [list(mu) for mu in f.partitions]}
-
-
-def symmetric_function_from_obj(obj: Any) -> SymmetricFunction:
-    raw = _need(obj, "monomial_partitions", list, "symmetric function")
-    for mu in raw:
-        if not isinstance(mu, list) or not all(
-                isinstance(x, int) and not isinstance(x, bool) for x in mu):
-            raise InputFormatError("monomial_partitions entries must be integer lists")
-    return SymmetricFunction([tuple(mu) for mu in raw])

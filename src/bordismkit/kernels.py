@@ -168,18 +168,6 @@ def _window_rows(monomials: list[Monomial],
         yield {star[:j] + star[j + 1:]: sign * (-1) ** j for j in range(n)}
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_s, old_t
-
-
 def _left_kernel(rows: Iterable[dict[Monomial, int]]) -> tuple[int, list[dict[int, int]]]:
     """Rank and an integral basis of {x : sum_i x_i row_i = 0}.
 
@@ -206,7 +194,7 @@ def _left_kernel(rows: Iterable[dict[Monomial, int]]) -> tuple[int, list[dict[in
                 _addmul(comb, pcomb, -q)
             else:
                 g = math.gcd(piv, val)
-                a, b = _xgcd(piv, val)
+                _, a, b = intmat.ext_gcd(piv, val)
                 u, v = -(val // g), piv // g  # second row of a unimodular 2x2
                 pivots[col] = (_combine(prow, row, a, b), _combine(pcomb, comb, a, b))
                 row = _combine(prow, row, u, v)

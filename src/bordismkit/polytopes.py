@@ -7,6 +7,9 @@ most 2 vertices, and the edge graph is n-regular and connected).
 
 Colorings assign a nonzero character to each facet so that the colors at
 every vertex form a basis — invertible over GF(2), determinant ±1 over Z.
+``Coloring.vertex_duals`` proves it by computing each vertex's dual basis
+(``gf2.inverse_transpose`` or ``intmat.dual_basis``), and the graph builders
+in :mod:`.graphs` read their edge weights off those same rows.
 The GF(2) coloring polynomial (sum over vertices of the product of incident
 facet colors) lives in the dual space; its dual is the edge-colored graph
 polynomial of the 1-skeleton.
@@ -177,24 +180,39 @@ class Coloring:
         self.map = {int(f): tuple(int(x) for x in c) for f, c in colors.items()}
 
     def validate(self, p: SimplePolytope) -> None:
+        self.vertex_duals(p)
+
+    def vertex_duals(self, p: SimplePolytope) -> list[dict[int, tuple[int, ...]]]:
+        """Validate the coloring of ``p`` and return, per vertex, its dual basis:
+        facet F at the vertex ↦ the row pairing to 1 with λ(F) and to 0 with
+        the other colors there.
+
+        The dual basis exists exactly when the colors form a basis, so this
+        one elimination per vertex is the basis test.
+        """
         n = p.dim
         if set(self.map) != set(range(p.num_facets)):
             raise ValidationError("coloring must cover every facet exactly once")
         check = algebra.check_char_gf2 if self.target == "gf2" else algebra.check_char_z
         for f, c in self.map.items():
             check(c, n)
+        duals: list[dict[int, tuple[int, ...]]] = []
         bad = []
         for i, v in enumerate(p.vertices):
-            rows = [self.map[f] for f in sorted(v)]
+            fs = sorted(v)
             if self.target == "gf2":
-                ok = gf2.is_invertible([gf2.pack(r) for r in rows], n)
+                dual = gf2.inverse_transpose([gf2.pack(self.map[f]) for f in fs], n)
+                rows = None if dual is None else [gf2.unpack(r, n) for r in dual]
             else:
-                ok = intmat.det([list(r) for r in rows]) in (1, -1)
-            if not ok:
+                rows = intmat.dual_basis([self.map[f] for f in fs])
+            if rows is None:
                 bad.append(i)
+            else:
+                duals.append(dict(zip(fs, rows)))
         if bad:
             raise ValidationError(
                 f"facet colors do not form a basis at vertices {bad}")
+        return duals
 
     def mod2(self) -> "Coloring":
         return Coloring("gf2", {f: algebra.char_mod2(c) for f, c in self.map.items()})

@@ -5,7 +5,7 @@
   each walks its own pivot dict and tracks its own combinations.
 * The adjugate inverse (n² Bareiss minors) and the determinant/rank
   faithfulness predicates that ``intmat.dual_basis`` and the per-ring dual
-  hooks replaced.
+  hooks replaced; the GF(2) predicate runs its own small rank.
 
 Kept verbatim as test oracles, so the library's shared routines are checked
 against code that does not use them.
@@ -125,11 +125,23 @@ def inverse_transpose_unimodular(mat):
     return [tuple(d * adj[i][j] for i in range(n)) for j in range(n)]
 
 
+def rank_gf2(rows):
+    """Rank of bitset rows: clear each pivot's lowest bit from the rest."""
+    rows = list(rows)
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        if pivot:
+            low = pivot & -pivot
+            rows = [r ^ pivot if r & low else r for r in rows]
+            rank += 1
+    return rank
+
+
 def is_faithful_monomial_gf2(mono, n):
     if len(mono) != n:
         return False
-    rows = [gf2.pack(c) for c in mono]
-    return gf2.is_invertible(rows, n)
+    return rank_gf2(gf2.pack(c) for c in mono) == n
 
 
 def is_faithful_monomial_z(mono, n):

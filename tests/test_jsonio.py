@@ -7,7 +7,7 @@ from bordismkit.algebra import DUAL, ExtPolynomial, Gf2Polynomial
 from bordismkit.bordism import UNITARY, UNORIENTED, BordismClass
 from bordismkit.errors import InputFormatError, ValidationError
 from bordismkit.graphs import ColoredGraph, TorusGraph, one_skeleton, torus_graph_from_pair
-from bordismkit.localization import FixedPointData, SymmetricFunction
+from bordismkit.localization import FixedPointData
 from bordismkit.polytopes import (Coloring, product_of_simplices, simplex,
                                   standard_z_coloring)
 
@@ -224,16 +224,6 @@ def test_fixed_point_sign_defaults_to_plus_one():
     with pytest.raises(InputFormatError):
         jsonio.fixed_point_data_from_obj(
             {"flavor": "gf2", "n": 1, "points": [{"weights": [[1]], "sign": True}]})
-
-
-def test_symmetric_function_roundtrip():
-    f = SymmetricFunction([(2, 1), (3,), ()])
-    obj = jsonio.symmetric_function_to_obj(f)
-    value, text = roundtrip(obj, jsonio.symmetric_function_from_obj)
-    assert value == f
-    assert jsonio.canonical_dumps(jsonio.symmetric_function_to_obj(value)) == text
-    with pytest.raises(InputFormatError):
-        jsonio.symmetric_function_from_obj({"monomial_partitions": [3]})
 
 
 def test_canonical_dumps_is_deterministic():

@@ -1,6 +1,7 @@
 """Simple polytopes, colorings, products, and connected sums."""
 
 import random
+import re
 
 import pytest
 
@@ -61,9 +62,40 @@ def test_connected_sum_validates_pairing():
 
 
 def test_coloring_requires_basis_at_each_vertex():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError,
+                       match=r"^facet colors do not form a basis at vertices \[2\]$"):
         coloring_polynomial(simplex(2),
                             Coloring("gf2", {0: (1, 0), 1: (1, 0), 2: (0, 1)}))
+
+
+def test_coloring_rejections_come_in_order():
+    # facet cover, then characters, then every vertex without a basis; the
+    # graph builders raise what validate raises
+    from bordismkit.graphs import one_skeleton, torus_graph_from_pair
+    cases = [
+        ("gf2", {0: (1, 0), 1: (1, 0)},
+         "coloring must cover every facet exactly once"),
+        ("z", {0: (0, 0), 1: (0, 1), 3: (1, 1)},
+         "coloring must cover every facet exactly once"),
+        ("gf2", {0: (2, 0), 1: (1, 0), 2: (1, 0)},
+         "GF(2) character (2, 0) has entries outside {0,1}"),
+        ("z", {0: (1, 0), 1: (1, 0), 2: (0, 0)}, "zero character is not allowed"),
+        ("z", {0: (1, 0), 1: (1, 0), 2: (1, 1, 1)},
+         "character (1, 1, 1) does not have length 2"),
+        ("gf2", {0: (1, 0), 1: (1, 0), 2: (1, 0)},
+         "facet colors do not form a basis at vertices [0, 1, 2]"),
+        ("z", {0: (1, 0), 1: (0, 1), 2: (1, 0)},
+         "facet colors do not form a basis at vertices [1]"),
+        ("z", {0: (1, 0), 1: (0, 1), 2: (2, 2)},
+         "facet colors do not form a basis at vertices [0, 1]"),
+    ]
+    p = simplex(2)
+    for target, colors, message in cases:
+        lam = Coloring(target, colors)
+        build = one_skeleton if target == "gf2" else torus_graph_from_pair
+        for run in (lam.validate, lambda q: build(q, lam)):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                run(p)
 
 
 def test_rp2_coloring_polynomial():
