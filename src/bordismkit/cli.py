@@ -103,6 +103,7 @@ def _cmd_torus_poly(args: argparse.Namespace) -> int:
         if isinstance(g, ColoredGraph):
             raise ValidationError(
                 "input is a GF(2)-colored graph; use the poly-of-graph verb")
+        g.validate()
     else:
         p, coloring = jsonio.polytope_from_obj(obj)
         if coloring is None or coloring.target != "z":

@@ -21,8 +21,11 @@ graphs it yields satisfy the axioms by construction: a dual basis is a
 basis, and along an edge both end weights and the differences of the dual
 rows of each shared facet annihilate the n−1 shared colors, so they are
 multiples of one primitive vector.  Derived graphs are therefore not
-validated again; ``validate`` is for graphs read from outside, and tests
-their vertex bases with the same dual-basis routines.
+validated again; ``validate`` is for graphs read from outside.  There the
+dual basis at each vertex is again the whole proof: it exists exactly when
+the weights form a basis, and the dual row φ for the weight of an edge
+(φ·α(e) = 1) reduces both ends' weights modulo α(e) for the congruence
+axiom.  A σ read from outside is checked against the orientation relation.
 
 The torus polynomial of an oriented graph is Σ_v σ(v)·(wedge of the vertex
 weights written in det-normalized order); on canonical monomials the vertex
@@ -63,35 +66,41 @@ class ColoredGraph:
                 raise ValidationError(f"edge {sorted(e)} references an unknown vertex")
             self.alpha[e] = algebra.check_char_gf2(tuple(c), self.n)
 
-    def incident(self, v: int) -> list[frozenset[int]]:
-        return sorted((e for e in self.alpha if v in e), key=sorted)
-
     def validate(self) -> None:
         """Check n-regularity and properties (P1), (P2)."""
-        for v in range(self.num_vertices):
-            edges = self.incident(v)
-            if len(edges) != self.n:
+        self._vertex_colors()
+
+    def _vertex_colors(self) -> list[list[Char]]:
+        """Each vertex's incident colors in neighbor order, once (P1) and
+        (P2) hold; raises at the first failure."""
+        nbrs: list[list[tuple[int, Char]]] = [[] for _ in range(self.num_vertices)]
+        for e, c in self.alpha.items():
+            u, v = e
+            nbrs[u].append((v, c))
+            nbrs[v].append((u, c))
+        colors = [[c for _, c in sorted(row)] for row in nbrs]
+        packed = []
+        for v, cs in enumerate(colors):
+            if len(cs) != self.n:
                 raise ValidationError(
-                    f"(P1) fails: vertex {v} has degree {len(edges)}, expected {self.n}")
-            rows = [gf2.pack(self.alpha[e]) for e in edges]
+                    f"(P1) fails: vertex {v} has degree {len(cs)}, expected {self.n}")
+            rows = [gf2.pack(c) for c in cs]
             if gf2.inverse_transpose(rows, self.n) is None:
                 raise ValidationError(
                     f"(P1) fails: edge colors at vertex {v} are not a basis")
-        for e in self.alpha:
+            packed.append(rows)
+        for e, c in self.alpha.items():
             u, v = sorted(e)
-            a = gf2.pack(self.alpha[e])
-            left = sorted(min(x, x ^ a) for x in
-                          (gf2.pack(self.alpha[f]) for f in self.incident(u)))
-            right = sorted(min(x, x ^ a) for x in
-                           (gf2.pack(self.alpha[f]) for f in self.incident(v)))
+            a = gf2.pack(c)
+            left = sorted(min(x, x ^ a) for x in packed[u])
+            right = sorted(min(x, x ^ a) for x in packed[v])
             if left != right:
                 raise ValidationError(
                     f"(P2) fails along edge {u}-{v}: color multisets differ mod alpha(e)")
+        return colors
 
     def coloring_polynomial(self) -> Gf2Polynomial:
-        self.validate()
-        monos = [tuple(self.alpha[e] for e in self.incident(v))
-                 for v in range(self.num_vertices)]
+        monos = [tuple(cs) for cs in self._vertex_colors()]
         return Gf2Polynomial(self.n, monos, space=algebra.PRIMAL)
 
 
@@ -169,26 +178,35 @@ class TorusGraph:
         return out
 
     def validate(self) -> None:
-        """Torus graph axioms: reversal signs, vertex bases, congruence matching.
+        """Torus graph axioms: reversal signs, vertex bases, congruence
+        matching, and the orientation relation when σ is set.
 
-        Congruence compares canonical representatives x − φ(x)·α(e) of the
-        weights in Z^n / Z·α(e), for one functional φ with φ(α(e)) = 1 per edge.
+        The dual basis of each vertex's weights is the basis proof, and its
+        row φ for α(u, v) (φ·α(u, v) = 1) gives the canonical representatives
+        x − φ(x)·α(u, v) of the weights in Z^n / Z·α(u, v) that congruence
+        compares.  σ is checked here because graphs read from outside carry
+        it; derived graphs satisfy the relation by construction.
         """
         for (u, v), a in self.alpha.items():
             back = self.alpha[(v, u)]
             if back != a and back != tuple(-x for x in a):
                 raise ValidationError(
                     f"axiom (1) fails: alpha({v},{u}) is not ±alpha({u},{v})")
-        weights = [[self.alpha[e] for e in edges] for edges in self._out_edges()]
-        for v, rows in enumerate(weights):
+        weights: list[list[Char]] = []
+        duals: list[dict[int, Char]] = []
+        for v, edges in enumerate(self._out_edges()):
+            rows = [self.alpha[e] for e in edges]
             if len(rows) != self.n:
                 raise ValidationError(
                     f"axiom (2) fails: vertex {v} has valence {len(rows)}, expected {self.n}")
-            if intmat.dual_basis(rows) is None:
+            dual = intmat.dual_basis(rows)
+            if dual is None:
                 raise ValidationError(
                     f"axiom (2) fails: weights at vertex {v} are not a Z-basis")
+            weights.append(rows)
+            duals.append({w: phi for (_, w), phi in zip(edges, dual)})
 
-        def residues(xs: list[Char], a: Char, phi: tuple[int, ...]) -> list[Char]:
+        def residues(xs: list[Char], a: Char, phi: Char) -> list[Char]:
             out = []
             for x in xs:
                 k = sum(map(operator.mul, phi, x))
@@ -198,12 +216,18 @@ class TorusGraph:
         for (u, v), a in self.alpha.items():
             if u > v:
                 continue
-            phi = intmat.integral_functional(a)
-            left = residues(weights[u], a, phi)
-            right = residues(weights[v], a, phi)
-            if left != right:
+            phi = duals[u][v]
+            if residues(weights[u], a, phi) != residues(weights[v], a, phi):
                 raise ValidationError(
                     f"axiom (3) fails along edge {u}-{v}: no color bijection mod alpha(e)")
+        if self.sigma is None:
+            return
+        for (u, v), a in self.alpha.items():
+            su, sv = self.sigma[u], self.sigma[v]
+            if u < v and [su * x for x in a] != [-sv * x for x in self.alpha[(v, u)]]:
+                raise ValidationError(
+                    f"orientation fails along edge {u}-{v}: "
+                    f"sigma({u})alpha({u},{v}) is not -sigma({v})alpha({v},{u})")
 
     def orient(self) -> "TorusGraph":
         """Compute σ by constraint propagation, σ(vertex 0) = +1.
@@ -228,8 +252,12 @@ class TorusGraph:
                     stack.append(v)
         if len(sigma) != self.num_vertices:
             raise ValidationError("torus graph is not connected")
-        return TorusGraph(self.n, self.num_vertices, self.alpha,
-                          [sigma[v] for v in range(self.num_vertices)])
+        # the weights passed the constructor's checks already
+        oriented = TorusGraph.__new__(TorusGraph)
+        oriented.n, oriented.num_vertices = self.n, self.num_vertices
+        oriented.alpha = dict(self.alpha)
+        oriented.sigma = [sigma[v] for v in range(self.num_vertices)]
+        return oriented
 
 
 def torus_graph_from_pair(p: SimplePolytope, coloring: Coloring) -> TorusGraph:

@@ -2,15 +2,13 @@
 
 Everything here is exact: Bareiss elimination for determinants, one
 fraction-free Gauss–Jordan elimination for the dual basis of a unimodular
-matrix (and the test that it is unimodular), and an integral functional φ
-with φ(v) = 1 for a primitive vector v (used by the torus-graph congruence
-axiom).  Matrices are tuples of int tuples; sizes are tiny (rank ≤ 6), so
-clarity wins over speed.
+matrix (and the test that it is unimodular), and the extended Euclid
+recurrence.  Matrices are tuples of int tuples; sizes are tiny (rank ≤ 6),
+so clarity wins over speed.
 """
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Sequence
 
 Matrix = Sequence[Sequence[int]]
@@ -72,42 +70,6 @@ def dual_basis(mat: Matrix) -> list[tuple[int, ...]] | None:
     if prev not in (1, -1):
         return None
     return [tuple(prev * a[i][n + j] for i in range(n)) for j in range(n)]
-
-
-def is_primitive(vec: Sequence[int]) -> bool:
-    g = 0
-    for v in vec:
-        g = gcd(g, v)
-    return g == 1
-
-
-def integral_functional(vec: Sequence[int]) -> tuple[int, ...]:
-    """An integer vector u with u·vec = 1, for primitive vec.
-
-    Built coordinate by coordinate with the extended Euclid recurrence.
-    """
-    if not is_primitive(vec):
-        raise ValueError("vector is not primitive")
-    n = len(vec)
-    u = [0] * n
-    g = 0
-    for i, v in enumerate(vec):
-        if v == 0:
-            continue
-        if g == 0:
-            g = abs(v)
-            u[i] = 1 if v > 0 else -1
-            continue
-        new_g, x, y = ext_gcd(g, abs(v))
-        # x*g + y*|v| = new_g; fold the old combination by x
-        for j in range(i):
-            u[j] *= x
-        u[i] = y if v > 0 else -y
-        g = new_g
-        if g == 1:
-            break
-    assert sum(a * b for a, b in zip(u, vec)) == 1
-    return tuple(u)
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:

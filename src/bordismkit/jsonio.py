@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from . import algebra, bordism, localization
+from . import bordism
 from .algebra import ExtPolynomial, Gf2Polynomial, Polynomial
 from .bordism import BordismClass
 from .errors import InputFormatError

@@ -77,10 +77,7 @@ class SymmetricFunction:
     def evaluate(self, forms: Sequence[MPoly], nv: int, ring: str) -> MPoly:
         out = MPoly.zero(nv, ring)
         for mu in self.partitions:
-            if not mu:
-                out = out + MPoly.constant(nv, ring, 1)
-            else:
-                out = out + mvpoly.eval_monomial_symmetric(mu, forms, nv, ring)
+            out = out + mvpoly.eval_monomial_symmetric(mu, forms, nv, ring)
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -272,7 +269,18 @@ def _sum_is_polynomial(data: FixedPointData, f: SymmetricFunction, signed: bool)
     num = _localization_numerator(
         loc, lambda g: f.evaluate(loc.forms[g], loc.n, loc.ring) * loc.cofactors[g],
         loc.signed if signed else loc.bare)
-    return all(mvpoly.divides_linear(form, num) for form in loc.factors)
+    return _divide_out(num, loc.factors) is not None
+
+
+def _divide_out(num: MPoly, factors: Sequence[MPoly]) -> MPoly | None:
+    """num / (product of the factors), dividing by one factor at a time;
+    None at the first nonzero remainder.  The factors are pairwise coprime
+    linear forms, so this decides divisibility by their product."""
+    for form in factors:
+        num, rem = mvpoly.divmod_linear(num, form)
+        if not rem.is_zero():
+            return None
+    return num
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +342,7 @@ class Gf2IntegralityTable:
                 (forms[c] for c in chars if c not in mono), n, ring)
             point_forms = [forms[c] for c in mono]
             for mu in self.partitions:
-                if not mu:
-                    value = MPoly.constant(n, ring, 1)
-                else:
-                    value = mvpoly.eval_monomial_symmetric(mu, point_forms, n, ring)
-                term = value * cofactor
+                term = mvpoly.eval_monomial_symmetric(mu, point_forms, n, ring) * cofactor
                 bits = 0
                 for c in chars:
                     _, rem = mvpoly.divmod_linear(term, forms[c])
@@ -390,11 +394,9 @@ def equivariant_chern_number(data: FixedPointData, i: int, j: int) -> ChernNumbe
         raise ValidationError("e2 needs at least two weights per point")
     loc = _localization(data)
     num = _localization_numerator(loc, lambda g: loc.chern_term(g, i, j), loc.signed)
-    quo = num
-    for form in loc.factors:
-        quo, rem = mvpoly.divmod_linear(quo, form)
-        if not rem.is_zero():
-            return ChernNumber(i, j, False, False, None, None)
+    quo = _divide_out(num, loc.factors)
+    if quo is None:
+        return ChernNumber(i, j, False, False, None, None)
     return ChernNumber(i, j, True, quo.has_integer_coeffs(), quo, quo.constant_value())
 
 

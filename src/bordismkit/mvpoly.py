@@ -268,10 +268,6 @@ def divmod_linear(p: MPoly, form: MPoly) -> tuple[MPoly, MPoly]:
             _from_dict(p.nv, p.ring, buckets.get(0, {}), p._deg))
 
 
-def divides_linear(form: MPoly, p: MPoly) -> bool:
-    return divmod_linear(p, form)[1].is_zero()
-
-
 # ---------------------------------------------------------------------------
 # symmetric function evaluation
 

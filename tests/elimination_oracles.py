@@ -6,13 +6,19 @@
 * The adjugate inverse (n² Bareiss minors) and the determinant/rank
   faithfulness predicates that ``intmat.dual_basis`` and the per-ring dual
   hooks replaced; the GF(2) predicate runs its own small rank.
+* The extended-Euclid functional φ with φ(v) = 1 for a primitive v, which
+  the torus-graph congruence axiom used before it read φ off the vertex
+  dual basis.
 
 Kept verbatim as test oracles, so the library's shared routines are checked
 against code that does not use them.
 """
 
+from math import gcd
+
 from bordismkit import algebra, gf2, intmat, kernels
 from bordismkit.algebra import PRIMAL, ExtPolynomial, Gf2Polynomial
+from bordismkit.intmat import ext_gcd
 
 
 def kernel_basis(n):
@@ -148,3 +154,39 @@ def is_faithful_monomial_z(mono, n):
     if len(mono) != n:
         return False
     return intmat.det(mono) in (1, -1)
+
+
+def is_primitive(vec):
+    g = 0
+    for v in vec:
+        g = gcd(g, v)
+    return g == 1
+
+
+def integral_functional(vec):
+    """An integer vector u with u·vec = 1, for primitive vec.
+
+    Built coordinate by coordinate with the extended Euclid recurrence.
+    """
+    if not is_primitive(vec):
+        raise ValueError("vector is not primitive")
+    n = len(vec)
+    u = [0] * n
+    g = 0
+    for i, v in enumerate(vec):
+        if v == 0:
+            continue
+        if g == 0:
+            g = abs(v)
+            u[i] = 1 if v > 0 else -1
+            continue
+        new_g, x, y = ext_gcd(g, abs(v))
+        # x*g + y*|v| = new_g; fold the old combination by x
+        for j in range(i):
+            u[j] *= x
+        u[i] = y if v > 0 else -y
+        g = new_g
+        if g == 1:
+            break
+    assert sum(a * b for a, b in zip(u, vec)) == 1
+    return tuple(u)

@@ -5,7 +5,7 @@ import random
 import elimination_oracles
 import pytest
 
-from bordismkit import algebra, bordism, kernels
+from bordismkit import algebra, kernels
 from bordismkit.algebra import ExtPolynomial, Gf2Polynomial
 from bordismkit.bordism import (BordismClass, UNITARY, UNORIENTED, add,
                                 multiply, reduce, surjectivity_probe,

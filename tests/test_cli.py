@@ -195,6 +195,27 @@ def test_torus_poly_from_graph_and_from_polytope():
     assert from_polytope.stdout == from_graph.stdout
 
 
+@pytest.mark.parametrize("graph, message", [
+    # weight 3 spans index 3 in Z at both vertices
+    ('{"n":1,"vertices":2,"edges":[{"u":0,"v":1,"alpha":[3]},'
+     '{"u":1,"v":0,"alpha":[-3]}],"sigma":[1,1]}',
+     "axiom (2) fails: weights at vertex 0 are not a Z-basis"),
+    # the CP^2 torus graph with sigma flipped at vertex 1
+    ('{"n":2,"vertices":3,"edges":[{"u":0,"v":1,"alpha":[-1,1]},'
+     '{"u":0,"v":2,"alpha":[-1,0]},{"u":1,"v":0,"alpha":[1,-1]},'
+     '{"u":1,"v":2,"alpha":[0,-1]},{"u":2,"v":0,"alpha":[1,0]},'
+     '{"u":2,"v":1,"alpha":[0,1]}],"sigma":[1,-1,1]}',
+     "orientation fails along edge 0-1: "
+     "sigma(0)alpha(0,1) is not -sigma(1)alpha(1,0)"),
+], ids=("index-3-weight", "flipped-sigma"))
+def test_torus_poly_validates_graph_input(graph, message):
+    r = run_cli("torus-poly", graph)
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    assert json.loads(r.stdout)["error"] == {"code": "validation-error",
+                                                 "message": message}
+
+
 def test_torus_poly_rejects_gf2_graphs():
     skel = one_skeleton(product_of_simplices((2,)), RP2_COLORING)
     r = run_cli("torus-poly", dumps(jsonio.colored_graph_to_obj(skel)).strip())

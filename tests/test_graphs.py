@@ -1,7 +1,9 @@
 """Edge-colored 1-skeletons and torus graphs."""
 
 import random
+from collections import Counter
 
+import elimination_oracles
 import pytest
 
 from bordismkit import algebra, gf2, intmat, jsonio
@@ -74,6 +76,36 @@ def test_dependent_colors_caught():
     with pytest.raises(ValidationError,
                        match=r"^\(P1\) fails: edge colors at vertex 1 are not a basis$"):
         ColoredGraph(2, 3, alpha).validate()
+
+
+def cube_skeleton_obj():
+    p = product_of_simplices((1, 1, 1))
+    return jsonio.colored_graph_to_obj(
+        one_skeleton(p, standard_z_coloring((1, 1, 1)).mod2()))
+
+
+def test_decoded_graph_messages_are_exact():
+    # edges come in sorted order: 0-1, 0-2, 0-4, 1-3, ..., 6-7
+    obj = cube_skeleton_obj()
+    jsonio.graph_from_obj(obj).validate()
+    cases = []
+    short = cube_skeleton_obj()
+    del short["edges"][0]
+    cases.append((short, "(P1) fails: vertex 0 has degree 2, expected 3"))
+    dependent = cube_skeleton_obj()
+    dependent["edges"][0]["alpha"] = [0, 1, 0]
+    cases.append((dependent, "(P1) fails: edge colors at vertex 0 are not a basis"))
+    mismatched = cube_skeleton_obj()
+    mismatched["edges"][11]["alpha"] = [1, 1, 1]
+    cases.append((mismatched, "(P2) fails along edge 2-6: "
+                              "color multisets differ mod alpha(e)"))
+    for bad, message in cases:
+        g = jsonio.graph_from_obj(bad)
+        assert isinstance(g, ColoredGraph)
+        for run in (g.validate, g.coloring_polynomial):
+            with pytest.raises(ValidationError) as exc:
+                run()
+            assert str(exc.value) == message
 
 
 def test_graphs_equivalent_is_polynomial_equality():
@@ -159,6 +191,113 @@ def test_congruence_axiom_enforced():
         TorusGraph(2, 3, alpha).validate()
 
 
+def test_orientation_relation_enforced():
+    g = torus_graph_from_pair(product_of_simplices((2,)), standard_z_coloring((2,)))
+    obj = jsonio.torus_graph_to_obj(g)
+    obj["sigma"] = [1, -1, 1]
+    bad = jsonio.graph_from_obj(obj)
+    with pytest.raises(ValidationError,
+                       match=r"^orientation fails along edge 0-1: "
+                             r"sigma\(0\)alpha\(0,1\) is not -sigma\(1\)alpha\(1,0\)$"):
+        bad.validate()
+    # a global flip keeps the relation
+    TorusGraph(g.n, g.num_vertices, g.alpha, [-s for s in g.sigma]).validate()
+
+
+def oracle_message(g):
+    """The first failing axiom of g, with the congruence functional from the
+    extended-Euclid oracle, the basis test by determinant, and σ checked by
+    the rule ``orient`` propagates; None if g passes."""
+    for (u, v), a in g.alpha.items():
+        back = g.alpha[(v, u)]
+        if back != a and back != tuple(-x for x in a):
+            return f"axiom (1) fails: alpha({v},{u}) is not ±alpha({u},{v})"
+    weights = []
+    for v in range(g.num_vertices):
+        rows = [g.alpha[(v, w)] for w in range(g.num_vertices) if (v, w) in g.alpha]
+        if len(rows) != g.n:
+            return f"axiom (2) fails: vertex {v} has valence {len(rows)}, expected {g.n}"
+        if not elimination_oracles.is_faithful_monomial_z(rows, g.n):
+            return f"axiom (2) fails: weights at vertex {v} are not a Z-basis"
+        weights.append(rows)
+    for (u, v), a in g.alpha.items():
+        if u > v:
+            continue
+        phi = elimination_oracles.integral_functional(a)
+
+        def residues(xs):
+            return sorted(tuple(xi - sum(f * y for f, y in zip(phi, x)) * ai
+                                for xi, ai in zip(x, a)) for x in xs)
+
+        if residues(weights[u]) != residues(weights[v]):
+            return f"axiom (3) fails along edge {u}-{v}: no color bijection mod alpha(e)"
+    if g.sigma is not None:
+        for (u, v), a in g.alpha.items():
+            eps = 1 if g.alpha[(v, u)] == a else -1
+            if u < v and g.sigma[v] != -eps * g.sigma[u]:
+                return (f"orientation fails along edge {u}-{v}: "
+                        f"sigma({u})alpha({u},{v}) is not -sigma({v})alpha({v},{u})")
+    return None
+
+
+def corrupt(g, rng):
+    """A copy of g with one corruption: a weight shifted or scaled (at one
+    end, or at both ends keeping the reversal sign), the out-weights of two
+    edges at a vertex swapped (their reversals following), or σ flipped at
+    one vertex."""
+    alpha, sigma = dict(g.alpha), list(g.sigma)
+    kind = rng.choice(("shift", "scale", "swap", "sigma") if g.n > 1
+                      else ("shift", "scale", "sigma"))
+    u, v = rng.choice(sorted(alpha))
+
+    def put(u, v, a, both):
+        sign = 1 if alpha[(v, u)] == alpha[(u, v)] else -1
+        alpha[(u, v)] = a
+        if both:
+            alpha[(v, u)] = tuple(sign * x for x in a)
+
+    if kind == "shift":
+        a = list(alpha[(u, v)])
+        a[rng.randrange(g.n)] += rng.choice((-2, -1, 1, 2))
+        if not any(a):
+            a[0] += 1
+        put(u, v, tuple(a), rng.random() < 0.7)
+    elif kind == "scale":
+        put(u, v, tuple(rng.choice((-2, 2, 3)) * x for x in alpha[(u, v)]),
+            rng.random() < 0.7)
+    elif kind == "swap":
+        w = rng.choice([e[1] for e in alpha if e[0] == u and e[1] != v])
+        a, b = alpha[(u, v)], alpha[(u, w)]
+        put(u, v, b, True)
+        put(u, w, a, True)
+    else:
+        x = rng.randrange(g.num_vertices)
+        sigma[x] = -sigma[x]
+    return kind, TorusGraph(g.n, g.num_vertices, alpha, sigma)
+
+
+def test_validate_matches_the_congruence_oracle_on_corrupted_graphs():
+    rng = random.Random(1212)
+    seen = Counter()
+    for shape in SHAPES:
+        p = product_of_simplices(shape)
+        for _ in range(55):
+            kind, bad = corrupt(torus_graph_from_pair(p, random_z_coloring(shape, rng)), rng)
+            want = oracle_message(bad)
+            try:
+                bad.validate()
+                got = None
+            except ValidationError as exc:
+                got = str(exc)
+            assert got == want, (shape, kind, bad.alpha, bad.sigma)
+            seen[kind, want and want.split(" fails")[0]] += 1
+    heads = {head for _, head in seen}
+    assert {"axiom (1)", "axiom (2)", "axiom (3)", "orientation"} <= heads
+    # a flipped σ breaks only the orientation relation
+    assert {head for kind, head in seen if kind == "sigma"} == {"orientation"}
+    assert sum(seen.values()) == 55 * len(SHAPES)
+
+
 def test_orient_flips_are_global():
     # re-orienting an already-oriented graph reproduces sigma up to nothing:
     # sigma(0) is pinned to +1
@@ -211,10 +350,18 @@ def test_vertex_bases_are_proved_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     p, lam = product_of_simplices((2, 1)), standard_z_coloring((2, 1))
     mod2 = lam.mod2()
-    torus_graph_from_pair(p, lam)
+    torus = torus_graph_from_pair(p, lam)
     assert calls == {"det": 0, "dual_basis": 6, "inverse_transpose": 0, "rank": 0}
     calls.update(dict.fromkeys(calls, 0))
-    one_skeleton(p, mod2)
+    skeleton = one_skeleton(p, mod2)
+    assert calls == {"det": 0, "dual_basis": 0, "inverse_transpose": 6, "rank": 0}
+    # validation proves each vertex basis once more, and its dual rows give
+    # the congruence functionals
+    calls.update(dict.fromkeys(calls, 0))
+    torus.validate()
+    assert calls == {"det": 0, "dual_basis": 6, "inverse_transpose": 0, "rank": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    skeleton.validate()
     assert calls == {"det": 0, "dual_basis": 0, "inverse_transpose": 6, "rank": 0}
 
 

@@ -3,7 +3,6 @@
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
