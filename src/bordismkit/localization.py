@@ -19,7 +19,8 @@ and kept in its private ``_memo``: the canonical factors of D, the points
 folded by equal weights (each with its summed units and signed units), each
 folded point's linear forms and cofactor D/chi_p, and for Chern numbers the
 ladders cof*e1^i and e2^j, grown only as far as the indices asked for.  A
-Chern number then costs one product per folded point plus the divisions.
+numerator is one ``mvpoly.combination`` pass over a factor pair per folded
+point, so a Chern number costs that pass plus the divisions.
 This is safe because the points are an immutable tuple fixed at
 construction, the memo lives and dies with its data object (there is no
 module-level cache), and every returned polynomial is a fresh sum, never a
@@ -218,26 +219,25 @@ class _Localization:
             own = {_canonical_char(w, ring)[0] for w in weights}
             self.cofactors.append(mvpoly.product(
                 (by_char[c] for c in ordered if c not in own), n, ring))
-        # per folded point (e1, [cof * e1^i], [e2^(j+1)]), on the first Chern number
+        # per folded point (e1, [cof * e1^i], [e2^j]), on the first Chern number
         self._ladders: list[tuple[MPoly, list[MPoly], list[MPoly]]] | None = None
 
-    def chern_term(self, g: int, i: int, j: int) -> MPoly:
-        """cof_g * e1^i * e2^j at folded point g; the ladders grow on demand."""
+    def chern_term(self, g: int, i: int, j: int) -> tuple[MPoly, MPoly]:
+        """(cof_g * e1^i, e2^j) at folded point g; the ladders grow on demand."""
         if self._ladders is None:
+            one = MPoly.constant(self.n, self.ring, 1)
             self._ladders = [
-                (mvpoly.eval_monomial_symmetric((1,), forms, self.n, self.ring), [cof], [])
+                (mvpoly.eval_monomial_symmetric((1,), forms, self.n, self.ring), [cof], [one])
                 for forms, cof in zip(self.forms, self.cofactors)]
         e1, up, e2 = self._ladders[g]
         while len(up) <= i:
             up.append(up[-1] * e1)
-        if not j:
-            return up[i]
-        if not e2:
+        if j and len(e2) == 1:
             e2.append(mvpoly.eval_monomial_symmetric((1, 1), self.forms[g],
                                                      self.n, self.ring))
-        while len(e2) < j:
-            e2.append(e2[-1] * e2[0])
-        return up[i] * e2[j - 1]
+        while len(e2) <= j:
+            e2.append(e2[-1] * e2[1])
+        return up[i], e2[j]
 
 
 def _localization(data: FixedPointData) -> _Localization:
@@ -249,15 +249,10 @@ def _localization(data: FixedPointData) -> _Localization:
 
 
 def _localization_numerator(loc: _Localization, term, coeffs: Sequence[int]) -> MPoly:
-    """N = sum_p coeff_p * term(p), with term(p) = value_p * (D / chi_p).
-
-    Folded points whose coefficient cancels to 0 are skipped.
-    """
-    num = MPoly.zero(loc.n, loc.ring)
-    for g, k in enumerate(coeffs):
-        if k:
-            num = num + term(g).scale(k)
-    return num
+    """N = sum_p coeff_p * a_p * b_p in one pass, where a_p * b_p = value_p * D/chi_p
+    for term(p) = (a_p, b_p); points whose coefficient cancels to 0 are skipped."""
+    return mvpoly.combination(((k, *term(g)) for g, k in enumerate(coeffs) if k),
+                              loc.n, loc.ring)
 
 
 def _sum_is_polynomial(data: FixedPointData, f: SymmetricFunction, signed: bool) -> bool:
@@ -267,7 +262,7 @@ def _sum_is_polynomial(data: FixedPointData, f: SymmetricFunction, signed: bool)
             f"symmetric function needs {f.max_parts()} variables, data has {data.n}")
     loc = _localization(data)
     num = _localization_numerator(
-        loc, lambda g: f.evaluate(loc.forms[g], loc.n, loc.ring) * loc.cofactors[g],
+        loc, lambda g: (f.evaluate(loc.forms[g], loc.n, loc.ring), loc.cofactors[g]),
         loc.signed if signed else loc.bare)
     return _divide_out(num, loc.factors) is not None
 
@@ -321,8 +316,9 @@ class Gf2IntegralityTable:
     Those remainders depend only on (monomial, partition, factor), so they
     are precomputed once: one int per (monomial, partition) holds a bit per
     (factor, remainder monomial), so the factors fill disjoint bits and the
-    XOR of those ints is every per-factor XOR at once.  A query is one XOR
-    per monomial and one test for zero, and agrees with
+    XOR of those ints is every per-factor XOR at once.  Only m's own factors
+    are divided, since every other one divides D/χ_m and leaves remainder 0.
+    A query is one XOR per monomial and one test for zero, and agrees with
     ``integrality_check_gf2`` on every input (the extra factors of D are
     units for the divisibility questions asked).
     """
@@ -344,7 +340,7 @@ class Gf2IntegralityTable:
             for mu in self.partitions:
                 term = mvpoly.eval_monomial_symmetric(mu, point_forms, n, ring) * cofactor
                 bits = 0
-                for c in chars:
+                for c in mono:      # every other form divides the cofactor
                     _, rem = mvpoly.divmod_linear(term, forms[c])
                     for e in rem.terms:
                         bits |= 1 << index.setdefault((c, e), len(index))
@@ -373,7 +369,7 @@ class ChernNumber(NamedTuple):
     is_polynomial: bool
     integral: bool
     value: MPoly | None      # the simplified sum when it is a polynomial
-    constant: object | None  # its value when moreover constant
+    constant: object | None  # its value when constant: int if integral, else Fraction
 
     def is_zero(self) -> bool:
         return self.is_polynomial and self.value.is_zero()
@@ -397,7 +393,10 @@ def equivariant_chern_number(data: FixedPointData, i: int, j: int) -> ChernNumbe
     quo = _divide_out(num, loc.factors)
     if quo is None:
         return ChernNumber(i, j, False, False, None, None)
-    return ChernNumber(i, j, True, quo.has_integer_coeffs(), quo, quo.constant_value())
+    integral, constant = quo.has_integer_coeffs(), quo.constant_value()
+    if integral and constant is not None:   # an int whatever the pivot leads were
+        constant = int(constant)
+    return ChernNumber(i, j, True, integral, quo, constant)
 
 
 def vanishing_test(g: ExtPolynomial, degree_cap: int | None = None) -> bool:

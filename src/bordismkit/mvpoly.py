@@ -18,9 +18,8 @@ it never reaches the polynomial (or a memo that holds it).
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ValidationError
 
@@ -133,29 +132,7 @@ class MPoly:
 
     def __mul__(self, other: "MPoly") -> "MPoly":
         self._check(other)
-        deg = _check_degree(self._deg + other._deg)
-        acc: dict[int, object] = {}
-        get = acc.get
-        if self.ring == GF2:
-            for k1 in self._terms:
-                for k2 in other._terms:
-                    k = k1 + k2
-                    acc[k] = get(k, 0) ^ 1
-        else:
-            right = list(other._terms.items())
-            for k1, c1 in self._terms.items():
-                for k2, c2 in right:
-                    k = k1 + k2
-                    acc[k] = get(k, 0) + c1 * c2
-        return _from_dict(self.nv, self.ring, {k: c for k, c in acc.items() if c}, deg)
-
-    def scale(self, k) -> "MPoly":
-        if self.ring == GF2:
-            return self if int(k) & 1 else MPoly.zero(self.nv, self.ring)
-        if not k:
-            return MPoly.zero(self.nv, self.ring)
-        return _from_dict(self.nv, self.ring,
-                          {e: c * k for e, c in self._terms.items()}, self._deg)
+        return combination(((1, self, other),), self.nv, self.ring)
 
     # -- predicates --------------------------------------------------------
 
@@ -189,12 +166,6 @@ class MPoly:
             return self._terms[0]
         return None
 
-    def homogeneous_degree(self) -> int | None:
-        degs = {sum(_unpack(k, self.nv)) for k in self._terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
     def has_integer_coeffs(self) -> bool:
         return all(Fraction(c).denominator == 1 for c in self._terms.values())
 
@@ -215,6 +186,34 @@ def product(factors: Iterable[MPoly], nv: int, ring: str) -> MPoly:
     return out
 
 
+def combination(terms: Iterable[tuple[object, MPoly, MPoly]], nv: int, ring: str) -> MPoly:
+    """The sum of k*a*b over (k, a, b) triples, accumulated in one dict: the
+    one multiplication loop (``a * b`` is the triple (1, a, b)).  A zero k
+    (even, over GF(2)) adds nothing; cancelled terms are dropped at the end."""
+    gf2 = _check_ring(ring) == GF2
+    acc: dict[int, object] = {}
+    get = acc.get
+    deg = 0
+    for k, a, b in terms:
+        if a.nv != nv or b.nv != nv or a.ring != ring or b.ring != ring:
+            raise ValidationError("polynomials live in different rings")
+        k = int(k) & 1 if gf2 else k    # over GF(2) every stored coefficient is 1
+        if not k:
+            continue
+        deg = max(deg, _check_degree(a._deg + b._deg))
+        if len(a._terms) > len(b._terms):
+            a, b = b, a             # the shorter operand drives the outer loop
+        right = list(b._terms.items())
+        for k1, c1 in a._terms.items():
+            if k != 1:
+                c1 = k * c1
+            for k2, c2 in right:
+                key = k1 + k2
+                acc[key] = get(key, 0) + c1 * c2
+    return _from_dict(nv, ring, {key: c & 1 if gf2 else c for key, c in acc.items()
+                                 if (c & 1 if gf2 else c)}, deg)
+
+
 # ---------------------------------------------------------------------------
 # division by linear forms
 
@@ -224,7 +223,7 @@ def divmod_linear(p: MPoly, form: MPoly) -> tuple[MPoly, MPoly]:
 
     The division runs with respect to the first variable the form mentions
     (the pivot); the remainder is then free of that variable, so ``r == 0``
-    decides divisibility.  Over Q the quotient lives in Fraction.
+    decides divisibility.  A pivot coefficient other than 1 gives Fractions.
 
     One pass: p's terms are bucketed by their pivot exponent and the buckets
     are walked from the top down.  A term c*x^e in bucket d gives the
@@ -234,7 +233,8 @@ def divmod_linear(p: MPoly, form: MPoly) -> tuple[MPoly, MPoly]:
     remainder.
     """
     p._check(form)
-    if form.homogeneous_degree() != 1:
+    # each key of a linear form is one bit, at the bottom of a variable's field
+    if not form._terms or any(k & (k - 1) or (k.bit_length() - 1) % W for k in form._terms):
         raise ValidationError("divisor must be a nonzero linear form")
     one = min(form._terms)          # x_pivot: the lowest variable has the lowest key
     shift = one.bit_length() - 1
@@ -252,7 +252,7 @@ def divmod_linear(p: MPoly, form: MPoly) -> tuple[MPoly, MPoly]:
         below = buckets.setdefault(d - 1, {})
         for k, c in here.items():
             # exact either way; c / lead on an int c would give a float
-            factor = c if gf2 else c / lead if type(c) is Fraction else Fraction(c, lead)
+            factor = c if lead == 1 else c / lead if type(c) is Fraction else Fraction(c, lead)
             qk = k - one
             quo[qk] = factor
             for a_k, a in rest:
@@ -286,26 +286,37 @@ def eval_monomial_symmetric(mu: Sequence[int], forms: Sequence[MPoly],
     if len(mu) > k:
         raise ValidationError(
             f"partition {mu} has more parts than the {k} available variables")
-    padded = mu + (0,) * (k - len(mu))
-    out = MPoly.zero(nv, ring)
-    powers: list[dict[int, MPoly]] = []
-    for f in forms:
-        cache = {0: MPoly.constant(nv, ring, 1)}
-        powers.append(cache)
+    one = MPoly.constant(nv, ring, 1)
+    powers = [[f] for f in forms]   # powers[i][d - 1] = forms[i]^d; every
+    for cache in powers:            # slot takes the top part in some arrangement
+        while len(cache) < max(mu, default=1):
+            cache.append(cache[-1] * cache[0])
 
-    def power(i: int, d: int) -> MPoly:
-        cache = powers[i]
-        if d not in cache:
-            cache[d] = power(i, d - 1) * forms[i]
-        return cache[d]
+    def triple(arrangement: Expt) -> tuple[int, MPoly, MPoly]:
+        head, *rest = [powers[i][d - 1] for i, d in enumerate(arrangement) if d] or [one]
+        while len(rest) > 1:
+            head = head * rest.pop()
+        return 1, head, rest[0] if rest else one
 
-    for arrangement in set(itertools.permutations(padded)):
-        term = MPoly.constant(nv, ring, 1)
-        for i, d in enumerate(arrangement):
-            if d:
-                term = term * power(i, d)
-        out = out + term
-    return out
+    return combination(map(triple, _rearrangements(mu + (0,) * (k - len(mu)))), nv, ring)
+
+
+def _rearrangements(values: Sequence[int]) -> Iterator[Expt]:
+    """Each distinct rearrangement of ``values`` once, in lexicographic order
+    (the next-permutation walk from the sorted tuple)."""
+    a = sorted(values)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
 
 
 def partitions_up_to(max_degree: int, max_parts: int) -> list[tuple[int, ...]]:

@@ -3,10 +3,12 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from bordismkit import algebra, kernels, mvpoly
+import localization_oracles
+from bordismkit import algebra, bott, kernels, mvpoly
 from bordismkit.algebra import ExtPolynomial, Gf2Polynomial
 from bordismkit.errors import ValidationError
 from bordismkit.graphs import torus_graph_from_pair, torus_polynomial
@@ -235,22 +237,29 @@ def counting(monkeypatch, *names):
 
 def test_localization_reaches_mvpoly_through_the_module(monkeypatch):
     # layer counts are read off wrappers on mvpoly's attributes; a private
-    # shortcut around them would silently zero those counts
-    calls = counting(monkeypatch, "divmod_linear", "product")
+    # shortcut around them would silently zero those counts.  Every product,
+    # ``*`` included, is one call of the accumulator ``combination``, and
+    # each localization numerator is exactly one more.
+    calls = counting(monkeypatch, "divmod_linear", "product", "combination")
     # CP^2 has three points and three canonical weight forms: x0, x1, x0 - x1
     data = FixedPointData.from_polynomial(CP2)
     assert equivariant_chern_number(data, 2, 0).constant == 9
-    assert calls == {"divmod_linear": 3, "product": 3}  # one cofactor per point
+    # one cofactor per point (3 products, one form each), 3 e1, 6 ladder
+    # steps cof*e1^i for i = 1, 2, and the numerator
+    assert calls == {"divmod_linear": 3, "product": 3, "combination": 13}
     assert equivariant_chern_number(data, 0, 1).constant == 3
-    assert calls == {"divmod_linear": 6, "product": 3}
+    assert calls == {"divmod_linear": 6, "product": 3, "combination": 17}  # 3 e2 + 1
     assert integrality_check_z(data, SymmetricFunction.elementary(2))
-    assert calls["divmod_linear"] == 9
+    assert calls["divmod_linear"] == 9 and calls["combination"] == 21
     rp2 = FixedPointData.from_polynomial(RP2)
     assert integrality_check_gf2(rp2, SymmetricFunction.one())
-    assert calls == {"divmod_linear": 12, "product": 6}
+    # 3 cofactors, m_() = 1 at each point (one empty arrangement), the numerator
+    assert calls == {"divmod_linear": 12, "product": 6, "combination": 28}
     Gf2IntegralityTable(2, [(), (1,)])
-    # 3 faithful monomials x 2 partitions x 3 factors, one cofactor each
-    assert calls == {"divmod_linear": 30, "product": 9}
+    # 3 faithful monomials x 2 partitions x 2 own factors: the third form
+    # divides the monomial's cofactor, so it is not divided (it was 30);
+    # per monomial its cofactor, m_() and m_() * cof, m_(1) and m_(1) * cof
+    assert calls == {"divmod_linear": 24, "product": 9, "combination": 43}
 
 
 def test_chern_requires_z_flavor():
@@ -369,6 +378,94 @@ def test_integrality_checks_on_one_data_object_match_fresh_ones():
         assert (exact(equivariant_chern_number(data, 3, 0))
                 == exact(equivariant_chern_number(
                     FixedPointData("z", data.n, data.points), 3, 0)))
+
+
+# -- differential checks against the pre-accumulator algorithms -------------
+
+
+def torus_manifolds(n, rng):
+    """Fixed-point data of the standard and one random coloring of each shape."""
+    for shape in bott.partitions(n):
+        for coloring in (standard_z_coloring(shape), random_z_coloring(shape, rng)):
+            yield shape, fixed_point_data(shape, coloring)
+
+
+def random_signed_data(n, rng):
+    """Random signs on random unimodular weights: mostly not a manifold."""
+    points = []
+    for _ in range(rng.randint(1, 5)):
+        rows = [[rng.choice((1, -1)) * int(a == b) for b in range(n)] for a in range(n)]
+        for _ in range(2 * n if n > 1 else 0):
+            a, b = rng.sample(range(n), 2)
+            step = rng.choice((1, -1))
+            rows[a] = [x + step * y for x, y in zip(rows[a], rows[b])]
+        points.append(FixedPoint(rng.choice((1, -1)), tuple(map(tuple, rows))))
+    return FixedPointData("z", n, points)
+
+
+def assert_chern_matches_oracle(data, indices):
+    outcomes = set()
+    for i, j in indices:
+        r = equivariant_chern_number(data, i, j)
+        got = (r.is_polynomial, r.integral,
+               None if r.value is None else r.value.terms, r.constant)
+        assert got == localization_oracles.chern_number(data, i, j), (data.points, i, j)
+        if r.constant is not None:
+            assert type(r.constant) is (int if r.integral else Fraction)
+        outcomes.add(r.is_polynomial)
+    return outcomes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_chern_numbers_match_the_summand_loop(n):
+    # rank 4 only up to degree n: above it one sum costs seconds in the oracle
+    rng = random.Random(131 + n)
+    indices = [(i, j) for i, j in sweep_indices(n) if n < 4 or i + 2 * j <= n]
+    for _, data in torus_manifolds(n, rng):
+        assert assert_chern_matches_oracle(data, indices) == {True}
+
+
+def test_chern_numbers_of_random_signed_data_match_the_summand_loop():
+    rng = random.Random(137)
+    outcomes = set()
+    for k in range(45):
+        n = 1 + k % 3
+        outcomes |= assert_chern_matches_oracle(random_signed_data(n, rng), sweep_indices(n))
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_integrality_checks_match_the_summand_loop(n):
+    rng = random.Random(139 + n)
+    parts = [()] + mvpoly.partitions_up_to(n + 1, n)
+    for shape, data in torus_manifolds(n, rng):
+        reduced = FixedPointData.from_polynomial(algebra.mod2_reduce(
+            torus_polynomial(torus_graph_from_pair(product_of_simplices(shape),
+                                                   standard_z_coloring(shape)))))
+        for mu in parts:
+            f = SymmetricFunction.monomial(mu)
+            for signed in (False, True):
+                assert integrality_check_z(data, f, signed=signed) == \
+                    localization_oracles.sum_is_polynomial(data, [mu], signed), (shape, mu)
+            assert integrality_check_gf2(reduced, f) == \
+                localization_oracles.sum_is_polynomial(reduced, [mu]), (shape, mu)
+
+
+@pytest.mark.parametrize("n, degree", [(2, 4), (3, 6)])
+def test_batch_table_matches_the_table_over_every_factor(n, degree):
+    rng = random.Random(149)
+    parts = [()] + mvpoly.partitions_up_to(degree, n)
+    table = Gf2IntegralityTable(n, parts)
+    oracle = localization_oracles.Gf2IntegralityTable(n, parts)
+    monos = algebra.all_faithful_monomials_gf2(n)
+    verdicts = set()
+    for _ in range(30):
+        g = Gf2Polynomial(n, rng.sample(monos, rng.randint(1, min(8, len(monos)))))
+        for mu in parts:
+            want = oracle.passes(g, mu)
+            assert table.passes(g, mu) == want, (g, mu)
+            verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 # -- vanishing and support -----------------------------------------------------

@@ -1,10 +1,12 @@
 """Exact division of sparse polynomials by linear forms."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import localization_oracles
 from bordismkit import mvpoly
 from bordismkit.errors import ValidationError
 from bordismkit.mvpoly import GF2, Q, MPoly
@@ -67,6 +69,36 @@ def test_divmod_linear_rejects_non_linear_divisors():
         mvpoly.divmod_linear(p, MPoly(2, Q, {(1, 1): 1}))
     with pytest.raises(ValidationError):
         mvpoly.divmod_linear(p, MPoly.zero(2, Q))
+    for ring in (GF2, Q):
+        x = MPoly.linear((1, 0), ring)
+        for bad in (x + MPoly.constant(2, ring, 1), x * x):   # x + 1 and x^2
+            with pytest.raises(ValidationError, match="nonzero linear form"):
+                mvpoly.divmod_linear(MPoly(2, ring, {(1, 1): 1}), bad)
+
+
+@pytest.mark.parametrize("ring", [GF2, Q])
+def test_unit_pivot_quotients_keep_integer_coefficients(ring):
+    # a pivot coefficient of 1 divides exactly in Z, so ints stay ints; any
+    # other lead gives Fractions, and no coefficient is ever a float
+    rng = random.Random(113)
+    seen = set()
+    for _ in range(300):
+        nv = rng.randint(1, 4)
+        p = MPoly(nv, ring, {tuple(rng.randint(0, 3) for _ in range(nv)):
+                             rng.choice((1, -1, 2, -3, 7)) for _ in range(rng.randint(0, 12))})
+        coeffs = [rng.choice((0, 0, 1, -1, 2, 3)) for _ in range(nv)]
+        form = MPoly.linear(coeffs, ring)
+        if form.is_zero():
+            continue
+        q, r = mvpoly.divmod_linear(p, form)
+        assert q * form + r == p
+        types = {type(c) for c in list(q.terms.values()) + list(r.terms.values())}
+        assert float not in types
+        unit = ring == GF2 or next(c for c in coeffs if c) == 1
+        if unit:
+            assert types <= {int}
+        seen.add((unit, Fraction in types))
+    assert (True, False) in seen and (ring == GF2 or (False, True) in seen)
 
 
 def tuple_key_product(a, b):
@@ -160,7 +192,9 @@ def test_constructors_build_what_the_general_constructor_builds():
             tuple(int(i == k) for i in range(4)): a for k, a in enumerate(coeffs) if a})
     assert MPoly.constant(2, Q, 7).constant_value() == 7
     assert MPoly.linear((0, 1), Q).constant_value() is None
-    assert MPoly.linear((0, 1), Q).homogeneous_degree() == 1
+    # a linear form is a divisor; its quotient of itself is 1
+    assert mvpoly.divmod_linear(MPoly.linear((0, 1), Q), MPoly.linear((0, 1), Q)) == \
+        (MPoly.constant(2, Q, 1), MPoly.zero(2, Q))
     for build in (lambda: MPoly(2, "z"), lambda: MPoly.zero(2, "z"),
                   lambda: MPoly.constant(2, "z", 1), lambda: MPoly.linear((1, 0), "z")):
         with pytest.raises(ValidationError, match="unknown coefficient ring"):
@@ -171,7 +205,7 @@ def test_degree_guard_raises_instead_of_wrapping():
     top = (1 << mvpoly.W) - 1
     x = MPoly.linear((1, 0), Q)
     big = MPoly(2, Q, {(top, 0): 1})
-    assert big.terms == {(top, 0): 1} and big.homogeneous_degree() == top
+    assert big.terms == {(top, 0): 1}
     with pytest.raises(ValidationError):
         big * x
     with pytest.raises(ValidationError):
@@ -183,3 +217,74 @@ def test_degree_guard_raises_instead_of_wrapping():
     # a bound on the total degree: x0^(top-1) * x1 stays below it
     assert (MPoly(2, Q, {(top - 1, 0): 1}) * MPoly.linear((0, 1), Q)).terms == \
         {(top - 1, 1): 1}
+
+
+def scaled_sum_of_products(triples, nv, ring):
+    """sum k*a*b by the tuple-key product, a scaled copy and a sum per triple."""
+    out = MPoly.zero(nv, ring)
+    for k, a, b in triples:
+        prod = tuple_key_product(a, b)
+        if ring == GF2:
+            k &= 1
+        out = out + MPoly(nv, ring, {e: c * k for e, c in prod.items()})
+    return out
+
+
+@pytest.mark.parametrize("ring", [GF2, Q])
+def test_combination_matches_a_sum_of_scaled_products(ring):
+    rng = random.Random(127 if ring == GF2 else 131)
+    for _ in range(200):
+        nv = rng.randint(1, 4)
+        triples = [(rng.choice((0, 1, 2, 3, -1, -4, Fraction(1, 2) if ring == Q else 5)),
+                    random_poly(rng, nv, ring), random_poly(rng, nv, ring))
+                   for _ in range(rng.randint(0, 5))]
+        got = mvpoly.combination(iter(triples), nv, ring)
+        assert got == scaled_sum_of_products(triples, nv, ring)
+        assert all(c for c in got.terms.values())
+
+
+def test_combination_edge_cases():
+    for ring in (GF2, Q):
+        x, y = MPoly.linear((1, 0), ring), MPoly.linear((1, 1), ring)
+        assert mvpoly.combination([], 2, ring) == MPoly.zero(2, ring)
+        assert mvpoly.combination([(1, x, y)], 2, ring) == x * y
+    # over GF(2) an even k drops its term and an odd one keeps it
+    x, y = MPoly.linear((1, 0), GF2), MPoly.linear((1, 1), GF2)
+    assert mvpoly.combination([(2, x, y), (-4, y, y)], 2, GF2).is_zero()
+    assert mvpoly.combination([(3, x, y), (2, y, y)], 2, GF2) == x * y
+    assert mvpoly.combination([(1, x, y), (1, y, x)], 2, GF2).is_zero()
+    # over Q terms cancel to zero, and nothing of them is kept
+    x, y = MPoly.linear((1, -2), Q), MPoly.linear((3, 1), Q)
+    zero = mvpoly.combination([(2, x, y), (-1, y, x), (Fraction(-1, 1), x, y)], 2, Q)
+    assert zero.is_zero() and zero.terms == {}
+    half = mvpoly.combination([(Fraction(1, 2), x, y), (Fraction(1, 2), x, y)], 2, Q)
+    assert half == x * y
+    # the degree guard, and the ring check
+    top = (1 << mvpoly.W) - 1
+    big = MPoly(2, Q, {(top, 0): 1})
+    with pytest.raises(ValidationError):
+        mvpoly.combination([(1, big, x)], 2, Q)
+    with pytest.raises(ValidationError):
+        mvpoly.combination([(1, x, MPoly.linear((1, 0), GF2))], 2, Q)
+    with pytest.raises(ValidationError):
+        mvpoly.combination([(1, x, x)], 3, Q)
+
+
+def test_rearrangements_are_the_distinct_permutations():
+    for k in range(8):
+        for mu in [()] + mvpoly.partitions_up_to(6, k):
+            padded = mu + (0,) * (k - len(mu))
+            walk = list(mvpoly._rearrangements(padded))
+            assert len(walk) == len(set(walk)) and walk == sorted(walk)
+            assert set(walk) == set(itertools.permutations(padded)), (k, mu)
+
+
+@pytest.mark.parametrize("ring", [GF2, Q])
+def test_monomial_symmetric_matches_the_permutation_set(ring):
+    rng = random.Random(151)
+    for _ in range(60):
+        nv, k = rng.randint(1, 3), rng.randint(0, 5)
+        forms = [random_form(rng, nv, ring) for _ in range(k)]
+        for mu in [()] + mvpoly.partitions_up_to(4, k):
+            assert mvpoly.eval_monomial_symmetric(mu, forms, nv, ring) == \
+                localization_oracles.eval_monomial_symmetric(mu, forms, nv, ring), (forms, mu)
