@@ -22,8 +22,9 @@ A monomial is *faithful* when its characters are a basis (invertible over
 GF(2), determinant ±1 over Z), that is, when their dual basis exists.  Each
 ring's hook ``_dual_monomial(mono, n)`` runs one elimination and returns the
 signed dual monomial, or None when there is no dual; this is the only
-faithfulness test.  ``dual`` swaps the space tag; ``in_image_verdict`` dualizes
-once and tests membership in the geometric image via d(g*) = 0.
+faithfulness test; ``faithful_duals_gf2`` tabulates it over a whole rank,
+once per dual pair.  ``dual`` swaps the space tag; ``in_image_verdict``
+dualizes once and tests membership in the geometric image via d(g*) = 0.
 
 Sign convention for the Z dual (the calibrated design decision): a
 faithful monomial is dualized by rewriting it in a determinant-positive
@@ -435,9 +436,27 @@ def all_faithful_monomials_gf2(n: int) -> list[Monomial]:
             out.append(tuple(chars[i] for i in picked))
             return
         for i in range(start, len(chars)):
-            reduced = gf2._reduce(packed[i], pivots)
+            reduced = packed[i]
+            for p in pivots:        # each pivot clears its own lowest bit
+                if reduced & (p & -p):
+                    reduced ^= p
             if reduced:
                 extend(i + 1, picked + [i], pivots + [reduced])
 
     extend(0, [], [])
     return out
+
+
+def faithful_duals_gf2(n: int) -> dict[Monomial, Monomial]:
+    """Each faithful GF(2) monomial of rank n -> its dual, in
+    ``all_faithful_monomials_gf2`` order.  The dual is an involution, so one
+    inversion serves both monomials of a pair, and every value is one of
+    the enumerated monomials rather than an equal copy."""
+    faithful = all_faithful_monomials_gf2(n)
+    duals: dict[Monomial, Monomial] = {}
+    for m in faithful:
+        if m in duals:      # the second of a pair: the first maps to m itself
+            duals[duals[m]] = m
+        else:
+            duals[dual_monomial_gf2(m, n)] = m
+    return {m: duals[m] for m in faithful}

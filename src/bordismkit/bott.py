@@ -41,6 +41,7 @@ from typing import Iterable, Iterator, NamedTuple
 from . import algebra, gf2, polytopes
 from .algebra import DUAL, Gf2Polynomial, Monomial
 from .errors import ResourceLimitError, ValidationError
+from .mvpoly import partitions
 from .polytopes import Coloring, SimplePolytope
 
 DEFAULT_MAX_N = 4
@@ -50,21 +51,6 @@ class BottGenerator(NamedTuple):
     polytope: SimplePolytope
     coloring: Coloring
     polynomial: Gf2Polynomial  # dual-space coloring polynomial
-
-
-def partitions(n: int) -> list[tuple[int, ...]]:
-    """Partitions of n in descending lexicographic order, largest part first."""
-    out: list[tuple[int, ...]] = []
-
-    def walk(rest: int, cap: int, acc: tuple[int, ...]) -> None:
-        if rest == 0:
-            out.append(acc)
-            return
-        for part in range(min(rest, cap), 0, -1):
-            walk(rest - part, part, acc + (part,))
-
-    walk(n, n, ())
-    return out
 
 
 def gl2_order(n: int) -> int:
@@ -96,13 +82,6 @@ def _check_rank(n: int, max_n: int | None) -> None:
             f"colorings (pass max_n={n} to allow it)")
 
 
-def _span(vectors: Iterable[int]) -> set[int]:
-    span = {0}
-    for x in vectors:
-        span |= {s ^ x for s in span}
-    return span
-
-
 def orbit_representatives(p: SimplePolytope) -> Iterator[tuple[int, ...]]:
     """Basis colorings of p with e_1, ..., e_n on the facets of the first vertex.
 
@@ -125,7 +104,7 @@ def orbit_representatives(p: SimplePolytope) -> Iterator[tuple[int, ...]]:
         if i == len(free):
             yield tuple(colors)
             return
-        spans = [_span(colors[g] for g in others) for others in before[i]]
+        spans = [gf2.span(colors[g] for g in others) for others in before[i]]
         for c in palette:
             if not any(c in s for s in spans):
                 colors[free[i]] = c
@@ -154,15 +133,9 @@ def _mask(mono: Monomial) -> int:
 def _dual_bits(n: int) -> tuple[dict[int, int], list[Monomial]]:
     """Faithful monomials of rank n: mask -> key bit of the dual, and the
     index of that bit -> the monomial."""
-    faithful = algebra.all_faithful_monomials_gf2(n)
-    index = {m: i for i, m in enumerate(faithful)}
-    bit_of: dict[int, int] = {}
-    monomial_of: list[Monomial] = [()] * len(faithful)
-    for m in faithful:
-        i = index[algebra.dual_monomial_gf2(m, n)]
-        bit_of[_mask(m)] = 1 << i
-        monomial_of[i] = m
-    return bit_of, monomial_of
+    # key bit i is the i-th faithful monomial, whose dual is the i-th value
+    monomial_of = list(algebra.faithful_duals_gf2(n).values())
+    return {_mask(m): 1 << i for i, m in enumerate(monomial_of)}, monomial_of
 
 
 class _OrbitWalk:

@@ -20,7 +20,7 @@ from .algebra import ExtPolynomial, Polynomial
 from .errors import BordismError, InputFormatError, ValidationError
 from .graphs import (ColoredGraph, TorusGraph, graph_coloring_polynomial,
                      torus_graph_from_pair, torus_polynomial)
-from .localization import FixedPointData, equivariant_chern_number
+from .localization import FixedPointData, chern_sweep
 from .polytopes import coloring_polynomial
 
 
@@ -126,21 +126,12 @@ def _cmd_chern(args: argparse.Namespace) -> int:
         data = jsonio.fixed_point_data_from_obj(obj)
     else:
         data = FixedPointData.from_polynomial(_as_polynomial(obj))
-    cap = 2 * data.n if args.degree_bound is None else args.degree_bound
-    if cap < 0:
-        raise ValidationError("degree cap must be nonnegative")
-    numbers = []
-    for i in range(cap + 1):
-        for j in range((cap - i) // 2 + 1):
-            if j and data.n < 2:
-                continue
-            r = equivariant_chern_number(data, i, j)
-            numbers.append({
-                "i": i, "j": j,
+    cap, sweep = chern_sweep(data, args.degree_bound)
+    numbers = [{"i": r.i, "j": r.j,
                 "polynomial": r.is_polynomial,
                 "integral": r.integral,
-                "constant": None if r.constant is None else _fraction_repr(r.constant),
-            })
+                "constant": None if r.constant is None else _fraction_repr(r.constant)}
+               for r in sweep]
     _emit({"degree_bound": cap, "n": data.n, "numbers": numbers})
     return 0
 

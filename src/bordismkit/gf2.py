@@ -5,8 +5,9 @@ keeps the small dense problems that dominate this package — n×n character
 matrices with n ≤ 6 — allocation free and exact.  ``inverse_transpose`` is
 the one basis test for such a matrix: it returns the dual basis, or None
 when the rows are not a basis, so callers that go on to use the dual rows
-prove the basis once.  ``RankAccumulator`` is
-the one elimination of wide rows, with pivots keyed by their leading bit: it
+prove the basis once.  ``span`` is the one independence test for the few
+vectors at a vertex of a coloring search.  ``RankAccumulator`` is the one
+elimination of wide rows, with pivots keyed by their leading bit: it
 folds the generator span in :mod:`.bott` and, tracking combinations, finds
 the kernel in ``kernel_space`` and the witnesses of ``surjectivity_probe``.
 """
@@ -37,22 +38,13 @@ def bits(x: int) -> Iterator[int]:
         x ^= low
 
 
-def rank(rows: Iterable[int]) -> int:
-    """Rank of a set of bitset rows via elimination on lowest set bits."""
-    pivots: list[int] = []
-    for row in rows:
-        row = _reduce(row, pivots)
-        if row:
-            pivots.append(row)
-    return len(pivots)
-
-
-def _reduce(row: int, pivots: list[int]) -> int:
-    for p in pivots:
-        low = p & -p
-        if row & low:
-            row ^= p
-    return row
+def span(vectors: Iterable[int]) -> set[int]:
+    """Every element of the span of ``vectors``; k vectors are independent
+    exactly when their span has 2^k elements."""
+    out = {0}
+    for x in vectors:
+        out |= {s ^ x for s in out}
+    return out
 
 
 def invert(rows: Sequence[int], n: int) -> list[int] | None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from . import bordism
+from . import bordism, localization
 from .algebra import ExtPolynomial, Gf2Polynomial, Polynomial
 from .bordism import BordismClass
 from .errors import InputFormatError
@@ -48,16 +48,17 @@ def _need(obj: Any, key: str, kind: type | tuple[type, ...], where: str) -> Any:
     return val
 
 
+def _is_int_list(val: Any) -> bool:
+    return isinstance(val, list) and all(
+        isinstance(x, int) and not isinstance(x, bool) for x in val)
+
+
 def _char_list(val: Any, where: str) -> tuple[tuple[int, ...], ...]:
     if not isinstance(val, list):
         raise InputFormatError(f"{where} must be a list of characters")
-    chars = []
-    for c in val:
-        if not isinstance(c, list) or not all(
-                isinstance(x, int) and not isinstance(x, bool) for x in c):
-            raise InputFormatError(f"{where} entries must be integer vectors")
-        chars.append(tuple(c))
-    return tuple(chars)
+    if not all(map(_is_int_list, val)):
+        raise InputFormatError(f"{where} entries must be integer vectors")
+    return tuple(map(tuple, val))
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +127,8 @@ def polytope_from_obj(obj: Any) -> tuple[SimplePolytope, Coloring | None]:
     dim = _need(obj, "dim", int, "polytope")
     facets = _need(obj, "facets", int, "polytope")
     vertices = _need(obj, "vertices", list, "polytope")
-    for v in vertices:
-        if not isinstance(v, list) or not all(
-                isinstance(f, int) and not isinstance(f, bool) for f in v):
-            raise InputFormatError("polytope.vertices entries must be facet index lists")
+    if not all(map(_is_int_list, vertices)):
+        raise InputFormatError("polytope.vertices entries must be facet index lists")
     polytope = SimplePolytope(dim, facets, vertices)
     coloring = None
     if "coloring" in obj:
@@ -140,14 +139,12 @@ def polytope_from_obj(obj: Any) -> tuple[SimplePolytope, Coloring | None]:
         cmap = _need(cobj, "map", dict, "coloring")
         parsed = {}
         for key, val in cmap.items():
-            try:
-                f = int(key)
-            except ValueError:
-                raise InputFormatError(f"coloring.map key {key!r} is not a facet index") from None
-            if not isinstance(val, list) or not all(
-                    isinstance(x, int) and not isinstance(x, bool) for x in val):
+            # only the canonical decimal form, so no two keys name one facet
+            if not (isinstance(key, str) and key.isdecimal() and str(int(key)) == key):
+                raise InputFormatError(f"coloring.map key {key!r} is not a facet index")
+            if not _is_int_list(val):
                 raise InputFormatError(f"coloring.map[{key}] must be an integer vector")
-            parsed[f] = tuple(val)
+            parsed[int(key)] = tuple(val)
         coloring = Coloring(target, parsed)
     return polytope, coloring
 
@@ -183,8 +180,7 @@ def graph_from_obj(obj: Any) -> ColoredGraph | TorusGraph:
         u = _need(e, "u", int, f"edges[{i}]")
         v = _need(e, "v", int, f"edges[{i}]")
         alpha = e.get("alpha")
-        if not isinstance(alpha, list) or not all(
-                isinstance(x, int) and not isinstance(x, bool) for x in alpha):
+        if not _is_int_list(alpha):
             raise InputFormatError(f"edges[{i}].alpha must be an integer vector")
         edges.append((u, v, tuple(alpha)))
     directed = {(u, v) for u, v, _ in edges}
@@ -193,8 +189,7 @@ def graph_from_obj(obj: Any) -> ColoredGraph | TorusGraph:
     if any((v, u) in directed for u, v in directed):
         alpha = {(u, v): a for u, v, a in edges}
         sigma = obj.get("sigma")
-        if sigma is not None and (not isinstance(sigma, list) or not all(
-                isinstance(s, int) and not isinstance(s, bool) for s in sigma)):
+        if sigma is not None and not _is_int_list(sigma):
             raise InputFormatError("sigma must be a list of ±1")
         return TorusGraph(n, num_vertices, alpha, sigma)
     return ColoredGraph(n, num_vertices,
@@ -216,6 +211,8 @@ def fixed_point_data_to_obj(d: FixedPointData) -> dict:
 
 def fixed_point_data_from_obj(obj: Any) -> FixedPointData:
     flavor = _need(obj, "flavor", str, "fixed-point data")
+    if flavor not in localization.FLAVORS:
+        raise InputFormatError(f"unknown fixed-point flavor {flavor!r}")
     n = _need(obj, "n", int, "fixed-point data")
     raw = _need(obj, "points", list, "fixed-point data")
     points = []

@@ -94,11 +94,11 @@ def kernel_space(n: int, max_n: int | None = None) -> KernelSpace:
             f"would run over a 10^{_log10_basis_count(n, n):.1f} x "
             f"10^{_log10_basis_count(n, n - 1):.1f} matrix "
             f"(set BORDISMKIT_MAX_N={n} or pass max_n={n} to allow it)")
-    monomials = algebra.all_faithful_monomials_gf2(n)
+    duals = algebra.faithful_duals_gf2(n)
+    monomials = list(duals)
     col_ids: dict[Monomial, int] = {}
     rows: list[int] = []
-    for mono in monomials:
-        star = algebra.dual_monomial_gf2(mono, n)
+    for star in duals.values():
         bits = 0
         for j in range(n):
             deleted = star[:j] + star[j + 1:]

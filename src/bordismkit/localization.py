@@ -29,7 +29,7 @@ memo entry.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import algebra, mvpoly
 from .algebra import Char, ExtPolynomial, Gf2Polynomial, Monomial, Polynomial
@@ -38,6 +38,7 @@ from .mvpoly import MPoly
 
 GF2 = "gf2"
 Z = "z"
+FLAVORS = (GF2, Z)
 
 
 class SymmetricFunction:
@@ -46,12 +47,7 @@ class SymmetricFunction:
     __slots__ = ("partitions",)
 
     def __init__(self, partitions: Sequence[Sequence[int]] = ((),)):
-        canon = []
-        for mu in partitions:
-            mu = tuple(sorted((int(x) for x in mu), reverse=True))
-            if any(x <= 0 for x in mu):
-                raise ValidationError(f"partition parts must be positive: {mu}")
-            canon.append(mu)
+        canon = [mvpoly.canonical_partition(mu) for mu in partitions]
         # summands are distinct by definition; a repeated partition is a typo
         if len(set(canon)) != len(canon):
             raise ValidationError("repeated partition in symmetric function")
@@ -113,7 +109,7 @@ class FixedPointData:
     __slots__ = ("flavor", "n", "points", "_memo")
 
     def __init__(self, flavor: str, n: int, points: Sequence[FixedPoint]):
-        if flavor not in (GF2, Z):
+        if flavor not in FLAVORS:
             raise ValidationError(f"unknown flavor {flavor!r}")
         self.flavor = flavor
         self.n = n
@@ -314,41 +310,41 @@ class Gf2IntegralityTable:
     term of a point with monomial m becomes f(m's forms)·(D/χ_m), and a
     factor ℓ divides the total iff the per-monomial remainders mod ℓ cancel.
     Those remainders depend only on (monomial, partition, factor), so they
-    are precomputed once: one int per (monomial, partition) holds a bit per
-    (factor, remainder monomial), so the factors fill disjoint bits and the
-    XOR of those ints is every per-factor XOR at once.  Only m's own factors
-    are divided, since every other one divides D/χ_m and leaves remainder 0.
-    A query is one XOR per monomial and one test for zero, and agrees with
-    ``integrality_check_gf2`` on every input (the extra factors of D are
-    units for the divisibility questions asked).
+    are precomputed once, from the forms and cofactors of the localization
+    of all faithful monomials (every character occurs in one, so there D is
+    the full product): one int per (monomial, partition) holds a bit per
+    (factor, packed remainder exponent), so the factors fill disjoint bits
+    and the XOR of those ints is every per-factor XOR at once.  Only m's own
+    factors are divided, since every other one divides D/χ_m and leaves
+    remainder 0.  A query is one XOR per monomial and one test for zero, and
+    agrees with ``integrality_check_gf2`` on every input (the extra factors
+    of D are units for the divisibility questions asked).
     """
 
     __slots__ = ("n", "partitions", "_bits")
 
-    def __init__(self, n: int, partitions: Sequence[tuple[int, ...]]):
-        ring = mvpoly.GF2
+    def __init__(self, n: int, partitions: Sequence[Sequence[int]]):
         self.n = n
-        self.partitions = tuple(partitions)
-        chars = algebra.nonzero_chars_gf2(n)
-        forms = {c: MPoly.linear(c, ring) for c in chars}
-        index: dict[tuple[Char, tuple[int, ...]], int] = {}
+        self.partitions = tuple(map(mvpoly.canonical_partition, partitions))
+        data = FixedPointData(GF2, n, [FixedPoint(1, m)
+                                       for m in algebra.all_faithful_monomials_gf2(n)])
+        loc = _Localization(data)
+        index: dict[tuple[Char, int], int] = {}
         self._bits = {mu: {} for mu in self.partitions}  # mu -> monomial -> bits
-        for mono in algebra.all_faithful_monomials_gf2(n):
-            cofactor = mvpoly.product(
-                (forms[c] for c in chars if c not in mono), n, ring)
-            point_forms = [forms[c] for c in mono]
+        # the points are distinct, so folding keeps them in order
+        for pt, forms, cofactor in zip(data.points, loc.forms, loc.cofactors):
             for mu in self.partitions:
-                term = mvpoly.eval_monomial_symmetric(mu, point_forms, n, ring) * cofactor
+                term = mvpoly.eval_monomial_symmetric(mu, forms, n, loc.ring) * cofactor
                 bits = 0
-                for c in mono:      # every other form divides the cofactor
-                    _, rem = mvpoly.divmod_linear(term, forms[c])
-                    for e in rem.terms:
+                for c, form in zip(pt.weights, forms):
+                    _, rem = mvpoly.divmod_linear(term, form)
+                    for e in rem._terms:
                         bits |= 1 << index.setdefault((c, e), len(index))
-                self._bits[mu][mono] = bits
+                self._bits[mu][pt.weights] = bits
 
     def passes(self, p: Gf2Polynomial, mu: Sequence[int]) -> bool:
         """Whether the monomial symmetric function m_mu gives a polynomial sum."""
-        mu = tuple(sorted((int(x) for x in mu), reverse=True))
+        mu = mvpoly.canonical_partition(mu)
         rows = self._bits.get(mu)
         if rows is None:
             raise ValidationError(f"partition {mu} is not in the table")
@@ -399,29 +395,41 @@ def equivariant_chern_number(data: FixedPointData, i: int, j: int) -> ChernNumbe
     return ChernNumber(i, j, True, integral, quo, constant)
 
 
+def _degree_cap(n: int, degree_cap: int | None) -> int:
+    cap = 2 * n if degree_cap is None else int(degree_cap)
+    if cap < 0:
+        raise ValidationError("degree cap must be nonnegative")
+    return cap
+
+
+def chern_sweep(data: FixedPointData, degree_cap: int | None = None
+                ) -> tuple[int, Iterator[ChernNumber]]:
+    """(cap, the Chern numbers with i + 2j <= cap in (i, j) order).
+
+    The cap defaults to 2n and is checked before any number is computed; the
+    numbers are computed as the iterator is read.  e2 needs two weights per
+    point, so below rank 2 only j = 0 is swept.
+    """
+    cap = _degree_cap(data.n, degree_cap)
+    return cap, (equivariant_chern_number(data, i, j) for i in range(cap + 1)
+                 for j in range((cap - i) // 2 + 1 if data.n >= 2 else 1))
+
+
 def vanishing_test(g: ExtPolynomial, degree_cap: int | None = None) -> bool:
     """All equivariant Chern numbers with i + 2j <= cap vanish on g.
 
     g must be a kernel element (zero, or faithful with d(g*) = 0); the cap
-    defaults to 2n.
+    defaults to 2n.  A bad cap is reported before a bad g.
     """
     if not isinstance(g, ExtPolynomial):
         raise ValidationError("expected an integer-coefficient polynomial")
-    cap = 2 * g.n if degree_cap is None else int(degree_cap)
-    if cap < 0:
-        raise ValidationError("degree cap must be nonnegative")
+    cap = _degree_cap(g.n, degree_cap)
     if g.is_zero():
         return True
     if not algebra.in_image(g):
         raise ValidationError("polynomial is not a kernel element")
-    data = FixedPointData.from_polynomial(g)
-    for i in range(cap + 1):
-        for j in range((cap - i) // 2 + 1):
-            if j and g.n < 2:
-                continue
-            if not equivariant_chern_number(data, i, j).is_zero():
-                return False
-    return True
+    _, numbers = chern_sweep(FixedPointData.from_polynomial(g), cap)
+    return all(r.is_zero() for r in numbers)
 
 
 class SupportReport(NamedTuple):

@@ -180,10 +180,11 @@ def _from_dict(nv: int, ring: str, terms: dict[int, object], deg: int) -> MPoly:
 
 
 def product(factors: Iterable[MPoly], nv: int, ring: str) -> MPoly:
-    out = MPoly.constant(nv, ring, 1)
+    """The product of the factors, starting from the first; the empty product is 1."""
+    out = None
     for f in factors:
-        out = out * f
-    return out
+        out = f if out is None else out * f
+    return MPoly.constant(nv, ring, 1) if out is None else out
 
 
 def combination(terms: Iterable[tuple[object, MPoly, MPoly]], nv: int, ring: str) -> MPoly:
@@ -280,9 +281,7 @@ def eval_monomial_symmetric(mu: Sequence[int], forms: Sequence[MPoly],
     (padded with zeros to k slots) of the corresponding monomial in the y's.
     """
     k = len(forms)
-    mu = tuple(sorted((int(x) for x in mu), reverse=True))
-    if any(x <= 0 for x in mu):
-        raise ValidationError(f"partition parts must be positive, got {mu}")
+    mu = canonical_partition(mu)
     if len(mu) > k:
         raise ValidationError(
             f"partition {mu} has more parts than the {k} available variables")
@@ -319,19 +318,30 @@ def _rearrangements(values: Sequence[int]) -> Iterator[Expt]:
         a[i + 1:] = reversed(a[i + 1:])
 
 
-def partitions_up_to(max_degree: int, max_parts: int) -> list[tuple[int, ...]]:
-    """All partitions of 1..max_degree into at most max_parts parts."""
+def canonical_partition(mu: Iterable[int]) -> tuple[int, ...]:
+    """The parts of ``mu`` as ints, largest first; every part must be positive."""
+    mu = tuple(sorted((int(x) for x in mu), reverse=True))
+    if any(x <= 0 for x in mu):
+        raise ValidationError(f"partition parts must be positive, got {mu}")
+    return mu
+
+
+def partitions(n: int) -> list[tuple[int, ...]]:
+    """Partitions of n in descending lexicographic order, largest part first."""
     out: list[tuple[int, ...]] = []
 
     def walk(rest: int, cap: int, acc: tuple[int, ...]) -> None:
         if rest == 0:
             out.append(acc)
             return
-        if len(acc) == max_parts:
-            return
         for part in range(min(rest, cap), 0, -1):
             walk(rest - part, part, acc + (part,))
 
-    for d in range(1, max_degree + 1):
-        walk(d, d, ())
+    walk(n, n, ())
     return out
+
+
+def partitions_up_to(max_degree: int, max_parts: int) -> list[tuple[int, ...]]:
+    """All partitions of 1..max_degree into at most max_parts parts."""
+    return [mu for d in range(1, max_degree + 1) for mu in partitions(d)
+            if len(mu) <= max_parts]

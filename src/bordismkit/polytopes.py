@@ -249,7 +249,7 @@ def _gf2_coloring_search(p: SimplePolytope, rng: random.Random | None,
 
     def vertex_ok(vi: int, upto: int) -> bool:
         rows = [assign[f] for f in p.vertices[vi] if f <= upto]
-        return gf2.rank(rows) == len(rows)
+        return len(gf2.span(rows)) == 1 << len(rows)
 
     def extend(f: int):
         nonlocal count

@@ -110,6 +110,19 @@ def test_dual_monomial_frozen_pair():
     assert algebra.dual_monomial_gf2(want, 2) == mono
 
 
+def test_faithful_dual_table_is_the_involution_of_dual_monomial():
+    for n in range(1, 5):
+        duals = algebra.faithful_duals_gf2(n)
+        assert list(duals) == algebra.all_faithful_monomials_gf2(n)
+        for mono, star in duals.items():
+            assert star == algebra.dual_monomial_gf2(mono, n)
+            assert duals[star] == mono
+        # the values are the enumerated monomials, not equal copies of them
+        assert {id(m) for m in duals.values()} == {id(m) for m in duals}
+    self_dual = [m for m, star in algebra.faithful_duals_gf2(4).items() if m == star]
+    assert len(self_dual) == 14
+
+
 def test_dual_flips_space_tag():
     p = Gf2Polynomial(2, RP2_MONOS, space=PRIMAL)
     assert algebra.dual(p).space == DUAL

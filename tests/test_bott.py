@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from bordismkit import algebra, bott, gf2, kernels
+from bordismkit import algebra, bott, gf2, kernels, mvpoly
 from bordismkit.algebra import DUAL
 from bordismkit.errors import ResourceLimitError
 from bordismkit.polytopes import (Coloring, all_gf2_colorings,
@@ -21,6 +21,33 @@ GENERATOR_COUNTS = {1: (1, 1, 0), 2: (2, 2, 1), 3: (51, 50, 13)}
 
 def test_partitions_order():
     assert bott.partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+
+
+def test_partitions_are_the_one_walk_in_mvpoly():
+    assert bott.partitions is mvpoly.partitions
+    assert mvpoly.partitions(0) == [()]
+    assert mvpoly.partitions_up_to(4, 2) == [(1,), (2,), (1, 1), (3,), (2, 1),
+                                             (4,), (3, 1), (2, 2)]
+
+
+def test_each_dual_pair_is_inverted_once(monkeypatch):
+    # 840 faithful monomials at rank 4: 14 self-dual ones and 413 pairs
+    calls = []
+    real = gf2.inverse_transpose
+    monkeypatch.setattr(gf2, "inverse_transpose",
+                        lambda rows, n: calls.append(n) or real(rows, n))
+    kernels.kernel_space(4)
+    assert len(calls) == 427
+    calls.clear()
+    assert bott.spanning_rank(4, target=511).rank == 511
+    assert len(calls) == 427
+
+
+def test_span_is_the_independence_test():
+    assert gf2.span([]) == {0}
+    assert gf2.span([0b011, 0b101]) == {0, 0b011, 0b101, 0b110}
+    assert len(gf2.span([0b011, 0b101, 0b110])) == 4     # dependent
+    assert len(gf2.span([0b001, 0b010, 0b100])) == 8
 
 
 def test_generator_counts_and_span():

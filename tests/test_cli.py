@@ -168,6 +168,22 @@ def test_poly_of_polytope_needs_a_coloring():
     assert r.returncode == 1
 
 
+def test_poly_of_polytope_rejects_non_canonical_facet_keys():
+    # int() accepts each key below, so "01" would name facet 1 a second time
+    # and silently win
+    segment = {"dim": 1, "facets": 2, "vertices": [[0], [1]]}
+    good = dict(segment, coloring={"target": "gf2", "map": {"0": [1], "1": [1]}})
+    assert run_cli("poly-of-polytope", json.dumps(good)).returncode == 0
+    for key in ("01", " 1", "1_0", "-1"):
+        obj = dict(segment, coloring={"target": "gf2",
+                                      "map": {"0": [1], "1": [1], key: [1]}})
+        r = run_cli("poly-of-polytope", json.dumps(obj))
+        assert r.returncode == 2, key
+        assert json.loads(r.stdout)["error"] == {
+            "code": "input-format",
+            "message": f"coloring.map key {key!r} is not a facet index"}
+
+
 def test_poly_of_graph_and_cross_verb_guard(tmp_path):
     p = product_of_simplices((2,))
     skel = one_skeleton(p, RP2_COLORING)
@@ -271,6 +287,14 @@ def test_chern_rejects_a_negative_degree_bound():
     err = json.loads(r.stdout)["error"]
     assert err == {"code": "validation-error",
                    "message": "degree cap must be nonnegative"}
+
+
+def test_chern_rejects_an_unknown_flavor_as_input_format():
+    obj = {"flavor": "q", "n": 1, "points": [{"sign": 1, "weights": [[1]]}]}
+    r = run_cli("chern", json.dumps(obj))
+    assert r.returncode == 2
+    assert json.loads(r.stdout)["error"] == {
+        "code": "input-format", "message": "unknown fixed-point flavor 'q'"}
 
 
 def test_reduce_class_and_bare_polynomial():

@@ -14,7 +14,7 @@ from bordismkit.errors import ValidationError
 from bordismkit.graphs import torus_graph_from_pair, torus_polynomial
 from bordismkit.localization import (FixedPoint, FixedPointData,
                                      Gf2IntegralityTable, SymmetricFunction,
-                                     equivariant_chern_number,
+                                     chern_sweep, equivariant_chern_number,
                                      integrality_check_gf2,
                                      integrality_check_z,
                                      min_fixed_points_check, vanishing_test)
@@ -171,6 +171,10 @@ def test_batch_table_input_checks():
         table.passes(Gf2Polynomial(2, [((0, 1), (1, 0))]), (2,))
     with pytest.raises(ValidationError):
         table.passes(Gf2Polynomial(3, [], space="primal"), (1,))
+    with pytest.raises(ValidationError, match="must be positive"):
+        table.passes(RP2, (1, 0))
+    # the table and its queries read a partition in any order of its parts
+    assert Gf2IntegralityTable(2, [(1, 2)]).passes(RP2, (2, 1))
 
 
 def test_batch_table_at_rank_three_matches_reference():
@@ -237,29 +241,32 @@ def counting(monkeypatch, *names):
 
 def test_localization_reaches_mvpoly_through_the_module(monkeypatch):
     # layer counts are read off wrappers on mvpoly's attributes; a private
-    # shortcut around them would silently zero those counts.  Every product,
-    # ``*`` included, is one call of the accumulator ``combination``, and
-    # each localization numerator is exactly one more.
+    # shortcut around them would silently zero those counts.  Every product
+    # of two or more factors, ``*`` included, is one call of the accumulator
+    # ``combination`` per factor after the first, and each localization
+    # numerator is exactly one more.
     calls = counting(monkeypatch, "divmod_linear", "product", "combination")
     # CP^2 has three points and three canonical weight forms: x0, x1, x0 - x1
     data = FixedPointData.from_polynomial(CP2)
     assert equivariant_chern_number(data, 2, 0).constant == 9
-    # one cofactor per point (3 products, one form each), 3 e1, 6 ladder
-    # steps cof*e1^i for i = 1, 2, and the numerator
-    assert calls == {"divmod_linear": 3, "product": 3, "combination": 13}
+    # one cofactor per point (3 products of one form each, no multiplication),
+    # 3 e1, 6 ladder steps cof*e1^i for i = 1, 2, and the numerator
+    assert calls == {"divmod_linear": 3, "product": 3, "combination": 10}
     assert equivariant_chern_number(data, 0, 1).constant == 3
-    assert calls == {"divmod_linear": 6, "product": 3, "combination": 17}  # 3 e2 + 1
+    assert calls == {"divmod_linear": 6, "product": 3, "combination": 14}  # 3 e2 + 1
     assert integrality_check_z(data, SymmetricFunction.elementary(2))
-    assert calls["divmod_linear"] == 9 and calls["combination"] == 21
+    assert calls["divmod_linear"] == 9 and calls["combination"] == 18
     rp2 = FixedPointData.from_polynomial(RP2)
     assert integrality_check_gf2(rp2, SymmetricFunction.one())
-    # 3 cofactors, m_() = 1 at each point (one empty arrangement), the numerator
-    assert calls == {"divmod_linear": 12, "product": 6, "combination": 28}
+    # 3 one-form cofactors, m_() = 1 at each point (one empty arrangement),
+    # the numerator
+    assert calls == {"divmod_linear": 12, "product": 6, "combination": 22}
     Gf2IntegralityTable(2, [(), (1,)])
     # 3 faithful monomials x 2 partitions x 2 own factors: the third form
     # divides the monomial's cofactor, so it is not divided (it was 30);
-    # per monomial its cofactor, m_() and m_() * cof, m_(1) and m_(1) * cof
-    assert calls == {"divmod_linear": 24, "product": 9, "combination": 43}
+    # per monomial its one-form cofactor, m_() and m_() * cof, m_(1) and
+    # m_(1) * cof
+    assert calls == {"divmod_linear": 24, "product": 9, "combination": 34}
 
 
 def test_chern_requires_z_flavor():
@@ -485,6 +492,35 @@ def test_vanishing_test_rejects_nonmembers():
         vanishing_test(ExtPolynomial(2, {((0, 1), (1, 0)): 1}))
     with pytest.raises(ValidationError):
         vanishing_test(RP2)
+
+
+def test_vanishing_test_reports_errors_in_a_fixed_order():
+    # the type first, then the cap, then kernel membership; a zero g passes
+    # only with a valid cap
+    not_kernel = ExtPolynomial(2, {((0, 1), (1, 0)): 1})
+    with pytest.raises(ValidationError, match="integer-coefficient"):
+        vanishing_test(RP2, -1)
+    with pytest.raises(ValidationError, match="degree cap must be nonnegative"):
+        vanishing_test(not_kernel, -1)
+    with pytest.raises(ValidationError, match="degree cap must be nonnegative"):
+        vanishing_test(ExtPolynomial(2), -1)
+    with pytest.raises(ValidationError, match="not a kernel element"):
+        vanishing_test(not_kernel, 3)
+
+
+def test_chern_sweep_order_rank_rule_and_cap():
+    for g in (CP1, CP2):
+        data = FixedPointData.from_polynomial(g)
+        for bound in (None, 0, 3):
+            cap, numbers = chern_sweep(data, bound)
+            assert cap == (2 * g.n if bound is None else bound)
+            want = [(i, j) for i in range(cap + 1) for j in range((cap - i) // 2 + 1)
+                    if not (j and g.n < 2)]
+            got = list(numbers)
+            assert [(r.i, r.j) for r in got] == want
+            assert got == [equivariant_chern_number(data, i, j) for i, j in want]
+    with pytest.raises(ValidationError, match="degree cap must be nonnegative"):
+        chern_sweep(FixedPointData.from_polynomial(CP2), -1)
 
 
 def test_min_fixed_points_report():

@@ -135,6 +135,30 @@ def test_product_matches_the_tuple_key_loop(ring):
 
 
 @pytest.mark.parametrize("ring", [GF2, Q])
+def test_product_starts_from_its_first_factor(ring, monkeypatch):
+    rng = random.Random(109)
+    factors = [random_poly(rng, 3, ring) for _ in range(4)]
+    calls = []
+    real = mvpoly.combination
+    monkeypatch.setattr(mvpoly, "combination",
+                        lambda *args: calls.append(1) or real(*args))
+    assert mvpoly.product(factors[:1], 3, ring) is factors[0]
+    assert mvpoly.product([], 3, ring) == MPoly.constant(3, ring, 1)
+    assert not calls
+    a, b, c, d = factors
+    assert mvpoly.product(factors, 3, ring) == ((a * b) * c) * d
+    assert len(calls) == 3 + 3      # the product's and the check's
+
+
+def test_canonical_partition():
+    assert mvpoly.canonical_partition([1, 3, 2]) == (3, 2, 1)
+    assert mvpoly.canonical_partition(()) == ()
+    for bad in ((2, 0), (-1,)):
+        with pytest.raises(ValidationError, match="must be positive"):
+            mvpoly.canonical_partition(bad)
+
+
+@pytest.mark.parametrize("ring", [GF2, Q])
 def test_terms_round_trip_the_constructor(ring):
     rng = random.Random(107)
     for _ in range(200):
