@@ -15,16 +15,18 @@ it vanish, so equal elements have equal representations.  Over GF(2) the
 sign is trivial and the wedge is the square-free product, so sums, wedges,
 the dual, the differential, the image test, mod-2 reduction, block
 embeddings and coordinate permutations are written once for both rings.
-Only the character check and the dual of one monomial differ, and each
-subclass names its own.  ``mod2_reduce`` maps the Z ring onto the GF(2) ring.
+Only ``_check_char`` and ``_dual_rows`` differ, and ``RINGS`` names the two
+classes "gf2" and "z".  ``mod2_reduce`` maps the Z ring onto the GF(2) ring.
 
 A monomial is *faithful* when its characters are a basis (invertible over
 GF(2), determinant ±1 over Z), that is, when their dual basis exists.  Each
-ring's hook ``_dual_monomial(mono, n)`` runs one elimination and returns the
-signed dual monomial, or None when there is no dual; this is the only
-faithfulness test; ``faithful_duals_gf2`` tabulates it over a whole rank,
-once per dual pair.  ``dual`` swaps the space tag; ``in_image_verdict``
-dualizes once and tests membership in the geometric image via d(g*) = 0.
+ring's hook ``_dual_rows(chars, n)`` is one elimination; it returns the dual
+basis, or None unless ``chars`` are a basis, and every basis in the package
+(monomials, polytope and graph vertices, fixed points) is proved by it.
+``dual`` sorts those rows into the dual monomial and swaps the space tag;
+``faithful_duals_gf2`` tabulates the dual over a whole rank, once per dual
+pair; ``in_image_verdict`` dualizes once and tests membership in the
+geometric image via d(g*) = 0.
 
 Sign convention for the Z dual (the calibrated design decision): a
 faithful monomial is dualized by rewriting it in a determinant-positive
@@ -43,7 +45,7 @@ hand-checked examples.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import gf2, intmat
 from .errors import ValidationError
@@ -57,22 +59,6 @@ DUAL = "dual"
 
 # ---------------------------------------------------------------------------
 # characters and monomials
-
-
-def check_char_z(char: Char, n: int) -> Char:
-    char = tuple(int(v) for v in char)
-    if len(char) != n:
-        raise ValidationError(f"character {char} does not have length {n}")
-    if not any(char):
-        raise ValidationError("zero character is not allowed")
-    return char
-
-
-def check_char_gf2(char: Char, n: int) -> Char:
-    char = check_char_z(char, n)
-    if any(v not in (0, 1) for v in char):
-        raise ValidationError(f"GF(2) character {char} has entries outside {{0,1}}")
-    return char
 
 
 def char_mod2(char: Char) -> Char:
@@ -105,25 +91,6 @@ def det_sign(mono: Monomial) -> int:
     if d == 0:
         raise ValidationError(f"monomial {mono} has linearly dependent characters")
     return 1 if d > 0 else -1
-
-
-def dual_monomial_gf2(mono: Monomial, n: int) -> Monomial | None:
-    """The sorted dual basis of a GF(2) monomial; None unless its characters
-    are a basis of GF(2)^n."""
-    dual_rows = gf2.inverse_transpose([gf2.pack(c) for c in mono], n)
-    if dual_rows is None:
-        return None
-    return sort_monomial(gf2.unpack(r, n) for r in dual_rows)[1]
-
-
-def dual_monomial_z(mono: Monomial, n: int) -> tuple[int, Monomial] | None:
-    """(sign factor, sorted dual monomial) of a Z monomial, or None unless its
-    characters are a basis of Z^n.  The sign is sign(det A) * sign(det B), B
-    the *sorted* dual matrix: det(unsorted dual) = det(A), so the sort sign."""
-    dual_rows = intmat.dual_basis(mono) if len(mono) == n else None
-    if dual_rows is None:
-        return None
-    return sort_monomial(dual_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +174,16 @@ class Polynomial:
         p.terms = terms
         return p
 
+    @staticmethod
+    def _check_char(char: Char, n: int) -> Char:
+        """A nonzero integer character of length n; GF(2) adds 0/1 entries."""
+        char = tuple(int(v) for v in char)
+        if len(char) != n:
+            raise ValidationError(f"character {char} does not have length {n}")
+        if not any(char):
+            raise ValidationError("zero character is not allowed")
+        return char
+
     def _sum(self, pairs: Iterable[tuple[Monomial, int]], *, n: int | None = None,
              space: str | None = None) -> "Polynomial":
         return self._of(n or self.n, space or self.space, _collect(pairs, self.modulus))
@@ -280,15 +257,22 @@ class Gf2Polynomial(Polynomial):
 
     __slots__ = ()
     modulus = 2
-    _check_char = staticmethod(check_char_gf2)
 
     def __init__(self, n: int, monomials: Iterable[Monomial] = (), space: str = PRIMAL):
         super().__init__(n, ((m, 1) for m in monomials), space)
 
     @staticmethod
-    def _dual_monomial(mono: Monomial, n: int) -> tuple[int, Monomial] | None:
-        star = dual_monomial_gf2(mono, n)
-        return None if star is None else (1, star)
+    def _check_char(char: Char, n: int) -> Char:
+        char = Polynomial._check_char(char, n)
+        if any(v not in (0, 1) for v in char):
+            raise ValidationError(f"GF(2) character {char} has entries outside {{0,1}}")
+        return char
+
+    @staticmethod
+    def _dual_rows(chars: Sequence[Char], n: int) -> list[Char] | None:
+        """The dual basis of ``chars`` in order; None unless a basis of GF(2)^n."""
+        rows = gf2.inverse_transpose([gf2.pack(c) for c in chars], n)
+        return None if rows is None else [gf2.unpack(r, n) for r in rows]
 
 
 class ExtPolynomial(Polynomial):
@@ -296,8 +280,16 @@ class ExtPolynomial(Polynomial):
 
     __slots__ = ()
     modulus = 0
-    _check_char = staticmethod(check_char_z)
-    _dual_monomial = staticmethod(dual_monomial_z)
+
+    @staticmethod
+    def _dual_rows(chars: Sequence[Char], n: int) -> list[Char] | None:
+        """The dual basis of ``chars`` in order; None unless a basis of Z^n.
+        The count is checked first: no rows at all have the empty dual."""
+        return intmat.dual_basis(chars) if len(chars) == n else None
+
+
+# coloring targets and fixed-point flavors
+RINGS: dict[str, type[Polynomial]] = {"gf2": Gf2Polynomial, "z": ExtPolynomial}
 
 
 def gf2_polynomial(n: int, monomials: Iterable[Iterable[Iterable[int]]],
@@ -322,22 +314,22 @@ def is_faithful(p: Polynomial) -> bool:
     The zero polynomial is vacuously faithful (it represents the bounding
     class).
     """
-    return all(p._dual_monomial(m, p.n) is not None for m in p.terms)
+    return all(p._dual_rows(m, p.n) is not None for m in p.terms)
 
 
 def dual(p: Polynomial) -> Polynomial:
     """Monomial-wise dual-basis transform; flips the primal/dual space tag.
 
+    Sorting the dual rows (det A) into B folds in sign(det A)·sign(det B).
     Raises ValidationError on the first monomial that is not faithful.
     """
     pairs = []
     for mono, coeff in p.terms.items():
-        hit = p._dual_monomial(mono, p.n)
-        if hit is None:
+        rows = p._dual_rows(mono, p.n)
+        if rows is None:
             raise ValidationError(f"cannot dualize non-faithful monomial {mono}")
-        sign, star = hit
-        pairs.append((star, sign * coeff))
-    return p._sum(pairs, space=DUAL if p.space == PRIMAL else PRIMAL)
+        pairs.append((rows, coeff))
+    return p._sum(_canonical(pairs), space=DUAL if p.space == PRIMAL else PRIMAL)
 
 
 def differential(p: Polynomial) -> Polynomial:
@@ -458,5 +450,5 @@ def faithful_duals_gf2(n: int) -> dict[Monomial, Monomial]:
         if m in duals:      # the second of a pair: the first maps to m itself
             duals[duals[m]] = m
         else:
-            duals[dual_monomial_gf2(m, n)] = m
+            duals[sort_monomial(Gf2Polynomial._dual_rows(m, n))[1]] = m
     return {m: duals[m] for m in faithful}

@@ -2,14 +2,14 @@
 
 Vectors over GF(2) are packed into Python ints (bit i = coordinate i), which
 keeps the small dense problems that dominate this package — n×n character
-matrices with n ≤ 6 — allocation free and exact.  ``inverse_transpose`` is
-the one basis test for such a matrix: it returns the dual basis, or None
-when the rows are not a basis, so callers that go on to use the dual rows
-prove the basis once.  ``span`` is the one independence test for the few
-vectors at a vertex of a coloring search.  ``RankAccumulator`` is the one
-elimination of wide rows, with pivots keyed by their leading bit: it
-folds the generator span in :mod:`.bott` and, tracking combinations, finds
-the kernel in ``kernel_space`` and the witnesses of ``surjectivity_probe``.
+matrices with n ≤ 6 — allocation free and exact.  ``inverse_transpose``
+returns the dual basis of such a matrix, or None unless the rows are a
+basis; its one caller is the hook ``algebra.Gf2Polynomial._dual_rows``.
+``span`` is the one independence test for the few vectors at a vertex of a
+coloring search.  ``RankAccumulator`` is the one elimination of wide rows,
+with pivots keyed by their leading bit: it folds the generator span in
+:mod:`.bott` and, tracking combinations, finds the kernel in
+``kernel_space`` and the witnesses of ``surjectivity_probe``.
 """
 
 from __future__ import annotations

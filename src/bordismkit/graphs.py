@@ -22,9 +22,9 @@ basis, and along an edge both end weights and the differences of the dual
 rows of each shared facet annihilate the n−1 shared colors, so they are
 multiples of one primitive vector.  Derived graphs are therefore not
 validated again; ``validate`` is for graphs read from outside.  There the
-dual basis at each vertex is again the whole proof: it exists exactly when
-the weights form a basis, and the dual row φ for the weight of an edge
-(φ·α(e) = 1) reduces both ends' weights modulo α(e) for the congruence
+ring's ``_dual_rows`` at each vertex is again the whole proof: it exists
+exactly when the colors form a basis, and over Z its row φ for the weight of
+an edge (φ·α(e) = 1) reduces both ends' weights modulo α(e) for the congruence
 axiom.  A σ read from outside is checked against the orientation relation.
 
 The torus polynomial of an oriented graph is Σ_v σ(v)·(wedge of the vertex
@@ -40,7 +40,7 @@ from __future__ import annotations
 import operator
 from typing import Mapping, Sequence
 
-from . import algebra, gf2, intmat
+from . import algebra, gf2
 from .algebra import ExtPolynomial, Gf2Polynomial
 from .errors import ValidationError
 from .polytopes import Coloring, SimplePolytope
@@ -64,7 +64,7 @@ class ColoredGraph:
                 raise ValidationError(f"edge {sorted(e)} must join two distinct vertices")
             if any(v < 0 or v >= num_vertices for v in e):
                 raise ValidationError(f"edge {sorted(e)} references an unknown vertex")
-            self.alpha[e] = algebra.check_char_gf2(tuple(c), self.n)
+            self.alpha[e] = Gf2Polynomial._check_char(tuple(c), self.n)
 
     def validate(self) -> None:
         """Check n-regularity and properties (P1), (P2)."""
@@ -84,11 +84,10 @@ class ColoredGraph:
             if len(cs) != self.n:
                 raise ValidationError(
                     f"(P1) fails: vertex {v} has degree {len(cs)}, expected {self.n}")
-            rows = [gf2.pack(c) for c in cs]
-            if gf2.inverse_transpose(rows, self.n) is None:
+            if Gf2Polynomial._dual_rows(cs, self.n) is None:
                 raise ValidationError(
                     f"(P1) fails: edge colors at vertex {v} are not a basis")
-            packed.append(rows)
+            packed.append([gf2.pack(c) for c in cs])
         for e, c in self.alpha.items():
             u, v = sorted(e)
             a = gf2.pack(c)
@@ -161,7 +160,7 @@ class TorusGraph:
             u, v = int(u), int(v)
             if u == v or min(u, v) < 0 or max(u, v) >= num_vertices:
                 raise ValidationError(f"bad oriented edge ({u},{v})")
-            self.alpha[(u, v)] = algebra.check_char_z(tuple(c), self.n)
+            self.alpha[(u, v)] = ExtPolynomial._check_char(tuple(c), self.n)
         for (u, v) in list(self.alpha):
             if (v, u) not in self.alpha:
                 raise ValidationError(f"edge ({u},{v}) is missing its reversal")
@@ -199,7 +198,7 @@ class TorusGraph:
             if len(rows) != self.n:
                 raise ValidationError(
                     f"axiom (2) fails: vertex {v} has valence {len(rows)}, expected {self.n}")
-            dual = intmat.dual_basis(rows)
+            dual = ExtPolynomial._dual_rows(rows, self.n)
             if dual is None:
                 raise ValidationError(
                     f"axiom (2) fails: weights at vertex {v} are not a Z-basis")

@@ -2,9 +2,9 @@
 
 Everything here is exact: Bareiss elimination for determinants, one
 fraction-free Gauss–Jordan elimination for the dual basis of a unimodular
-matrix (and the test that it is unimodular), and the extended Euclid
-recurrence.  Matrices are tuples of int tuples; sizes are tiny (rank ≤ 6),
-so clarity wins over speed.
+matrix (the Z ring's basis test, called only by its ``_dual_rows``), and
+the extended Euclid recurrence.  Matrices are tuples of int tuples; sizes
+are tiny (rank ≤ 6), so clarity wins over speed.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from . import bordism, localization
+from . import algebra, bordism
 from .algebra import ExtPolynomial, Gf2Polynomial, Polynomial
 from .bordism import BordismClass
 from .errors import InputFormatError
@@ -134,7 +134,7 @@ def polytope_from_obj(obj: Any) -> tuple[SimplePolytope, Coloring | None]:
     if "coloring" in obj:
         cobj = obj["coloring"]
         target = _need(cobj, "target", str, "coloring")
-        if target not in ("gf2", "z"):
+        if target not in algebra.RINGS:
             raise InputFormatError(f"unknown coloring target {target!r}")
         cmap = _need(cobj, "map", dict, "coloring")
         parsed = {}
@@ -211,7 +211,7 @@ def fixed_point_data_to_obj(d: FixedPointData) -> dict:
 
 def fixed_point_data_from_obj(obj: Any) -> FixedPointData:
     flavor = _need(obj, "flavor", str, "fixed-point data")
-    if flavor not in localization.FLAVORS:
+    if flavor not in algebra.RINGS:
         raise InputFormatError(f"unknown fixed-point flavor {flavor!r}")
     n = _need(obj, "n", int, "fixed-point data")
     raw = _need(obj, "points", list, "fixed-point data")

@@ -1,8 +1,8 @@
 """Kernels of the deletion differential composed with dualization.
 
-``kernel_space`` works over GF(2): rows are indexed by the faithful degree-n
-monomials, the row of a monomial m is d(m*) expressed in the degree-(n-1)
-square-free monomials, and the kernel (= polynomials g with d(g*) = 0) is
+``kernel_space`` works over GF(2): the row of each faithful degree-n
+monomial m is d(m*), m* from ``algebra.faithful_duals_gf2``, in the
+degree-(n-1) square-free monomials, and the kernel (g with d(g*) = 0) is
 read off from the vanishing combinations of ``gf2.RankAccumulator``.
 
 ``kernel_sample_unitary`` is the integer analogue restricted to a finite
@@ -153,9 +153,8 @@ def _window_rows(monomials: list[Monomial],
                  cofactors: dict[Monomial, tuple[int, ...]]) -> Iterator[dict[Monomial, int]]:
     """The rows d(m*) of the window, read off the cofactor table.
 
-    Sorting the dual-basis rows gives m* and the sign
-    ``algebra.dual_monomial_z`` folds in; d then deletes one character at a
-    time with alternating signs.
+    Sorting the dual-basis rows gives m* and the sign ``algebra.dual`` folds
+    in; d then deletes one character at a time with alternating signs.
     """
     for mono in monomials:
         n = len(mono)

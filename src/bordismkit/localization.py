@@ -33,12 +33,13 @@ from typing import Iterator, NamedTuple, Sequence
 
 from . import algebra, mvpoly
 from .algebra import Char, ExtPolynomial, Gf2Polynomial, Monomial, Polynomial
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .mvpoly import MPoly
 
 GF2 = "gf2"
 Z = "z"
-FLAVORS = (GF2, Z)
+# CP^2's full sweep takes ~12 s on a 2-core VM; the largest in use has 25
+MAX_CHERN_NUMBERS = 10_000
 
 
 class SymmetricFunction:
@@ -109,12 +110,15 @@ class FixedPointData:
     __slots__ = ("flavor", "n", "points", "_memo")
 
     def __init__(self, flavor: str, n: int, points: Sequence[FixedPoint]):
-        if flavor not in FLAVORS:
+        if flavor not in algebra.RINGS:
             raise ValidationError(f"unknown flavor {flavor!r}")
+        if n < 1:
+            raise ValidationError("rank n must be at least 1")
         self.flavor = flavor
         self.n = n
-        ring = Gf2Polynomial if flavor == GF2 else ExtPolynomial
+        ring = algebra.RINGS[flavor]
         checked = []
+        proved: set[Monomial] = set()   # each distinct basis is proved once
         for pt in points:
             sign = int(pt.sign)
             if flavor == GF2:
@@ -122,8 +126,9 @@ class FixedPointData:
             elif sign not in (1, -1):
                 raise ValidationError(f"fixed-point sign must be ±1, got {pt.sign}")
             weights = _check_weights(pt.weights, n)
-            if ring._dual_monomial(weights, n) is None:
+            if weights not in proved and ring._dual_rows(weights, n) is None:
                 raise ValidationError(f"non-faithful fixed point with weights {weights}")
+            proved.add(weights)
             checked.append(FixedPoint(sign, weights))
         self.points = tuple(checked)
         self._memo: _Localization | None = None
@@ -134,8 +139,11 @@ class FixedPointData:
 
         A term c*m contributes |c| points with the monomial's characters as
         weights.  Integer flavor: the sign is sgn(c)*sgn(det m) — undoing the
-        fold of the ordering sign into the canonical coefficient.
+        fold of the ordering sign into the canonical coefficient.  A dual
+        polynomial's characters are facet colors, not weights, so it is refused.
         """
+        if p.space != algebra.PRIMAL:
+            raise ValidationError("polynomial is not in the primal space")
         flavor = GF2 if p.modulus == 2 else Z
         pts = []
         for mono, coeff in p.sorted_terms():
@@ -406,11 +414,16 @@ def chern_sweep(data: FixedPointData, degree_cap: int | None = None
                 ) -> tuple[int, Iterator[ChernNumber]]:
     """(cap, the Chern numbers with i + 2j <= cap in (i, j) order).
 
-    The cap defaults to 2n and is checked before any number is computed; the
-    numbers are computed as the iterator is read.  e2 needs two weights per
-    point, so below rank 2 only j = 0 is swept.
+    The cap (default 2n) and the count against ``MAX_CHERN_NUMBERS`` are
+    checked before any number is computed as the iterator is read.  e2 needs
+    two weights per point, so below rank 2 only j = 0 is swept.
     """
     cap = _degree_cap(data.n, degree_cap)
+    count = (cap + 2) ** 2 // 4 if data.n >= 2 else cap + 1
+    if count > MAX_CHERN_NUMBERS:
+        raise ResourceLimitError(
+            f"a Chern sweep to degree {cap} has {count} numbers, over the limit "
+            f"of {MAX_CHERN_NUMBERS}; pass a smaller degree cap (--degree-bound)")
     return cap, (equivariant_chern_number(data, i, j) for i in range(cap + 1)
                  for j in range((cap - i) // 2 + 1 if data.n >= 2 else 1))
 

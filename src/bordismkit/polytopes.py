@@ -7,9 +7,9 @@ most 2 vertices, and the edge graph is n-regular and connected).
 
 Colorings assign a nonzero character to each facet so that the colors at
 every vertex form a basis — invertible over GF(2), determinant ±1 over Z.
-``Coloring.vertex_duals`` proves it by computing each vertex's dual basis
-(``gf2.inverse_transpose`` or ``intmat.dual_basis``), and the graph builders
-in :mod:`.graphs` read their edge weights off those same rows.
+``Coloring.vertex_duals`` proves it once per vertex with the target ring's
+dual-basis hook (``algebra.RINGS[target]._dual_rows``), and the graph
+builders in :mod:`.graphs` read their edge weights off those same rows.
 The GF(2) coloring polynomial (sum over vertices of the product of incident
 facet colors) lives in the dual space; its dual is the edge-colored graph
 polynomial of the 1-skeleton.
@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Mapping, Sequence
 
-from . import algebra, gf2, intmat
+from . import algebra, gf2
 from .algebra import Gf2Polynomial
 from .errors import ValidationError
 
@@ -174,7 +174,7 @@ class Coloring:
     __slots__ = ("target", "map")
 
     def __init__(self, target: str, colors: Mapping[int, Sequence[int]]):
-        if target not in ("gf2", "z"):
+        if target not in algebra.RINGS:
             raise ValidationError(f"unknown coloring target {target!r}")
         self.target = target
         self.map = {int(f): tuple(int(x) for x in c) for f, c in colors.items()}
@@ -193,18 +193,14 @@ class Coloring:
         n = p.dim
         if set(self.map) != set(range(p.num_facets)):
             raise ValidationError("coloring must cover every facet exactly once")
-        check = algebra.check_char_gf2 if self.target == "gf2" else algebra.check_char_z
-        for f, c in self.map.items():
-            check(c, n)
+        ring = algebra.RINGS[self.target]
+        for c in self.map.values():
+            ring._check_char(c, n)
         duals: list[dict[int, tuple[int, ...]]] = []
         bad = []
         for i, v in enumerate(p.vertices):
             fs = sorted(v)
-            if self.target == "gf2":
-                dual = gf2.inverse_transpose([gf2.pack(self.map[f]) for f in fs], n)
-                rows = None if dual is None else [gf2.unpack(r, n) for r in dual]
-            else:
-                rows = intmat.dual_basis([self.map[f] for f in fs])
+            rows = ring._dual_rows([self.map[f] for f in fs], n)
             if rows is None:
                 bad.append(i)
             else:

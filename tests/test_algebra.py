@@ -5,7 +5,7 @@ import random
 import elimination_oracles
 import pytest
 
-from bordismkit import algebra
+from bordismkit import algebra, gf2, graphs, intmat, localization, polytopes
 from bordismkit.algebra import (DUAL, PRIMAL, ExtPolynomial, Gf2Polynomial,
                                 ext_polynomial, gf2_polynomial)
 from bordismkit.errors import ValidationError
@@ -104,10 +104,15 @@ def test_faithful_monomial_counts():
 # -- dual ----------------------------------------------------------------
 
 
+def gf2_dual(mono, n):
+    """The sorted rows of the GF(2) ring's dual-basis hook."""
+    return algebra.sort_monomial(Gf2Polynomial._dual_rows(mono, n))[1]
+
+
 def test_dual_monomial_frozen_pair():
     mono, want = DUAL_PAIR_GF2
-    assert algebra.dual_monomial_gf2(mono, 2) == want
-    assert algebra.dual_monomial_gf2(want, 2) == mono
+    assert gf2_dual(mono, 2) == want
+    assert gf2_dual(want, 2) == mono
 
 
 def test_faithful_dual_table_is_the_involution_of_dual_monomial():
@@ -115,7 +120,7 @@ def test_faithful_dual_table_is_the_involution_of_dual_monomial():
         duals = algebra.faithful_duals_gf2(n)
         assert list(duals) == algebra.all_faithful_monomials_gf2(n)
         for mono, star in duals.items():
-            assert star == algebra.dual_monomial_gf2(mono, n)
+            assert star == gf2_dual(mono, n)
             assert duals[star] == mono
         # the values are the enumerated monomials, not equal copies of them
         assert {id(m) for m in duals.values()} == {id(m) for m in duals}
@@ -183,6 +188,45 @@ def test_is_faithful_matches_the_det_and_rank_predicates():
     assert all(v == {True, False} for v in verdicts.values())
 
 
+def test_every_basis_proof_goes_through_the_ring_hooks(monkeypatch):
+    # each eliminator call comes from its ring's ``_dual_rows``, and the
+    # dual, colorings, both graph kinds and fixed points all reach the hooks
+    calls = dict.fromkeys(("gf2", "z", "inverse_transpose", "dual_basis"), 0)
+    for name, ring in (("gf2", Gf2Polynomial), ("z", ExtPolynomial)):
+        def hook(chars, n, _real=ring._dual_rows, _name=name):
+            calls[_name] += 1
+            return _real(chars, n)
+        monkeypatch.setattr(ring, "_dual_rows", staticmethod(hook))
+    for module, name in ((gf2, "inverse_transpose"), (intmat, "dual_basis")):
+        def counted(*args, _real=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    def reached(action, gf2_calls, z_calls):
+        calls.update(dict.fromkeys(calls, 0))
+        action()
+        assert calls == {"gf2": gf2_calls, "z": z_calls,
+                         "inverse_transpose": gf2_calls, "dual_basis": z_calls}
+
+    rp2 = Gf2Polynomial(2, RP2_MONOS)
+    rp2_coloring = polytopes.Coloring("gf2", {0: (1, 0), 1: (0, 1), 2: (1, 1)})
+    triangle = polytopes.simplex(2)
+    prism = polytopes.product_of_simplices((2, 1))
+    lam = polytopes.standard_z_coloring((2, 1))
+    reached(lambda: algebra.dual(rp2), 3, 0)
+    reached(lambda: algebra.dual(CP2), 0, 3)
+    reached(lambda: rp2_coloring.vertex_duals(triangle), 3, 0)
+    reached(lambda: lam.vertex_duals(prism), 0, 6)
+    skeleton = graphs.one_skeleton(triangle, rp2_coloring)
+    torus = graphs.torus_graph_from_pair(prism, lam)
+    reached(skeleton.validate, 3, 0)
+    reached(torus.validate, 0, 6)
+    reached(lambda: localization.FixedPointData.from_polynomial(rp2), 3, 0)
+    # CP^2 twice over: three distinct points, each proved once
+    reached(lambda: localization.FixedPointData.from_polynomial(CP2.scale(2)), 0, 3)
+
+
 def test_dual_involutive_random():
     rng = random.Random(7)
     for _ in range(300):
@@ -201,6 +245,23 @@ def test_dual_z_involutive_on_unimodular_monomials():
                  for _ in range(rng.randint(1, 4))]
         p = ExtPolynomial(n, terms)
         assert algebra.dual(algebra.dual(p)) == p
+
+
+def test_dual_z_folds_in_both_determinant_signs():
+    # the calibrated convention, c on A -> c·sign(det A)·sign(det B) on B, read
+    # off Bareiss determinants and the adjugate oracle, not off the sort
+    from bordismkit.polytopes import random_unimodular_matrix
+    rng = random.Random(13)
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(2, 4)
+        p = ExtPolynomial(n, [(tuple(map(tuple, random_unimodular_matrix(n, rng))), 1)])
+        (a, c), = p.terms.items()
+        (b, k), = algebra.dual(p).terms.items()
+        assert list(b) == sorted(elimination_oracles.inverse_transpose_unimodular(a))
+        assert k == c * intmat.det(a) * intmat.det(b)
+        seen.add(intmat.det(a) * intmat.det(b))
+    assert seen == {1, -1}
 
 
 def test_dual_additive():

@@ -297,6 +297,35 @@ def test_chern_rejects_an_unknown_flavor_as_input_format():
         "code": "input-format", "message": "unknown fixed-point flavor 'q'"}
 
 
+def test_chern_rejects_a_dual_space_polynomial():
+    # the dual space holds facet colors, not tangent weights
+    star = run_cli("dual", dumps(jsonio.polynomial_to_obj(CP2)).strip())
+    r = run_cli("chern", "-", stdin=star.stdout)
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"] == {
+        "code": "validation-error", "message": "polynomial is not in the primal space"}
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_chern_rejects_fixed_point_data_of_rank_below_one(n):
+    r = run_cli("chern", json.dumps({"flavor": "z", "n": n, "points": []}))
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"] == {
+        "code": "validation-error", "message": "rank n must be at least 1"}
+
+
+def test_chern_refuses_an_oversized_sweep_at_once():
+    r = subprocess.run(
+        [sys.executable, "-m", "bordismkit.cli", "chern",
+         json.dumps({"flavor": "z", "n": 100000, "points": []})],
+        capture_output=True, text=True, timeout=30)
+    assert r.returncode == 1
+    err = json.loads(r.stdout)["error"]
+    assert err["code"] == "resource-limit"
+    assert "has 10000200001 numbers, over the limit of 10000" in err["message"]
+    assert "--degree-bound" in err["message"]
+
+
 def test_reduce_class_and_bare_polynomial():
     cls = dumps(jsonio.class_to_obj(BordismClass(UNITARY, CP2)))
     r = run_cli("reduce", "-", stdin=cls)

@@ -11,10 +11,9 @@ from bordismkit import algebra, intmat, kernels
 from bordismkit.algebra import PRIMAL, ExtPolynomial, Gf2Polynomial
 from bordismkit.errors import ResourceLimitError, ValidationError
 
-# Computed by two independent eliminations (dense numpy and bit-packed
-# python) before the fast path was written.  The published value for n=4
-# is 510; both of our eliminations, plus a rational-arithmetic recount of
-# the matrix rank, give 511 — see docs/decisions/0001-rank4-dimension.md.
+# The published value for n=4 is 510.  The closed form, the elimination and
+# the generator span all give 511, by the three derivations of
+# docs/decisions/0001-rank4-dimension.md.
 KERNEL_DIMS = {1: 0, 2: 1, 3: 13, 4: 511}
 
 # window kernel stats: (monomials, rank of the differential rows, nullity)

@@ -8,12 +8,13 @@ from fractions import Fraction
 import pytest
 
 import localization_oracles
-from bordismkit import algebra, bott, kernels, mvpoly
+from bordismkit import algebra, bott, intmat, kernels, mvpoly
 from bordismkit.algebra import ExtPolynomial, Gf2Polynomial
-from bordismkit.errors import ValidationError
+from bordismkit.errors import ResourceLimitError, ValidationError
 from bordismkit.graphs import torus_graph_from_pair, torus_polynomial
-from bordismkit.localization import (FixedPoint, FixedPointData,
-                                     Gf2IntegralityTable, SymmetricFunction,
+from bordismkit.localization import (MAX_CHERN_NUMBERS, FixedPoint,
+                                     FixedPointData, Gf2IntegralityTable,
+                                     SymmetricFunction,
                                      chern_sweep, equivariant_chern_number,
                                      integrality_check_gf2,
                                      integrality_check_z,
@@ -100,6 +101,37 @@ def test_from_polynomial_rejects_monomials_of_the_wrong_degree(ring, mono):
     p = ring.from_terms(3, [(mono, 1)])
     with pytest.raises(ValidationError, match="are not 3 characters of length 3"):
         FixedPointData.from_polynomial(p)
+
+
+def test_from_polynomial_rejects_the_dual_space():
+    # a dual polynomial's characters are facet colors, not tangent weights
+    for p in (CP2, RP2):
+        with pytest.raises(ValidationError, match="not in the primal space"):
+            FixedPointData.from_polynomial(algebra.dual(p))
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_fixed_point_data_needs_rank_at_least_one(n):
+    with pytest.raises(ValidationError, match="rank n must be at least 1"):
+        FixedPointData("z", n, [])
+
+
+def test_each_distinct_fixed_point_basis_is_proved_once(monkeypatch):
+    # the rank-3 window kernel element with the largest coefficient sum
+    g = max(kernels.kernel_sample_unitary(3, 1).basis,
+            key=lambda b: sum(map(abs, b.terms.values())))
+    assert (g.support(), sum(map(abs, g.terms.values()))) == (65, 82)
+    calls = [0]
+
+    def counted(mat, _real=intmat.dual_basis):
+        calls[0] += 1
+        return _real(mat)
+    monkeypatch.setattr(intmat, "dual_basis", counted)
+    assert len(FixedPointData.from_polynomial(g)) == 82
+    assert calls == [65]          # one per distinct weight tuple, not per unit
+    calls[0] = 0
+    vanishing_test(g, 1)
+    assert calls == [130]         # 65 in the image test, 65 for the data
 
 
 def test_gf2_flavor_forces_positive_signs():
@@ -521,6 +553,21 @@ def test_chern_sweep_order_rank_rule_and_cap():
             assert got == [equivariant_chern_number(data, i, j) for i, j in want]
     with pytest.raises(ValidationError, match="degree cap must be nonnegative"):
         chern_sweep(FixedPointData.from_polynomial(CP2), -1)
+
+
+def test_chern_sweep_refuses_more_numbers_than_its_limit():
+    # floor((cap + 2)^2 / 4) numbers from rank 2 on, cap + 1 below; a sweep
+    # at the limit is accepted, one past it is refused before any number
+    assert MAX_CHERN_NUMBERS == 10_000
+    cp1, cp2 = FixedPointData.from_polynomial(CP1), FixedPointData.from_polynomial(CP2)
+    for data, cap, count in ((cp1, 10_000, 10_001), (cp2, 199, 10_100)):
+        assert chern_sweep(data, cap - 1)[0] == cap - 1
+        with pytest.raises(ResourceLimitError, match=f"has {count} numbers, over "
+                           "the limit of 10000; pass a smaller degree cap"):
+            chern_sweep(data, cap)
+    # the default cap 2n
+    with pytest.raises(ResourceLimitError, match="has 10000200001 numbers"):
+        chern_sweep(FixedPointData("z", 100_000, []))
 
 
 def test_min_fixed_points_report():
