@@ -13,7 +13,7 @@ import time
 from typing import Callable, NamedTuple, TextIO
 
 from . import algebra, bordism, bott, gf2, kernels, mvpoly
-from .algebra import ExtPolynomial, Gf2Polynomial
+from .algebra import Char, ExtPolynomial, Gf2Polynomial
 from .bordism import BordismClass, UNITARY, UNORIENTED
 from .graphs import (graph_coloring_polynomial, one_skeleton,
                      torus_graph_from_pair, torus_polynomial)
@@ -103,25 +103,19 @@ def _random_unitary_class(n: int, rng: random.Random,
     return BordismClass(UNITARY, poly)
 
 
-def _aligned_coloring(l2: Coloring, n: int, basis_from: list[int],
-                      basis_to: list[int]) -> Coloring:
-    """Recolor so the facets colored by ``basis_from`` get ``basis_to``.
-
-    Applies the GF(2)-linear isomorphism sending basis_from to basis_to to
-    every color; linear isomorphisms preserve the coloring condition.
-    """
-    # row j of inv is the coordinate vector of unit vector j over basis_from
-    images = []
-    for row in gf2.invert(basis_from, n):
-        y = 0
-        for k in gf2.bits(row):
-            y ^= basis_to[k]
-        images.append(y)
+def _aligned_coloring(l2: Coloring, n: int, basis_from: list[Char],
+                      basis_to: list[Char]) -> Coloring:
+    """Recolor so the facets colored by ``basis_from`` get ``basis_to`` by
+    x ↦ Σ_k (φ_k·x)·basis_to[k], φ the dual basis of basis_from; a linear
+    isomorphism preserves the coloring condition."""
+    pairs = [(gf2.pack(phi), gf2.pack(to)) for phi, to
+             in zip(Gf2Polynomial._dual_rows(basis_from, n)[0], basis_to)]
     aligned = {}
     for f, c in l2.map.items():
-        y = 0
-        for j in gf2.bits(gf2.pack(c)):
-            y ^= images[j]
+        x, y = gf2.pack(c), 0
+        for phi, to in pairs:
+            if (phi & x).bit_count() & 1:
+                y ^= to
         aligned[f] = gf2.unpack(y, n)
     return Coloring("gf2", aligned)
 
@@ -246,9 +240,8 @@ def formula_properties() -> tuple[bool, str]:
         v1 = rng.choice(p1.vertices)
         v2 = rng.choice(p2.vertices)
         f1s, f2s = sorted(v1), sorted(v2)
-        l2a = _aligned_coloring(l2, n,
-                                [gf2.pack(l2.map[f]) for f in f2s],
-                                [gf2.pack(l1.map[f]) for f in f1s])
+        l2a = _aligned_coloring(l2, n, [l2.map[f] for f in f2s],
+                                [l1.map[f] for f in f1s])
         summed = connected_sum(p1, v1, p2, v2, dict(zip(f1s, f2s)))
         cmap = dict(l1.map)
         merged = set(f2s)

@@ -21,8 +21,9 @@ classes "gf2" and "z".  ``mod2_reduce`` maps the Z ring onto the GF(2) ring.
 A monomial is *faithful* when its characters are a basis (invertible over
 GF(2), determinant ±1 over Z), that is, when their dual basis exists.  Each
 ring's hook ``_dual_rows(chars, n)`` is one elimination; it returns the dual
-basis, or None unless ``chars`` are a basis, and every basis in the package
-(monomials, polytope and graph vertices, fixed points) is proved by it.
+basis and det(chars) (always 1 over GF(2)), or None unless ``chars`` are a
+basis.  Every basis in the package (monomials, polytope and graph vertices,
+fixed points) is proved by it, and no basis gets a second determinant.
 ``dual`` sorts those rows into the dual monomial and swaps the space tag;
 ``faithful_duals_gf2`` tabulates the dual over a whole rank, once per dual
 pair; ``in_image_verdict`` dualizes once and tests membership in the
@@ -83,14 +84,6 @@ def sort_monomial(chars: Iterable[Char]) -> tuple[int, Monomial]:
         if a == b:
             return 0, ()
     return sign, tuple(chars)
-
-
-def det_sign(mono: Monomial) -> int:
-    """Sign of det of the sorted character matrix of a full-rank Z monomial."""
-    d = intmat.det(mono)
-    if d == 0:
-        raise ValidationError(f"monomial {mono} has linearly dependent characters")
-    return 1 if d > 0 else -1
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +262,10 @@ class Gf2Polynomial(Polynomial):
         return char
 
     @staticmethod
-    def _dual_rows(chars: Sequence[Char], n: int) -> list[Char] | None:
-        """The dual basis of ``chars`` in order; None unless a basis of GF(2)^n."""
+    def _dual_rows(chars: Sequence[Char], n: int) -> tuple[list[Char], int] | None:
+        """(the dual basis of ``chars`` in order, det 1); None unless a basis."""
         rows = gf2.inverse_transpose([gf2.pack(c) for c in chars], n)
-        return None if rows is None else [gf2.unpack(r, n) for r in rows]
+        return None if rows is None else ([gf2.unpack(r, n) for r in rows], 1)
 
 
 class ExtPolynomial(Polynomial):
@@ -282,9 +275,9 @@ class ExtPolynomial(Polynomial):
     modulus = 0
 
     @staticmethod
-    def _dual_rows(chars: Sequence[Char], n: int) -> list[Char] | None:
-        """The dual basis of ``chars`` in order; None unless a basis of Z^n.
-        The count is checked first: no rows at all have the empty dual."""
+    def _dual_rows(chars: Sequence[Char], n: int) -> tuple[list[Char], int] | None:
+        """(the dual basis of ``chars`` in order, det ±1); None unless a basis
+        of Z^n.  The count is checked first: no rows at all have the empty dual."""
         return intmat.dual_basis(chars) if len(chars) == n else None
 
 
@@ -325,10 +318,10 @@ def dual(p: Polynomial) -> Polynomial:
     """
     pairs = []
     for mono, coeff in p.terms.items():
-        rows = p._dual_rows(mono, p.n)
-        if rows is None:
+        found = p._dual_rows(mono, p.n)
+        if found is None:
             raise ValidationError(f"cannot dualize non-faithful monomial {mono}")
-        pairs.append((rows, coeff))
+        pairs.append((found[0], coeff))
     return p._sum(_canonical(pairs), space=DUAL if p.space == PRIMAL else PRIMAL)
 
 
@@ -450,5 +443,5 @@ def faithful_duals_gf2(n: int) -> dict[Monomial, Monomial]:
         if m in duals:      # the second of a pair: the first maps to m itself
             duals[duals[m]] = m
         else:
-            duals[sort_monomial(Gf2Polynomial._dual_rows(m, n))[1]] = m
+            duals[sort_monomial(Gf2Polynomial._dual_rows(m, n)[0])[1]] = m
     return {m: duals[m] for m in faithful}

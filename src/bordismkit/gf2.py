@@ -47,44 +47,29 @@ def span(vectors: Iterable[int]) -> set[int]:
     return out
 
 
-def invert(rows: Sequence[int], n: int) -> list[int] | None:
-    """Inverse of an n×n bitset matrix (rows of the inverse); None unless
-    there are n rows and they are independent."""
+def inverse_transpose(rows: Sequence[int], n: int) -> list[int] | None:
+    """Rows of (A^{-1})^T = (A^T)^{-1}, the dual basis of the rows of A, by
+    one Gauss–Jordan elimination of A^T; None unless A is n×n invertible."""
     if len(rows) != n:
         return None
-    work = list(rows)
+    work = [0] * n     # A^T
+    for i, row in enumerate(rows):
+        for j in bits(row):
+            work[j] |= 1 << i
     inv = [1 << i for i in range(n)]
     for col in range(n):
-        pivot = None
         for r in range(col, n):
             if (work[r] >> col) & 1:
-                pivot = r
                 break
-        if pivot is None:
+        else:
             return None
-        work[col], work[pivot] = work[pivot], work[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
+        work[col], work[r] = work[r], work[col]
+        inv[col], inv[r] = inv[r], inv[col]
         for r in range(n):
-            if r != col and ((work[r] >> col) & 1):
+            if r != col and (work[r] >> col) & 1:
                 work[r] ^= work[col]
                 inv[r] ^= inv[col]
     return inv
-
-
-def transpose(rows: Sequence[int], n: int) -> list[int]:
-    out = [0] * n
-    for i, row in enumerate(rows):
-        for j in range(n):
-            if (row >> j) & 1:
-                out[j] |= 1 << i
-    return out
-
-
-def inverse_transpose(rows: Sequence[int], n: int) -> list[int] | None:
-    """Rows of (A^{-1})^T, i.e. the dual basis of the rows of A; None unless
-    A is invertible."""
-    inv = invert(rows, n)
-    return None if inv is None else transpose(inv, n)
 
 
 class RankAccumulator:

@@ -30,22 +30,21 @@ axiom.  A σ read from outside is checked against the orientation relation.
 The torus polynomial of an oriented graph is Σ_v σ(v)·(wedge of the vertex
 weights written in det-normalized order); on canonical monomials the vertex
 term reads σ(v)·δ(W_v)·(sorted wedge) with δ = sign of the sorted weight
-determinant.  For every graph arising from a Z-colored polytope pair the
-result satisfies the unitary image criterion — the per-edge cancellation in
-d(g*) is exactly the orientation relation.
+determinant, read off the ``_dual_rows`` elimination that proves W_v a
+basis.  For every graph arising from a Z-colored polytope pair the result
+satisfies the unitary image criterion — the per-edge cancellation in d(g*)
+is exactly the orientation relation.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import algebra, gf2
-from .algebra import ExtPolynomial, Gf2Polynomial
+from .algebra import Char, ExtPolynomial, Gf2Polynomial
 from .errors import ValidationError
 from .polytopes import Coloring, SimplePolytope
-
-Char = tuple[int, ...]
 
 
 class ColoredGraph:
@@ -176,6 +175,21 @@ class TorusGraph:
             out[e[0]].append(e)
         return out
 
+    def _vertex_bases(self) -> Iterator[tuple[list[tuple[int, int]], list[Char],
+                                              tuple[list[Char], int]]]:
+        """Per vertex: its out-edges, their weights W_v, and the hook's
+        (dual rows, det W_v); raises at the first vertex failing axiom (2)."""
+        for v, edges in enumerate(self._out_edges()):
+            rows = [self.alpha[e] for e in edges]
+            if len(rows) != self.n:
+                raise ValidationError(
+                    f"axiom (2) fails: vertex {v} has valence {len(rows)}, expected {self.n}")
+            found = ExtPolynomial._dual_rows(rows, self.n)
+            if found is None:
+                raise ValidationError(
+                    f"axiom (2) fails: weights at vertex {v} are not a Z-basis")
+            yield edges, rows, found
+
     def validate(self) -> None:
         """Torus graph axioms: reversal signs, vertex bases, congruence
         matching, and the orientation relation when σ is set.
@@ -193,15 +207,7 @@ class TorusGraph:
                     f"axiom (1) fails: alpha({v},{u}) is not ±alpha({u},{v})")
         weights: list[list[Char]] = []
         duals: list[dict[int, Char]] = []
-        for v, edges in enumerate(self._out_edges()):
-            rows = [self.alpha[e] for e in edges]
-            if len(rows) != self.n:
-                raise ValidationError(
-                    f"axiom (2) fails: vertex {v} has valence {len(rows)}, expected {self.n}")
-            dual = ExtPolynomial._dual_rows(rows, self.n)
-            if dual is None:
-                raise ValidationError(
-                    f"axiom (2) fails: weights at vertex {v} are not a Z-basis")
+        for edges, rows, (dual, _) in self._vertex_bases():
             weights.append(rows)
             duals.append({w: phi for (_, w), phi in zip(edges, dual)})
 
@@ -275,11 +281,7 @@ def torus_polynomial(graph: TorusGraph) -> ExtPolynomial:
     """Σ_v σ(v)·(vertex weight wedge in det-normalized order), primal space."""
     if graph.sigma is None:
         raise ValidationError("torus graph is not oriented; call orient() first")
-    terms: list[tuple[tuple[Char, ...], int]] = []
-    for v, edges in enumerate(graph._out_edges()):
-        weights = [graph.alpha[e] for e in edges]
-        sign, mono = algebra.sort_monomial(weights)
-        if sign == 0:
-            raise ValidationError(f"repeated weight at vertex {v}")
-        terms.append((mono, graph.sigma[v] * algebra.det_sign(mono)))
+    terms = [(rows, s * det)
+             for s, (_, rows, (_, det)) in zip(graph.sigma, graph._vertex_bases())]
+    # sorting W_v in the constructor turns det W_v into δ(W_v)
     return ExtPolynomial(graph.n, terms, space=algebra.PRIMAL)

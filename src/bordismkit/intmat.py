@@ -1,10 +1,11 @@
 """Exact integer matrix helpers for character matrices.
 
-Everything here is exact: Bareiss elimination for determinants, one
-fraction-free Gauss–Jordan elimination for the dual basis of a unimodular
-matrix (the Z ring's basis test, called only by its ``_dual_rows``), and
-the extended Euclid recurrence.  Matrices are tuples of int tuples; sizes
-are tiny (rank ≤ 6), so clarity wins over speed.
+Everything here is exact: one fraction-free Gauss–Jordan elimination that
+gives the dual basis of a unimodular matrix and its determinant (the Z
+ring's basis test, called only by its ``_dual_rows``), Bareiss determinants
+for the integer window's cofactors (called only by ``kernels``), and the
+extended Euclid recurrence.  Matrices are tuples of int tuples; sizes are
+tiny (rank ≤ 6), so clarity wins over speed.
 """
 
 from __future__ import annotations
@@ -39,24 +40,26 @@ def det(mat: Matrix) -> int:
     return sign * a[-1][-1]
 
 
-def dual_basis(mat: Matrix) -> list[tuple[int, ...]] | None:
-    """Rows of (A^{-1})^T, the dual basis of A's rows (row i pairs to 1 with
-    row i of A and to 0 with the others); None unless A is square with det ±1.
+def dual_basis(mat: Matrix) -> tuple[list[tuple[int, ...]], int] | None:
+    """(rows of (A^{-1})^T, det A) when A is square with det ±1, else None;
+    row i of (A^{-1})^T pairs to 1 with row i of A and to 0 with the others.
 
     One fraction-free Gauss–Jordan elimination of [A | I]: each step clears
     the pivot column above and below the pivot, every division is exact, and
-    it ends at [d·I | d·A^{-1}] with d = ±det A.
+    it ends at [d·I | d·A^{-1}] with d·(sign of the row swaps) = det A.
     """
     n = len(mat)
     if any(len(row) != n for row in mat):
         return None
     a = [[int(v) for v in row] + [int(i == j) for j in range(n)]
          for i, row in enumerate(mat)]
-    prev = 1
+    prev = sign = 1
     for k in range(n):
         for r in range(k, n):
             if a[r][k]:
-                a[k], a[r] = a[r], a[k]
+                if r != k:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
                 break
         else:
             return None
@@ -69,7 +72,7 @@ def dual_basis(mat: Matrix) -> list[tuple[int, ...]] | None:
         prev = p
     if prev not in (1, -1):
         return None
-    return [tuple(prev * a[i][n + j] for i in range(n)) for j in range(n)]
+    return [tuple(prev * a[i][n + j] for i in range(n)) for j in range(n)], sign * prev
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:

@@ -4,7 +4,9 @@ A faithful polynomial is read as fixed-point data: one point per unit of
 coefficient, carrying the monomial's characters as tangent weights (and, in
 the integer flavor, a sign recovered from the coefficient and the weight
 matrix determinant, matching the convention that folds ordering signs into
-canonical coefficients).  Localization expressions are then rational sums
+canonical coefficients; the determinant comes from the ring's ``_dual_rows``
+elimination that proves the weights a basis).  Localization expressions are
+then rational sums
 
     sum_p  [sign_p] * f(weights_p) / product(weights_p)
 
@@ -104,6 +106,14 @@ def _check_weights(weights: Sequence[Char], n: int) -> Monomial:
     return weights
 
 
+def _basis_det(ring: type[Polynomial], weights: Monomial, n: int) -> int:
+    """det of the weights (±1; 1 over GF(2)), from the ring's basis proof."""
+    found = ring._dual_rows(weights, n)
+    if found is None:
+        raise ValidationError(f"non-faithful fixed point with weights {weights}")
+    return found[1]
+
+
 class FixedPointData:
     """Weights (and signs, integer flavor) of an isolated fixed-point set."""
 
@@ -114,8 +124,6 @@ class FixedPointData:
             raise ValidationError(f"unknown flavor {flavor!r}")
         if n < 1:
             raise ValidationError("rank n must be at least 1")
-        self.flavor = flavor
-        self.n = n
         ring = algebra.RINGS[flavor]
         checked = []
         proved: set[Monomial] = set()   # each distinct basis is proved once
@@ -126,32 +134,36 @@ class FixedPointData:
             elif sign not in (1, -1):
                 raise ValidationError(f"fixed-point sign must be ±1, got {pt.sign}")
             weights = _check_weights(pt.weights, n)
-            if weights not in proved and ring._dual_rows(weights, n) is None:
-                raise ValidationError(f"non-faithful fixed point with weights {weights}")
+            if weights not in proved:
+                _basis_det(ring, weights, n)   # raises unless a basis
             proved.add(weights)
             checked.append(FixedPoint(sign, weights))
-        self.points = tuple(checked)
-        self._memo: _Localization | None = None
+        self.flavor, self.n, self.points, self._memo = flavor, n, tuple(checked), None
+
+    @classmethod
+    def _of(cls, flavor: str, n: int, points: Sequence[FixedPoint]) -> "FixedPointData":
+        """Unchecked constructor: ``points`` are normalized and proved bases."""
+        data = object.__new__(cls)
+        data.flavor, data.n, data.points, data._memo = flavor, n, tuple(points), None
+        return data
 
     @classmethod
     def from_polynomial(cls, p: Polynomial) -> "FixedPointData":
         """Read a faithful polynomial as fixed-point data.
 
         A term c*m contributes |c| points with the monomial's characters as
-        weights.  Integer flavor: the sign is sgn(c)*sgn(det m) — undoing the
-        fold of the ordering sign into the canonical coefficient.  A dual
-        polynomial's characters are facet colors, not weights, so it is refused.
+        weights and sign sgn(c)*det m (1 over GF(2)) — undoing the fold of the
+        ordering sign into the canonical coefficient; det m comes from the one
+        elimination that proves m a basis.  A dual polynomial's characters
+        are facet colors, not weights, so it is refused.
         """
         if p.space != algebra.PRIMAL:
             raise ValidationError("polynomial is not in the primal space")
-        flavor = GF2 if p.modulus == 2 else Z
         pts = []
         for mono, coeff in p.sorted_terms():
-            sign = 1
-            if flavor == Z:
-                sign = (1 if coeff > 0 else -1) * algebra.det_sign(_check_weights(mono, p.n))
-            pts.extend([FixedPoint(sign, mono)] * abs(coeff))
-        return cls(flavor, p.n, pts)
+            det = _basis_det(type(p), _check_weights(mono, p.n), p.n)
+            pts.extend([FixedPoint(det if coeff > 0 else -det, mono)] * abs(coeff))
+        return cls._of(GF2 if p.modulus == 2 else Z, p.n, pts)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -334,8 +346,9 @@ class Gf2IntegralityTable:
     def __init__(self, n: int, partitions: Sequence[Sequence[int]]):
         self.n = n
         self.partitions = tuple(map(mvpoly.canonical_partition, partitions))
-        data = FixedPointData(GF2, n, [FixedPoint(1, m)
-                                       for m in algebra.all_faithful_monomials_gf2(n)])
+        # the enumeration yields bases, so they are not proved again
+        data = FixedPointData._of(GF2, n, [FixedPoint(1, m)
+                                           for m in algebra.all_faithful_monomials_gf2(n)])
         loc = _Localization(data)
         index: dict[tuple[Char, int], int] = {}
         self._bits = {mu: {} for mu in self.partitions}  # mu -> monomial -> bits
@@ -358,6 +371,8 @@ class Gf2IntegralityTable:
             raise ValidationError(f"partition {mu} is not in the table")
         if p.n != self.n:
             raise ValidationError(f"polynomial has rank {p.n}, table has {self.n}")
+        if p.space != algebra.PRIMAL:
+            raise ValidationError("polynomial is not in the primal space")
         acc = 0
         for mono in p.terms:
             try:

@@ -2,8 +2,9 @@
 
 A polytope here is purely combinatorial: ``dim`` = n, ``num_facets`` = m, and
 vertices given as n-element sets of facet indices.  Simplicity is enforced
-(every vertex lies on exactly n facets, every (n-1)-set of facets lies on at
-most 2 vertices, and the edge graph is n-regular and connected).
+(every vertex lies on exactly n facets, every facet holds a vertex, every
+(n-1)-set of facets lies on at most 2 vertices, and the edge graph is
+n-regular and connected).
 
 Colorings assign a nonzero character to each facet so that the colors at
 every vertex form a basis — invertible over GF(2), determinant ±1 over Z.
@@ -49,6 +50,11 @@ class SimplePolytope:
                 raise ValidationError(f"vertex {sorted(v)} does not lie on exactly {n} facets")
             if any(f < 0 or f >= m for f in v):
                 raise ValidationError(f"vertex {sorted(v)} references an unknown facet")
+        # every facet holds a vertex: this bounds m before anything is sized by it
+        covered = set().union(*self.vertices)
+        if len(covered) < m:
+            missing = next(f for f in range(m) if f not in covered)
+            raise ValidationError(f"no vertex lies on facet {missing}")
         # every (n-1)-set of facets lies in at most 2 vertices; those pairs are edges
         ridge_count: dict[Vertex, int] = {}
         for v in self.vertices:
@@ -200,11 +206,11 @@ class Coloring:
         bad = []
         for i, v in enumerate(p.vertices):
             fs = sorted(v)
-            rows = ring._dual_rows([self.map[f] for f in fs], n)
-            if rows is None:
+            found = ring._dual_rows([self.map[f] for f in fs], n)
+            if found is None:
                 bad.append(i)
             else:
-                duals.append(dict(zip(fs, rows)))
+                duals.append(dict(zip(fs, found[0])))
         if bad:
             raise ValidationError(
                 f"facet colors do not form a basis at vertices {bad}")

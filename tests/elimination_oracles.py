@@ -27,7 +27,7 @@ def kernel_basis(n):
     col_ids = {}
     rows = []
     for mono in monomials:
-        star = algebra.sort_monomial(Gf2Polynomial._dual_rows(mono, n))[1]
+        star = algebra.sort_monomial(Gf2Polynomial._dual_rows(mono, n)[0])[1]
         bits = 0
         for j in range(n):
             deleted = star[:j] + star[j + 1:]

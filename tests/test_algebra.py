@@ -106,7 +106,7 @@ def test_faithful_monomial_counts():
 
 def gf2_dual(mono, n):
     """The sorted rows of the GF(2) ring's dual-basis hook."""
-    return algebra.sort_monomial(Gf2Polynomial._dual_rows(mono, n))[1]
+    return algebra.sort_monomial(Gf2Polynomial._dual_rows(mono, n)[0])[1]
 
 
 def test_dual_monomial_frozen_pair():

@@ -23,10 +23,10 @@ SINGLE_MONOMIAL = ('{"n":2,"ring":"gf2","space":"primal",'
                    '"terms":[{"chars":[[0,1],[1,0]],"coeff":1}]}')
 
 
-def run_cli(*argv, stdin=None):
+def run_cli(*argv, stdin=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "bordismkit.cli", *argv],
-        capture_output=True, text=True, input=stdin)
+        capture_output=True, text=True, input=stdin, timeout=timeout)
 
 
 def dumps(obj):
@@ -184,6 +184,20 @@ def test_poly_of_polytope_rejects_non_canonical_facet_keys():
             "message": f"coloring.map key {key!r} is not a facet index"}
 
 
+@pytest.mark.parametrize("verb, target", [("poly-of-polytope", "gf2"),
+                                          ("torus-poly", "z")])
+@pytest.mark.parametrize("facets", [10**8, 10**30])
+def test_a_facet_with_no_vertex_is_refused_at_once(verb, target, facets):
+    # a segment that claims more facets than its vertices lie on; the
+    # coloring covers only facets 0 and 1
+    obj = {"dim": 1, "facets": facets, "vertices": [[0], [1]],
+           "coloring": {"target": target, "map": {"0": [1], "1": [-1]}}}
+    r = run_cli(verb, json.dumps(obj), timeout=20)
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"] == {
+        "code": "validation-error", "message": "no vertex lies on facet 2"}
+
+
 def test_poly_of_graph_and_cross_verb_guard(tmp_path):
     p = product_of_simplices((2,))
     skel = one_skeleton(p, RP2_COLORING)
@@ -304,6 +318,21 @@ def test_chern_rejects_a_dual_space_polynomial():
     assert r.returncode == 1
     assert json.loads(r.stdout)["error"] == {
         "code": "validation-error", "message": "polynomial is not in the primal space"}
+
+
+@pytest.mark.parametrize("chars, weights", [
+    ([[1, 2], [2, 4]], "((1, 2), (2, 4))"),     # det 0
+    ([[1, 1], [1, -1]], "((1, -1), (1, 1))"),   # det -2
+], ids=("dependent", "index-2"))
+def test_chern_names_a_non_faithful_monomial_one_way(chars, weights):
+    # a singular monomial and one of index 2 fail the same basis proof
+    obj = {"n": 2, "ring": "z-ext", "space": "primal",
+           "terms": [{"chars": chars, "coeff": 1}]}
+    r = run_cli("chern", json.dumps(obj))
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"] == {
+        "code": "validation-error",
+        "message": f"non-faithful fixed point with weights {weights}"}
 
 
 @pytest.mark.parametrize("n", [0, -3])

@@ -315,6 +315,15 @@ def test_unoriented_graph_has_no_polynomial():
         torus_polynomial(bare)
 
 
+def test_a_vertex_that_is_not_a_basis_has_no_polynomial_term():
+    # weight ±3 spans index 3 in Z; the sign of a vertex term comes from the
+    # basis proof, so an unvalidated graph cannot slip a non-basis through
+    g = TorusGraph(1, 2, {(0, 1): (3,), (1, 0): (-3,)}, sigma=[1, 1])
+    with pytest.raises(ValidationError,
+                       match=r"axiom \(2\) fails: weights at vertex 0 are not a Z-basis"):
+        torus_polynomial(g)
+
+
 def test_mod2_of_torus_poly_is_skeleton_poly():
     # reduction compatibility between the two graph flavors
     for factors in ((2,), (1, 1), (2, 1)):
@@ -363,6 +372,11 @@ def test_vertex_bases_are_proved_once(monkeypatch):
     calls.update(dict.fromkeys(calls, 0))
     skeleton.validate()
     assert calls == {"det": 0, "dual_basis": 0, "inverse_transpose": 6, "span": 0}
+    # the sign δ(W_v) of each vertex term comes from the elimination that
+    # proves W_v a basis, not from a determinant
+    calls.update(dict.fromkeys(calls, 0))
+    torus_polynomial(torus)
+    assert calls == {"det": 0, "dual_basis": 6, "inverse_transpose": 0, "span": 0}
 
 
 def test_orientation_survives_a_json_round_trip():

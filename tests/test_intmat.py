@@ -16,7 +16,10 @@ def test_dual_basis_matches_adjugate_oracle():
         got = intmat.dual_basis(mat)
         if intmat.det(mat) in (1, -1):
             unimodular += 1
-            assert got == elimination_oracles.inverse_transpose_unimodular(mat), mat
+            rows, sign = got
+            assert rows == elimination_oracles.inverse_transpose_unimodular(mat), mat
+            # the elimination's last pivot, corrected by its row swaps
+            assert sign == (1 if intmat.det(mat) > 0 else -1), mat
         else:  # singular or |det| > 1
             rejected += 1
             assert got is None, mat
@@ -29,12 +32,12 @@ def test_dual_basis_pairs_rows_to_the_identity():
     for _ in range(500):
         n = rng.randint(1, 6)
         mat = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-        dual = intmat.dual_basis(mat)
-        if dual is None:
+        found = intmat.dual_basis(mat)
+        if found is None:
             continue
         seen += 1
         for i, row in enumerate(mat):
-            for j, star in enumerate(dual):
+            for j, star in enumerate(found[0]):
                 assert sum(a * b for a, b in zip(row, star)) == (i == j)
     assert seen > 20
 
@@ -49,4 +52,4 @@ def test_dual_basis_rejects_non_square_matrices():
     assert intmat.dual_basis([[1, 0, 0], [0, 1, 0]]) is None
     assert intmat.dual_basis([[1, 0], [0, 1], [1, 1]]) is None
     assert intmat.dual_basis([[1, 0], [0]]) is None
-    assert intmat.dual_basis([]) == []  # the 0×0 matrix is its own dual
+    assert intmat.dual_basis([]) == ([], 1)  # the 0×0 matrix is its own dual

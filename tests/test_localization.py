@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import localization_oracles
-from bordismkit import algebra, bott, intmat, kernels, mvpoly
+from bordismkit import algebra, bott, gf2, intmat, kernels, mvpoly
 from bordismkit.algebra import ExtPolynomial, Gf2Polynomial
 from bordismkit.errors import ResourceLimitError, ValidationError
 from bordismkit.graphs import torus_graph_from_pair, torus_polynomial
@@ -121,17 +121,20 @@ def test_each_distinct_fixed_point_basis_is_proved_once(monkeypatch):
     g = max(kernels.kernel_sample_unitary(3, 1).basis,
             key=lambda b: sum(map(abs, b.terms.values())))
     assert (g.support(), sum(map(abs, g.terms.values()))) == (65, 82)
-    calls = [0]
-
-    def counted(mat, _real=intmat.dual_basis):
-        calls[0] += 1
-        return _real(mat)
-    monkeypatch.setattr(intmat, "dual_basis", counted)
+    calls = dict.fromkeys(("dual_basis", "det"), 0)
+    for name in calls:
+        def counted(mat, _real=getattr(intmat, name), _name=name):
+            calls[_name] += 1
+            return _real(mat)
+        monkeypatch.setattr(intmat, name, counted)
     assert len(FixedPointData.from_polynomial(g)) == 82
-    assert calls == [65]          # one per distinct weight tuple, not per unit
-    calls[0] = 0
+    # one per distinct weight tuple, not per unit; the sign comes from the
+    # same elimination, so no determinant is taken
+    assert calls == {"dual_basis": 65, "det": 0}
+    calls.update(dict.fromkeys(calls, 0))
     vanishing_test(g, 1)
-    assert calls == [130]         # 65 in the image test, 65 for the data
+    # 65 in the image test, 65 for the data
+    assert calls == {"dual_basis": 130, "det": 0}
 
 
 def test_gf2_flavor_forces_positive_signs():
@@ -205,8 +208,26 @@ def test_batch_table_input_checks():
         table.passes(Gf2Polynomial(3, [], space="primal"), (1,))
     with pytest.raises(ValidationError, match="must be positive"):
         table.passes(RP2, (1, 0))
+    # a dual polynomial's characters are facet colors, not weights
+    with pytest.raises(ValidationError, match="^polynomial is not in the primal space$"):
+        table.passes(algebra.gf2_polynomial(2, [[(0, 1), (1, 0)]],
+                                            space=algebra.DUAL), (1,))
     # the table and its queries read a partition in any order of its parts
     assert Gf2IntegralityTable(2, [(1, 2)]).passes(RP2, (2, 1))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_batch_table_takes_the_enumerated_bases_unproved(monkeypatch, n):
+    # all_faithful_monomials_gf2 yields bases, so none is inverted again
+    # (28 and 840 inversions before)
+    calls = [0]
+
+    def counted(*args, _real=gf2.inverse_transpose):
+        calls[0] += 1
+        return _real(*args)
+    monkeypatch.setattr(gf2, "inverse_transpose", counted)
+    Gf2IntegralityTable(n, [()])
+    assert calls == [0]
 
 
 def test_batch_table_at_rank_three_matches_reference():

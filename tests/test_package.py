@@ -1,11 +1,14 @@
-"""Package-level properties: what importing bordismkit pulls in, and the
-README's example."""
+"""Package-level properties: what importing bordismkit pulls in, which
+module may reach which routine, and the README's example."""
 
+import ast
 import doctest
 import io
 import subprocess
 import sys
 from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "bordismkit"
 
 
 def test_import_is_stdlib_only():
@@ -26,3 +29,22 @@ def test_readme_example_runs():
     runner = doctest.DocTestRunner()
     runner.run(test, out=out.write)
     assert len(test.examples) == 7 and runner.failures == 0, out.getvalue()
+
+
+def test_only_the_integer_window_takes_determinants():
+    # a basis and its determinant's sign come from one elimination, the
+    # ring's dual-basis hook; intmat.det serves only the window cofactors
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "det"
+                    and isinstance(node.value, ast.Name) and node.value.id == "intmat"):
+                users.add(path.stem)
+            elif (isinstance(node, ast.ImportFrom) and node.module
+                  and node.module.split(".")[-1] == "intmat"
+                  and any(alias.name == "det" for alias in node.names)):
+                users.add(path.stem)
+            elif (path.stem == "intmat" and isinstance(node, ast.Name)
+                  and node.id == "det" and isinstance(node.ctx, ast.Load)):
+                users.add(path.stem)
+    assert users == {"kernels"}

@@ -5,7 +5,6 @@ import re
 
 import pytest
 
-from bordismkit import algebra
 from bordismkit.algebra import DUAL
 from bordismkit.errors import ValidationError
 from bordismkit.polytopes import (Coloring, SimplePolytope, all_gf2_colorings,
@@ -43,6 +42,14 @@ def test_non_simple_rejected():
     # a square facet-set where one vertex only meets one facet
     with pytest.raises(ValidationError):
         SimplePolytope(2, 3, [(0, 1), (1, 2), (0,)])
+
+
+@pytest.mark.parametrize("m", [3, 10**8, 10**30])
+def test_a_facet_with_no_vertex_is_rejected(m):
+    # checked before anything is sized by the facet count, so a huge m is
+    # refused at once
+    with pytest.raises(ValidationError, match=r"^no vertex lies on facet 2$"):
+        SimplePolytope(1, m, [[0], [1]])
 
 
 def test_connected_sum_of_tetrahedra():
@@ -148,8 +155,6 @@ def test_random_unimodular_matrix_is_unimodular():
     for _ in range(200):
         n = rng.randint(1, 4)
         rows = random_unimodular_matrix(n, rng)
-        mono = tuple(tuple(r) for r in rows)
-        assert algebra.det_sign(mono) in (-1, 1)
         assert abs(_det(rows)) == 1
 
 
