@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from typing import Any
 
-from . import algebra, bordism, bott, jsonio, kernels
+from . import algebra, bordism, bott, graphs, jsonio, kernels
 from .acceptance import run_all
 from .algebra import ExtPolynomial, Polynomial
 from .errors import BordismError, InputFormatError, ValidationError
@@ -103,13 +103,14 @@ def _cmd_torus_poly(args: argparse.Namespace) -> int:
         if isinstance(g, ColoredGraph):
             raise ValidationError(
                 "input is a GF(2)-colored graph; use the poly-of-graph verb")
-        g.validate()
+        # each vertex basis is proved once, by validation, and handed on
+        poly = graphs._torus_polynomial(g, g.validate())
     else:
         p, coloring = jsonio.polytope_from_obj(obj)
         if coloring is None or coloring.target != "z":
             raise ValidationError("torus-poly needs an integer-colored polytope")
-        g = torus_graph_from_pair(p, coloring)
-    _emit(jsonio.polynomial_to_obj(torus_polynomial(g)))
+        poly = torus_polynomial(torus_graph_from_pair(p, coloring))
+    _emit(jsonio.polynomial_to_obj(poly))
     return 0
 
 

@@ -39,12 +39,15 @@ is exactly the orientation relation.
 from __future__ import annotations
 
 import operator
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import algebra, gf2
 from .algebra import Char, ExtPolynomial, Gf2Polynomial
 from .errors import ValidationError
 from .polytopes import Coloring, SimplePolytope
+
+# per vertex: its out-edges, their weights W_v, and the hook's (dual rows, det W_v)
+VertexBasis = tuple[list[tuple[int, int]], list[Char], tuple[list[Char], int]]
 
 
 class ColoredGraph:
@@ -175,8 +178,7 @@ class TorusGraph:
             out[e[0]].append(e)
         return out
 
-    def _vertex_bases(self) -> Iterator[tuple[list[tuple[int, int]], list[Char],
-                                              tuple[list[Char], int]]]:
+    def _vertex_bases(self) -> Iterator[VertexBasis]:
         """Per vertex: its out-edges, their weights W_v, and the hook's
         (dual rows, det W_v); raises at the first vertex failing axiom (2)."""
         for v, edges in enumerate(self._out_edges()):
@@ -190,9 +192,10 @@ class TorusGraph:
                     f"axiom (2) fails: weights at vertex {v} are not a Z-basis")
             yield edges, rows, found
 
-    def validate(self) -> None:
+    def validate(self) -> list[VertexBasis]:
         """Torus graph axioms: reversal signs, vertex bases, congruence
-        matching, and the orientation relation when σ is set.
+        matching, and the orientation relation when σ is set.  Returns the
+        vertex bases it proved, which ``_torus_polynomial`` reads.
 
         The dual basis of each vertex's weights is the basis proof, and its
         row φ for α(u, v) (φ·α(u, v) = 1) gives the canonical representatives
@@ -205,11 +208,9 @@ class TorusGraph:
             if back != a and back != tuple(-x for x in a):
                 raise ValidationError(
                     f"axiom (1) fails: alpha({v},{u}) is not ±alpha({u},{v})")
-        weights: list[list[Char]] = []
-        duals: list[dict[int, Char]] = []
-        for edges, rows, (dual, _) in self._vertex_bases():
-            weights.append(rows)
-            duals.append({w: phi for (_, w), phi in zip(edges, dual)})
+        bases = list(self._vertex_bases())
+        weights = [rows for _, rows, _ in bases]
+        duals = [{w: phi for (_, w), phi in zip(edges, dual)} for edges, _, (dual, _) in bases]
 
         def residues(xs: list[Char], a: Char, phi: Char) -> list[Char]:
             out = []
@@ -226,13 +227,14 @@ class TorusGraph:
                 raise ValidationError(
                     f"axiom (3) fails along edge {u}-{v}: no color bijection mod alpha(e)")
         if self.sigma is None:
-            return
+            return bases
         for (u, v), a in self.alpha.items():
             su, sv = self.sigma[u], self.sigma[v]
             if u < v and [su * x for x in a] != [-sv * x for x in self.alpha[(v, u)]]:
                 raise ValidationError(
                     f"orientation fails along edge {u}-{v}: "
                     f"sigma({u})alpha({u},{v}) is not -sigma({v})alpha({v},{u})")
+        return bases
 
     def orient(self) -> "TorusGraph":
         """Compute σ by constraint propagation, σ(vertex 0) = +1.
@@ -279,9 +281,13 @@ def torus_graph_from_pair(p: SimplePolytope, coloring: Coloring) -> TorusGraph:
 
 def torus_polynomial(graph: TorusGraph) -> ExtPolynomial:
     """Σ_v σ(v)·(vertex weight wedge in det-normalized order), primal space."""
+    return _torus_polynomial(graph, graph._vertex_bases())
+
+
+def _torus_polynomial(graph: TorusGraph, bases: Iterable[VertexBasis]) -> ExtPolynomial:
+    """``torus_polynomial`` from vertex bases already proved, in vertex order."""
     if graph.sigma is None:
         raise ValidationError("torus graph is not oriented; call orient() first")
-    terms = [(rows, s * det)
-             for s, (_, rows, (_, det)) in zip(graph.sigma, graph._vertex_bases())]
+    terms = [(rows, s * det) for s, (_, rows, (_, det)) in zip(graph.sigma, bases)]
     # sorting W_v in the constructor turns det W_v into δ(W_v)
     return ExtPolynomial(graph.n, terms, space=algebra.PRIMAL)

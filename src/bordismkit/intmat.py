@@ -2,10 +2,10 @@
 
 Everything here is exact: one fraction-free Gauss–Jordan elimination that
 gives the dual basis of a unimodular matrix and its determinant (the Z
-ring's basis test, called only by its ``_dual_rows``), Bareiss determinants
-for the integer window's cofactors (called only by ``kernels``), and the
-extended Euclid recurrence.  Matrices are tuples of int tuples; sizes are
-tiny (rank ≤ 6), so clarity wins over speed.
+ring's basis test, called only by its ``_dual_rows``), and the extended
+Euclid recurrence.  No library code takes a determinant any other way: the
+integer window builds its cofactors from its search's minors.  Matrices are
+tuples of int tuples; sizes are tiny (rank ≤ 6), so clarity wins over speed.
 """
 
 from __future__ import annotations
@@ -13,31 +13,6 @@ from __future__ import annotations
 from typing import Sequence
 
 Matrix = Sequence[Sequence[int]]
-
-
-def det(mat: Matrix) -> int:
-    """Exact determinant via fraction-free Bareiss elimination."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [list(map(int, row)) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
 
 
 def dual_basis(mat: Matrix) -> tuple[list[tuple[int, ...]], int] | None:

@@ -12,14 +12,20 @@ streaming unimodular row reduction, so the reported basis generates the full
 kernel lattice of the window (any integral relation among the rows is an
 integer combination of the basis).
 
-Both the window search and its rows rest on one table: for each
-(n-1)-subset S of the window's characters, the cofactor vector v_S with
-v_S . x = det[S; x] for every x, built from n exact (n-1)-minors.
-``window_monomials`` keeps S + (x) exactly when v_S . x = +-1, which is the
-same test as a full determinant.  For a kept A with det d, Laplace expansion
-gives v_(A without row j) . A_i = 0 for i != j and (-1)^(n-1-j) d for i = j,
-so d (-1)^(n-1-j) v_(A without row j) is row j of the dual basis (A^-1)^T:
-the rows d(m*) come from table lookups and a sort, without inverting A.
+The window is one depth-first search over its characters, indexed in lex
+order.  A prefix of k characters carries its k-minors, each built from the
+parent's minors by Laplace expansion on the new row; a prefix whose minors
+have gcd != 1 cannot finish a unimodular monomial (the gcd divides every
+completion's determinant), so its subtree is skipped.  At depth n-1 the
+minors give the cofactor vector v_S with v_S . x = det[S; x], and every later
+character x is tested exactly: S + (x) is kept when v_S . x = +-1, and the
+search records that determinant d.  No determinant is computed any other way.
+For a kept A, Laplace expansion gives v_(A without row j) . A_i = 0 for
+i != j and (-1)^(n-1-j) d for i = j, so d (-1)^(n-1-j) v_(A without row j)
+is row j of the dual basis (A^-1)^T: the rows d(m*) come from lookups in the
+cofactor table and a sort, without inverting A.  Their columns, the
+(n-1)-monomials, are integer ids that compare as the monomials do, so the
+left kernel pivots in the same order as on the monomials themselves.
 Everything is Python integer arithmetic, so nothing is rounded or bounded.
 
 ``support_floor`` turns the same row matrix into a proof: a relation with one
@@ -35,10 +41,10 @@ import math
 import operator
 import os
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import algebra, gf2, intmat
-from .algebra import PRIMAL, ExtPolynomial, Gf2Polynomial, Monomial
+from .algebra import PRIMAL, Char, ExtPolynomial, Gf2Polynomial, Monomial
 from .errors import ResourceLimitError, ValidationError
 
 DEFAULT_MAX_N = 4
@@ -68,14 +74,16 @@ def _log10_basis_count(n: int, k: int) -> float:
     return k * n * math.log10(2) + corrections - math.lgamma(k + 1) / math.log(10)
 
 
-@dataclass(frozen=True)
-class KernelSpace:
+class KernelSpace(NamedTuple):
     """GF(2) kernel of g -> d(g*) in homogeneous degree n."""
 
     n: int
     dim: int
-    basis: list[Gf2Polynomial] = field(repr=False)
-    monomials: list[Monomial] = field(repr=False)
+    basis: list[Gf2Polynomial]
+    monomials: list[Monomial]
+
+    def __repr__(self) -> str:
+        return f"KernelSpace(n={self.n}, dim={self.dim})"
 
     def contains(self, p: Gf2Polynomial) -> bool:
         if p.n != self.n or p.space != PRIMAL:
@@ -120,60 +128,122 @@ def kernel_space(n: int, max_n: int | None = None) -> KernelSpace:
 # ---------------------------------------------------------------------------
 # integral window kernels
 
+class _Window(NamedTuple):
+    """One search over a window: characters, kept monomials, cofactors."""
 
-def _cofactor(sub: Monomial, n: int) -> tuple[int, ...]:
-    """The vector v with v . x = det[sub; x] for every x (Laplace on the last row)."""
-    return tuple((-1) ** (n - 1 + k) * intmat.det([c[:k] + c[k + 1:] for c in sub])
-                 for k in range(n))
+    n: int
+    chars: list[Char]  # every nonzero character of the box, in lex order
+    kept: list[tuple[tuple[int, ...], int]]  # (character ids, det) of each unimodular monomial
+    cofactors: dict[tuple[int, ...], tuple[int, ...]]  # (n-1)-prefix ids -> v
 
 
-def window_monomials(n: int, weight_bound: int,
-                     cofactors: dict[Monomial, tuple[int, ...]] | None = None
-                     ) -> list[Monomial]:
-    """Faithful monomials whose character entries all lie in [-w, w], in lex order.
+def _search(n: int, weight_bound: int) -> _Window:
+    """Depth-first search for the unimodular monomials of a window.
 
-    ``cofactors``, when given, receives the cofactor table the search built.
+    A k-prefix carries its k-minors, one per k-subset of the columns (in
+    ``itertools.combinations`` order); the minors of a child come from its
+    parent's by Laplace expansion on the new row.  The gcd of a prefix's
+    minors divides the determinant of every completion (generalized Laplace
+    expansion along the prefix rows), so a prefix whose gcd is not 1 is
+    skipped with its whole subtree.  At depth n-1 the minors give the
+    cofactor vector v, and every later character x is tested exactly:
+    v . x = det[prefix; x] must be +-1.
     """
     chars = [c for c in itertools.product(range(-weight_bound, weight_bound + 1), repeat=n)
              if any(c)]
-    table = {} if cofactors is None else cofactors
-    out = []
-    for idx in itertools.combinations(range(len(chars)), n - 1):
-        prefix = tuple(chars[i] for i in idx)
-        v = table[prefix] = _cofactor(prefix, n)
-        if math.gcd(*v) != 1:  # every det[prefix; x] is a multiple of gcd(v)
-            continue
-        for x in chars[idx[-1] + 1 if idx else 0:]:
-            if sum(map(operator.mul, v, x)) in (1, -1):
-                out.append(prefix + (x,))
-    return out
+    cols = [[c[k] for c in chars] for k in range(n)]
+    subsets = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
+    where = [{s: i for i, s in enumerate(level)} for level in subsets]
+    # plans[k]: per (k+1)-subset K, the terms (sign, column, parent minor) of
+    # the expansion of its minor on the new row k
+    plans = [[[((-1) ** (k + j), c, where[k][K[:j] + K[j + 1:]]) for j, c in enumerate(K)]
+              for K in subsets[k + 1]] for k in range(n)]
+    last = plans[n - 1][0]  # the full determinant: v_c = sign * minor(columns without c)
+    cofactors: dict[tuple[int, ...], tuple[int, ...]] = {}
+    kept: list[tuple[tuple[int, ...], int]] = []
+    top = len(chars)
+
+    def visit(prefix: tuple[int, ...], minors: list[int], start: int) -> None:
+        k = len(prefix)
+        if k == n - 1:
+            v = cofactors[prefix] = tuple(s * minors[p] for s, _, p in last)
+            # v . x for every later x, a column at a time so the loop runs in C
+            dots = map(operator.mul, cols[0][start:], itertools.repeat(v[0]))
+            for c in range(1, n):
+                dots = map(operator.add, dots,
+                           map(operator.mul, cols[c][start:], itertools.repeat(v[c])))
+            dots = list(dots)
+            for i in itertools.compress(range(start, top), map({1, -1}.__contains__, dots)):
+                kept.append((prefix + (i,), dots[i - start]))
+            return
+        for i in range(start, top):
+            x = chars[i]
+            child = [sum(s * x[c] * minors[p] for s, c, p in terms) for terms in plans[k]]
+            if math.gcd(*child) == 1:
+                visit(prefix + (i,), child, i + 1)
+
+    visit((), [1], 0)
+    return _Window(n, chars, kept, cofactors)
 
 
-def _window_rows(monomials: list[Monomial],
-                 cofactors: dict[Monomial, tuple[int, ...]]) -> Iterator[dict[Monomial, int]]:
-    """The rows d(m*) of the window, read off the cofactor table.
+def window_monomials(n: int, weight_bound: int) -> list[Monomial]:
+    """Faithful monomials whose character entries all lie in [-w, w], in lex order."""
+    return _monomials(_search(n, weight_bound))
 
-    Sorting the dual-basis rows gives m* and the sign ``algebra.dual`` folds
-    in; d then deletes one character at a time with alternating signs.
+
+def _monomials(window: _Window) -> list[Monomial]:
+    chars = window.chars
+    return [tuple(map(chars.__getitem__, ids)) for ids, _ in window.kept]
+
+
+def _dual_characters(window: _Window) -> list[Char]:
+    """Every +-v of the cofactor table, in lex order: the characters the
+    dual-basis rows of the window can take."""
+    out = set()
+    for v in window.cofactors.values():
+        out.add(v)
+        out.add(tuple(-a for a in v))
+    return sorted(out)
+
+
+def _window_rows(window: _Window) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The rows d(m*) of the window, read off the cofactor table, each as
+    its (column id, coefficient) pairs in increasing column order.
+
+    Row j of the dual basis of a kept A with det d is
+    d (-1)^(n-1-j) v_(A without row j), so each is a lookup, held as its
+    position in ``_dual_characters``.  Sorting the positions gives m* and the
+    sign ``algebra.dual`` folds in; d then deletes one character at a time
+    with alternating signs.  A column, an (n-1)-monomial, is keyed by its
+    positions read as base-K digits (K dual characters), so column ids
+    compare as the monomials do, and deleting a later character of m* gives
+    a smaller column.  Every (n-1)-subset of a kept A is in the table: the
+    gcd of its minors, and of each of its prefixes', divides det A = +-1.
     """
-    for mono in monomials:
-        n = len(mono)
-        d = sum(map(operator.mul, cofactors[mono[:-1]], mono[-1]))
-        dual_rows = []
-        for j in range(n):
-            v = cofactors[mono[:j] + mono[j + 1:]]
-            dual_rows.append(v if d * (-1) ** (n - 1 - j) == 1 else tuple(-a for a in v))
-        sign, star = algebra.sort_monomial(dual_rows)
-        yield {star[:j] + star[j + 1:]: sign * (-1) ** j for j in range(n)}
+    n = window.n
+    duals = _dual_characters(window)
+    pos = {u: i for i, u in enumerate(duals)}
+    # per prefix: positions of +v and -v
+    signed = {s: (pos[v], pos[tuple(-a for a in v)]) for s, v in window.cofactors.items()}
+    flip = [(n - 1 - j) & 1 for j in range(n)]
+    # deleting character j of m*: digit weights of the others, and (-1)^j
+    drops = [([len(duals) ** (n - 2 - i + (i > j)) if i != j else 0 for i in range(n)],
+              (-1) ** j) for j in reversed(range(n))]
+    for ids, d in window.kept:
+        neg = d < 0
+        codes = [signed[ids[:j] + ids[j + 1:]][flip[j] ^ neg] for j in range(n)]
+        sign, star = algebra.sort_monomial(codes)
+        yield tuple((sum(map(operator.mul, star, w)), sign * s) for w, s in drops)
 
 
-def _left_kernel(rows: Iterable[dict[Monomial, int]]) -> tuple[int, list[dict[int, int]]]:
+def _left_kernel(rows: Iterable[Iterable[tuple[int, int]]]
+                 ) -> tuple[int, list[dict[int, int]]]:
     """Rank and an integral basis of {x : sum_i x_i row_i = 0}.
 
     Streaming row reduction of [M | I] by unimodular operations: combinations
     of rows that reduce to zero span the full left-kernel lattice.
     """
-    pivots: dict[Monomial, tuple[dict[Monomial, int], dict[int, int]]] = {}
+    pivots: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
     kernel: list[dict[int, int]] = []
     for i, r in enumerate(rows):
         row = dict(r)
@@ -221,16 +291,19 @@ def _combine(r1: dict, r2: dict, c1: int, c2: int) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class WindowKernel:
+class WindowKernel(NamedTuple):
     """Integral kernel of g -> d(g*) restricted to a finite character window."""
 
     n: int
     weight_bound: int
     dim: int
     rank: int
-    monomials: list[Monomial] = field(repr=False)
-    basis: list[ExtPolynomial] = field(repr=False)
+    monomials: list[Monomial]
+    basis: list[ExtPolynomial]
+
+    def __repr__(self) -> str:
+        return (f"WindowKernel(n={self.n}, weight_bound={self.weight_bound}, "
+                f"dim={self.dim}, rank={self.rank})")
 
 
 def _check_window(n: int, weight_bound: int, max_n: int | None,
@@ -259,9 +332,9 @@ def kernel_sample_unitary(n: int, weight_bound: int = 1,
                           max_weight_bound: int | None = None) -> WindowKernel:
     """Integral kernel basis over the window of weight-bounded monomials."""
     _check_window(n, weight_bound, max_n, max_weight_bound)
-    cofactors: dict[Monomial, tuple[int, ...]] = {}
-    monomials = window_monomials(n, weight_bound, cofactors)
-    rank, combos = _left_kernel(_window_rows(monomials, cofactors))
+    window = _search(n, weight_bound)
+    monomials = _monomials(window)
+    rank, combos = _left_kernel(_window_rows(window))
     basis = []
     for comb in combos:
         # window monomials are canonical and the combination has no zeros
@@ -284,18 +357,15 @@ def support_floor(n: int, weight_bound: int, max_n: int | None = None,
     ``kernel_sample_unitary``.
     """
     _check_window(n, weight_bound, max_n, max_weight_bound)
-    cofactors: dict[Monomial, tuple[int, ...]] = {}
-    monomials = window_monomials(n, weight_bound, cofactors)
-    seen: dict[tuple, Monomial] = {}
+    seen: set[tuple[tuple[int, int], ...]] = set()
     floor = 3
-    for mono, row in zip(monomials, _window_rows(monomials, cofactors)):
+    for row in _window_rows(_search(n, weight_bound)):
         if not row:
             return 1
-        items = tuple(sorted(row.items()))
-        if items[0][1] < 0:
-            items = tuple((k, -v) for k, v in items)
-        if items in seen:
+        if row[0][1] < 0:
+            row = tuple((k, -v) for k, v in row)
+        if row in seen:
             floor = 2
         else:
-            seen[items] = mono
+            seen.add(row)
     return floor

@@ -43,6 +43,11 @@ class SimplePolytope:
         n, m = self.dim, self.num_facets
         if n < 1:
             raise ValidationError("polytope dimension must be at least 1")
+        if m < 0:
+            raise ValidationError(f"facet count must be nonnegative, got {m}")
+        if len(self.vertices) < n + 1:
+            raise ValidationError(f"a simple {n}-polytope has at least {n + 1} vertices, "
+                                  f"got {len(self.vertices)}")
         if len(set(self.vertices)) != len(self.vertices):
             raise ValidationError("duplicate vertex facet-sets")
         for v in self.vertices:

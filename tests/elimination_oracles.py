@@ -3,6 +3,8 @@
 * The inline GF(2) eliminations that ``kernel_space`` and
   ``surjectivity_probe`` ran before both moved onto ``gf2.RankAccumulator``:
   each walks its own pivot dict and tracks its own combinations.
+* The Bareiss determinant that the integer window's cofactors used before
+  the window search built them from its prefixes' minors.
 * The adjugate inverse (n² Bareiss minors) and the determinant/rank
   faithfulness predicates that ``intmat.dual_basis`` and the per-ring dual
   hooks replaced; the GF(2) predicate runs its own small rank.
@@ -16,7 +18,7 @@ against code that does not use them.
 
 from math import gcd
 
-from bordismkit import algebra, gf2, intmat, kernels
+from bordismkit import algebra, gf2, kernels
 from bordismkit.algebra import PRIMAL, ExtPolynomial, Gf2Polynomial
 from bordismkit.intmat import ext_gcd
 
@@ -102,6 +104,31 @@ def probe_witnesses(n, weight_bound):
     return out
 
 
+def det(mat):
+    """Exact determinant via fraction-free Bareiss elimination."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    a = [list(map(int, row)) for row in mat]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
 def adjugate(mat):
     n = len(mat)
     if n == 1:
@@ -114,7 +141,7 @@ def adjugate(mat):
                 for r in range(n)
                 if r != i
             ]
-            out[j][i] = (-1) ** (i + j) * intmat.det(minor)
+            out[j][i] = (-1) ** (i + j) * det(minor)
     return out
 
 
@@ -123,7 +150,7 @@ def inverse_transpose_unimodular(mat):
 
     Row i of the result pairs to 1 with row i of A and to 0 with the others.
     """
-    d = intmat.det(mat)
+    d = det(mat)
     if d not in (1, -1):
         raise ValueError(f"matrix is not unimodular (det={d})")
     adj = adjugate(mat)  # A^{-1} = adj/det, so (A^{-1})^T = adj^T/det
@@ -153,7 +180,7 @@ def is_faithful_monomial_gf2(mono, n):
 def is_faithful_monomial_z(mono, n):
     if len(mono) != n:
         return False
-    return intmat.det(mono) in (1, -1)
+    return det(mono) in (1, -1)
 
 
 def is_primitive(vec):

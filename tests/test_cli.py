@@ -225,6 +225,42 @@ def test_torus_poly_from_graph_and_from_polytope():
     assert from_polytope.stdout == from_graph.stdout
 
 
+def test_torus_poly_proves_each_vertex_basis_once(monkeypatch, capsys):
+    # validation proves every vertex basis of a graph read from JSON and
+    # hands the proofs to the polynomial: one dual basis per vertex, 6 on
+    # CP2 x CP1
+    from bordismkit import cli, intmat
+    from bordismkit.graphs import torus_polynomial
+
+    p, lam = product_of_simplices((2, 1)), standard_z_coloring((2, 1))
+    g = torus_graph_from_pair(p, lam)
+    want = dumps(jsonio.polynomial_to_obj(torus_polynomial(g)))
+    calls = []
+
+    def counted(mat, _real=intmat.dual_basis):
+        calls.append(mat)
+        return _real(mat)
+
+    monkeypatch.setattr(intmat, "dual_basis", counted)
+    assert cli.main(["torus-poly", dumps(jsonio.torus_graph_to_obj(g)).strip()]) == 0
+    assert len(calls) == 6
+    assert capsys.readouterr().out == want
+    # the polytope route prints the same bytes
+    assert run_cli("torus-poly", dumps(jsonio.polytope_to_obj(p, lam)).strip()).stdout == want
+
+
+@pytest.mark.parametrize("facets, message", [
+    (-5, "facet count must be nonnegative, got -5"),
+    (0, "a simple 1-polytope has at least 2 vertices, got 0"),
+])
+def test_a_polytope_with_no_vertices_is_refused(facets, message):
+    obj = {"dim": 1, "facets": facets, "vertices": [],
+           "coloring": {"target": "gf2", "map": {}}}
+    r = run_cli("poly-of-polytope", json.dumps(obj))
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"] == {"code": "validation-error", "message": message}
+
+
 @pytest.mark.parametrize("graph, message", [
     # weight 3 spans index 3 in Z at both vertices
     ('{"n":1,"vertices":2,"edges":[{"u":0,"v":1,"alpha":[3]},'

@@ -14,12 +14,12 @@ def test_dual_basis_matches_adjugate_oracle():
         n = rng.randint(1, 5)
         mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         got = intmat.dual_basis(mat)
-        if intmat.det(mat) in (1, -1):
+        if elimination_oracles.det(mat) in (1, -1):
             unimodular += 1
             rows, sign = got
             assert rows == elimination_oracles.inverse_transpose_unimodular(mat), mat
             # the elimination's last pivot, corrected by its row swaps
-            assert sign == (1 if intmat.det(mat) > 0 else -1), mat
+            assert sign == (1 if elimination_oracles.det(mat) > 0 else -1), mat
         else:  # singular or |det| > 1
             rejected += 1
             assert got is None, mat

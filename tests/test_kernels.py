@@ -7,7 +7,7 @@ import random
 import elimination_oracles
 import pytest
 
-from bordismkit import algebra, intmat, kernels
+from bordismkit import algebra, kernels
 from bordismkit.algebra import PRIMAL, ExtPolynomial, Gf2Polynomial
 from bordismkit.errors import ResourceLimitError, ValidationError
 
@@ -159,7 +159,7 @@ def test_support_floor_caps():
 def _reference_monomials(n, w):
     chars = [c for c in itertools.product(range(-w, w + 1), repeat=n) if any(c)]
     return [sub for sub in itertools.combinations(chars, n)
-            if intmat.det([list(c) for c in sub]) in (1, -1)]
+            if elimination_oracles.det([list(c) for c in sub]) in (1, -1)]
 
 
 def _reference_row(mono, n):
@@ -167,9 +167,21 @@ def _reference_row(mono, n):
 
 
 def _window_with_rows(n, w):
-    cofactors = {}
-    monomials = kernels.window_monomials(n, w, cofactors)
-    return monomials, list(kernels._window_rows(monomials, cofactors))
+    """The window's monomials and rows, each row keyed by its (n-1)-monomials
+    in the order d deletes them (integer column ids decoded)."""
+    window = kernels._search(n, w)
+    duals = kernels._dual_characters(window)
+
+    def column(cid):
+        digits = []
+        for _ in range(n - 1):
+            cid, q = divmod(cid, len(duals))
+            digits.append(duals[q])
+        return tuple(reversed(digits))
+
+    rows = [{column(cid): c for cid, c in reversed(row)}
+            for row in kernels._window_rows(window)]
+    return kernels._monomials(window), rows
 
 
 @pytest.mark.parametrize("n,w", sorted(WINDOW_STATS))
@@ -200,9 +212,44 @@ def test_window_three_two_against_scalar_reference_on_a_stride():
     kept = set(monomials)
     for prefix in itertools.islice(itertools.combinations(chars, 2), 0, None, 41):
         for x in chars[chars.index(prefix[-1]) + 1:]:
-            unimodular = intmat.det([list(c) for c in prefix + (x,)]) in (1, -1)
+            unimodular = elimination_oracles.det([list(c) for c in prefix + (x,)]) in (1, -1)
             assert (prefix + (x,) in kept) == unimodular
     for i in range(0, len(monomials), 97):
         mono = monomials[i]
-        assert intmat.det([list(c) for c in mono]) in (1, -1)
+        assert elimination_oracles.det([list(c) for c in mono]) in (1, -1)
         assert list(rows[i].items()) == list(_reference_row(mono, 3).terms.items())
+
+
+def test_pruned_search_matches_scalar_reference_past_the_cap():
+    # the gcd prune fires at every depth of a (2, 3) window; the cap is
+    # raised for this test only
+    monomials = kernels.window_monomials(2, 3)
+    assert monomials == _reference_monomials(2, 3)
+    win = kernels.kernel_sample_unitary(2, 3, max_weight_bound=3)
+    assert win.monomials == monomials
+    assert all(algebra.differential(algebra.dual(b)).is_zero() for b in win.basis)
+
+
+def test_search_prunes_prefixes_that_cannot_finish_a_basis():
+    # without the prune every pair of the 124 characters of the (3, 2) box
+    # would get a cofactor vector; a prefix whose minors share a factor is
+    # skipped with its subtree
+    chars = [c for c in itertools.product(range(-2, 3), repeat=3) if any(c)]
+    window = kernels._search(3, 2)
+    assert len(window.cofactors) < math.comb(len(chars), 2) == 7_626
+    for prefix, v in window.cofactors.items():
+        assert math.gcd(*v) == 1
+        assert len(prefix) == 2 and all(math.gcd(*chars[i]) == 1 for i in prefix)
+    # every kept monomial carries its determinant
+    for ids, d in window.kept[::53]:
+        assert d == elimination_oracles.det([chars[i] for i in ids]) in (1, -1)
+
+
+def test_window_records_and_reprs():
+    win = kernels.kernel_sample_unitary(2, 1)
+    assert repr(win) == "WindowKernel(n=2, weight_bound=1, dim=13, rank=7)"
+    assert (win.n, win.weight_bound, win.dim, win.rank) == (2, 1, 13, 7)
+    assert len(win.monomials) == 20 and len(win.basis) == 13
+    space = kernels.kernel_space(3)
+    assert repr(space) == "KernelSpace(n=3, dim=13)"
+    assert space.contains(space.basis[0])
