@@ -13,7 +13,7 @@ import time
 from typing import Callable, NamedTuple, TextIO
 
 from . import algebra, bordism, bott, gf2, kernels, mvpoly
-from .algebra import Char, ExtPolynomial, Gf2Polynomial
+from .algebra import Char, ExtPolynomial, Gf2Polynomial, Monomial
 from .bordism import BordismClass, UNITARY, UNORIENTED
 from .graphs import (graph_coloring_polynomial, one_skeleton,
                      torus_graph_from_pair, torus_polynomial)
@@ -56,8 +56,9 @@ def _rp2_class() -> BordismClass:
     return BordismClass(UNORIENTED, poly)
 
 
-def _random_faithful_gf2(n: int, rng: random.Random, max_support: int) -> Gf2Polynomial:
-    monos = algebra.all_faithful_monomials_gf2(n)
+def _random_faithful_gf2(n: int, monos: list[Monomial], rng: random.Random,
+                         max_support: int) -> Gf2Polynomial:
+    """A sum of distinct monomials of ``monos``, all faithful of rank n."""
     picked = rng.sample(monos, rng.randint(1, min(max_support, len(monos))))
     return Gf2Polynomial(n, picked, space=algebra.PRIMAL)
 
@@ -184,8 +185,9 @@ def equivalence_sampling() -> tuple[bool, str]:
     space = kernels.kernel_space(n)
     parts = [()] + mvpoly.partitions_up_to(2 * n, n)
     table = Gf2IntegralityTable(n, parts)
+    faithful = algebra.all_faithful_monomials_gf2(n)
     samples = ([_random_kernel_gf2(space, rng) for _ in range(100)]
-               + [_random_faithful_gf2(n, rng, 8) for _ in range(100)])
+               + [_random_faithful_gf2(n, faithful, rng, 8) for _ in range(100)])
     forward_breaks = 0
     converse_misses = 0
     members = 0
@@ -272,10 +274,11 @@ def unitary_oracles() -> tuple[bool, str]:
         p = _random_ext(n, rng)
         if not algebra.differential(algebra.differential(p)).is_zero():
             return False, f"d(d(p)) != 0 on trial {trial}"
+    faithful = {n: algebra.all_faithful_monomials_gf2(n) for n in range(1, 5)}
     for trial in range(1000):
         n = rng.randint(1, 4)
         q = (_random_faithful_ext(n, rng) if trial % 2
-             else _random_faithful_gf2(n, rng, 6))
+             else _random_faithful_gf2(n, faithful[n], rng, 6))
         if algebra.dual(algebra.dual(q)) != q:
             return False, f"dual not involutive on trial {trial}"
     return True, ("CP¹, CP¹×CP¹, CP² torus polynomials pass in_image_unitary; "

@@ -22,12 +22,16 @@ A monomial is *faithful* when its characters are a basis (invertible over
 GF(2), determinant ±1 over Z), that is, when their dual basis exists.  Each
 ring's hook ``_dual_rows(chars, n)`` is one elimination; it returns the dual
 basis and det(chars) (always 1 over GF(2)), or None unless ``chars`` are a
-basis.  Every basis in the package (monomials, polytope and graph vertices,
-fixed points) is proved by it, and no basis gets a second determinant.
-``dual`` sorts those rows into the dual monomial and swaps the space tag;
-``faithful_duals_gf2`` tabulates the dual over a whole rank, once per dual
-pair; ``in_image_verdict`` dualizes once and tests membership in the
+basis.  Every given basis in the package (monomials, polytope and graph
+vertices, fixed points) is proved by it, and no basis gets a second
+determinant.  ``dual`` sorts those rows into the dual monomial and swaps the
+space tag; ``in_image_verdict`` dualizes once and tests membership in the
 geometric image via d(g*) = 0.
+
+Bases are searched for in one place, ``basis_search``, over Z or GF(2) by
+one gcd test: it enumerates the faithful GF(2) monomials of a rank and the
+unimodular monomials of an integer window (``kernels``), and its cofactor
+table gives each found basis its dual with no inversion.
 
 Sign convention for the Z dual (the calibrated design decision): a
 faithful monomial is dualized by rewriting it in a determinant-positive
@@ -46,7 +50,9 @@ hand-checked examples.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Mapping, Sequence
+import math
+import operator
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import gf2, intmat
 from .errors import ValidationError
@@ -403,6 +409,77 @@ def permute_coords(p: Polynomial, perm: tuple[int, ...]) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
+# the basis search
+
+
+class BasisSearch(NamedTuple):
+    """The bases a search kept, with the cofactors of their prefixes."""
+
+    n: int
+    chars: list[Char]  # the searched characters, in lex order
+    kept: list[tuple[tuple[int, ...], int]]  # (character ids, det) of each basis
+    cofactors: dict[tuple[int, ...], tuple[int, ...]]  # (n-1)-prefix ids -> v
+
+    def monomials(self) -> list[Monomial]:
+        return [tuple(map(self.chars.__getitem__, ids)) for ids, _ in self.kept]
+
+
+def basis_search(chars: list[Char], n: int, modulus: int) -> BasisSearch:
+    """The n-subsets of ``chars`` (in lex order) that are bases over Z
+    (``modulus`` 0) or GF(2) (``modulus`` 2), in ``combinations`` order.
+
+    A depth-first walk over prefixes: a k-prefix carries its k-minors (one
+    per k-subset of the columns), each child's from its parent's by Laplace
+    expansion on the new row.  Their gcd divides the determinant of every
+    completion, so a prefix whose minors have no unit gcd with the modulus
+    is skipped with its subtree.  At depth n-1 the minors give the cofactor
+    vector v with v . x = det[S; x], and S + (x) is kept when
+    gcd(v . x, modulus) = 1: +-1 over Z, odd over GF(2).  Both tests are
+    that gcd, whatever the ring.
+
+    Row j of the dual basis (A^-1)^T of a kept A is, by Laplace expansion,
+    det A (-1)^(n-1-j) v_(A without row j), and v_(A without row j) mod 2;
+    each such prefix is in the table, as its minors' gcd divides det A.
+    """
+    cols = [[c[k] for c in chars] for k in range(n)]
+    subsets = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
+    where = [{s: i for i, s in enumerate(level)} for level in subsets]
+    # plans[k]: per (k+1)-subset K, the terms (sign, column, parent minor) of
+    # the expansion of its minor on the new row k
+    plans = [[[((-1) ** (k + j), c, where[k][K[:j] + K[j + 1:]]) for j, c in enumerate(K)]
+              for K in subsets[k + 1]] for k in range(n)]
+    cofactors: dict[tuple[int, ...], tuple[int, ...]] = {}
+    kept: list[tuple[tuple[int, ...], int]] = []
+    top = len(chars)
+
+    def visit(prefix: tuple[int, ...], minors: list[int], start: int) -> None:
+        k = len(prefix)
+        later = [col[start:] for col in cols]
+        # each child minor for every later x, a column at a time so the loop
+        # runs in C; at depth n-1 the one minor is v . x
+        children = []
+        for terms in plans[k]:
+            weights = [(c, s * minors[p]) for s, c, p in terms]
+            if k == n - 1:
+                cofactors[prefix] = tuple(w for _, w in weights)
+            minor = itertools.repeat(0, top - start)
+            for c, w in weights:
+                if w:
+                    minor = map(operator.add, minor,
+                                map(operator.mul, later[c], itertools.repeat(w)))
+            children.append(list(minor))
+        units = map((1).__eq__, map(math.gcd, itertools.repeat(modulus), *children))
+        for i in itertools.compress(range(start, top), units):
+            if k == n - 1:
+                kept.append((prefix + (i,), children[0][i - start]))
+            else:
+                visit(prefix + (i,), [minor[i - start] for minor in children], i + 1)
+
+    visit((), [1], 0)
+    return BasisSearch(n, chars, kept, cofactors)
+
+
+# ---------------------------------------------------------------------------
 # enumeration helpers
 
 
@@ -412,36 +489,17 @@ def nonzero_chars_gf2(n: int) -> list[Char]:
 
 def all_faithful_monomials_gf2(n: int) -> list[Monomial]:
     """All unordered bases of GF(2)^n as canonical monomials, sorted."""
-    chars = nonzero_chars_gf2(n)
-    packed = [gf2.pack(c) for c in chars]
-    out: list[Monomial] = []
-
-    def extend(start: int, picked: list[int], pivots: list[int]) -> None:
-        if len(picked) == n:
-            out.append(tuple(chars[i] for i in picked))
-            return
-        for i in range(start, len(chars)):
-            reduced = packed[i]
-            for p in pivots:        # each pivot clears its own lowest bit
-                if reduced & (p & -p):
-                    reduced ^= p
-            if reduced:
-                extend(i + 1, picked + [i], pivots + [reduced])
-
-    extend(0, [], [])
-    return out
+    return basis_search(nonzero_chars_gf2(n), n, 2).monomials()
 
 
 def faithful_duals_gf2(n: int) -> dict[Monomial, Monomial]:
     """Each faithful GF(2) monomial of rank n -> its dual, in
-    ``all_faithful_monomials_gf2`` order.  The dual is an involution, so one
-    inversion serves both monomials of a pair, and every value is one of
-    the enumerated monomials rather than an equal copy."""
-    faithful = all_faithful_monomials_gf2(n)
-    duals: dict[Monomial, Monomial] = {}
-    for m in faithful:
-        if m in duals:      # the second of a pair: the first maps to m itself
-            duals[duals[m]] = m
-        else:
-            duals[sort_monomial(Gf2Polynomial._dual_rows(m, n)[0])[1]] = m
-    return {m: duals[m] for m in faithful}
+    ``all_faithful_monomials_gf2`` order, read off the search's cofactors
+    mod 2; every value is one of the enumerated monomials, not a copy."""
+    found = basis_search(nonzero_chars_gf2(n), n, 2)
+    monomials = found.monomials()
+    position = {c: i for i, c in enumerate(found.chars)}
+    row = {s: position[tuple(a & 1 for a in v)] for s, v in found.cofactors.items()}
+    by_ids = {ids: m for (ids, _), m in zip(found.kept, monomials)}
+    return {m: by_ids[tuple(sorted(row[ids[:j] + ids[j + 1:]] for j in range(n)))]
+            for (ids, _), m in zip(found.kept, monomials)}

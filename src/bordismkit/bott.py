@@ -21,10 +21,11 @@ shape has not seen yet, a BFS under the transposition (1 2), the n-cycle and
 the transvection e_1 -> e_1 + e_2, which generate GL(n, 2), reaches the whole
 orbit and carries a witnessing coloring g.c along.
 
-Inside the walk a polynomial is held as its key: the bitset, over the faithful
-monomials in ``algebra.all_faithful_monomials_gf2`` order, of the duals of its
-monomials.  Dualizing permutes the faithful monomials, so the key determines
-the polynomial, and it is the row ``spanning_rank`` folds.
+Inside the walk a polynomial is held as its key: the bitset of its monomials
+over the faithful monomials in ``algebra.all_faithful_monomials_gf2`` order,
+which is the row ``spanning_rank`` folds.  Dualizing permutes the faithful
+monomials, so the keys' span has the rank of the duals' span after every
+fold, and nothing in the walk is dualized.
 
 ``iter_bott_generators`` streams one (polytope, coloring, polynomial) triple
 per distinct polynomial of each shape, shape by shape in ``partitions`` order;
@@ -130,11 +131,10 @@ def _mask(mono: Monomial) -> int:
     return sum(1 << gf2.pack(c) for c in mono)
 
 
-def _dual_bits(n: int) -> tuple[dict[int, int], list[Monomial]]:
-    """Faithful monomials of rank n: mask -> key bit of the dual, and the
-    index of that bit -> the monomial."""
-    # key bit i is the i-th faithful monomial, whose dual is the i-th value
-    monomial_of = list(algebra.faithful_duals_gf2(n).values())
+def _key_bits(n: int) -> tuple[dict[int, int], list[Monomial]]:
+    """Faithful monomials of rank n: mask -> key bit, and the index of that
+    bit -> the monomial."""
+    monomial_of = algebra.all_faithful_monomials_gf2(n)
     return {_mask(m): 1 << i for i, m in enumerate(monomial_of)}, monomial_of
 
 
@@ -145,7 +145,7 @@ class _OrbitWalk:
     def __init__(self, n: int):
         self.n = n
         self.representatives = 0
-        self.bit_of, self.monomial_of = _dual_bits(n)
+        self.bit_of, self.monomial_of = _key_bits(n)
 
     def _key(self, colors: tuple[int, ...], vertices: list[tuple[int, ...]]) -> int:
         bit_of = self.bit_of
@@ -201,14 +201,12 @@ def bott_generators(n: int, max_n: int | None = None) -> list[BottGenerator]:
 
 
 def dual_span_rank(polynomials: Iterable[Gf2Polynomial], n: int) -> int:
-    """GF(2) rank of the span of the duals of the given polynomials."""
-    bit_of, _ = _dual_bits(n)
+    """GF(2) rank of the span of the duals of the given faithful polynomials
+    (the rank of their own span: dualizing permutes the faithful monomials)."""
+    bit_of, _ = _key_bits(n)
     acc = gf2.RankAccumulator()
     for p in polynomials:
-        bits = 0
-        for m in p.terms:
-            bits ^= bit_of[_mask(m)]
-        acc.add(bits)
+        acc.add(sum(bit_of[_mask(m)] for m in p.terms))  # distinct monomials, distinct bits
     return acc.rank
 
 
@@ -224,10 +222,11 @@ def spanning_rank(n: int, target: int | None = None,
                   max_n: int | None = None) -> SpanningReport:
     """Rank of the span of dual generator polynomials.
 
-    Folds the keys of the ``iter_bott_generators`` stream, which are the dual
-    rows, into a rank accumulator.  With ``target`` set, stops as soon as the
-    rank reaches it (the span only grows, so the reached rank is final as
-    long as the target is an upper bound, e.g. the kernel dimension).
+    Folds the keys of the ``iter_bott_generators`` stream into a rank
+    accumulator; after every fold their span has the rank of the duals'
+    span.  With ``target`` set, stops as soon as the rank reaches it (the
+    span only grows, so the reached rank is final as long as the target is
+    an upper bound, e.g. the kernel dimension).
     """
     _check_rank(n, max_n)
     walk = _OrbitWalk(n)

@@ -4,7 +4,9 @@ Vectors over GF(2) are packed into Python ints (bit i = coordinate i), which
 keeps the small dense problems that dominate this package — n×n character
 matrices with n ≤ 6 — allocation free and exact.  ``inverse_transpose``
 returns the dual basis of such a matrix, or None unless the rows are a
-basis; its one caller is the hook ``algebra.Gf2Polynomial._dual_rows``.
+basis; its one caller is the hook ``algebra.Gf2Polynomial._dual_rows``,
+which proves given bases (the enumerated ones come with their duals from
+``algebra.basis_search``).
 ``span`` is the one independence test for the few vectors at a vertex of a
 coloring search.  ``RankAccumulator`` is the one elimination of wide rows,
 with pivots keyed by their leading bit: it folds the generator span in

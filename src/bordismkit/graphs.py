@@ -50,6 +50,13 @@ from .polytopes import Coloring, SimplePolytope
 VertexBasis = tuple[list[tuple[int, int]], list[Char], tuple[list[Char], int]]
 
 
+def _vertex_count(num_vertices: int) -> int:
+    num_vertices = int(num_vertices)
+    if num_vertices < 0:
+        raise ValidationError(f"vertex count must be nonnegative, got {num_vertices}")
+    return num_vertices
+
+
 class ColoredGraph:
     """Undirected graph with nonzero GF(2)^n edge colors."""
 
@@ -58,7 +65,7 @@ class ColoredGraph:
     def __init__(self, n: int, num_vertices: int,
                  alpha: Mapping[frozenset[int], Sequence[int]]):
         self.n = int(n)
-        self.num_vertices = int(num_vertices)
+        self.num_vertices = _vertex_count(num_vertices)
         self.alpha: dict[frozenset[int], Char] = {}
         for e, c in alpha.items():
             e = frozenset(int(v) for v in e)
@@ -156,7 +163,7 @@ class TorusGraph:
                  alpha: Mapping[tuple[int, int], Sequence[int]],
                  sigma: Sequence[int] | None = None):
         self.n = int(n)
-        self.num_vertices = int(num_vertices)
+        self.num_vertices = _vertex_count(num_vertices)
         self.alpha: dict[tuple[int, int], Char] = {}
         for (u, v), c in alpha.items():
             u, v = int(u), int(v)

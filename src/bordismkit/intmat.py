@@ -3,9 +3,10 @@
 Everything here is exact: one fraction-free Gauss–Jordan elimination that
 gives the dual basis of a unimodular matrix and its determinant (the Z
 ring's basis test, called only by its ``_dual_rows``), and the extended
-Euclid recurrence.  No library code takes a determinant any other way: the
-integer window builds its cofactors from its search's minors.  Matrices are
-tuples of int tuples; sizes are tiny (rank ≤ 6), so clarity wins over speed.
+Euclid recurrence.  No library code takes a determinant any other way:
+``algebra.basis_search`` builds its cofactors and determinants from its
+prefixes' minors.  Matrices are tuples of int tuples; sizes are tiny
+(rank ≤ 6), so clarity wins over speed.
 """
 
 from __future__ import annotations

@@ -12,21 +12,12 @@ streaming unimodular row reduction, so the reported basis generates the full
 kernel lattice of the window (any integral relation among the rows is an
 integer combination of the basis).
 
-The window is one depth-first search over its characters, indexed in lex
-order.  A prefix of k characters carries its k-minors, each built from the
-parent's minors by Laplace expansion on the new row; a prefix whose minors
-have gcd != 1 cannot finish a unimodular monomial (the gcd divides every
-completion's determinant), so its subtree is skipped.  At depth n-1 the
-minors give the cofactor vector v_S with v_S . x = det[S; x], and every later
-character x is tested exactly: S + (x) is kept when v_S . x = +-1, and the
-search records that determinant d.  No determinant is computed any other way.
-For a kept A, Laplace expansion gives v_(A without row j) . A_i = 0 for
-i != j and (-1)^(n-1-j) d for i = j, so d (-1)^(n-1-j) v_(A without row j)
-is row j of the dual basis (A^-1)^T: the rows d(m*) come from lookups in the
-cofactor table and a sort, without inverting A.  Their columns, the
-(n-1)-monomials, are integer ids that compare as the monomials do, so the
-left kernel pivots in the same order as on the monomials themselves.
-Everything is Python integer arithmetic, so nothing is rounded or bounded.
+The window is a box of characters searched by ``algebra.basis_search`` over
+Z, and the rows d(m*) are lookups in its cofactor table and a sort, with no
+inversion.  Their columns, the (n-1)-monomials, are integer ids that compare
+as the monomials do, so the left kernel pivots in the same order as on the
+monomials themselves.  Everything is Python integer arithmetic, so nothing
+is rounded or bounded.
 
 ``support_floor`` turns the same row matrix into a proof: a relation with one
 monomial needs a zero row, a relation with two needs a proportional pair of
@@ -105,19 +96,12 @@ def kernel_space(n: int, max_n: int | None = None) -> KernelSpace:
     duals = algebra.faithful_duals_gf2(n)
     monomials = list(duals)
     col_ids: dict[Monomial, int] = {}
-    rows: list[int] = []
-    for star in duals.values():
-        bits = 0
-        for j in range(n):
-            deleted = star[:j] + star[j + 1:]
-            if deleted not in col_ids:
-                col_ids[deleted] = len(col_ids)
-            bits ^= 1 << col_ids[deleted]
-        rows.append(bits)
-
     acc = gf2.RankAccumulator(track=True)
     basis: list[Gf2Polynomial] = []
-    for row in rows:
+    for star in duals.values():
+        row = 0
+        for j in range(n):
+            row ^= 1 << col_ids.setdefault(star[:j] + star[j + 1:], len(col_ids))
         if not acc.add(row):
             # faithful monomials are canonical and distinct
             terms = {monomials[j]: 1 for j in gf2.bits(acc.relation)}
@@ -128,97 +112,36 @@ def kernel_space(n: int, max_n: int | None = None) -> KernelSpace:
 # ---------------------------------------------------------------------------
 # integral window kernels
 
-class _Window(NamedTuple):
-    """One search over a window: characters, kept monomials, cofactors."""
-
-    n: int
-    chars: list[Char]  # every nonzero character of the box, in lex order
-    kept: list[tuple[tuple[int, ...], int]]  # (character ids, det) of each unimodular monomial
-    cofactors: dict[tuple[int, ...], tuple[int, ...]]  # (n-1)-prefix ids -> v
-
-
-def _search(n: int, weight_bound: int) -> _Window:
-    """Depth-first search for the unimodular monomials of a window.
-
-    A k-prefix carries its k-minors, one per k-subset of the columns (in
-    ``itertools.combinations`` order); the minors of a child come from its
-    parent's by Laplace expansion on the new row.  The gcd of a prefix's
-    minors divides the determinant of every completion (generalized Laplace
-    expansion along the prefix rows), so a prefix whose gcd is not 1 is
-    skipped with its whole subtree.  At depth n-1 the minors give the
-    cofactor vector v, and every later character x is tested exactly:
-    v . x = det[prefix; x] must be +-1.
-    """
+def _search(n: int, weight_bound: int) -> algebra.BasisSearch:
+    """The basis search over Z of the nonzero characters of [-w, w]^n."""
     chars = [c for c in itertools.product(range(-weight_bound, weight_bound + 1), repeat=n)
              if any(c)]
-    cols = [[c[k] for c in chars] for k in range(n)]
-    subsets = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
-    where = [{s: i for i, s in enumerate(level)} for level in subsets]
-    # plans[k]: per (k+1)-subset K, the terms (sign, column, parent minor) of
-    # the expansion of its minor on the new row k
-    plans = [[[((-1) ** (k + j), c, where[k][K[:j] + K[j + 1:]]) for j, c in enumerate(K)]
-              for K in subsets[k + 1]] for k in range(n)]
-    last = plans[n - 1][0]  # the full determinant: v_c = sign * minor(columns without c)
-    cofactors: dict[tuple[int, ...], tuple[int, ...]] = {}
-    kept: list[tuple[tuple[int, ...], int]] = []
-    top = len(chars)
-
-    def visit(prefix: tuple[int, ...], minors: list[int], start: int) -> None:
-        k = len(prefix)
-        if k == n - 1:
-            v = cofactors[prefix] = tuple(s * minors[p] for s, _, p in last)
-            # v . x for every later x, a column at a time so the loop runs in C
-            dots = map(operator.mul, cols[0][start:], itertools.repeat(v[0]))
-            for c in range(1, n):
-                dots = map(operator.add, dots,
-                           map(operator.mul, cols[c][start:], itertools.repeat(v[c])))
-            dots = list(dots)
-            for i in itertools.compress(range(start, top), map({1, -1}.__contains__, dots)):
-                kept.append((prefix + (i,), dots[i - start]))
-            return
-        for i in range(start, top):
-            x = chars[i]
-            child = [sum(s * x[c] * minors[p] for s, c, p in terms) for terms in plans[k]]
-            if math.gcd(*child) == 1:
-                visit(prefix + (i,), child, i + 1)
-
-    visit((), [1], 0)
-    return _Window(n, chars, kept, cofactors)
+    return algebra.basis_search(chars, n, 0)
 
 
 def window_monomials(n: int, weight_bound: int) -> list[Monomial]:
     """Faithful monomials whose character entries all lie in [-w, w], in lex order."""
-    return _monomials(_search(n, weight_bound))
+    return _search(n, weight_bound).monomials()
 
 
-def _monomials(window: _Window) -> list[Monomial]:
-    chars = window.chars
-    return [tuple(map(chars.__getitem__, ids)) for ids, _ in window.kept]
-
-
-def _dual_characters(window: _Window) -> list[Char]:
+def _dual_characters(window: algebra.BasisSearch) -> list[Char]:
     """Every +-v of the cofactor table, in lex order: the characters the
     dual-basis rows of the window can take."""
-    out = set()
-    for v in window.cofactors.values():
-        out.add(v)
-        out.add(tuple(-a for a in v))
-    return sorted(out)
+    return sorted({u for v in window.cofactors.values() for u in (v, tuple(-a for a in v))})
 
 
-def _window_rows(window: _Window) -> Iterator[tuple[tuple[int, int], ...]]:
+def _window_rows(window: algebra.BasisSearch) -> Iterator[tuple[tuple[int, int], ...]]:
     """The rows d(m*) of the window, read off the cofactor table, each as
     its (column id, coefficient) pairs in increasing column order.
 
     Row j of the dual basis of a kept A with det d is
-    d (-1)^(n-1-j) v_(A without row j), so each is a lookup, held as its
-    position in ``_dual_characters``.  Sorting the positions gives m* and the
-    sign ``algebra.dual`` folds in; d then deletes one character at a time
-    with alternating signs.  A column, an (n-1)-monomial, is keyed by its
-    positions read as base-K digits (K dual characters), so column ids
+    d (-1)^(n-1-j) v_(A without row j) (``algebra.basis_search``), held as
+    its position in ``_dual_characters``.  Sorting the positions gives m*
+    and the sign ``algebra.dual`` folds in; d then deletes one character at
+    a time with alternating signs.  A column, an (n-1)-monomial, is keyed by
+    its positions read as base-K digits (K dual characters), so column ids
     compare as the monomials do, and deleting a later character of m* gives
-    a smaller column.  Every (n-1)-subset of a kept A is in the table: the
-    gcd of its minors, and of each of its prefixes', divides det A = +-1.
+    a smaller column.
     """
     n = window.n
     duals = _dual_characters(window)
@@ -333,7 +256,7 @@ def kernel_sample_unitary(n: int, weight_bound: int = 1,
     """Integral kernel basis over the window of weight-bounded monomials."""
     _check_window(n, weight_bound, max_n, max_weight_bound)
     window = _search(n, weight_bound)
-    monomials = _monomials(window)
+    monomials = window.monomials()
     rank, combos = _left_kernel(_window_rows(window))
     basis = []
     for comb in combos:
@@ -355,6 +278,12 @@ def support_floor(n: int, weight_bound: int, max_n: int | None = None,
     over Q (so no relation has support 2).  The argument covers every element
     of the window kernel, not just a basis.  The window caps are those of
     ``kernel_sample_unitary``.
+
+    For n >= 2 the second check cannot fail, whatever the window: every row
+    has coefficients +-1 on the n deletions of m*, so two rows are
+    proportional only when they have the same columns, and the columns fix
+    m* and so m.  The check then only re-proves that m -> m* is injective;
+    it is kept as the proof's literal statement.
     """
     _check_window(n, weight_bound, max_n, max_weight_bound)
     seen: set[tuple[tuple[int, int], ...]] = set()

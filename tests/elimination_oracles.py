@@ -3,6 +3,8 @@
 * The inline GF(2) eliminations that ``kernel_space`` and
   ``surjectivity_probe`` ran before both moved onto ``gf2.RankAccumulator``:
   each walks its own pivot dict and tracks its own combinations.
+* The pivot DFS that enumerated the faithful GF(2) monomials before
+  ``algebra.basis_search`` found the bases of both rings.
 * The Bareiss determinant that the integer window's cofactors used before
   the window search built them from its prefixes' minors.
 * The adjugate inverse (n² Bareiss minors) and the determinant/rank
@@ -23,9 +25,32 @@ from bordismkit.algebra import PRIMAL, ExtPolynomial, Gf2Polynomial
 from bordismkit.intmat import ext_gcd
 
 
+def faithful_monomials_gf2(n):
+    """All unordered bases of GF(2)^n as canonical monomials, sorted, by a
+    DFS that reduces each candidate against the pivots picked so far."""
+    chars = algebra.nonzero_chars_gf2(n)
+    packed = [gf2.pack(c) for c in chars]
+    out = []
+
+    def extend(start, picked, pivots):
+        if len(picked) == n:
+            out.append(tuple(chars[i] for i in picked))
+            return
+        for i in range(start, len(chars)):
+            reduced = packed[i]
+            for p in pivots:        # each pivot clears its own lowest bit
+                if reduced & (p & -p):
+                    reduced ^= p
+            if reduced:
+                extend(i + 1, picked + [i], pivots + [reduced])
+
+    extend(0, [], [])
+    return out
+
+
 def kernel_basis(n):
     """The rank-n GF(2) kernel basis, by the elimination ``kernel_space`` used."""
-    monomials = algebra.all_faithful_monomials_gf2(n)
+    monomials = faithful_monomials_gf2(n)
     col_ids = {}
     rows = []
     for mono in monomials:

@@ -101,6 +101,29 @@ def test_faithful_monomial_counts():
     assert len(algebra.all_faithful_monomials_gf2(3)) == 28
 
 
+def test_faithful_monomials_match_the_pivot_dfs_oracle():
+    for n in range(1, 5):
+        assert (algebra.all_faithful_monomials_gf2(n)
+                == elimination_oracles.faithful_monomials_gf2(n)), n
+
+
+def test_basis_search_reads_one_gcd_test_for_both_rings():
+    # the same characters searched over Z and over GF(2): (1,1),(1,-1) has
+    # det -2, a basis of Q^2 but neither of Z^2 nor, reduced, of GF(2)^2
+    chars = [(0, 1), (1, -1), (1, 0), (1, 1)]
+    over_z = algebra.basis_search(chars, 2, 0)
+    over_gf2 = algebra.basis_search(chars, 2, 2)
+    assert over_z.kept == [((0, 1), -1), ((0, 2), -1), ((0, 3), -1),
+                           ((1, 2), 1), ((2, 3), 1)]
+    assert over_gf2.kept == over_z.kept
+    assert ((1, 3), -2) not in over_z.kept
+    # cofactors: v . x = det[prefix; x]
+    assert over_z.cofactors == {(0,): (-1, 0), (1,): (1, 1), (2,): (0, 1), (3,): (-1, 1)}
+    # a prefix with no unit gcd is pruned: (2, 2) has gcd 2, (1, 1) is odd
+    assert algebra.basis_search([(1, 1), (2, 2)], 2, 0).cofactors == {(0,): (-1, 1)}
+    assert algebra.basis_search([(2, 0), (0, 1)], 2, 2).cofactors == {(1,): (-1, 0)}
+
+
 # -- dual ----------------------------------------------------------------
 
 

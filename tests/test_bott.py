@@ -6,10 +6,11 @@ import subprocess
 import sys
 import time
 
+import elimination_oracles
 import pytest
 
 from bordismkit import algebra, bott, gf2, kernels, mvpoly
-from bordismkit.algebra import DUAL
+from bordismkit.algebra import DUAL, Gf2Polynomial
 from bordismkit.errors import ResourceLimitError
 from bordismkit.polytopes import (Coloring, all_gf2_colorings,
                                   coloring_polynomial, product_of_simplices)
@@ -30,17 +31,57 @@ def test_partitions_are_the_one_walk_in_mvpoly():
                                              (4,), (3, 1), (2, 2)]
 
 
-def test_each_dual_pair_is_inverted_once(monkeypatch):
-    # 840 faithful monomials at rank 4: 14 self-dual ones and 413 pairs
+def test_no_enumerated_basis_is_inverted(monkeypatch):
+    # kernel_space reads the 840 rank-4 duals off the basis search's
+    # cofactors, and the orbit walk keys polynomials by their own monomials
     calls = []
     real = gf2.inverse_transpose
     monkeypatch.setattr(gf2, "inverse_transpose",
                         lambda rows, n: calls.append(n) or real(rows, n))
     kernels.kernel_space(4)
-    assert len(calls) == 427
-    calls.clear()
+    assert len(calls) == 0
     assert bott.spanning_rank(4, target=511).rank == 511
-    assert len(calls) == 427
+    assert len(calls) == 0
+
+
+def _dual_keyed_walk(n):
+    """The orbit walk keyed as it was before it stopped dualizing: bit i of a
+    key is the dual of the i-th faithful monomial, from the GF(2) ring's
+    dual-basis hook."""
+    faithful = elimination_oracles.faithful_monomials_gf2(n)
+    duals = [algebra.sort_monomial(Gf2Polynomial._dual_rows(m, n)[0])[1] for m in faithful]
+    walk = bott._OrbitWalk(n)
+    walk.bit_of = {bott._mask(m): 1 << i for i, m in enumerate(duals)}
+    walk.monomial_of = duals
+    return walk
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_walk_matches_the_dual_keyed_oracle(n):
+    walk = _dual_keyed_walk(n)
+    want = list(walk)
+    got = list(bott.iter_bott_generators(n))
+    assert len(got) == len(want)
+    bit = {m: 1 << i for i, m in enumerate(bott._key_bits(n)[1])}
+    old, new = gf2.RankAccumulator(), gf2.RankAccumulator()
+    ranks = []
+    for g, (polytope, colors, dual_key) in zip(got, want):
+        assert g.polytope == polytope
+        assert g.coloring.map == {f: gf2.unpack(c, n) for f, c in enumerate(colors)}
+        assert g.polynomial.terms == {walk.monomial_of[i]: 1 for i in gf2.bits(dual_key)}
+        # dualizing permutes the key bits, so the rank after every fold agrees
+        old.add(dual_key)
+        new.add(sum(map(bit.__getitem__, g.polynomial.terms)))
+        assert new.rank == old.rank
+        ranks.append(old.rank)
+    colorings = walk.representatives * bott.gl2_order(n)
+    assert bott.spanning_rank(n) == (n, ranks[-1], len(want), colorings, False)
+    dim = kernels.kernel_space(n).dim
+    folded = ranks.index(dim) + 1
+    assert bott.spanning_rank(n, target=dim)[:3] == (n, dim, folded)
+    polys = [g.polynomial for g in got]
+    for k in {1, max(1, folded // 2), folded}:
+        assert bott.dual_span_rank(polys[:k], n) == ranks[k - 1]
 
 
 def test_span_is_the_independence_test():

@@ -261,6 +261,18 @@ def test_a_polytope_with_no_vertices_is_refused(facets, message):
     assert json.loads(r.stdout)["error"] == {"code": "validation-error", "message": message}
 
 
+@pytest.mark.parametrize("verb, graph", [
+    ("poly-of-graph", '{"n":2,"vertices":-3,"edges":[]}'),
+    ("torus-poly", '{"n":1,"vertices":-3,"edges":[{"u":0,"v":1,"alpha":[1]},'
+                   '{"u":1,"v":0,"alpha":[-1]}]}'),
+])
+def test_a_negative_vertex_count_is_refused(verb, graph):
+    r = run_cli(verb, graph)
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"] == {
+        "code": "validation-error", "message": "vertex count must be nonnegative, got -3"}
+
+
 @pytest.mark.parametrize("graph, message", [
     # weight 3 spans index 3 in Z at both vertices
     ('{"n":1,"vertices":2,"edges":[{"u":0,"v":1,"alpha":[3]},'

@@ -1,5 +1,6 @@
 """Kernel spaces and integral window kernels: dimensions, membership, bounds."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -181,7 +182,7 @@ def _window_with_rows(n, w):
 
     rows = [{column(cid): c for cid, c in reversed(row)}
             for row in kernels._window_rows(window)]
-    return kernels._monomials(window), rows
+    return window.monomials(), rows
 
 
 @pytest.mark.parametrize("n,w", sorted(WINDOW_STATS))
@@ -228,6 +229,24 @@ def test_pruned_search_matches_scalar_reference_past_the_cap():
     win = kernels.kernel_sample_unitary(2, 3, max_weight_bound=3)
     assert win.monomials == monomials
     assert all(algebra.differential(algebra.dual(b)).is_zero() for b in win.basis)
+
+
+# sha256 of repr((kept, list(cofactors.items()))) as the window search left
+# them before it moved into ``algebra.basis_search``: the shared search keeps
+# the same monomials, determinants and cofactors, in the same order
+WINDOW_SEARCH_DIGESTS = {
+    (1, 1): "7dbff9cb2348a72e", (1, 2): "2f4a42b1fc727d16",
+    (2, 1): "72cc539b48654d08", (2, 2): "295883bb38e6026d",
+    (3, 1): "4472ca3e44053e58", (3, 2): "99e630fcf62348a5",
+    (2, 3): "31d8224247011f5b",
+}
+
+
+@pytest.mark.parametrize("n,w", sorted(WINDOW_SEARCH_DIGESTS))
+def test_window_search_is_unchanged(n, w):
+    window = kernels._search(n, w)
+    text = repr((window.kept, list(window.cofactors.items())))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == WINDOW_SEARCH_DIGESTS[n, w]
 
 
 def test_search_prunes_prefixes_that_cannot_finish_a_basis():

@@ -52,3 +52,23 @@ def test_only_the_integer_window_takes_determinants():
                   and node.func.id == "det"):
                 found.add((path.stem, "calls det"))
     assert found == set()
+
+
+def test_only_the_ring_hooks_name_the_dual_basis_routines():
+    # a basis is inverted only by its ring's hook, ``_dual_rows`` in
+    # ``algebra``; gf2 and intmat define the routines, and no other module
+    # under src/ imports, reads or calls them
+    names = {"inverse_transpose", "dual_basis"}
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                named = names.intersection(a.name for a in node.names)
+            elif isinstance(node, ast.Attribute):
+                named = names & {node.attr}
+            elif isinstance(node, ast.Name):
+                named = names & {node.id}
+            else:
+                continue
+            found.update((path.stem, name) for name in named)
+    assert found == {("algebra", "inverse_transpose"), ("algebra", "dual_basis")}
