@@ -57,6 +57,19 @@ def _vertex_count(num_vertices: int) -> int:
     return num_vertices
 
 
+def _first_wrong_degree(degrees: Mapping[int, int], num_vertices: int, n: int) -> int | None:
+    """The first vertex whose degree is not n, from the degrees of the
+    vertices that have edges: its cost follows the edges, not the vertex
+    count.  A vertex without edges has degree 0, and the first of those is
+    among the first len(degrees) + 1."""
+    bad = [v for v, d in degrees.items() if d != n]
+    if n:
+        isolated = next(v for v in range(len(degrees) + 1) if v not in degrees)
+        if isolated < num_vertices:
+            bad.append(isolated)
+    return min(bad, default=None)
+
+
 class ColoredGraph:
     """Undirected graph with nonzero GF(2)^n edge colors."""
 
@@ -82,21 +95,25 @@ class ColoredGraph:
     def _vertex_colors(self) -> list[list[Char]]:
         """Each vertex's incident colors in neighbor order, once (P1) and
         (P2) hold; raises at the first failure."""
-        nbrs: list[list[tuple[int, Char]]] = [[] for _ in range(self.num_vertices)]
+        nbrs: dict[int, list[tuple[int, Char]]] = {}
         for e, c in self.alpha.items():
             u, v = e
-            nbrs[u].append((v, c))
-            nbrs[v].append((u, c))
-        colors = [[c for _, c in sorted(row)] for row in nbrs]
+            nbrs.setdefault(u, []).append((v, c))
+            nbrs.setdefault(v, []).append((u, c))
+        bad = _first_wrong_degree({v: len(row) for v, row in nbrs.items()},
+                                  self.num_vertices, self.n)
+        # only the vertices before the first bad one are walked
+        colors = [[c for _, c in sorted(nbrs.get(v, ()))]
+                  for v in range(self.num_vertices if bad is None else bad)]
         packed = []
         for v, cs in enumerate(colors):
-            if len(cs) != self.n:
-                raise ValidationError(
-                    f"(P1) fails: vertex {v} has degree {len(cs)}, expected {self.n}")
             if Gf2Polynomial._dual_rows(cs, self.n) is None:
                 raise ValidationError(
                     f"(P1) fails: edge colors at vertex {v} are not a basis")
             packed.append([gf2.pack(c) for c in cs])
+        if bad is not None:
+            raise ValidationError(f"(P1) fails: vertex {bad} has degree "
+                                  f"{len(nbrs.get(bad, ()))}, expected {self.n}")
         for e, c in self.alpha.items():
             u, v = sorted(e)
             a = gf2.pack(c)
@@ -178,26 +195,31 @@ class TorusGraph:
             if len(self.sigma) != num_vertices or any(s not in (1, -1) for s in self.sigma):
                 raise ValidationError("sigma must assign ±1 to every vertex")
 
-    def _out_edges(self) -> list[list[tuple[int, int]]]:
-        """Every vertex's out-edges, sorted."""
-        out: list[list[tuple[int, int]]] = [[] for _ in range(self.num_vertices)]
+    def _out_edges(self) -> dict[int, list[tuple[int, int]]]:
+        """The sorted out-edges of every vertex that has some."""
+        out: dict[int, list[tuple[int, int]]] = {}
         for e in sorted(self.alpha):
-            out[e[0]].append(e)
+            out.setdefault(e[0], []).append(e)
         return out
 
     def _vertex_bases(self) -> Iterator[VertexBasis]:
         """Per vertex: its out-edges, their weights W_v, and the hook's
         (dual rows, det W_v); raises at the first vertex failing axiom (2)."""
-        for v, edges in enumerate(self._out_edges()):
+        out = self._out_edges()
+        bad = _first_wrong_degree({v: len(edges) for v, edges in out.items()},
+                                  self.num_vertices, self.n)
+        # only the vertices before the first bad one are walked
+        for v in range(self.num_vertices if bad is None else bad):
+            edges = out.get(v, [])
             rows = [self.alpha[e] for e in edges]
-            if len(rows) != self.n:
-                raise ValidationError(
-                    f"axiom (2) fails: vertex {v} has valence {len(rows)}, expected {self.n}")
             found = ExtPolynomial._dual_rows(rows, self.n)
             if found is None:
                 raise ValidationError(
                     f"axiom (2) fails: weights at vertex {v} are not a Z-basis")
             yield edges, rows, found
+        if bad is not None:
+            raise ValidationError(f"axiom (2) fails: vertex {bad} has valence "
+                                  f"{len(out.get(bad, ()))}, expected {self.n}")
 
     def validate(self) -> list[VertexBasis]:
         """Torus graph axioms: reversal signs, vertex bases, congruence
@@ -254,7 +276,7 @@ class TorusGraph:
         stack = [0]
         while stack:
             u = stack.pop()
-            for (_, v) in out[u]:
+            for (_, v) in out.get(u, ()):
                 a, back = self.alpha[(u, v)], self.alpha[(v, u)]
                 eps = 1 if back == a else -1
                 want = -eps * sigma[u]

@@ -12,15 +12,25 @@ then rational sums
 
 and the checks decide whether such a sum is a genuine polynomial.  All the
 weight forms appearing are primitive (rows of invertible integer matrices),
-so after normalizing each to a canonical sign the common denominator is a
-product of pairwise coprime linear forms, and divisibility can be settled
-one linear factor at a time by exact division with remainder.
+so after normalizing each to a canonical sign the common denominator D is a
+product of pairwise coprime linear forms, and divisibility of the numerator
+N can be settled one linear factor ℓ at a time.
+
+Integrality never builds N: ℓ divides N exactly when N vanishes on the
+hyperplane ℓ = 0, where only the points holding ℓ contribute.  Each degree
+of f gives one homogeneous restricted sum in n − 1 variables, tested by one
+exact big-integer evaluation at a Kronecker point whose base exceeds an L1
+bound on its coefficients (docs/decisions/0002).  Chern numbers need the
+quotient itself, so they build N with ``mvpoly`` and divide it by each
+factor with remainder.
 
 Everything these sums share is built once per FixedPointData, on first use,
 and kept in its private ``_memo``: the canonical factors of D, the points
 folded by equal weights (each with its summed units and signed units), each
-folded point's linear forms and cofactor D/chi_p, and for Chern numbers the
-ladders cof*e1^i and e2^j, grown only as far as the indices asked for.  A
+factor's hyperplane data (the restricted factors, and the points holding
+it with the L1 norms their bound reads), and for Chern numbers
+each folded point's linear forms, cofactor D/chi_p and the ladders
+cof*e1^i and e2^j, grown only as far as the indices asked for.  A Chern
 numerator is one ``mvpoly.combination`` pass over a factor pair per folded
 point, so a Chern number costs that pass plus the divisions.
 This is safe because the points are an immutable tuple fixed at
@@ -31,6 +41,7 @@ memo entry.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, NamedTuple, Sequence
 
 from . import algebra, mvpoly
@@ -73,12 +84,6 @@ class SymmetricFunction:
 
     def max_parts(self) -> int:
         return max((len(mu) for mu in self.partitions), default=0)
-
-    def evaluate(self, forms: Sequence[MPoly], nv: int, ring: str) -> MPoly:
-        out = MPoly.zero(nv, ring)
-        for mu in self.partitions:
-            out = out + mvpoly.eval_monomial_symmetric(mu, forms, nv, ring)
-        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymmetricFunction):
@@ -197,63 +202,101 @@ class _Localization:
     each to the first power (weights within a point are rows of an invertible
     matrix, hence pairwise non-proportional, so each chi_p is square-free).
     Points with equal weights are folded into one, carrying the sum of their
-    units (``bare``) and of their signs times units (``signed``).  Each
-    folded point keeps its linear forms, its cofactor D/chi_p, and, once a
-    Chern number asks for them, the ladders cof*e1^i and e2^j.
+    units (``bare``) and of their signs times units (``signed``), and its
+    weights as (factor index, unit) pairs.  The rest is built on first use:
+    the restriction of the sum to every factor's hyperplane for integrality
+    (``planes``), and the MPoly forms, cofactors D/chi_p and ladders
+    cof*e1^i, e2^j for Chern numbers (``chern_term``).
     """
 
-    __slots__ = ("n", "ring", "factors", "forms", "bare", "signed",
-                 "cofactors", "_ladders")
+    __slots__ = ("n", "ring", "chars", "weights", "own", "bare", "signed",
+                 "_planes", "_chern")
 
     def __init__(self, data: FixedPointData):
-        n = data.n
-        ring = mvpoly.GF2 if data.flavor == GF2 else mvpoly.Q
-        self.n = n
-        self.ring = ring
+        self.n = data.n
+        self.ring = ring = mvpoly.GF2 if data.flavor == GF2 else mvpoly.Q
         folded: dict[Monomial, list[int]] = {}   # weights -> [unit, bare, signed]
-        chars: set[Char] = set()
         for pt in data.points:
             acc = folded.get(pt.weights)
             if acc is None:
                 unit = 1
                 for w in pt.weights:
-                    c, u = _canonical_char(w, ring)
-                    chars.add(c)
-                    unit *= u
+                    unit *= _canonical_char(w, ring)[1]
                 acc = folded[pt.weights] = [unit, 0, 0]
             acc[1] += acc[0]
             acc[2] += pt.sign * acc[0]
-        ordered = sorted(chars)
-        self.factors = [MPoly.linear(c, ring) for c in ordered]
-        by_char = dict(zip(ordered, self.factors))
-        self.forms = [[MPoly.linear(w, ring) for w in weights] for weights in folded]
+        canon = [[_canonical_char(w, ring) for w in weights] for weights in folded]
+        self.chars = sorted({c for own in canon for c, _ in own})
+        index = {c: t for t, c in enumerate(self.chars)}
+        self.weights = list(folded)
+        self.own = [tuple((index[c], u) for c, u in own) for own in canon]
         self.bare = [acc[1] for acc in folded.values()]
         self.signed = [acc[2] for acc in folded.values()]
-        self.cofactors = []
-        for weights in folded:
-            # D / chi_p = product of the canonical forms not among p's weights
-            own = {_canonical_char(w, ring)[0] for w in weights}
-            self.cofactors.append(mvpoly.product(
-                (by_char[c] for c in ordered if c not in own), n, ring))
-        # per folded point (e1, [cof * e1^i], [e2^j]), on the first Chern number
-        self._ladders: list[tuple[MPoly, list[MPoly], list[MPoly]]] | None = None
+        self._planes: list[tuple[list, list]] | None = None
+        # (factors, per folded point (forms, e1, [cof * e1^i], [e2^j]))
+        self._chern: tuple[list[MPoly], list[tuple]] | None = None
+
+    def planes(self) -> list[tuple[list, list]]:
+        """Per factor ℓ of D, the sum on ℓ = 0: (every factor's coefficients
+        in y, and per folded point holding ℓ: (point, its other weights as
+        (factor, unit), its cofactor's factors, the sum of its weights' L1
+        norms, the product of its cofactor's)).
+
+        x_k = ℓ_p·y_k (k ≠ p, the first variable ℓ mentions) and
+        x_p = −Σ ℓ_k·y_k map onto ℓ = 0, so a form a restricts to
+        ℓ_p·a_k − a_p·ℓ_k, read mod 2 over GF(2).  A point not holding ℓ is
+        left out: its cofactor has ℓ as a factor.
+        """
+        if self._planes is None:
+            gf2 = self.ring == mvpoly.GF2
+            self._planes = []
+            for t, ell in enumerate(self.chars):
+                p = next(k for k, v in enumerate(ell) if v)
+                free = [k for k in range(self.n) if k != p]
+                forms = [tuple(ell[p] * c[k] - c[p] * ell[k] for k in free)
+                         for c in self.chars]
+                if gf2:
+                    forms = [tuple(a & 1 for a in form) for form in forms]
+                l1 = [sum(map(abs, form)) for form in forms]
+                members = []
+                for g, own in enumerate(self.own):
+                    mine = [s for s, _ in own]
+                    if t in mine:
+                        cof = tuple(s for s in range(len(self.chars)) if s not in mine)
+                        members.append((g, tuple(x for x in own if x[0] != t), cof,
+                                        sum(l1[s] for s in mine), math.prod(l1[s] for s in cof)))
+                self._planes.append((forms, members))
+        return self._planes
 
     def chern_term(self, g: int, i: int, j: int) -> tuple[MPoly, MPoly]:
         """(cof_g * e1^i, e2^j) at folded point g; the ladders grow on demand."""
-        if self._ladders is None:
-            one = MPoly.constant(self.n, self.ring, 1)
-            self._ladders = [
-                (mvpoly.eval_monomial_symmetric((1,), forms, self.n, self.ring), [cof], [one])
-                for forms, cof in zip(self.forms, self.cofactors)]
-        e1, up, e2 = self._ladders[g]
+        forms, e1, up, e2 = self.chern_data()[1][g]
         while len(up) <= i:
             up.append(up[-1] * e1)
         if j and len(e2) == 1:
-            e2.append(mvpoly.eval_monomial_symmetric((1, 1), self.forms[g],
-                                                     self.n, self.ring))
+            e2.append(mvpoly.eval_monomial_symmetric((1, 1), forms, self.n, self.ring))
         while len(e2) <= j:
             e2.append(e2[-1] * e2[1])
         return up[i], e2[j]
+
+    def chern_data(self) -> tuple[list[MPoly], list[tuple]]:
+        """The factors of D as MPolys, and per folded point its forms, e1,
+        and the ladders [cof], [1]; built on the first Chern number."""
+        if self._chern is None:
+            n, ring = self.n, self.ring
+            factors = [MPoly.linear(c, ring) for c in self.chars]
+            one = MPoly.constant(n, ring, 1)
+            points = []
+            for weights, own in zip(self.weights, self.own):
+                forms = [MPoly.linear(w, ring) for w in weights]
+                mine = {s for s, _ in own}
+                # D / chi_p = product of the canonical forms not among p's weights
+                cof = mvpoly.product((f for s, f in enumerate(factors) if s not in mine),
+                                     n, ring)
+                points.append((forms, mvpoly.eval_monomial_symmetric((1,), forms, n, ring),
+                               [cof], [one]))
+            self._chern = factors, points
+        return self._chern
 
 
 def _localization(data: FixedPointData) -> _Localization:
@@ -264,38 +307,74 @@ def _localization(data: FixedPointData) -> _Localization:
     return data._memo
 
 
-def _localization_numerator(loc: _Localization, term, coeffs: Sequence[int]) -> MPoly:
-    """N = sum_p coeff_p * a_p * b_p in one pass, where a_p * b_p = value_p * D/chi_p
-    for term(p) = (a_p, b_p); points whose coefficient cancels to 0 are skipped."""
-    return mvpoly.combination(((k, *term(g)) for g, k in enumerate(coeffs) if k),
-                              loc.n, loc.ring)
+# ---------------------------------------------------------------------------
+# integrality checks
+
+
+def _slots(r: int, degree: int) -> int:
+    """The b-bit slots a form of this degree in r variables reaches at the
+    Kronecker point."""
+    return (degree + 1) ** (r - 1) if r else 1
+
+
+def _kronecker_values(forms: list[tuple[int, ...]], degree: int, b: int) -> list[int]:
+    """Each restricted form at y_1 = 1, y_k = B^((degree+1)^(k-2)), B = 2^b,
+    where a form of this degree puts each coefficient in its own slot."""
+    shifts = [0] + [b * (degree + 1) ** k for k in range(len(forms[0]) - 1)]
+    return [sum(a << s for a, s in zip(form, shifts) if a) for form in forms]
+
+
+def _slot_mask(r: int, degree: int, b: int) -> int:
+    """The lowest bit of every slot (see ``_slots``)."""
+    return ((1 << (b * _slots(r, degree))) - 1) // ((1 << b) - 1)
+
+
+def _slot_bits(value: int, b: int) -> int:
+    """``value``'s set bits, each at a slot bottom b*s, as bit s."""
+    out = 0
+    while value:
+        low = value & -value
+        out |= 1 << ((low.bit_length() - 1) // b)
+        value ^= low
+    return out
 
 
 def _sum_is_polynomial(data: FixedPointData, f: SymmetricFunction, signed: bool) -> bool:
-    """Whether sum_p [sign_p] f(weights_p) / chi_p divides out, factor by factor."""
+    """Whether sum_p [sign_p] f(weights_p) / chi_p is a polynomial: per
+    factor ℓ of D and degree of f, the numerator on ℓ = 0 vanishes, tested
+    by one exact evaluation whose base exceeds an L1 bound on its
+    coefficients (docs/decisions/0002)."""
     if f.max_parts() > data.n:
         raise ValidationError(
             f"symmetric function needs {f.max_parts()} variables, data has {data.n}")
     loc = _localization(data)
-    num = _localization_numerator(
-        loc, lambda g: (f.evaluate(loc.forms[g], loc.n, loc.ring), loc.cofactors[g]),
-        loc.signed if signed else loc.bare)
-    return _divide_out(num, loc.factors) is not None
-
-
-def _divide_out(num: MPoly, factors: Sequence[MPoly]) -> MPoly | None:
-    """num / (product of the factors), dividing by one factor at a time;
-    None at the first nonzero remainder.  The factors are pairwise coprime
-    linear forms, so this decides divisibility by their product."""
-    for form in factors:
-        num, rem = mvpoly.divmod_linear(num, form)
-        if not rem.is_zero():
-            return None
-    return num
-
-
-# ---------------------------------------------------------------------------
-# integrality checks
+    gf2 = loc.ring == mvpoly.GF2
+    coeffs = loc.signed if signed else loc.bare
+    if gf2:
+        coeffs = [k & 1 for k in coeffs]
+    value_at = mvpoly.monomial_symmetric_value
+    by_degree: dict[int, list] = {}
+    for mu in f.partitions:
+        if len(mu) < loc.n:   # one weight vanishes on ℓ = 0, and m_mu of n parts with it
+            by_degree.setdefault(sum(mu), []).append(mu)
+    for d, parts in by_degree.items():
+        degree = d + len(loc.chars) - loc.n
+        for forms, members in loc.planes():
+            # L1(f_d(w)) <= f_d(L1(w_1), ...) <= (sum of the L1(w_i))^d
+            bound = sum(abs(coeffs[g]) * own_l1 ** d * cof_l1
+                        for g, _, _, own_l1, cof_l1 in members)
+            if not bound:
+                continue
+            b = bound.bit_length()
+            vals = _kronecker_values(forms, degree, b)
+            value = sum(coeffs[g] * math.prod(vals[s] for s in cof)
+                        * sum(value_at(mu, [u * vals[s] for s, u in others]) for mu in parts)
+                        for g, others, cof, _, _ in members if coeffs[g])
+            if gf2:   # the 0/1 lift's coefficients are its digits: test their parities
+                value &= _slot_mask(loc.n - 1, degree, b)
+            if value:
+                return False
+    return True
 
 
 def integrality_check_gf2(data: FixedPointData, f: SymmetricFunction) -> bool:
@@ -317,10 +396,6 @@ def integrality_check_z(data: FixedPointData, f: SymmetricFunction,
     return _sum_is_polynomial(data, f, signed)
 
 
-# ---------------------------------------------------------------------------
-# equivariant Chern numbers
-
-
 class Gf2IntegralityTable:
     """Batch integrality checker for GF(2) polynomials at a fixed rank.
 
@@ -328,17 +403,18 @@ class Gf2IntegralityTable:
     of 2^n − 1 nonzero vectors, so the localization sum can always be put
     over the full denominator D = product of ALL those linear forms: the
     term of a point with monomial m becomes f(m's forms)·(D/χ_m), and a
-    factor ℓ divides the total iff the per-monomial remainders mod ℓ cancel.
-    Those remainders depend only on (monomial, partition, factor), so they
-    are precomputed once, from the forms and cofactors of the localization
-    of all faithful monomials (every character occurs in one, so there D is
-    the full product): one int per (monomial, partition) holds a bit per
-    (factor, packed remainder exponent), so the factors fill disjoint bits
-    and the XOR of those ints is every per-factor XOR at once.  Only m's own
-    factors are divided, since every other one divides D/χ_m and leaves
-    remainder 0.  A query is one XOR per monomial and one test for zero, and
-    agrees with ``integrality_check_gf2`` on every input (the extra factors
-    of D are units for the divisibility questions asked).
+    factor ℓ divides the total iff the terms' restrictions to ℓ = 0 cancel
+    mod 2.  Only m's own factors are tested, since every other one divides
+    D/χ_m.  Those restrictions depend only on (monomial, partition, factor),
+    so they are read once, from the hyperplane data of the localization of
+    all faithful monomials (every character occurs in one, so there D is
+    the full product): each is one evaluation at a Kronecker point, with
+    one slot width per (factor, partition) across the monomials, and its
+    parity digits go to one bit per (factor, slot) of an int per (monomial,
+    partition).  The factors fill disjoint bits, so the XOR of those ints is
+    every per-factor XOR at once.  A query is one XOR per monomial and one
+    test for zero, and agrees with ``integrality_check_gf2`` on every input
+    (the extra factors of D are units for the divisibility questions asked).
     """
 
     __slots__ = ("n", "partitions", "_bits")
@@ -350,18 +426,27 @@ class Gf2IntegralityTable:
         data = FixedPointData._of(GF2, n, [FixedPoint(1, m)
                                            for m in algebra.all_faithful_monomials_gf2(n)])
         loc = _Localization(data)
-        index: dict[tuple[Char, int], int] = {}
-        self._bits = {mu: {} for mu in self.partitions}  # mu -> monomial -> bits
-        # the points are distinct, so folding keeps them in order
-        for pt, forms, cofactor in zip(data.points, loc.forms, loc.cofactors):
-            for mu in self.partitions:
-                term = mvpoly.eval_monomial_symmetric(mu, forms, n, loc.ring) * cofactor
-                bits = 0
-                for c, form in zip(pt.weights, forms):
-                    _, rem = mvpoly.divmod_linear(term, form)
-                    for e in rem._terms:
-                        bits |= 1 << index.setdefault((c, e), len(index))
-                self._bits[mu][pt.weights] = bits
+        value_at = mvpoly.monomial_symmetric_value
+        self._bits = {}  # mu -> monomial -> bits
+        for mu in self.partitions:
+            if len(mu) > n:
+                raise ValidationError(
+                    f"partition {mu} has more parts than the {n} available variables")
+            rows = [0] * len(loc.weights)
+            if len(mu) < n:   # else m_mu vanishes on every plane, as one weight does
+                degree = sum(mu) + len(loc.chars) - n
+                slots = _slots(n - 1, degree)
+                for t, (forms, members) in enumerate(loc.planes()):
+                    # one B per (factor, partition), above every monomial's bound
+                    b = max(own_l1 ** sum(mu) * cof_l1
+                            for _, _, _, own_l1, cof_l1 in members).bit_length()
+                    vals = _kronecker_values(forms, degree, b)
+                    mask = _slot_mask(n - 1, degree, b)
+                    for g, others, cof, _, _ in members:
+                        value = (value_at(mu, [vals[s] for s, _ in others])
+                                 * math.prod(vals[s] for s in cof))
+                        rows[g] |= _slot_bits(value & mask, b) << (t * slots)
+            self._bits[mu] = dict(zip(loc.weights, rows))
 
     def passes(self, p: Gf2Polynomial, mu: Sequence[int]) -> bool:
         """Whether the monomial symmetric function m_mu gives a polynomial sum."""
@@ -380,6 +465,28 @@ class Gf2IntegralityTable:
             except KeyError:
                 raise ValidationError(f"non-faithful monomial {mono}") from None
         return not acc
+
+
+# ---------------------------------------------------------------------------
+# equivariant Chern numbers
+
+
+def _localization_numerator(loc: _Localization, term, coeffs: Sequence[int]) -> MPoly:
+    """N = sum_p coeff_p * a_p * b_p in one pass, where a_p * b_p = value_p * D/chi_p
+    for term(p) = (a_p, b_p); points whose coefficient cancels to 0 are skipped."""
+    return mvpoly.combination(((k, *term(g)) for g, k in enumerate(coeffs) if k),
+                              loc.n, loc.ring)
+
+
+def _divide_out(num: MPoly, factors: Sequence[MPoly]) -> MPoly | None:
+    """num / (product of the factors), dividing by one factor at a time;
+    None at the first nonzero remainder.  The factors are pairwise coprime
+    linear forms, so this decides divisibility by their product."""
+    for form in factors:
+        num, rem = mvpoly.divmod_linear(num, form)
+        if not rem.is_zero():
+            return None
+    return num
 
 
 class ChernNumber(NamedTuple):
@@ -409,7 +516,7 @@ def equivariant_chern_number(data: FixedPointData, i: int, j: int) -> ChernNumbe
         raise ValidationError("e2 needs at least two weights per point")
     loc = _localization(data)
     num = _localization_numerator(loc, lambda g: loc.chern_term(g, i, j), loc.signed)
-    quo = _divide_out(num, loc.factors)
+    quo = _divide_out(num, loc.chern_data()[0])
     if quo is None:
         return ChernNumber(i, j, False, False, None, None)
     integral, constant = quo.has_integer_coeffs(), quo.constant_value()

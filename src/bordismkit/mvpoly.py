@@ -2,10 +2,11 @@
 
 Exact coefficient arithmetic in two rings: GF(2) (every stored coefficient
 is 1, so a polynomial is the set of its monomials) and Q (int/Fraction
-coefficients).  Just enough structure for localization work: products of
-linear forms, monomial symmetric function evaluation, and exact division
-with remainder by a linear form, which is how divisibility of a localization
-numerator by the common denominator is decided factor by factor.
+coefficients).  Just enough structure for Chern numbers: products of linear
+forms, monomial symmetric function evaluation (on forms, and on integers
+for the integrality checks' hyperplane evaluations), and exact division
+with remainder by a linear form, which gives a Chern number's quotient by
+the common denominator factor by factor.
 
 Terms are kept under packed exponents: variable i's exponent sits in bits
 [W*i, W*(i+1)) of one int (W = 32), so a product of monomials is one int
@@ -298,6 +299,22 @@ def eval_monomial_symmetric(mu: Sequence[int], forms: Sequence[MPoly],
         return 1, head, rest[0] if rest else one
 
     return combination(map(triple, _rearrangements(mu + (0,) * (k - len(mu)))), nv, ring)
+
+
+def monomial_symmetric_value(mu: tuple[int, ...], values: Sequence[int]) -> int:
+    """m_mu at integer values, exactly; mu is canonical (see
+    ``canonical_partition``), and 0 when it has more parts than values."""
+    k = len(values)
+    if len(mu) > k:
+        return 0
+    total = 0
+    for arrangement in _rearrangements(mu + (0,) * (k - len(mu))):
+        term = 1
+        for v, d in zip(values, arrangement):
+            if d:
+                term *= v ** d
+        total += term
+    return total
 
 
 def _rearrangements(values: Sequence[int]) -> Iterator[Expt]:

@@ -299,28 +299,32 @@ def test_localization_reaches_mvpoly_through_the_module(monkeypatch):
     # of two or more factors, ``*`` included, is one call of the accumulator
     # ``combination`` per factor after the first, and each localization
     # numerator is exactly one more.
-    calls = counting(monkeypatch, "divmod_linear", "product", "combination")
+    calls = counting(monkeypatch, "divmod_linear", "product", "combination",
+                     "eval_monomial_symmetric")
     # CP^2 has three points and three canonical weight forms: x0, x1, x0 - x1
     data = FixedPointData.from_polynomial(CP2)
     assert equivariant_chern_number(data, 2, 0).constant == 9
     # one cofactor per point (3 products of one form each, no multiplication),
     # 3 e1, 6 ladder steps cof*e1^i for i = 1, 2, and the numerator
-    assert calls == {"divmod_linear": 3, "product": 3, "combination": 10}
+    chern = {"divmod_linear": 3, "product": 3, "combination": 10,
+             "eval_monomial_symmetric": 3}
+    assert calls == chern
     assert equivariant_chern_number(data, 0, 1).constant == 3
-    assert calls == {"divmod_linear": 6, "product": 3, "combination": 14}  # 3 e2 + 1
+    chern = {"divmod_linear": 6, "product": 3, "combination": 14,  # 3 e2 + 1
+             "eval_monomial_symmetric": 6}
+    assert calls == chern
+    # integrality is one evaluation per factor's hyperplane: it builds,
+    # multiplies and divides no polynomial, on data with Chern ladders and
+    # on fresh data, and neither does the GF(2) table
     assert integrality_check_z(data, SymmetricFunction.elementary(2))
-    assert calls["divmod_linear"] == 9 and calls["combination"] == 18
-    rp2 = FixedPointData.from_polynomial(RP2)
-    assert integrality_check_gf2(rp2, SymmetricFunction.one())
-    # 3 one-form cofactors, m_() = 1 at each point (one empty arrangement),
-    # the numerator
-    assert calls == {"divmod_linear": 12, "product": 6, "combination": 22}
+    assert integrality_check_z(FixedPointData.from_polynomial(CP2),
+                               SymmetricFunction(((), (1,), (2, 1))), signed=True)
+    assert not integrality_check_z(FixedPointData("z", 2, [FixedPoint(1, ((1, 0), (0, 1)))]),
+                                   SymmetricFunction.monomial((2,)))
+    assert integrality_check_gf2(FixedPointData.from_polynomial(RP2), SymmetricFunction.one())
     Gf2IntegralityTable(2, [(), (1,)])
-    # 3 faithful monomials x 2 partitions x 2 own factors: the third form
-    # divides the monomial's cofactor, so it is not divided (it was 30);
-    # per monomial its one-form cofactor, m_() and m_() * cof, m_(1) and
-    # m_(1) * cof
-    assert calls == {"divmod_linear": 24, "product": 9, "combination": 34}
+    Gf2IntegralityTable(3, [(), (2, 1), (1, 1, 1)])
+    assert calls == chern
 
 
 def test_chern_requires_z_flavor():
@@ -510,6 +514,85 @@ def test_integrality_checks_match_the_summand_loop(n):
                     localization_oracles.sum_is_polynomial(data, [mu], signed), (shape, mu)
             assert integrality_check_gf2(reduced, f) == \
                 localization_oracles.sum_is_polynomial(reduced, [mu]), (shape, mu)
+
+
+# -- integrality by hyperplane evaluation, against the summand loop ----------
+
+# functions mixing partition degrees: each degree must vanish by itself
+MIXED = [((1,), (2,)), ((), (1, 1)), ((), (1,)), ((1,), (1, 1), (3,))]
+
+
+def big_unimodular(n, rng):
+    """A det ±1 matrix with entries of 10^3 and more (the identity at n = 1)."""
+    rows = [[int(a == b) for b in range(n)] for a in range(n)]
+    for a in range(n) if n > 1 else ():
+        b = rng.choice([k for k in range(n) if k != a])
+        step = rng.choice((1, -1)) * rng.randint(1000, 5000)
+        rows[a] = [x + step * y for x, y in zip(rows[a], rows[b])]
+    return rows
+
+
+def moved(data, matrix, flavor="z"):
+    """The data with every weight w sent to w * matrix (mod 2 over GF(2))."""
+    n = data.n
+
+    def image(w):
+        row = tuple(sum(w[i] * matrix[i][j] for i in range(n)) for j in range(n))
+        return tuple(v & 1 for v in row) if flavor == "gf2" else row
+    return FixedPointData(flavor, n, [FixedPoint(pt.sign, tuple(map(image, pt.weights)))
+                                      for pt in data.points])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hyperplane_evaluation_matches_the_summand_loop(n):
+    # a manifold (CP^n) seen through a unimodular change of coordinates with
+    # entries of 10^3 and more, and random signed data through the same
+    # change, signed and bare, and their reductions mod 2
+    rng = random.Random(151 + n)
+    degree = n + 1 if n < 4 else n   # above it one sum costs seconds in the oracle
+    fs = ([((),)] + [(mu,) for mu in mvpoly.partitions_up_to(degree, n)]
+          + [f for f in MIXED if max(map(len, f)) <= n])
+    manifold = fixed_point_data((n,), standard_z_coloring((n,)))
+    signed_points = FixedPointData("z", n, random_signed_data(n, rng).points[:3])
+    verdicts = {}
+    for kind, data in (("manifold", manifold), ("random", signed_points)):
+        matrix = big_unimodular(n, rng)
+        z, reduced = moved(data, matrix), moved(data, matrix, "gf2")
+        if n > 1:
+            assert max(abs(v) for pt in z.points for w in pt.weights for v in w) >= 1000
+        for parts in fs:
+            f = SymmetricFunction(parts)
+            for signed in (False, True):
+                want = localization_oracles.sum_is_polynomial(z, parts, signed)
+                assert integrality_check_z(z, f, signed=signed) == want, (kind, parts, signed)
+                verdicts.setdefault((kind, signed), set()).add(want)
+            want = localization_oracles.sum_is_polynomial(reduced, parts)
+            assert integrality_check_gf2(reduced, f) == want, (kind, parts)
+            verdicts.setdefault((kind, "gf2"), set()).add(want)
+    # a manifold's signed sums are polynomials (ABBV); random signs are not
+    assert verdicts[("manifold", True)] == {True}
+    assert set().union(*verdicts.values()) == {True, False}
+
+
+@pytest.mark.parametrize("flavor, weights", [("z", ((-1, 0), (0, -1))),
+                                             ("gf2", ((1, 0), (0, 1)))])
+def test_each_degree_of_a_mixed_function_is_tested_alone(flavor, weights):
+    # one point: N = f(w) and D = chi.  On each hyperplane m_(1) + m_(2)
+    # restricts to -y + y^2 (y + y^2 mod 2), so both degrees evaluated at
+    # one point y = 1 would cancel; the sum is not a polynomial
+    data = FixedPointData(flavor, 2, [FixedPoint(1, weights)])
+    ring = mvpoly.GF2 if flavor == "gf2" else mvpoly.Q
+    forms = [mvpoly.MPoly.linear(w, ring) for w in weights]
+    num = sum((mvpoly.eval_monomial_symmetric(mu, forms, 2, ring) for mu in ((1,), (2,))),
+              mvpoly.MPoly.zero(2, ring))
+    for axis in ((1, 0), (0, 1)):
+        _, rem = localization_oracles.divmod_linear(num, mvpoly.MPoly.linear(axis, ring))
+        total = sum(rem.terms.values())   # the restriction at y = 1
+        assert not rem.is_zero() and (total % 2 if flavor == "gf2" else total) == 0
+    f = SymmetricFunction(((1,), (2,)))
+    assert not localization_oracles.sum_is_polynomial(data, f.partitions)
+    check = integrality_check_gf2 if flavor == "gf2" else integrality_check_z
+    assert not check(data, f)
 
 
 @pytest.mark.parametrize("n, degree", [(2, 4), (3, 6)])

@@ -72,3 +72,32 @@ def test_only_the_ring_hooks_name_the_dual_basis_routines():
                 continue
             found.update((path.stem, name) for name in named)
     assert found == {("algebra", "inverse_transpose"), ("algebra", "dual_basis")}
+
+
+def scopes_naming(name):
+    """(module, top-level function or Class.method) of every reference to
+    ``name`` under src/, as an import, an attribute or a bare name."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = []
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef):
+                scopes += [(f"{stmt.name}.{s.name}", s) for s in stmt.body
+                           if isinstance(s, ast.FunctionDef)]
+            else:
+                scopes.append((getattr(stmt, "name", "<module>"), stmt))
+        for scope, stmt in scopes:
+            for node in ast.walk(stmt):
+                if ((isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names))
+                        or (isinstance(node, ast.Attribute) and node.attr == name)
+                        or (isinstance(node, ast.Name) and node.id == name)):
+                    found.add((path.stem, scope))
+    return found
+
+
+def test_only_chern_numbers_divide_by_linear_forms():
+    # integrality is decided by evaluation on each factor's hyperplane; a
+    # Chern number needs the quotient, so only its path divides
+    assert scopes_naming("divmod_linear") == {("localization", "_divide_out")}
+    assert scopes_naming("_divide_out") == {("localization", "equivariant_chern_number")}
