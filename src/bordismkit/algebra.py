@@ -441,6 +441,8 @@ def basis_search(chars: list[Char], n: int, modulus: int) -> BasisSearch:
     det A (-1)^(n-1-j) v_(A without row j), and v_(A without row j) mod 2;
     each such prefix is in the table, as its minors' gcd divides det A.
     """
+    if n < 1:
+        raise ValidationError("rank n must be at least 1")
     cols = [[c[k] for c in chars] for k in range(n)]
     subsets = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
     where = [{s: i for i, s in enumerate(level)} for level in subsets]
@@ -484,7 +486,8 @@ def basis_search(chars: list[Char], n: int, modulus: int) -> BasisSearch:
 
 
 def nonzero_chars_gf2(n: int) -> list[Char]:
-    return [c for c in itertools.product((0, 1), repeat=n) if any(c)]
+    """The nonzero vectors of GF(2)^n; none when n < 1."""
+    return [c for c in itertools.product((0, 1), repeat=max(n, 0)) if any(c)]
 
 
 def all_faithful_monomials_gf2(n: int) -> list[Monomial]:

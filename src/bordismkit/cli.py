@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from typing import Any
 
 from . import algebra, bordism, bott, graphs, jsonio, kernels
@@ -114,13 +113,6 @@ def _cmd_torus_poly(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fraction_repr(value: Fraction | int) -> int | str:
-    f = Fraction(value)
-    if f.denominator == 1:
-        return int(f)
-    return f"{f.numerator}/{f.denominator}"
-
-
 def _cmd_chern(args: argparse.Namespace) -> int:
     obj = _read_input(args.input)
     if isinstance(obj, dict) and "points" in obj:
@@ -131,7 +123,7 @@ def _cmd_chern(args: argparse.Namespace) -> int:
     numbers = [{"i": r.i, "j": r.j,
                 "polynomial": r.is_polynomial,
                 "integral": r.integral,
-                "constant": None if r.constant is None else _fraction_repr(r.constant)}
+                "constant": r.constant}
                for r in sweep]
     _emit({"degree_bound": cap, "n": data.n, "numbers": numbers})
     return 0

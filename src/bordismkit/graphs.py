@@ -57,16 +57,24 @@ def _vertex_count(num_vertices: int) -> int:
     return num_vertices
 
 
+def _rank(n: int) -> int:
+    """The rank, checked before anything is sized by the vertex count: at
+    n = 0 every vertex has the right degree, so all of them would be walked."""
+    n = int(n)
+    if n < 1:
+        raise ValidationError("rank n must be at least 1")
+    return n
+
+
 def _first_wrong_degree(degrees: Mapping[int, int], num_vertices: int, n: int) -> int | None:
     """The first vertex whose degree is not n, from the degrees of the
     vertices that have edges: its cost follows the edges, not the vertex
     count.  A vertex without edges has degree 0, and the first of those is
     among the first len(degrees) + 1."""
     bad = [v for v, d in degrees.items() if d != n]
-    if n:
-        isolated = next(v for v in range(len(degrees) + 1) if v not in degrees)
-        if isolated < num_vertices:
-            bad.append(isolated)
+    isolated = next(v for v in range(len(degrees) + 1) if v not in degrees)
+    if isolated < num_vertices:
+        bad.append(isolated)
     return min(bad, default=None)
 
 
@@ -77,7 +85,7 @@ class ColoredGraph:
 
     def __init__(self, n: int, num_vertices: int,
                  alpha: Mapping[frozenset[int], Sequence[int]]):
-        self.n = int(n)
+        self.n = _rank(n)
         self.num_vertices = _vertex_count(num_vertices)
         self.alpha: dict[frozenset[int], Char] = {}
         for e, c in alpha.items():
@@ -179,7 +187,7 @@ class TorusGraph:
     def __init__(self, n: int, num_vertices: int,
                  alpha: Mapping[tuple[int, int], Sequence[int]],
                  sigma: Sequence[int] | None = None):
-        self.n = int(n)
+        self.n = _rank(n)
         self.num_vertices = _vertex_count(num_vertices)
         self.alpha: dict[tuple[int, int], Char] = {}
         for (u, v), c in alpha.items():

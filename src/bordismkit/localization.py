@@ -20,19 +20,25 @@ Integrality never builds N: ℓ divides N exactly when N vanishes on the
 hyperplane ℓ = 0, where only the points holding ℓ contribute.  Each degree
 of f gives one homogeneous restricted sum in n − 1 variables, tested by one
 exact big-integer evaluation at a Kronecker point whose base exceeds an L1
-bound on its coefficients (docs/decisions/0002).  Chern numbers need the
-quotient itself, so they build N with ``mvpoly`` and divide it by each
-factor with remainder.
+bound on its coefficients (docs/decisions/0002); f is a sum of m_mu.  A
+Chern number's value S is homogeneous of degree d_S = i + 2j − n.  Up to
+rank 4 and d_S = n its verdict is the same plane test with f = e1^i e2^j,
+and its value one more exact evaluation, S(x) = N(x) / D(x) at a Kronecker
+point whose base exceeds Mahler's bound on S's coefficients, read back
+digit by digit (docs/decisions/0003).  Above either, the big integers would
+cost more than the sparse quotient, so N is built with ``mvpoly`` and
+divided by each factor.
 
 Everything these sums share is built once per FixedPointData, on first use,
 and kept in its private ``_memo``: the canonical factors of D, the points
 folded by equal weights (each with its summed units and signed units), each
-factor's hyperplane data (the restricted factors, and the points holding
-it with the L1 norms their bound reads), and for Chern numbers
-each folded point's linear forms, cofactor D/chi_p and the ladders
-cof*e1^i and e2^j, grown only as far as the indices asked for.  A Chern
-numerator is one ``mvpoly.combination`` pass over a factor pair per folded
-point, so a Chern number costs that pass plus the divisions.
+point's cofactor and L1 norms, each factor's hyperplane data (the restricted
+factors, and the points holding it with the L1 norms their bound reads),
+and for Chern numbers by division each folded point's linear forms,
+cofactor D/chi_p and the ladders cof*e1^i and e2^j, grown only as far as
+the indices asked for.  Such a numerator is one ``mvpoly.combination`` pass
+over a factor pair per folded point, so it costs that pass plus the
+divisions.
 This is safe because the points are an immutable tuple fixed at
 construction, the memo lives and dies with its data object (there is no
 module-level cache), and every returned polynomial is a fresh sum, never a
@@ -204,13 +210,14 @@ class _Localization:
     Points with equal weights are folded into one, carrying the sum of their
     units (``bare``) and of their signs times units (``signed``), and its
     weights as (factor index, unit) pairs.  The rest is built on first use:
-    the restriction of the sum to every factor's hyperplane for integrality
-    (``planes``), and the MPoly forms, cofactors D/chi_p and ladders
-    cof*e1^i, e2^j for Chern numbers (``chern_term``).
+    the restriction of the sum to every factor's hyperplane for the verdicts
+    (``planes``), each point's cofactor and L1 norms for a Chern number's
+    evaluation (``points``), and the MPoly forms, cofactors D/chi_p and
+    ladders cof*e1^i, e2^j for Chern numbers by division (``chern_term``).
     """
 
     __slots__ = ("n", "ring", "chars", "weights", "own", "bare", "signed",
-                 "_planes", "_chern")
+                 "_planes", "_points", "_chern")
 
     def __init__(self, data: FixedPointData):
         self.n = data.n
@@ -233,6 +240,7 @@ class _Localization:
         self.bare = [acc[1] for acc in folded.values()]
         self.signed = [acc[2] for acc in folded.values()]
         self._planes: list[tuple[list, list]] | None = None
+        self._points: list[tuple] | None = None
         # (factors, per folded point (forms, e1, [cof * e1^i], [e2^j]))
         self._chern: tuple[list[MPoly], list[tuple]] | None = None
 
@@ -259,14 +267,27 @@ class _Localization:
                     forms = [tuple(a & 1 for a in form) for form in forms]
                 l1 = [sum(map(abs, form)) for form in forms]
                 members = []
-                for g, own in enumerate(self.own):
-                    mine = [s for s, _ in own]
-                    if t in mine:
-                        cof = tuple(s for s in range(len(self.chars)) if s not in mine)
-                        members.append((g, tuple(x for x in own if x[0] != t), cof,
-                                        sum(l1[s] for s in mine), math.prod(l1[s] for s in cof)))
+                for g, (own, (cof, _, _)) in enumerate(zip(self.own, self.points())):
+                    others = tuple(x for x in own if x[0] != t)
+                    if len(others) < len(own):
+                        members.append((g, others, cof, sum(l1[s] for s, _ in own),
+                                        math.prod(l1[s] for s in cof)))
                 self._planes.append((forms, members))
         return self._planes
+
+    def points(self) -> list[tuple[tuple[int, ...], int, int]]:
+        """Per folded point: its cofactor's factors (those of D not among its
+        weights), the sum of its weights' L1 norms and the product of its
+        cofactor's; ``planes`` takes the cofactors from here."""
+        if self._points is None:
+            l1 = [sum(map(abs, c)) for c in self.chars]
+            self._points = []
+            for own in self.own:
+                mine = {s for s, _ in own}
+                cof = tuple(s for s in range(len(self.chars)) if s not in mine)
+                self._points.append((cof, sum(l1[s] for s, _ in own),
+                                     math.prod(l1[s] for s in cof)))
+        return self._points
 
     def chern_term(self, g: int, i: int, j: int) -> tuple[MPoly, MPoly]:
         """(cof_g * e1^i, e2^j) at folded point g; the ladders grow on demand."""
@@ -339,42 +360,57 @@ def _slot_bits(value: int, b: int) -> int:
     return out
 
 
+def _e1_e2_power(values: Sequence[int], i: int, j: int) -> int:
+    """e1^i * e2^j at integer values, exactly."""
+    e1 = sum(values)
+    if not j:
+        return e1 ** i
+    return e1 ** i * ((e1 * e1 - sum(v * v for v in values)) // 2) ** j
+
+
+def _planes_vanish(loc: _Localization, coeffs: Sequence[int], d: int, f_at) -> bool:
+    """Whether every factor ℓ of D divides N = sum_p k_p f(w_p) D/chi_p, for
+    f homogeneous of degree d with integer values f_at(values): per factor,
+    N on ℓ = 0 is tested by one exact evaluation whose base exceeds an L1
+    bound on its coefficients (docs/decisions/0002)."""
+    gf2 = loc.ring == mvpoly.GF2
+    degree = d + len(loc.chars) - loc.n
+    for forms, members in loc.planes():
+        # L1(f(w)) <= (sum of the L1(w_i))^d, for a sum of distinct m_mu of
+        # degree d and for e1^i e2^j (docs/decisions/0002, 0003)
+        bound = sum(abs(coeffs[g]) * own_l1 ** d * cof_l1
+                    for g, _, _, own_l1, cof_l1 in members)
+        if not bound:
+            continue
+        b = bound.bit_length()
+        vals = _kronecker_values(forms, degree, b)
+        value = sum(coeffs[g] * math.prod(vals[s] for s in cof)
+                    * f_at([u * vals[s] for s, u in others])
+                    for g, others, cof, _, _ in members if coeffs[g])
+        if gf2:   # the 0/1 lift's coefficients are its digits: test their parities
+            value &= _slot_mask(loc.n - 1, degree, b)
+        if value:
+            return False
+    return True
+
+
 def _sum_is_polynomial(data: FixedPointData, f: SymmetricFunction, signed: bool) -> bool:
-    """Whether sum_p [sign_p] f(weights_p) / chi_p is a polynomial: per
-    factor ℓ of D and degree of f, the numerator on ℓ = 0 vanishes, tested
-    by one exact evaluation whose base exceeds an L1 bound on its
-    coefficients (docs/decisions/0002)."""
+    """Whether sum_p [sign_p] f(weights_p) / chi_p is a polynomial, one
+    degree of f at a time."""
     if f.max_parts() > data.n:
         raise ValidationError(
             f"symmetric function needs {f.max_parts()} variables, data has {data.n}")
     loc = _localization(data)
-    gf2 = loc.ring == mvpoly.GF2
     coeffs = loc.signed if signed else loc.bare
-    if gf2:
+    if loc.ring == mvpoly.GF2:
         coeffs = [k & 1 for k in coeffs]
     value_at = mvpoly.monomial_symmetric_value
     by_degree: dict[int, list] = {}
     for mu in f.partitions:
         if len(mu) < loc.n:   # one weight vanishes on ℓ = 0, and m_mu of n parts with it
             by_degree.setdefault(sum(mu), []).append(mu)
-    for d, parts in by_degree.items():
-        degree = d + len(loc.chars) - loc.n
-        for forms, members in loc.planes():
-            # L1(f_d(w)) <= f_d(L1(w_1), ...) <= (sum of the L1(w_i))^d
-            bound = sum(abs(coeffs[g]) * own_l1 ** d * cof_l1
-                        for g, _, _, own_l1, cof_l1 in members)
-            if not bound:
-                continue
-            b = bound.bit_length()
-            vals = _kronecker_values(forms, degree, b)
-            value = sum(coeffs[g] * math.prod(vals[s] for s in cof)
-                        * sum(value_at(mu, [u * vals[s] for s, u in others]) for mu in parts)
-                        for g, others, cof, _, _ in members if coeffs[g])
-            if gf2:   # the 0/1 lift's coefficients are its digits: test their parities
-                value &= _slot_mask(loc.n - 1, degree, b)
-            if value:
-                return False
-    return True
+    return all(_planes_vanish(loc, coeffs, d, lambda ys: sum(value_at(mu, ys) for mu in parts))
+               for d, parts in by_degree.items())
 
 
 def integrality_check_gf2(data: FixedPointData, f: SymmetricFunction) -> bool:
@@ -489,13 +525,84 @@ def _divide_out(num: MPoly, factors: Sequence[MPoly]) -> MPoly | None:
     return num
 
 
+def _quotient_by_division(loc: _Localization, i: int, j: int) -> MPoly | None:
+    """The (i, j) sum as the sparse quotient N/D, one factor at a time."""
+    num = _localization_numerator(loc, lambda g: loc.chern_term(g, i, j), loc.signed)
+    return _divide_out(num, loc.chern_data()[0])
+
+
+def _signed_digits(value: int, b: int, count: int) -> list[int]:
+    """The ``count`` lowest base-2^b digits of value, each in
+    [-2^(b-1), 2^(b-1)), when b is a multiple of 8 and they fit: one offset
+    of 2^(b-1) per digit and one ``to_bytes``, linear in the size of value."""
+    width, half = b // 8, 1 << (b - 1)
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    raw = (value + offset).to_bytes(width * count, "little")
+    return [int.from_bytes(raw[k:k + width], "little") - half
+            for k in range(0, width * count, width)]
+
+
+def _quotient_by_evaluation(loc: _Localization, i: int, j: int) -> MPoly | None:
+    """The (i, j) sum S = N/D from one exact evaluation, once each factor's
+    plane says it is a polynomial (docs/decisions/0003).
+
+    S is homogeneous of degree d_S = i + 2j - n, and 0 if d_S < 0.  At
+    x = (1, B, B^s, ..., B^(s^(n-2))), s = max(d_S + 1, 2), each monomial of
+    S lands on its own power of B, and S(x) = N(x) / D(x) exactly.  B = 2^b
+    exceeds twice Mahler's bound 2^(n d_S) ||N||_1 on S's coefficients, so
+    they are S(x)'s signed base-B digits, and twice every |ℓ_k|, so no
+    factor vanishes at x.
+    """
+    n, d = loc.n, i + 2 * j
+    if not _planes_vanish(loc, loc.signed, d, lambda ys: _e1_e2_power(ys, i, j)):
+        return None
+    degree, points = d - n, loc.points()
+    bound = sum(abs(k) * own_l1 ** d * cof_l1
+                for k, (_, own_l1, cof_l1) in zip(loc.signed, points))
+    # N = 0: below degree 0 deg N < deg D, so D | N forces it; a zero bound
+    # means every k_p is 0
+    if degree < 0 or not bound:
+        return MPoly.zero(n, loc.ring)
+    bound <<= n * degree
+    b = max(2 * bound, 2 * max(abs(v) for c in loc.chars for v in c)).bit_length()
+    b = -(-b // 8) * 8   # whole bytes, for the decode
+    spacing = max(degree, 1)
+    vals = _kronecker_values(loc.chars, spacing, b)
+    num = sum(k * _e1_e2_power([u * vals[s] for s, u in own], i, j)
+              * math.prod(vals[s] for s in cof)
+              for k, own, (cof, _, _) in zip(loc.signed, loc.own, points) if k)
+    value, rem = divmod(num, math.prod(vals))
+    if rem:
+        raise ArithmeticError(f"the ({i}, {j}) sum is a polynomial, "
+                              "yet D(x) does not divide N(x)")
+    terms = {}
+    for slot, c in enumerate(_signed_digits(value, b, (spacing + 1) ** (n - 1))):
+        if c:
+            expt = []
+            for _ in range(n - 1):
+                slot, e = divmod(slot, spacing + 1)
+                expt.append(e)
+            if sum(expt) > degree:
+                raise ArithmeticError(f"the ({i}, {j}) sum has a term above degree {degree}")
+            terms[(degree - sum(expt), *expt)] = c
+    return MPoly(n, loc.ring, terms)
+
+
+# The evaluations' integers have b * (deg + 1)^(n - 2) bits on a hyperplane
+# (deg = d + |factors of D| - n) and CPython multiplies them by Karatsuba, so
+# their cost grows as deg^(1.58 (n - 2)) while the sparse quotient's grows as
+# its deg^(n - 1) terms: evaluation wins up to rank 4 and d_S <= n, and loses
+# above either (docs/decisions/0003)
+MAX_EVALUATION_RANK = 4
+
+
 class ChernNumber(NamedTuple):
     i: int
     j: int
     is_polynomial: bool
-    integral: bool
+    integral: bool           # always is_polynomial (Gauss's lemma)
     value: MPoly | None      # the simplified sum when it is a polynomial
-    constant: object | None  # its value when constant: int if integral, else Fraction
+    constant: int | None     # its value when constant
 
     def is_zero(self) -> bool:
         return self.is_polynomial and self.value.is_zero()
@@ -504,9 +611,12 @@ class ChernNumber(NamedTuple):
 def equivariant_chern_number(data: FixedPointData, i: int, j: int) -> ChernNumber:
     """The localization sum for the (i, j) equivariant Chern number.
 
-    N/D with N = sum_p sign_p e1(w_p)^i e2(w_p)^j (D/chi_p): exact division
-    by each canonical linear factor of D in turn; a nonzero remainder at any
-    factor means the sum is not polynomial.
+    N/D with N = sum_p sign_p e1(w_p)^i e2(w_p)^j (D/chi_p).  Whether it is
+    a polynomial is decided on each factor's hyperplane and its value, of
+    degree d_S = i + 2j - n, comes from one exact evaluation when d_S <= n
+    and n <= MAX_EVALUATION_RANK; otherwise N is divided by each factor in
+    turn (docs/decisions/0003).  The factors are primitive, so by Gauss's
+    lemma a polynomial sum has integer coefficients.
     """
     if data.flavor != Z:
         raise ValidationError("expected integer fixed-point data")
@@ -514,15 +624,13 @@ def equivariant_chern_number(data: FixedPointData, i: int, j: int) -> ChernNumbe
         raise ValidationError("Chern number indices must be nonnegative")
     if j and data.n < 2:
         raise ValidationError("e2 needs at least two weights per point")
-    loc = _localization(data)
-    num = _localization_numerator(loc, lambda g: loc.chern_term(g, i, j), loc.signed)
-    quo = _divide_out(num, loc.chern_data()[0])
+    by_evaluation = data.n <= MAX_EVALUATION_RANK and i + 2 * j <= 2 * data.n
+    quotient = _quotient_by_evaluation if by_evaluation else _quotient_by_division
+    quo = quotient(_localization(data), i, j)
     if quo is None:
         return ChernNumber(i, j, False, False, None, None)
-    integral, constant = quo.has_integer_coeffs(), quo.constant_value()
-    if integral and constant is not None:   # an int whatever the pivot leads were
-        constant = int(constant)
-    return ChernNumber(i, j, True, integral, quo, constant)
+    constant = quo.constant_value()
+    return ChernNumber(i, j, True, True, quo, None if constant is None else int(constant))
 
 
 def _degree_cap(n: int, degree_cap: int | None) -> int:

@@ -2,11 +2,13 @@
 
 Exact coefficient arithmetic in two rings: GF(2) (every stored coefficient
 is 1, so a polynomial is the set of its monomials) and Q (int/Fraction
-coefficients).  Just enough structure for Chern numbers: products of linear
-forms, monomial symmetric function evaluation (on forms, and on integers
-for the integrality checks' hyperplane evaluations), and exact division
-with remainder by a linear form, which gives a Chern number's quotient by
-the common denominator factor by factor.
+coefficients).  Just enough structure for the Chern numbers above degree n
+or rank 4 (the others are read off one big-integer evaluation, see
+``localization``): products of linear forms, monomial symmetric function
+evaluation (on forms, and on integers for the integrality checks'
+hyperplane evaluations), and exact division with remainder by a linear
+form, which gives such a Chern number's quotient by the common denominator
+factor by factor.
 
 Terms are kept under packed exponents: variable i's exponent sits in bits
 [W*i, W*(i+1)) of one int (W = 32), so a product of monomials is one int
@@ -166,9 +168,6 @@ class MPoly:
         if self._terms.keys() == {0}:
             return self._terms[0]
         return None
-
-    def has_integer_coeffs(self) -> bool:
-        return all(Fraction(c).denominator == 1 for c in self._terms.values())
 
 
 def _from_dict(nv: int, ring: str, terms: dict[int, object], deg: int) -> MPoly:

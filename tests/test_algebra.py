@@ -124,6 +124,16 @@ def test_basis_search_reads_one_gcd_test_for_both_rings():
     assert algebra.basis_search([(2, 0), (0, 1)], 2, 2).cofactors == {(1,): (-1, 0)}
 
 
+@pytest.mark.parametrize("search", [
+    lambda: algebra.basis_search([], 0, 0), lambda: algebra.basis_search([], 0, 2),
+    lambda: algebra.basis_search([(1,)], -1, 0),
+    lambda: algebra.all_faithful_monomials_gf2(0), lambda: algebra.faithful_duals_gf2(0)])
+def test_basis_search_needs_rank_at_least_one(search):
+    # rank 0 used to fail with an IndexError inside the walk
+    with pytest.raises(ValidationError, match="^rank n must be at least 1$"):
+        search()
+
+
 # -- dual ----------------------------------------------------------------
 
 

@@ -214,6 +214,18 @@ def test_a_vertex_count_the_edges_cannot_reach_is_refused_at_once(verb, edges, m
     assert json.loads(r.stdout)["error"] == {"code": "validation-error", "message": message}
 
 
+@pytest.mark.parametrize("vertices", [10**7, 10**30])
+@pytest.mark.parametrize("verb", ["poly-of-graph", "torus-poly"])
+def test_a_rank_0_graph_is_refused_before_its_vertices_are_walked(verb, vertices):
+    # at n = 0 every vertex has the right degree, so the rank is checked
+    # before any vertex is walked
+    obj = {"n": 0, "vertices": vertices, "edges": []}
+    r = run_cli(verb, json.dumps(obj), timeout=5)
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"] == {"code": "validation-error",
+                                             "message": "rank n must be at least 1"}
+
+
 def test_poly_of_graph_and_cross_verb_guard(tmp_path):
     p = product_of_simplices((2,))
     skel = one_skeleton(p, RP2_COLORING)

@@ -152,6 +152,14 @@ def test_reversal_axiom_enforced():
         TorusGraph(1, 2, alpha).validate()
 
 
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("graph", [ColoredGraph, TorusGraph])
+def test_graphs_need_rank_at_least_one(graph, n):
+    # checked before the vertex count sizes anything (it was walked at n = 0)
+    with pytest.raises(ValidationError, match="^rank n must be at least 1$"):
+        graph(n, 10**30, {})
+
+
 def test_missing_reversal_rejected():
     with pytest.raises(ValidationError):
         TorusGraph(1, 2, {(0, 1): (1,)})

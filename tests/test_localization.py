@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import localization_oracles
-from bordismkit import algebra, bott, gf2, intmat, kernels, mvpoly
+from bordismkit import algebra, bott, gf2, intmat, kernels, localization, mvpoly
 from bordismkit.algebra import ExtPolynomial, Gf2Polynomial
 from bordismkit.errors import ResourceLimitError, ValidationError
 from bordismkit.graphs import torus_graph_from_pair, torus_polynomial
@@ -213,8 +213,24 @@ def test_batch_table_input_checks():
     with pytest.raises(ValidationError, match="^polynomial is not in the primal space$"):
         table.passes(algebra.gf2_polynomial(2, [[(0, 1), (1, 0)]],
                                             space=algebra.DUAL), (1,))
-    # the table and its queries read a partition in any order of its parts
-    assert Gf2IntegralityTable(2, [(1, 2)]).passes(RP2, (2, 1))
+    # the table and its queries read a partition in any order of its parts,
+    # as a tuple or a list; a canonical tuple is looked up as it is
+    table = Gf2IntegralityTable(2, [(1, 2), (3,)])
+    for g in (RP2, Gf2Polynomial(2, [((0, 1), (1, 0))])):
+        data = FixedPointData.from_polynomial(g)
+        for mu in ((2, 1), (1, 2), [1, 2], [2, 1], (3,), [3]):
+            want = integrality_check_gf2(data, SymmetricFunction((mu,)))
+            assert table.passes(g, mu) == want, (g, mu)
+    with pytest.raises(ValidationError, match="must be positive"):
+        table.passes(RP2, [1, 0])
+    with pytest.raises(ValidationError, match=r"^partition \(2, 2\) is not in the table$"):
+        table.passes(RP2, [2, 2])
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_batch_table_needs_rank_at_least_one(n):
+    with pytest.raises(ValidationError, match="^rank n must be at least 1$"):
+        Gf2IntegralityTable(n, [()])
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -301,16 +317,23 @@ def test_localization_reaches_mvpoly_through_the_module(monkeypatch):
     # numerator is exactly one more.
     calls = counting(monkeypatch, "divmod_linear", "product", "combination",
                      "eval_monomial_symmetric")
-    # CP^2 has three points and three canonical weight forms: x0, x1, x0 - x1
+    # CP^2 has three points and three canonical weight forms: x0, x1, x0 - x1.
+    # Up to degree n a Chern number is one evaluation and builds no polynomial
     data = FixedPointData.from_polynomial(CP2)
     assert equivariant_chern_number(data, 2, 0).constant == 9
-    # one cofactor per point (3 products of one form each, no multiplication),
-    # 3 e1, 6 ladder steps cof*e1^i for i = 1, 2, and the numerator
-    chern = {"divmod_linear": 3, "product": 3, "combination": 10,
+    assert equivariant_chern_number(data, 0, 1).constant == 3
+    assert equivariant_chern_number(data, 4, 0).value.terms == {(2, 0): 27, (1, 1): -27,
+                                                                (0, 2): 27}
+    assert calls == dict.fromkeys(calls, 0)
+    # above it the numerator is divided: one cofactor per point (3 products
+    # of one form each, no multiplication), 3 e1, 15 ladder steps cof*e1^i
+    # for i = 1..5, and the numerator
+    assert equivariant_chern_number(data, 5, 0).value.terms[(3, 0)] == -18
+    chern = {"divmod_linear": 3, "product": 3, "combination": 19,
              "eval_monomial_symmetric": 3}
     assert calls == chern
-    assert equivariant_chern_number(data, 0, 1).constant == 3
-    chern = {"divmod_linear": 6, "product": 3, "combination": 14,  # 3 e2 + 1
+    assert equivariant_chern_number(data, 3, 1).value.terms[(3, 0)] == -6
+    chern = {"divmod_linear": 6, "product": 3, "combination": 23,  # 3 e2 + 1
              "eval_monomial_symmetric": 6}
     assert calls == chern
     # integrality is one evaluation per factor's hyperplane: it builds,
@@ -410,6 +433,21 @@ def test_chern_sweep_matches_the_cohomology_ring(shape):
             assert r.constant == want[(i, j)], (i, j)
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_chern_numbers_divide_from_rank_five(monkeypatch, n):
+    # from rank 5 the evaluations' integers cost more than the sparse
+    # quotient even at degree n (docs/decisions/0003): there every number
+    # divides, at rank 4 none up to degree n, and both match H*(M)
+    calls = counting(monkeypatch, "divmod_linear")
+    shape = (1,) * n
+    data = fixed_point_data(shape, standard_z_coloring(shape))
+    for (i, j), want in cohomology_chern_numbers(shape).items():
+        before = calls["divmod_linear"]
+        assert equivariant_chern_number(data, i, j).constant == want, (i, j)
+        assert (calls["divmod_linear"] > before) == (n > 4), (i, j)
+    assert equivariant_chern_number(data, 3, 0).value.is_zero()
+
+
 @pytest.mark.parametrize("shape", [(2, 1), (1, 1, 1), (3,)])
 def test_chern_sweep_does_not_depend_on_call_order(shape):
     rng = random.Random(67)
@@ -481,13 +519,58 @@ def assert_chern_matches_oracle(data, indices):
     return outcomes
 
 
+def mutants(data, rng):
+    """The data with one point's sign flipped, and with one point dropped
+    (none for data without points)."""
+    points = list(data.points)
+    if not points:
+        return []
+    g = rng.randrange(len(points))
+    flipped = points[:g] + [FixedPoint(-points[g].sign, points[g].weights)] + points[g + 1:]
+    return [FixedPointData("z", data.n, q) for q in (flipped, points[:g] + points[g + 1:]) if q]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_chern_numbers_match_the_summand_loop(n):
-    # rank 4 only up to degree n: above it one sum costs seconds in the oracle
+    # each torus manifold, seen through a unimodular change of coordinates
+    # with entries of 10^3 and more, and with one sign flipped or one point
+    # dropped.  Ranks 1-3 go up to degree 2n + 3, past the evaluation
+    # (d_S <= n) into the division (d_S > n); rank 4 only up to degree n:
+    # above it one sum costs seconds in the oracle
     rng = random.Random(131 + n)
-    indices = [(i, j) for i, j in sweep_indices(n) if n < 4 or i + 2 * j <= n]
+    top = n if n == 4 else 2 * n + 3
+    indices = [(i, j) for i in range(top + 1) for j in range((top - i) // 2 + 1)
+               if not (j and n < 2)]
+    outcomes = set()
     for _, data in torus_manifolds(n, rng):
         assert assert_chern_matches_oracle(data, indices) == {True}
+        for other in [moved(data, big_unimodular(n, rng))] + mutants(data, rng):
+            outcomes |= assert_chern_matches_oracle(other, indices)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_evaluation_matches_the_division_past_degree_n(n):
+    # the library evaluates up to d_S = n and divides above; both routes
+    # are run here for d_S = 0..n+3 on CP^n with the standard and a random
+    # coloring, on their mutants, and below rank 4 on CP^n seen through
+    # entries of 10^3 and more (at rank 4 its products take seconds)
+    rng = random.Random(157 + n)
+    cpn = fixed_point_data((n,), standard_z_coloring((n,)))
+    datas = [cpn, fixed_point_data((n,), random_z_coloring((n,), rng))]
+    datas += [m for data in datas for m in mutants(data, rng)]
+    if n < 4:
+        datas.append(moved(cpn, big_unimodular(n, rng)))
+    verdicts = set()
+    for data in datas:
+        loc = localization._localization(data)
+        for d in range(n, 2 * n + 4):
+            for j in range(d // 2 + 1 if n > 1 else 1):
+                want = localization._quotient_by_division(loc, d - 2 * j, j)
+                assert localization._quotient_by_evaluation(loc, d - 2 * j, j) == want
+                verdicts.add(want is not None)
+    # at rank 1 a term x^i / x of degree >= 0 is a polynomial
+    assert verdicts == ({True, False} if n > 1 else {True})
 
 
 def test_chern_numbers_of_random_signed_data_match_the_summand_loop():

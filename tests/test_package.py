@@ -97,7 +97,10 @@ def scopes_naming(name):
 
 
 def test_only_chern_numbers_divide_by_linear_forms():
-    # integrality is decided by evaluation on each factor's hyperplane; a
-    # Chern number needs the quotient, so only its path divides
+    # integrality is decided by evaluation on each factor's hyperplane, and
+    # a Chern number up to degree n and rank 4 by one more evaluation; only
+    # the Chern numbers above either divide
     assert scopes_naming("divmod_linear") == {("localization", "_divide_out")}
-    assert scopes_naming("_divide_out") == {("localization", "equivariant_chern_number")}
+    assert scopes_naming("_divide_out") == {("localization", "_quotient_by_division")}
+    assert scopes_naming("_quotient_by_division") == {
+        ("localization", "equivariant_chern_number")}
