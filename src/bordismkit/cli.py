@@ -98,7 +98,7 @@ def _cmd_poly_of_graph(args: argparse.Namespace) -> int:
 def _cmd_torus_poly(args: argparse.Namespace) -> int:
     obj = _read_input(args.input)
     if isinstance(obj, dict) and "edges" in obj:
-        g = jsonio.graph_from_obj(obj)
+        g = jsonio.graph_from_obj(obj, edgeless_torus=True)
         if isinstance(g, ColoredGraph):
             raise ValidationError(
                 "input is a GF(2)-colored graph; use the poly-of-graph verb")

@@ -170,8 +170,9 @@ def torus_graph_to_obj(g: TorusGraph) -> dict:
     return out
 
 
-def graph_from_obj(obj: Any) -> ColoredGraph | TorusGraph:
-    """Decode a graph; directed duplicate edges mean a torus graph."""
+def graph_from_obj(obj: Any, edgeless_torus: bool = False) -> ColoredGraph | TorusGraph:
+    """Decode a graph; directed duplicate edges mean a torus graph, and so
+    does no edge at all if ``edgeless_torus``."""
     n = _need(obj, "n", int, "graph")
     num_vertices = _need(obj, "vertices", int, "graph")
     raw = _need(obj, "edges", list, "graph")
@@ -186,7 +187,7 @@ def graph_from_obj(obj: Any) -> ColoredGraph | TorusGraph:
     directed = {(u, v) for u, v, _ in edges}
     if len(directed) != len(edges):
         raise InputFormatError("duplicate edge entries")
-    if any((v, u) in directed for u, v in directed):
+    if (edgeless_torus and not edges) or any((v, u) in directed for u, v in directed):
         alpha = {(u, v): a for u, v, a in edges}
         sigma = obj.get("sigma")
         if sigma is not None and not _is_int_list(sigma):

@@ -34,12 +34,13 @@ and kept in its private ``_memo``: the canonical factors of D, the points
 folded by equal weights (each with its summed units and signed units), each
 point's cofactor and L1 norms, each factor's hyperplane data (the restricted
 factors, and the points holding it with the L1 norms their bound reads),
+per degree of f the evaluations' Kronecker values and cofactor products
+(one set per plane, keyed by signed or bare units, and one for the value),
 and for Chern numbers by division each folded point's linear forms,
 cofactor D/chi_p and the ladders cof*e1^i and e2^j, grown only as far as
 the indices asked for.  Such a numerator is one ``mvpoly.combination`` pass
 over a factor pair per folded point, so it costs that pass plus the
-divisions.
-This is safe because the points are an immutable tuple fixed at
+divisions.  This is safe because the points are an immutable tuple fixed at
 construction, the memo lives and dies with its data object (there is no
 module-level cache), and every returned polynomial is a fresh sum, never a
 memo entry.
@@ -212,12 +213,15 @@ class _Localization:
     weights as (factor index, unit) pairs.  The rest is built on first use:
     the restriction of the sum to every factor's hyperplane for the verdicts
     (``planes``), each point's cofactor and L1 norms for a Chern number's
-    evaluation (``points``), and the MPoly forms, cofactors D/chi_p and
-    ladders cof*e1^i, e2^j for Chern numbers by division (``chern_term``).
+    evaluation (``points``), the MPoly forms, cofactors D/chi_p and ladders
+    cof*e1^i, e2^j for Chern numbers by division (``chern_term``), and the
+    evaluations' parts that every f of one degree d shares (``kronecker``,
+    of ``_plane_terms`` by signed or bare units and d, of ``_value_terms``
+    by d): their B and slot spacing read only the units and d.
     """
 
     __slots__ = ("n", "ring", "chars", "weights", "own", "bare", "signed",
-                 "_planes", "_points", "_chern")
+                 "_planes", "_points", "_chern", "_kronecker")
 
     def __init__(self, data: FixedPointData):
         self.n = data.n
@@ -243,6 +247,14 @@ class _Localization:
         self._points: list[tuple] | None = None
         # (factors, per folded point (forms, e1, [cof * e1^i], [e2^j]))
         self._chern: tuple[list[MPoly], list[tuple]] | None = None
+        self._kronecker: dict[tuple, object] = {}
+
+    def kronecker(self, build, *args):
+        """build(self, *args), the parts of an evaluation not read off f, once."""
+        key = (build, *args)
+        if key not in self._kronecker:
+            self._kronecker[key] = build(self, *args)
+        return self._kronecker[key]
 
     def planes(self) -> list[tuple[list, list]]:
         """Per factor ℓ of D, the sum on ℓ = 0: (every factor's coefficients
@@ -345,19 +357,10 @@ def _kronecker_values(forms: list[tuple[int, ...]], degree: int, b: int) -> list
     return [sum(a << s for a, s in zip(form, shifts) if a) for form in forms]
 
 
-def _slot_mask(r: int, degree: int, b: int) -> int:
-    """The lowest bit of every slot (see ``_slots``)."""
-    return ((1 << (b * _slots(r, degree))) - 1) // ((1 << b) - 1)
-
-
 def _slot_bits(value: int, b: int) -> int:
-    """``value``'s set bits, each at a slot bottom b*s, as bit s."""
-    out = 0
-    while value:
-        low = value & -value
-        out |= 1 << ((low.bit_length() - 1) // b)
-        value ^= low
-    return out
+    """The bits of ``value`` >= 0 at the slot bottoms b*s, as bit s: one
+    pass over its binary digits, LSB first, every b-th kept."""
+    return int(bin(value)[:1:-1][::b][::-1], 2)
 
 
 def _e1_e2_power(values: Sequence[int], i: int, j: int) -> int:
@@ -368,30 +371,42 @@ def _e1_e2_power(values: Sequence[int], i: int, j: int) -> int:
     return e1 ** i * ((e1 * e1 - sum(v * v for v in values)) // 2) ** j
 
 
-def _planes_vanish(loc: _Localization, coeffs: Sequence[int], d: int, f_at) -> bool:
-    """Whether every factor ℓ of D divides N = sum_p k_p f(w_p) D/chi_p, for
-    f homogeneous of degree d with integer values f_at(values): per factor,
-    N on ℓ = 0 is tested by one exact evaluation whose base exceeds an L1
-    bound on its coefficients (docs/decisions/0002)."""
+def _plane_terms(loc: _Localization, signed: bool, d: int) -> list[tuple]:
+    """Per factor t of D with a nonzero bound, for every f of degree d and
+    the signed or bare units k (mod 2 over GF(2)): (t, b, the slot mask (-1
+    over Z), per point g holding t with k_g != 0: (g, k_g times its
+    cofactor's product, its other weights) at the Kronecker point)."""
     gf2 = loc.ring == mvpoly.GF2
+    coeffs = loc.signed if signed else loc.bare
+    if gf2:
+        coeffs = [k & 1 for k in coeffs]
     degree = d + len(loc.chars) - loc.n
-    for forms, members in loc.planes():
+    out = []
+    for t, (forms, members) in enumerate(loc.planes()):
         # L1(f(w)) <= (sum of the L1(w_i))^d, for a sum of distinct m_mu of
         # degree d and for e1^i e2^j (docs/decisions/0002, 0003)
         bound = sum(abs(coeffs[g]) * own_l1 ** d * cof_l1
                     for g, _, _, own_l1, cof_l1 in members)
-        if not bound:
-            continue
-        b = bound.bit_length()
-        vals = _kronecker_values(forms, degree, b)
-        value = sum(coeffs[g] * math.prod(vals[s] for s in cof)
-                    * f_at([u * vals[s] for s, u in others])
-                    for g, others, cof, _, _ in members if coeffs[g])
-        if gf2:   # the 0/1 lift's coefficients are its digits: test their parities
-            value &= _slot_mask(loc.n - 1, degree, b)
-        if value:
-            return False
-    return True
+        if bound:
+            b = bound.bit_length()
+            vals = _kronecker_values(forms, degree, b)
+            # over GF(2) the 0/1 lift's coefficients are its digits: the
+            # lowest bit of every slot holds their parities
+            mask = ((1 << b * _slots(loc.n - 1, degree)) - 1) // ((1 << b) - 1) if gf2 else -1
+            out.append((t, b, mask,
+                        [(g, coeffs[g] * math.prod(vals[s] for s in cof),
+                          [u * vals[s] for s, u in others])
+                         for g, others, cof, _, _ in members if coeffs[g]]))
+    return out
+
+
+def _planes_vanish(loc: _Localization, signed: bool, d: int, f_at) -> bool:
+    """Whether every factor ℓ of D divides N = sum_p k_p f(w_p) D/chi_p, for
+    f homogeneous of degree d with integer values f_at(values): per factor,
+    N on ℓ = 0 is tested by one exact evaluation whose base exceeds an L1
+    bound on its coefficients (docs/decisions/0002); all but f is shared."""
+    return not any(sum(kc * f_at(ys) for _, kc, ys in terms) & mask
+                   for _, _, mask, terms in loc.kronecker(_plane_terms, signed, d))
 
 
 def _sum_is_polynomial(data: FixedPointData, f: SymmetricFunction, signed: bool) -> bool:
@@ -401,15 +416,12 @@ def _sum_is_polynomial(data: FixedPointData, f: SymmetricFunction, signed: bool)
         raise ValidationError(
             f"symmetric function needs {f.max_parts()} variables, data has {data.n}")
     loc = _localization(data)
-    coeffs = loc.signed if signed else loc.bare
-    if loc.ring == mvpoly.GF2:
-        coeffs = [k & 1 for k in coeffs]
     value_at = mvpoly.monomial_symmetric_value
     by_degree: dict[int, list] = {}
     for mu in f.partitions:
         if len(mu) < loc.n:   # one weight vanishes on ℓ = 0, and m_mu of n parts with it
             by_degree.setdefault(sum(mu), []).append(mu)
-    return all(_planes_vanish(loc, coeffs, d, lambda ys: sum(value_at(mu, ys) for mu in parts))
+    return all(_planes_vanish(loc, signed, d, lambda ys: sum(value_at(mu, ys) for mu in parts))
                for d, parts in by_degree.items())
 
 
@@ -444,13 +456,14 @@ class Gf2IntegralityTable:
     D/χ_m.  Those restrictions depend only on (monomial, partition, factor),
     so they are read once, from the hyperplane data of the localization of
     all faithful monomials (every character occurs in one, so there D is
-    the full product): each is one evaluation at a Kronecker point, with
-    one slot width per (factor, partition) across the monomials, and its
-    parity digits go to one bit per (factor, slot) of an int per (monomial,
-    partition).  The factors fill disjoint bits, so the XOR of those ints is
-    every per-factor XOR at once.  A query is one XOR per monomial and one
-    test for zero, and agrees with ``integrality_check_gf2`` on every input
-    (the extra factors of D are units for the divisibility questions asked).
+    the full product): each is one evaluation at a Kronecker point, whose
+    base and cofactor products every partition of one degree shares
+    (``_plane_terms`` with every unit 1), and its parity digits go to one
+    bit per (factor, slot) of an int per (monomial, partition).  The factors
+    fill disjoint bits, so the XOR of those ints is every per-factor XOR at
+    once.  A query is one XOR per monomial and one test for zero, and agrees
+    with ``integrality_check_gf2`` on every input (the extra factors of D
+    are units for the divisibility questions asked).
     """
 
     __slots__ = ("n", "partitions", "_bits")
@@ -462,26 +475,23 @@ class Gf2IntegralityTable:
         data = FixedPointData._of(GF2, n, [FixedPoint(1, m)
                                            for m in algebra.all_faithful_monomials_gf2(n)])
         loc = _Localization(data)
-        value_at = mvpoly.monomial_symmetric_value
-        self._bits = {}  # mu -> monomial -> bits
         for mu in self.partitions:
             if len(mu) > n:
                 raise ValidationError(
                     f"partition {mu} has more parts than the {n} available variables")
+        value_at = mvpoly.monomial_symmetric_value
+        self._bits = {}  # mu -> monomial -> bits
+        shared: dict[int, list] = {}   # one degree's plane terms at a time, every unit 1
+        for mu in sorted(self.partitions, key=sum):
             rows = [0] * len(loc.weights)
             if len(mu) < n:   # else m_mu vanishes on every plane, as one weight does
-                degree = sum(mu) + len(loc.chars) - n
-                slots = _slots(n - 1, degree)
-                for t, (forms, members) in enumerate(loc.planes()):
-                    # one B per (factor, partition), above every monomial's bound
-                    b = max(own_l1 ** sum(mu) * cof_l1
-                            for _, _, _, own_l1, cof_l1 in members).bit_length()
-                    vals = _kronecker_values(forms, degree, b)
-                    mask = _slot_mask(n - 1, degree, b)
-                    for g, others, cof, _, _ in members:
-                        value = (value_at(mu, [vals[s] for s, _ in others])
-                                 * math.prod(vals[s] for s in cof))
-                        rows[g] |= _slot_bits(value & mask, b) << (t * slots)
+                d = sum(mu)
+                if d not in shared:
+                    shared = {d: _plane_terms(loc, False, d)}
+                slots = _slots(n - 1, d + len(loc.chars) - n)
+                for t, b, _, terms in shared[d]:
+                    for g, kc, ys in terms:
+                        rows[g] |= _slot_bits(kc * value_at(mu, ys), b) << (t * slots)
             self._bits[mu] = dict(zip(loc.weights, rows))
 
     def passes(self, p: Gf2Polynomial, mu: Sequence[int]) -> bool:
@@ -542,6 +552,25 @@ def _signed_digits(value: int, b: int, count: int) -> list[int]:
             for k in range(0, width * count, width)]
 
 
+def _value_terms(loc: _Localization, d: int) -> tuple | None:
+    """For every (i, j) with i + 2j = d: (b, D(x), per folded point with
+    k != 0: (k times its cofactor's product, its weights) at x), or None."""
+    n, degree, points = loc.n, d - loc.n, loc.points()
+    bound = sum(abs(k) * own_l1 ** d * cof_l1
+                for k, (_, own_l1, cof_l1) in zip(loc.signed, points))
+    # N = 0: below degree 0 deg N < deg D, so D | N forces it; a zero bound
+    # means every k_p is 0
+    if degree < 0 or not bound:
+        return None
+    bound <<= n * degree
+    b = max(2 * bound, 2 * max(abs(v) for c in loc.chars for v in c)).bit_length()
+    b = -(-b // 8) * 8   # whole bytes, for the decode
+    vals = _kronecker_values(loc.chars, max(degree, 1), b)
+    return b, math.prod(vals), [
+        (k * math.prod(vals[s] for s in cof), [u * vals[s] for s, u in own])
+        for k, own, (cof, _, _) in zip(loc.signed, loc.own, points) if k]
+
+
 def _quotient_by_evaluation(loc: _Localization, i: int, j: int) -> MPoly | None:
     """The (i, j) sum S = N/D from one exact evaluation, once each factor's
     plane says it is a polynomial (docs/decisions/0003).
@@ -554,24 +583,14 @@ def _quotient_by_evaluation(loc: _Localization, i: int, j: int) -> MPoly | None:
     factor vanishes at x.
     """
     n, d = loc.n, i + 2 * j
-    if not _planes_vanish(loc, loc.signed, d, lambda ys: _e1_e2_power(ys, i, j)):
+    if not _planes_vanish(loc, True, d, lambda ys: _e1_e2_power(ys, i, j)):
         return None
-    degree, points = d - n, loc.points()
-    bound = sum(abs(k) * own_l1 ** d * cof_l1
-                for k, (_, own_l1, cof_l1) in zip(loc.signed, points))
-    # N = 0: below degree 0 deg N < deg D, so D | N forces it; a zero bound
-    # means every k_p is 0
-    if degree < 0 or not bound:
+    shared = loc.kronecker(_value_terms, d)
+    if shared is None:
         return MPoly.zero(n, loc.ring)
-    bound <<= n * degree
-    b = max(2 * bound, 2 * max(abs(v) for c in loc.chars for v in c)).bit_length()
-    b = -(-b // 8) * 8   # whole bytes, for the decode
-    spacing = max(degree, 1)
-    vals = _kronecker_values(loc.chars, spacing, b)
-    num = sum(k * _e1_e2_power([u * vals[s] for s, u in own], i, j)
-              * math.prod(vals[s] for s in cof)
-              for k, own, (cof, _, _) in zip(loc.signed, loc.own, points) if k)
-    value, rem = divmod(num, math.prod(vals))
+    b, at_x, summands = shared
+    degree, spacing = d - n, max(d - n, 1)
+    value, rem = divmod(sum(kc * _e1_e2_power(xs, i, j) for kc, xs in summands), at_x)
     if rem:
         raise ArithmeticError(f"the ({i}, {j}) sum is a polynomial, "
                               "yet D(x) does not divide N(x)")

@@ -11,15 +11,21 @@
 * Division by a linear form on exponent tuples, with every quotient
   coefficient over Q a Fraction, whatever the pivot coefficient.
 * The GF(2) integrality table that divides every term by all 2^n - 1 forms.
+* The GF(2) table's bits with one Kronecker base per (factor, partition),
+  from the largest single monomial's bound, as the library built them
+  before every partition of a degree shared one base from the summed bound.
+  It reads the library's plane data and Kronecker helpers, since what it
+  checks is that the base moves no bit, and reads the bits off one at a time.
 
 Kept as test oracles, so the library's accumulator, unit-pivot division and
 own-factor table are checked against code that uses none of them.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
-from bordismkit import algebra
+from bordismkit import algebra, localization, mvpoly
 from bordismkit.mvpoly import GF2, Q, MPoly
 
 
@@ -168,3 +174,30 @@ class Gf2IntegralityTable:
         for mono in p.terms:
             acc = acc ^ self.rows[mu][mono]
         return not acc
+
+
+def gf2_table_bits(n, partitions):
+    """{mu: {monomial: bits}} of the GF(2) table, one base per (factor, mu)."""
+    points = [localization.FixedPoint(1, m) for m in algebra.all_faithful_monomials_gf2(n)]
+    loc = localization._Localization(localization.FixedPointData._of("gf2", n, points))
+    bits = {}
+    for mu in map(mvpoly.canonical_partition, partitions):
+        rows = [0] * len(loc.weights)
+        if len(mu) < n:
+            degree = sum(mu) + len(loc.chars) - n
+            slots = localization._slots(n - 1, degree)
+            for t, (forms, members) in enumerate(loc.planes()):
+                b = max(own_l1 ** sum(mu) * cof_l1
+                        for _, _, _, own_l1, cof_l1 in members).bit_length()
+                vals = localization._kronecker_values(forms, degree, b)
+                mask = ((1 << b * slots) - 1) // ((1 << b) - 1)   # each slot's lowest bit
+                for g, others, cof, _, _ in members:
+                    value = (mvpoly.monomial_symmetric_value(mu, [vals[s] for s, _ in others])
+                             * math.prod(vals[s] for s in cof))
+                    value &= mask
+                    while value:   # each set bit, at a slot bottom b*s, as bit s
+                        low = value & -value
+                        rows[g] |= 1 << ((low.bit_length() - 1) // b + t * slots)
+                        value ^= low
+        bits[mu] = dict(zip(loc.weights, rows))
+    return bits

@@ -203,7 +203,10 @@ def test_a_facet_with_no_vertex_is_refused_at_once(verb, target, facets):
     ("poly-of-graph", [], "(P1) fails: vertex 0 has degree 0, expected 2"),
     # a torus graph without sigma: one edge and its reversal
     ("torus-poly", [{"u": 0, "v": 1, "alpha": [1, 0]}, {"u": 1, "v": 0, "alpha": [-1, 0]}],
-     "axiom (2) fails: vertex 0 has valence 1, expected 2")])
+     "axiom (2) fails: vertex 0 has valence 1, expected 2"),
+    # without edges a graph reads as either kind, and each verb reports the
+    # axiom it fails, not that the graph is the other verb's kind
+    ("torus-poly", [], "axiom (2) fails: vertex 0 has valence 0, expected 2")])
 def test_a_vertex_count_the_edges_cannot_reach_is_refused_at_once(verb, edges, message,
                                                                   vertices):
     # the first vertex of the wrong degree is found from the edges; sizing

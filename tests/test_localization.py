@@ -281,6 +281,16 @@ def test_batch_table_at_rank_three_matches_reference():
         table.passes(samples[0], (2, 2, 2, 1))
 
 
+@pytest.mark.parametrize("n, parts", [
+    (2, [()] + mvpoly.partitions_up_to(6, 2)),
+    (3, [()] + mvpoly.partitions_up_to(6, 3)),
+    (4, [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (2, 1, 1), (1, 1, 1, 1)])])
+def test_batch_table_bits_do_not_depend_on_the_shared_base(n, parts):
+    # the partitions of one degree share a base per factor from the summed
+    # bound, which is at least the largest single one: no bit moves
+    assert Gf2IntegralityTable(n, parts)._bits == localization_oracles.gf2_table_bits(n, parts)
+
+
 # -- Chern numbers -------------------------------------------------------------
 
 
@@ -469,18 +479,67 @@ def test_chern_sweep_does_not_depend_on_call_order(shape):
 
 
 def test_integrality_checks_on_one_data_object_match_fresh_ones():
-    # signed and bare sums, and Chern numbers, share one object's cofactors
-    rng = random.Random(71)
-    shape = (1, 2)
-    data = fixed_point_data(shape, random_z_coloring(shape, rng))
-    fns = [SymmetricFunction.monomial(mu) for mu in mvpoly.partitions_up_to(4, 3)]
-    for signed in (True, False, True):
-        got = [integrality_check_z(data, f, signed=signed) for f in fns]
-        assert got == [integrality_check_z(FixedPointData("z", data.n, data.points), f,
-                                           signed=signed) for f in fns]
-        assert (exact(equivariant_chern_number(data, 3, 0))
-                == exact(equivariant_chern_number(
-                    FixedPointData("z", data.n, data.points), 3, 0)))
+    # signed and bare sums, the reduction mod 2 and Chern numbers share one
+    # object's cofactors and, per degree, its Kronecker values.  Asked in a
+    # seeded random order, with many asks per degree, each answer equals a
+    # fresh object's and the summand loop's
+    for n in range(1, 5):
+        rng = random.Random(71 + n)
+        poly = torus_polynomial(torus_graph_from_pair(product_of_simplices((n,)),
+                                                      random_z_coloring((n,), rng)))
+        data = FixedPointData.from_polynomial(poly)
+        reduced = FixedPointData.from_polynomial(algebra.mod2_reduce(poly))
+        parts = [()] + mvpoly.partitions_up_to(n + 1, n)
+        top = n if n == 4 else 2 * n   # above it one sum costs seconds in the oracle
+        asks = [("z", mu, signed) for mu in parts for signed in (True, False)]
+        asks += [("gf2", mu, False) for mu in parts]
+        asks += [("chern", i, j) for i in range(top + 1) for j in range((top - i) // 2 + 1)
+                 if not (j and n < 2)]
+        rng.shuffle(asks)
+        verdicts = set()
+        for kind, *ask in asks:
+            if kind == "chern":
+                r = equivariant_chern_number(data, *ask)
+                assert exact(r) == exact(equivariant_chern_number(
+                    FixedPointData("z", n, data.points), *ask)), ask
+                value = None if r.value is None else r.value.terms
+                assert ((r.is_polynomial, r.integral, value, r.constant)
+                        == localization_oracles.chern_number(data, *ask)), ask
+                continue
+            mu, signed = ask
+            f = SymmetricFunction.monomial(mu)
+            if kind == "z":
+                got = integrality_check_z(data, f, signed=signed)
+                assert got == integrality_check_z(FixedPointData("z", n, data.points), f,
+                                                  signed=signed), ask
+                assert got == localization_oracles.sum_is_polynomial(data, [mu], signed), ask
+            else:
+                got = integrality_check_gf2(reduced, f)
+                fresh = FixedPointData("gf2", n, reduced.points)
+                assert got == integrality_check_gf2(fresh, f), ask
+                assert got == localization_oracles.sum_is_polynomial(reduced, [mu]), ask
+            verdicts.add((kind, signed, got))
+        # above rank 1 some bare sums of CP^n fail, where its signed sums pass (ABBV)
+        assert {("z", True, True), ("z", False, False)} <= verdicts or n == 1
+
+
+def test_a_sweep_evaluates_each_plane_once_per_degree(monkeypatch):
+    # every (i, j) with one i + 2j reads the same Kronecker values: CP^3 has
+    # 6 factors, so its default sweep (i + 2j <= 6) evaluates 6 planes at 7
+    # degrees and values at the 4 degrees 3..6, and a second sweep none
+    calls = [0]
+
+    def counted(*args, _real=localization._kronecker_values):
+        calls[0] += 1
+        return _real(*args)
+    monkeypatch.setattr(localization, "_kronecker_values", counted)
+    data = fixed_point_data((3,), standard_z_coloring((3,)))
+    assert len(localization._localization(data).chars) == 6
+    first = [exact(r) for r in chern_sweep(data)[1]]
+    assert all(r[0] for r in first) and len(first) == len(sweep_indices(3))
+    assert calls == [6 * 7 + 4]
+    assert [exact(r) for r in chern_sweep(data)[1]] == first
+    assert calls == [6 * 7 + 4]
 
 
 # -- differential checks against the pre-accumulator algorithms -------------
