@@ -103,7 +103,11 @@ def _cmd_torus_poly(args: argparse.Namespace) -> int:
             raise ValidationError(
                 "input is a GF(2)-colored graph; use the poly-of-graph verb")
         # each vertex basis is proved once, by validation, and handed on
-        poly = graphs._torus_polynomial(g, g.validate())
+        bases = g.validate()
+        if g.sigma is None:
+            raise ValidationError('torus graph has no "sigma" field; torus-poly '
+                                  'needs the orientation of every vertex')
+        poly = graphs._torus_polynomial(g, bases)
     else:
         p, coloring = jsonio.polytope_from_obj(obj)
         if coloring is None or coloring.target != "z":

@@ -29,18 +29,19 @@ digit by digit (docs/decisions/0003).  Above either, the big integers would
 cost more than the sparse quotient, so N is built with ``mvpoly`` and
 divided by each factor.
 
-Everything these sums share is built once per FixedPointData, on first use,
-and kept in its private ``_memo``: the canonical factors of D, the points
-folded by equal weights (each with its summed units and signed units), each
-point's cofactor and L1 norms, each factor's hyperplane data (the restricted
-factors, and the points holding it with the L1 norms their bound reads),
+Everything these sums share is built once per FixedPointData and kept in
+its private ``_memo``, a ``_Localization``: the canonical factors of D and
+the points folded by equal weights (each with its summed units and signed
+units, and its cofactor's factors) at construction, and in one dict read
+through ``memo(build, *args)``, on first use, each factor's hyperplane and
+the whole space (``_frame``: the factors there, and each point's L1 norms),
 per degree of f the evaluations' Kronecker values and cofactor products
-(one set per plane, keyed by signed or bare units, and one for the value),
-and for Chern numbers by division each folded point's linear forms,
-cofactor D/chi_p and the ladders cof*e1^i and e2^j, grown only as far as
-the indices asked for.  Such a numerator is one ``mvpoly.combination`` pass
-over a factor pair per folded point, so it costs that pass plus the
-divisions.  This is safe because the points are an immutable tuple fixed at
+(per plane, by signed or bare units, and for the value), and for Chern
+numbers by division the factors as MPolys, each folded point's cofactor
+D/chi_p and the ladders cof*e1^i and e2^j, grown only as far as the indices
+asked for.  Such a numerator is one ``mvpoly.combination`` pass over a
+factor pair per folded point, so it costs that pass plus the divisions.
+This is safe because the points are an immutable tuple fixed at
 construction, the memo lives and dies with its data object (there is no
 module-level cache), and every returned polynomial is a fresh sum, never a
 memo entry.
@@ -48,6 +49,7 @@ memo entry.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator, NamedTuple, Sequence
 
@@ -209,19 +211,17 @@ class _Localization:
     each to the first power (weights within a point are rows of an invertible
     matrix, hence pairwise non-proportional, so each chi_p is square-free).
     Points with equal weights are folded into one, carrying the sum of their
-    units (``bare``) and of their signs times units (``signed``), and its
-    weights as (factor index, unit) pairs.  The rest is built on first use:
-    the restriction of the sum to every factor's hyperplane for the verdicts
-    (``planes``), each point's cofactor and L1 norms for a Chern number's
-    evaluation (``points``), the MPoly forms, cofactors D/chi_p and ladders
-    cof*e1^i, e2^j for Chern numbers by division (``chern_term``), and the
-    evaluations' parts that every f of one degree d shares (``kronecker``,
-    of ``_plane_terms`` by signed or bare units and d, of ``_value_terms``
-    by d): their B and slot spacing read only the units and d.
+    units (``bare``) and of their signed units (``signed``), its weights as
+    (factor index, unit) pairs and its cofactor D/chi_p as the indices of
+    the factors not among them (``cof``).  The rest is built on first use by
+    ``memo(build, *args)``, once per key: each factor's hyperplane and the
+    whole space (``_frame``), the evaluations' parts that every f of one
+    degree d shares (``_plane_terms`` by signed or bare units and d,
+    ``_value_terms`` by d; their B and slot spacing read only the units and
+    d), and the sparse route's factors, cofactors and ladders (``_ladders``).
     """
 
-    __slots__ = ("n", "ring", "chars", "weights", "own", "bare", "signed",
-                 "_planes", "_points", "_chern", "_kronecker")
+    __slots__ = ("n", "ring", "chars", "weights", "own", "cof", "bare", "signed", "_memo")
 
     def __init__(self, data: FixedPointData):
         self.n = data.n
@@ -241,95 +241,48 @@ class _Localization:
         index = {c: t for t, c in enumerate(self.chars)}
         self.weights = list(folded)
         self.own = [tuple((index[c], u) for c, u in own) for own in canon]
+        every = set(index.values())
+        self.cof = [tuple(sorted(every.difference(s for s, _ in own))) for own in self.own]
         self.bare = [acc[1] for acc in folded.values()]
         self.signed = [acc[2] for acc in folded.values()]
-        self._planes: list[tuple[list, list]] | None = None
-        self._points: list[tuple] | None = None
-        # (factors, per folded point (forms, e1, [cof * e1^i], [e2^j]))
-        self._chern: tuple[list[MPoly], list[tuple]] | None = None
-        self._kronecker: dict[tuple, object] = {}
+        self._memo: dict[tuple, object] = {}
 
-    def kronecker(self, build, *args):
-        """build(self, *args), the parts of an evaluation not read off f, once."""
+    def memo(self, build, *args):
+        """build(self, *args), once per key."""
         key = (build, *args)
-        if key not in self._kronecker:
-            self._kronecker[key] = build(self, *args)
-        return self._kronecker[key]
+        if key not in self._memo:
+            self._memo[key] = build(self, *args)
+        return self._memo[key]
 
-    def planes(self) -> list[tuple[list, list]]:
-        """Per factor ℓ of D, the sum on ℓ = 0: (every factor's coefficients
-        in y, and per folded point holding ℓ: (point, its other weights as
-        (factor, unit), its cofactor's factors, the sum of its weights' L1
-        norms, the product of its cofactor's)).
 
-        x_k = ℓ_p·y_k (k ≠ p, the first variable ℓ mentions) and
-        x_p = −Σ ℓ_k·y_k map onto ℓ = 0, so a form a restricts to
-        ℓ_p·a_k − a_p·ℓ_k, read mod 2 over GF(2).  A point not holding ℓ is
-        left out: its cofactor has ℓ as a factor.
-        """
-        if self._planes is None:
-            gf2 = self.ring == mvpoly.GF2
-            self._planes = []
-            for t, ell in enumerate(self.chars):
-                p = next(k for k, v in enumerate(ell) if v)
-                free = [k for k in range(self.n) if k != p]
-                forms = [tuple(ell[p] * c[k] - c[p] * ell[k] for k in free)
-                         for c in self.chars]
-                if gf2:
-                    forms = [tuple(a & 1 for a in form) for form in forms]
-                l1 = [sum(map(abs, form)) for form in forms]
-                members = []
-                for g, (own, (cof, _, _)) in enumerate(zip(self.own, self.points())):
-                    others = tuple(x for x in own if x[0] != t)
-                    if len(others) < len(own):
-                        members.append((g, others, cof, sum(l1[s] for s, _ in own),
-                                        math.prod(l1[s] for s in cof)))
-                self._planes.append((forms, members))
-        return self._planes
+def _frame(loc: _Localization, t: int | None) -> tuple[list, list]:
+    """Factor t's hyperplane ℓ = 0, or the whole space when t is None:
+    (every factor's coefficients there, and per folded point holding ℓ
+    (every point when t is None): (point, its other weights as (factor,
+    unit), its cofactor's factors, the sum of its weights' L1 norms there,
+    the product of its cofactor's)).
 
-    def points(self) -> list[tuple[tuple[int, ...], int, int]]:
-        """Per folded point: its cofactor's factors (those of D not among its
-        weights), the sum of its weights' L1 norms and the product of its
-        cofactor's; ``planes`` takes the cofactors from here."""
-        if self._points is None:
-            l1 = [sum(map(abs, c)) for c in self.chars]
-            self._points = []
-            for own in self.own:
-                mine = {s for s, _ in own}
-                cof = tuple(s for s in range(len(self.chars)) if s not in mine)
-                self._points.append((cof, sum(l1[s] for s, _ in own),
-                                     math.prod(l1[s] for s in cof)))
-        return self._points
-
-    def chern_term(self, g: int, i: int, j: int) -> tuple[MPoly, MPoly]:
-        """(cof_g * e1^i, e2^j) at folded point g; the ladders grow on demand."""
-        forms, e1, up, e2 = self.chern_data()[1][g]
-        while len(up) <= i:
-            up.append(up[-1] * e1)
-        if j and len(e2) == 1:
-            e2.append(mvpoly.eval_monomial_symmetric((1, 1), forms, self.n, self.ring))
-        while len(e2) <= j:
-            e2.append(e2[-1] * e2[1])
-        return up[i], e2[j]
-
-    def chern_data(self) -> tuple[list[MPoly], list[tuple]]:
-        """The factors of D as MPolys, and per folded point its forms, e1,
-        and the ladders [cof], [1]; built on the first Chern number."""
-        if self._chern is None:
-            n, ring = self.n, self.ring
-            factors = [MPoly.linear(c, ring) for c in self.chars]
-            one = MPoly.constant(n, ring, 1)
-            points = []
-            for weights, own in zip(self.weights, self.own):
-                forms = [MPoly.linear(w, ring) for w in weights]
-                mine = {s for s, _ in own}
-                # D / chi_p = product of the canonical forms not among p's weights
-                cof = mvpoly.product((f for s, f in enumerate(factors) if s not in mine),
-                                     n, ring)
-                points.append((forms, mvpoly.eval_monomial_symmetric((1,), forms, n, ring),
-                               [cof], [one]))
-            self._chern = factors, points
-        return self._chern
+    x_k = ℓ_p·y_k (k ≠ p, the first variable ℓ mentions) and
+    x_p = −Σ ℓ_k·y_k map onto ℓ = 0, so a form a restricts to
+    ℓ_p·a_k − a_p·ℓ_k, read mod 2 over GF(2).  A point not holding ℓ is
+    left out: its cofactor has ℓ as a factor.
+    """
+    forms = loc.chars
+    if t is not None:
+        ell = forms[t]
+        p = next(k for k, v in enumerate(ell) if v)
+        forms = [tuple(ell[p] * c[k] - c[p] * ell[k] for k in range(loc.n) if k != p)
+                 for c in forms]
+        if loc.ring == mvpoly.GF2:
+            forms = [tuple(a & 1 for a in form) for form in forms]
+    l1 = [sum(map(abs, form)) for form in forms]
+    members = []
+    for g, (own, cof) in enumerate(zip(loc.own, loc.cof)):
+        others = tuple(x for x in own if x[0] != t)
+        if len(others) < len(own) or t is None:
+            members.append((g, others, cof, sum(l1[s] for s, _ in own),
+                            math.prod(l1[s] for s in cof)))
+    return forms, members
 
 
 def _localization(data: FixedPointData) -> _Localization:
@@ -371,32 +324,41 @@ def _e1_e2_power(values: Sequence[int], i: int, j: int) -> int:
     return e1 ** i * ((e1 * e1 - sum(v * v for v in values)) // 2) ** j
 
 
+def _bound(units: Sequence[int], members: list, d: int) -> int:
+    """An L1 bound on the coefficients of sum_g k_g f(w_g) D/chi_g over a
+    frame's members, f of degree d: L1(f(w)) <= (sum of the L1(w_i))^d,
+    for a sum of distinct m_mu of degree d and for e1^i e2^j
+    (docs/decisions/0002, 0003)."""
+    return sum(abs(units[g]) * own_l1 ** d * cof_l1 for g, _, _, own_l1, cof_l1 in members)
+
+
+def _evaluate(units: Sequence[int], forms: list, members: list, degree: int, b: int
+              ) -> tuple[list[int], list[tuple]]:
+    """(the frame's forms at the Kronecker point, per member g with
+    k_g != 0: (g, k_g times its cofactor's product, its other weights) there)."""
+    vals = _kronecker_values(forms, degree, b)
+    return vals, [(g, units[g] * math.prod(vals[s] for s in cof), [u * vals[s] for s, u in others])
+                  for g, others, cof, _, _ in members if units[g]]
+
+
 def _plane_terms(loc: _Localization, signed: bool, d: int) -> list[tuple]:
     """Per factor t of D with a nonzero bound, for every f of degree d and
-    the signed or bare units k (mod 2 over GF(2)): (t, b, the slot mask (-1
-    over Z), per point g holding t with k_g != 0: (g, k_g times its
-    cofactor's product, its other weights) at the Kronecker point)."""
+    the signed or bare units (mod 2 over GF(2)): (t, b, the slot mask (-1
+    over Z), its ``_evaluate`` terms)."""
     gf2 = loc.ring == mvpoly.GF2
-    coeffs = loc.signed if signed else loc.bare
+    units = loc.signed if signed else loc.bare
     if gf2:
-        coeffs = [k & 1 for k in coeffs]
+        units = [k & 1 for k in units]
     degree = d + len(loc.chars) - loc.n
     out = []
-    for t, (forms, members) in enumerate(loc.planes()):
-        # L1(f(w)) <= (sum of the L1(w_i))^d, for a sum of distinct m_mu of
-        # degree d and for e1^i e2^j (docs/decisions/0002, 0003)
-        bound = sum(abs(coeffs[g]) * own_l1 ** d * cof_l1
-                    for g, _, _, own_l1, cof_l1 in members)
-        if bound:
-            b = bound.bit_length()
-            vals = _kronecker_values(forms, degree, b)
+    for t in range(len(loc.chars)):
+        forms, members = loc.memo(_frame, t)
+        b = _bound(units, members, d).bit_length()
+        if b:
             # over GF(2) the 0/1 lift's coefficients are its digits: the
             # lowest bit of every slot holds their parities
             mask = ((1 << b * _slots(loc.n - 1, degree)) - 1) // ((1 << b) - 1) if gf2 else -1
-            out.append((t, b, mask,
-                        [(g, coeffs[g] * math.prod(vals[s] for s in cof),
-                          [u * vals[s] for s, u in others])
-                         for g, others, cof, _, _ in members if coeffs[g]]))
+            out.append((t, b, mask, _evaluate(units, forms, members, degree, b)[1]))
     return out
 
 
@@ -406,7 +368,7 @@ def _planes_vanish(loc: _Localization, signed: bool, d: int, f_at) -> bool:
     N on ℓ = 0 is tested by one exact evaluation whose base exceeds an L1
     bound on its coefficients (docs/decisions/0002); all but f is shared."""
     return not any(sum(kc * f_at(ys) for _, kc, ys in terms) & mask
-                   for _, _, mask, terms in loc.kronecker(_plane_terms, signed, d))
+                   for _, _, mask, terms in loc.memo(_plane_terms, signed, d))
 
 
 def _sum_is_polynomial(data: FixedPointData, f: SymmetricFunction, signed: bool) -> bool:
@@ -517,28 +479,46 @@ class Gf2IntegralityTable:
 # equivariant Chern numbers
 
 
-def _localization_numerator(loc: _Localization, term, coeffs: Sequence[int]) -> MPoly:
-    """N = sum_p coeff_p * a_p * b_p in one pass, where a_p * b_p = value_p * D/chi_p
-    for term(p) = (a_p, b_p); points whose coefficient cancels to 0 are skipped."""
-    return mvpoly.combination(((k, *term(g)) for g, k in enumerate(coeffs) if k),
-                              loc.n, loc.ring)
+def _ladders(loc: _Localization) -> tuple[list[MPoly], list[tuple]]:
+    """The factors of D as MPolys, and per folded point its weights, e1 as
+    one linear form (the weights' column sums) and the ladders [D/chi_p]
+    and [1]."""
+    n, ring = loc.n, loc.ring
+    factors = [MPoly.linear(c, ring) for c in loc.chars]
+    one = MPoly.constant(n, ring, 1)
+    return factors, [(weights, MPoly.linear([sum(col) for col in zip(*weights)], ring),
+                      [mvpoly.product((factors[s] for s in cof), n, ring)], [one])
+                     for weights, cof in zip(loc.weights, loc.cof)]
 
 
-def _divide_out(num: MPoly, factors: Sequence[MPoly]) -> MPoly | None:
-    """num / (product of the factors), dividing by one factor at a time;
-    None at the first nonzero remainder.  The factors are pairwise coprime
-    linear forms, so this decides divisibility by their product."""
+def _quotient_by_division(loc: _Localization, i: int, j: int) -> MPoly | None:
+    """The (i, j) sum as the sparse quotient N/D, or None.
+
+    N = sum_p k_p (cof_p e1^i) e2^j is one ``mvpoly.combination`` pass, the
+    ladders grown only as far as asked, and is divided by one factor at a
+    time, None at the first nonzero remainder.  The factors are pairwise
+    coprime linear forms, so this decides divisibility by their product.
+    """
+    n, ring = loc.n, loc.ring
+    factors, points = loc.memo(_ladders)
+    terms = []
+    for k, (weights, e1, up, e2) in zip(loc.signed, points):
+        if k:
+            while len(up) <= i:
+                up.append(up[-1] * e1)
+            if j and len(e2) == 1:
+                forms = [MPoly.linear(w, ring) for w in weights]
+                e2.append(mvpoly.combination(
+                    ((1, a, b) for a, b in itertools.combinations(forms, 2)), n, ring))
+            while len(e2) <= j:
+                e2.append(e2[-1] * e2[1])
+            terms.append((k, up[i], e2[j]))
+    num = mvpoly.combination(terms, n, ring)
     for form in factors:
         num, rem = mvpoly.divmod_linear(num, form)
         if not rem.is_zero():
             return None
     return num
-
-
-def _quotient_by_division(loc: _Localization, i: int, j: int) -> MPoly | None:
-    """The (i, j) sum as the sparse quotient N/D, one factor at a time."""
-    num = _localization_numerator(loc, lambda g: loc.chern_term(g, i, j), loc.signed)
-    return _divide_out(num, loc.chern_data()[0])
 
 
 def _signed_digits(value: int, b: int, count: int) -> list[int]:
@@ -553,22 +533,20 @@ def _signed_digits(value: int, b: int, count: int) -> list[int]:
 
 
 def _value_terms(loc: _Localization, d: int) -> tuple | None:
-    """For every (i, j) with i + 2j = d: (b, D(x), per folded point with
-    k != 0: (k times its cofactor's product, its weights) at x), or None."""
-    n, degree, points = loc.n, d - loc.n, loc.points()
-    bound = sum(abs(k) * own_l1 ** d * cof_l1
-                for k, (_, own_l1, cof_l1) in zip(loc.signed, points))
+    """For every (i, j) with i + 2j = d: (b, D(x), the whole space's
+    ``_evaluate`` terms at x), or None."""
+    n, degree = loc.n, d - loc.n
+    forms, members = loc.memo(_frame, None)
+    bound = _bound(loc.signed, members, d)
     # N = 0: below degree 0 deg N < deg D, so D | N forces it; a zero bound
     # means every k_p is 0
     if degree < 0 or not bound:
         return None
     bound <<= n * degree
-    b = max(2 * bound, 2 * max(abs(v) for c in loc.chars for v in c)).bit_length()
+    b = max(2 * bound, 2 * max(abs(v) for c in forms for v in c)).bit_length()
     b = -(-b // 8) * 8   # whole bytes, for the decode
-    vals = _kronecker_values(loc.chars, max(degree, 1), b)
-    return b, math.prod(vals), [
-        (k * math.prod(vals[s] for s in cof), [u * vals[s] for s, u in own])
-        for k, own, (cof, _, _) in zip(loc.signed, loc.own, points) if k]
+    vals, terms = _evaluate(loc.signed, forms, members, max(degree, 1), b)
+    return b, math.prod(vals), terms
 
 
 def _quotient_by_evaluation(loc: _Localization, i: int, j: int) -> MPoly | None:
@@ -585,12 +563,12 @@ def _quotient_by_evaluation(loc: _Localization, i: int, j: int) -> MPoly | None:
     n, d = loc.n, i + 2 * j
     if not _planes_vanish(loc, True, d, lambda ys: _e1_e2_power(ys, i, j)):
         return None
-    shared = loc.kronecker(_value_terms, d)
+    shared = loc.memo(_value_terms, d)
     if shared is None:
         return MPoly.zero(n, loc.ring)
     b, at_x, summands = shared
     degree, spacing = d - n, max(d - n, 1)
-    value, rem = divmod(sum(kc * _e1_e2_power(xs, i, j) for kc, xs in summands), at_x)
+    value, rem = divmod(sum(kc * _e1_e2_power(xs, i, j) for _, kc, xs in summands), at_x)
     if rem:
         raise ArithmeticError(f"the ({i}, {j}) sum is a polynomial, "
                               "yet D(x) does not divide N(x)")

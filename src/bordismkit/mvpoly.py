@@ -4,11 +4,11 @@ Exact coefficient arithmetic in two rings: GF(2) (every stored coefficient
 is 1, so a polynomial is the set of its monomials) and Q (int/Fraction
 coefficients).  Just enough structure for the Chern numbers above degree n
 or rank 4 (the others are read off one big-integer evaluation, see
-``localization``): products of linear forms, monomial symmetric function
-evaluation (on forms, and on integers for the integrality checks'
-hyperplane evaluations), and exact division with remainder by a linear
-form, which gives such a Chern number's quotient by the common denominator
-factor by factor.
+``localization``): products of linear forms, accumulated in one pass by
+``combination``, and exact division with remainder by a linear form, which
+gives such a Chern number's quotient by the common denominator factor by
+factor.  Monomial symmetric functions are evaluated only at integers, for
+the hyperplane evaluations.
 
 Terms are kept under packed exponents: variable i's exponent sits in bits
 [W*i, W*(i+1)) of one int (W = 32), so a product of monomials is one int
@@ -271,33 +271,6 @@ def divmod_linear(p: MPoly, form: MPoly) -> tuple[MPoly, MPoly]:
 
 # ---------------------------------------------------------------------------
 # symmetric function evaluation
-
-
-def eval_monomial_symmetric(mu: Sequence[int], forms: Sequence[MPoly],
-                            nv: int, ring: str) -> MPoly:
-    """m_mu evaluated at the given list of (linear) forms.
-
-    m_mu(y_1, ..., y_k) = sum over distinct exponent rearrangements of mu
-    (padded with zeros to k slots) of the corresponding monomial in the y's.
-    """
-    k = len(forms)
-    mu = canonical_partition(mu)
-    if len(mu) > k:
-        raise ValidationError(
-            f"partition {mu} has more parts than the {k} available variables")
-    one = MPoly.constant(nv, ring, 1)
-    powers = [[f] for f in forms]   # powers[i][d - 1] = forms[i]^d; every
-    for cache in powers:            # slot takes the top part in some arrangement
-        while len(cache) < max(mu, default=1):
-            cache.append(cache[-1] * cache[0])
-
-    def triple(arrangement: Expt) -> tuple[int, MPoly, MPoly]:
-        head, *rest = [powers[i][d - 1] for i, d in enumerate(arrangement) if d] or [one]
-        while len(rest) > 1:
-            head = head * rest.pop()
-        return 1, head, rest[0] if rest else one
-
-    return combination(map(triple, _rearrangements(mu + (0,) * (k - len(mu)))), nv, ring)
 
 
 def monomial_symmetric_value(mu: tuple[int, ...], values: Sequence[int]) -> int:

@@ -186,7 +186,8 @@ def gf2_table_bits(n, partitions):
         if len(mu) < n:
             degree = sum(mu) + len(loc.chars) - n
             slots = localization._slots(n - 1, degree)
-            for t, (forms, members) in enumerate(loc.planes()):
+            for t in range(len(loc.chars)):
+                forms, members = localization._frame(loc, t)
                 b = max(own_l1 ** sum(mu) * cof_l1
                         for _, _, _, own_l1, cof_l1 in members).bit_length()
                 vals = localization._kronecker_values(forms, degree, b)

@@ -9,7 +9,8 @@ import pytest
 from bordismkit import jsonio
 from bordismkit.algebra import ExtPolynomial, Gf2Polynomial, dual
 from bordismkit.bordism import UNITARY, UNORIENTED, BordismClass
-from bordismkit.graphs import one_skeleton, torus_graph_from_pair
+from bordismkit.errors import ValidationError
+from bordismkit.graphs import one_skeleton, torus_graph_from_pair, torus_polynomial
 from bordismkit.polytopes import (Coloring, coloring_polynomial,
                                   product_of_simplices, standard_z_coloring)
 
@@ -261,7 +262,6 @@ def test_torus_poly_proves_each_vertex_basis_once(monkeypatch, capsys):
     # hands the proofs to the polynomial: one dual basis per vertex, 6 on
     # CP2 x CP1
     from bordismkit import cli, intmat
-    from bordismkit.graphs import torus_polynomial
 
     p, lam = product_of_simplices((2, 1)), standard_z_coloring((2, 1))
     g = torus_graph_from_pair(p, lam)
@@ -323,6 +323,24 @@ def test_torus_poly_validates_graph_input(graph, message):
     assert "Traceback" not in r.stderr
     assert json.loads(r.stdout)["error"] == {"code": "validation-error",
                                                  "message": message}
+
+
+@pytest.mark.parametrize("graph", [
+    # one edge and its reversal at rank 1: every axiom holds, sigma is absent
+    '{"n":1,"vertices":2,"edges":[{"u":0,"v":1,"alpha":[1]},{"u":1,"v":0,"alpha":[-1]}]}',
+    '{"n":2,"vertices":0,"edges":[]}',
+], ids=("one-edge", "no-vertices"))
+def test_torus_poly_names_a_missing_sigma(graph):
+    # the CLI names the JSON field; the library keeps its orient() advice
+    r = run_cli("torus-poly", graph)
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"] == {
+        "code": "validation-error",
+        "message": 'torus graph has no "sigma" field; torus-poly needs the '
+                   'orientation of every vertex'}
+    g = jsonio.graph_from_obj(json.loads(graph), edgeless_torus=True)
+    with pytest.raises(ValidationError, match=r"not oriented; call orient\(\) first"):
+        torus_polynomial(g)
 
 
 def test_torus_poly_rejects_gf2_graphs():

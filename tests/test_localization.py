@@ -325,8 +325,7 @@ def test_localization_reaches_mvpoly_through_the_module(monkeypatch):
     # of two or more factors, ``*`` included, is one call of the accumulator
     # ``combination`` per factor after the first, and each localization
     # numerator is exactly one more.
-    calls = counting(monkeypatch, "divmod_linear", "product", "combination",
-                     "eval_monomial_symmetric")
+    calls = counting(monkeypatch, "divmod_linear", "product", "combination")
     # CP^2 has three points and three canonical weight forms: x0, x1, x0 - x1.
     # Up to degree n a Chern number is one evaluation and builds no polynomial
     data = FixedPointData.from_polynomial(CP2)
@@ -336,15 +335,13 @@ def test_localization_reaches_mvpoly_through_the_module(monkeypatch):
                                                                 (0, 2): 27}
     assert calls == dict.fromkeys(calls, 0)
     # above it the numerator is divided: one cofactor per point (3 products
-    # of one form each, no multiplication), 3 e1, 15 ladder steps cof*e1^i
-    # for i = 1..5, and the numerator
+    # of one form each, no multiplication), e1 one linear form per point, 15
+    # ladder steps cof*e1^i for i = 1..5, and the numerator
     assert equivariant_chern_number(data, 5, 0).value.terms[(3, 0)] == -18
-    chern = {"divmod_linear": 3, "product": 3, "combination": 19,
-             "eval_monomial_symmetric": 3}
+    chern = {"divmod_linear": 3, "product": 3, "combination": 16}
     assert calls == chern
     assert equivariant_chern_number(data, 3, 1).value.terms[(3, 0)] == -6
-    chern = {"divmod_linear": 6, "product": 3, "combination": 23,  # 3 e2 + 1
-             "eval_monomial_symmetric": 6}
+    chern = {"divmod_linear": 6, "product": 3, "combination": 20}  # 3 e2 + 1
     assert calls == chern
     # integrality is one evaluation per factor's hyperplane: it builds,
     # multiplies and divides no polynomial, on data with Chern ladders and
@@ -526,20 +523,41 @@ def test_integrality_checks_on_one_data_object_match_fresh_ones():
 def test_a_sweep_evaluates_each_plane_once_per_degree(monkeypatch):
     # every (i, j) with one i + 2j reads the same Kronecker values: CP^3 has
     # 6 factors, so its default sweep (i + 2j <= 6) evaluates 6 planes at 7
-    # degrees and values at the 4 degrees 3..6, and a second sweep none
-    calls = [0]
+    # degrees and values at the 4 degrees 3..6.  Bare integrality checks of
+    # degrees 0..3 add 6 planes at 4 degrees, the signed ones share the
+    # sweep's, and (5, 1) above degree n divides: 6 factors, 4 cofactors, 4
+    # e1 and 4 * 3 forms for e2.  A second pass on the same data builds
+    # nothing, and every answer equals a fresh data object's
+    kronecker = [0]
 
     def counted(*args, _real=localization._kronecker_values):
-        calls[0] += 1
+        kronecker[0] += 1
         return _real(*args)
     monkeypatch.setattr(localization, "_kronecker_values", counted)
+    calls = counting(monkeypatch, "product")
+
+    def linear(cls, *args, _real=mvpoly.MPoly.linear):
+        calls["linear"] += 1
+        return _real(*args)
+    calls["linear"] = 0
+    monkeypatch.setattr(mvpoly.MPoly, "linear", classmethod(linear))
+    fs = [SymmetricFunction.elementary(2), SymmetricFunction(((), (1,), (2, 1)))]
+
+    def one_pass(data):
+        return ([integrality_check_z(data, f, signed=signed)
+                 for f in fs for signed in (True, False)],
+                [exact(r) for r in chern_sweep(data)[1]],
+                exact(equivariant_chern_number(data, 5, 1)))
+
     data = fixed_point_data((3,), standard_z_coloring((3,)))
     assert len(localization._localization(data).chars) == 6
-    first = [exact(r) for r in chern_sweep(data)[1]]
-    assert all(r[0] for r in first) and len(first) == len(sweep_indices(3))
-    assert calls == [6 * 7 + 4]
-    assert [exact(r) for r in chern_sweep(data)[1]] == first
-    assert calls == [6 * 7 + 4]
+    first = one_pass(data)
+    assert all(r[0] for r in first[1]) and len(first[1]) == len(sweep_indices(3))
+    assert first[2][0]
+    assert (kronecker, calls) == ([6 * 7 + 4 + 6 * 4], {"product": 4, "linear": 6 + 4 + 12})
+    assert one_pass(data) == first
+    assert (kronecker, calls) == ([6 * 7 + 4 + 6 * 4], {"product": 4, "linear": 6 + 4 + 12})
+    assert one_pass(FixedPointData("z", 3, data.points)) == first
 
 
 # -- differential checks against the pre-accumulator algorithms -------------
@@ -725,8 +743,8 @@ def test_each_degree_of_a_mixed_function_is_tested_alone(flavor, weights):
     data = FixedPointData(flavor, 2, [FixedPoint(1, weights)])
     ring = mvpoly.GF2 if flavor == "gf2" else mvpoly.Q
     forms = [mvpoly.MPoly.linear(w, ring) for w in weights]
-    num = sum((mvpoly.eval_monomial_symmetric(mu, forms, 2, ring) for mu in ((1,), (2,))),
-              mvpoly.MPoly.zero(2, ring))
+    num = sum((localization_oracles.eval_monomial_symmetric(mu, forms, 2, ring)
+               for mu in ((1,), (2,))), mvpoly.MPoly.zero(2, ring))
     for axis in ((1, 0), (0, 1)):
         _, rem = localization_oracles.divmod_linear(num, mvpoly.MPoly.linear(axis, ring))
         total = sum(rem.terms.values())   # the restriction at y = 1

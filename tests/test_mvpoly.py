@@ -305,10 +305,15 @@ def test_rearrangements_are_the_distinct_permutations():
 
 @pytest.mark.parametrize("ring", [GF2, Q])
 def test_monomial_symmetric_matches_the_permutation_set(ring):
+    # m_mu at integers, as the hyperplane evaluations read it (mod 2 in the
+    # GF(2) table), against the permutation-set oracle on constant forms
     rng = random.Random(151)
     for _ in range(60):
-        nv, k = rng.randint(1, 3), rng.randint(0, 5)
-        forms = [random_form(rng, nv, ring) for _ in range(k)]
+        k = rng.randint(0, 5)
+        values = [rng.choice((0, 1, -1, 2, -3, 10**6 + 3)) for _ in range(k)]
+        consts = [MPoly.constant(1, ring, v) for v in values]
         for mu in [()] + mvpoly.partitions_up_to(4, k):
-            assert mvpoly.eval_monomial_symmetric(mu, forms, nv, ring) == \
-                localization_oracles.eval_monomial_symmetric(mu, forms, nv, ring), (forms, mu)
+            got = mvpoly.monomial_symmetric_value(mu, values)
+            want = localization_oracles.eval_monomial_symmetric(mu, consts, 1, ring)
+            assert MPoly.constant(1, ring, got) == want, (values, mu)
+        assert mvpoly.monomial_symmetric_value((1,) * (k + 1), values) == 0

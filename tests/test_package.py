@@ -99,8 +99,9 @@ def scopes_naming(name):
 def test_only_chern_numbers_divide_by_linear_forms():
     # integrality is decided by evaluation on each factor's hyperplane, and
     # a Chern number up to degree n and rank 4 by one more evaluation; only
-    # the Chern numbers above either divide
-    assert scopes_naming("divmod_linear") == {("localization", "_divide_out")}
-    assert scopes_naming("_divide_out") == {("localization", "_quotient_by_division")}
+    # the Chern numbers above either divide, and only they build the
+    # polynomial factors, cofactors and ladders
+    assert scopes_naming("divmod_linear") == {("localization", "_quotient_by_division")}
+    assert scopes_naming("_ladders") == {("localization", "_quotient_by_division")}
     assert scopes_naming("_quotient_by_division") == {
         ("localization", "equivariant_chern_number")}
