@@ -149,6 +149,8 @@ class FixedPointData:
                 raise ValidationError(f"fixed-point sign must be ±1, got {pt.sign}")
             weights = _check_weights(pt.weights, n)
             if weights not in proved:
+                for w in weights:
+                    ring._check_char(w, n)     # GF(2) refuses entries outside {0,1}
                 _basis_det(ring, weights, n)   # raises unless a basis
             proved.add(weights)
             checked.append(FixedPoint(sign, weights))
@@ -190,14 +192,12 @@ class FixedPointData:
 # localization denominators
 
 
-def _canonical_char(char: Char, ring: str) -> tuple[Char, int]:
+def _canonical_char(char: Char) -> tuple[Char, int]:
     """Normalize a character to a canonical sign.
 
-    Returns (canonical, unit) with char == unit * canonical; over GF(2) the
-    unit is always 1.
+    Returns (canonical, unit) with char == unit * canonical; a GF(2)
+    character has 0/1 entries, so it leads with 1 and its unit is 1.
     """
-    if ring == mvpoly.GF2:
-        return char, 1
     lead = next(v for v in char if v)
     if lead < 0:
         return tuple(-v for v in char), -1
@@ -221,22 +221,22 @@ class _Localization:
     d), and the sparse route's factors, cofactors and ladders (``_ladders``).
     """
 
-    __slots__ = ("n", "ring", "chars", "weights", "own", "cof", "bare", "signed", "_memo")
+    __slots__ = ("n", "gf2", "chars", "weights", "own", "cof", "bare", "signed", "_memo")
 
     def __init__(self, data: FixedPointData):
         self.n = data.n
-        self.ring = ring = mvpoly.GF2 if data.flavor == GF2 else mvpoly.Q
+        self.gf2 = data.flavor == GF2
         folded: dict[Monomial, list[int]] = {}   # weights -> [unit, bare, signed]
         for pt in data.points:
             acc = folded.get(pt.weights)
             if acc is None:
                 unit = 1
                 for w in pt.weights:
-                    unit *= _canonical_char(w, ring)[1]
+                    unit *= _canonical_char(w)[1]
                 acc = folded[pt.weights] = [unit, 0, 0]
             acc[1] += acc[0]
             acc[2] += pt.sign * acc[0]
-        canon = [[_canonical_char(w, ring) for w in weights] for weights in folded]
+        canon = [[_canonical_char(w) for w in weights] for weights in folded]
         self.chars = sorted({c for own in canon for c, _ in own})
         index = {c: t for t, c in enumerate(self.chars)}
         self.weights = list(folded)
@@ -273,7 +273,7 @@ def _frame(loc: _Localization, t: int | None) -> tuple[list, list]:
         p = next(k for k, v in enumerate(ell) if v)
         forms = [tuple(ell[p] * c[k] - c[p] * ell[k] for k in range(loc.n) if k != p)
                  for c in forms]
-        if loc.ring == mvpoly.GF2:
+        if loc.gf2:
             forms = [tuple(a & 1 for a in form) for form in forms]
     l1 = [sum(map(abs, form)) for form in forms]
     members = []
@@ -345,9 +345,8 @@ def _plane_terms(loc: _Localization, signed: bool, d: int) -> list[tuple]:
     """Per factor t of D with a nonzero bound, for every f of degree d and
     the signed or bare units (mod 2 over GF(2)): (t, b, the slot mask (-1
     over Z), its ``_evaluate`` terms)."""
-    gf2 = loc.ring == mvpoly.GF2
     units = loc.signed if signed else loc.bare
-    if gf2:
+    if loc.gf2:
         units = [k & 1 for k in units]
     degree = d + len(loc.chars) - loc.n
     out = []
@@ -357,7 +356,7 @@ def _plane_terms(loc: _Localization, signed: bool, d: int) -> list[tuple]:
         if b:
             # over GF(2) the 0/1 lift's coefficients are its digits: the
             # lowest bit of every slot holds their parities
-            mask = ((1 << b * _slots(loc.n - 1, degree)) - 1) // ((1 << b) - 1) if gf2 else -1
+            mask = ((1 << b * _slots(loc.n - 1, degree)) - 1) // ((1 << b) - 1) if loc.gf2 else -1
             out.append((t, b, mask, _evaluate(units, forms, members, degree, b)[1]))
     return out
 
@@ -483,11 +482,11 @@ def _ladders(loc: _Localization) -> tuple[list[MPoly], list[tuple]]:
     """The factors of D as MPolys, and per folded point its weights, e1 as
     one linear form (the weights' column sums) and the ladders [D/chi_p]
     and [1]."""
-    n, ring = loc.n, loc.ring
-    factors = [MPoly.linear(c, ring) for c in loc.chars]
-    one = MPoly.constant(n, ring, 1)
-    return factors, [(weights, MPoly.linear([sum(col) for col in zip(*weights)], ring),
-                      [mvpoly.product((factors[s] for s in cof), n, ring)], [one])
+    n = loc.n
+    factors = [MPoly.linear(c) for c in loc.chars]
+    one = MPoly.constant(n, 1)
+    return factors, [(weights, MPoly.linear([sum(col) for col in zip(*weights)]),
+                      [mvpoly.product((factors[s] for s in cof), n)], [one])
                      for weights, cof in zip(loc.weights, loc.cof)]
 
 
@@ -496,10 +495,11 @@ def _quotient_by_division(loc: _Localization, i: int, j: int) -> MPoly | None:
 
     N = sum_p k_p (cof_p e1^i) e2^j is one ``mvpoly.combination`` pass, the
     ladders grown only as far as asked, and is divided by one factor at a
-    time, None at the first nonzero remainder.  The factors are pairwise
-    coprime linear forms, so this decides divisibility by their product.
+    time, None as soon as one does not divide.  The factors are pairwise
+    coprime primitive linear forms, so this decides divisibility by their
+    product, and over Z, as over Q (Gauss's lemma).
     """
-    n, ring = loc.n, loc.ring
+    n = loc.n
     factors, points = loc.memo(_ladders)
     terms = []
     for k, (weights, e1, up, e2) in zip(loc.signed, points):
@@ -507,16 +507,16 @@ def _quotient_by_division(loc: _Localization, i: int, j: int) -> MPoly | None:
             while len(up) <= i:
                 up.append(up[-1] * e1)
             if j and len(e2) == 1:
-                forms = [MPoly.linear(w, ring) for w in weights]
+                forms = [MPoly.linear(w) for w in weights]
                 e2.append(mvpoly.combination(
-                    ((1, a, b) for a, b in itertools.combinations(forms, 2)), n, ring))
+                    ((1, a, b) for a, b in itertools.combinations(forms, 2)), n))
             while len(e2) <= j:
                 e2.append(e2[-1] * e2[1])
             terms.append((k, up[i], e2[j]))
-    num = mvpoly.combination(terms, n, ring)
+    num = mvpoly.combination(terms, n)
     for form in factors:
-        num, rem = mvpoly.divmod_linear(num, form)
-        if not rem.is_zero():
+        num = mvpoly.divide_linear(num, form)
+        if num is None:
             return None
     return num
 
@@ -565,7 +565,7 @@ def _quotient_by_evaluation(loc: _Localization, i: int, j: int) -> MPoly | None:
         return None
     shared = loc.memo(_value_terms, d)
     if shared is None:
-        return MPoly.zero(n, loc.ring)
+        return MPoly.zero(n)
     b, at_x, summands = shared
     degree, spacing = d - n, max(d - n, 1)
     value, rem = divmod(sum(kc * _e1_e2_power(xs, i, j) for _, kc, xs in summands), at_x)
@@ -582,7 +582,7 @@ def _quotient_by_evaluation(loc: _Localization, i: int, j: int) -> MPoly | None:
             if sum(expt) > degree:
                 raise ArithmeticError(f"the ({i}, {j}) sum has a term above degree {degree}")
             terms[(degree - sum(expt), *expt)] = c
-    return MPoly(n, loc.ring, terms)
+    return MPoly(n, terms)
 
 
 # The evaluations' integers have b * (deg + 1)^(n - 2) bits on a hyperplane
@@ -626,8 +626,7 @@ def equivariant_chern_number(data: FixedPointData, i: int, j: int) -> ChernNumbe
     quo = quotient(_localization(data), i, j)
     if quo is None:
         return ChernNumber(i, j, False, False, None, None)
-    constant = quo.constant_value()
-    return ChernNumber(i, j, True, True, quo, None if constant is None else int(constant))
+    return ChernNumber(i, j, True, True, quo, quo.constant_value())
 
 
 def _degree_cap(n: int, degree_cap: int | None) -> int:

@@ -1,14 +1,14 @@
-"""Sparse multivariate polynomials for localization sums.
+"""Sparse multivariate polynomials over Z for localization sums.
 
-Exact coefficient arithmetic in two rings: GF(2) (every stored coefficient
-is 1, so a polynomial is the set of its monomials) and Q (int/Fraction
-coefficients).  Just enough structure for the Chern numbers above degree n
-or rank 4 (the others are read off one big-integer evaluation, see
-``localization``): products of linear forms, accumulated in one pass by
-``combination``, and exact division with remainder by a linear form, which
-gives such a Chern number's quotient by the common denominator factor by
-factor.  Monomial symmetric functions are evaluated only at integers, for
-the hyperplane evaluations.
+Just enough structure for the Chern numbers above degree n or rank 4 (the
+others are read off one big-integer evaluation, see ``localization``):
+products of linear forms, accumulated in one pass by ``combination``, and
+exact division by a linear form, which gives such a Chern number's quotient
+by the common denominator factor by factor.  Every factor there is a
+primitive form, so by Gauss's lemma it divides an integer polynomial over Q
+exactly when it does over Z, and the division never leaves the integers.
+Monomial symmetric functions are evaluated only at integers, for the
+hyperplane evaluations.
 
 Terms are kept under packed exponents: variable i's exponent sits in bits
 [W*i, W*(i+1)) of one int (W = 32), so a product of monomials is one int
@@ -21,13 +21,9 @@ it never reaches the polynomial (or a memo that holds it).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ValidationError
-
-GF2 = "gf2"
-Q = "q"
 
 W = 32                  # bits per variable in a packed exponent
 _MASK = (1 << W) - 1    # also the largest total degree a polynomial may reach
@@ -39,12 +35,6 @@ def _unpack(key: int, nv: int) -> Expt:
     return tuple((key >> (W * i)) & _MASK for i in range(nv))
 
 
-def _check_ring(ring: str) -> str:
-    if ring not in (GF2, Q):
-        raise ValidationError(f"unknown coefficient ring {ring!r}")
-    return ring
-
-
 def _check_degree(deg: int) -> int:
     if deg > _MASK:
         raise ValidationError(
@@ -53,15 +43,14 @@ def _check_degree(deg: int) -> int:
 
 
 class MPoly:
-    """Sparse polynomial: {packed exponent: coefficient}, zero coeffs dropped."""
+    """Sparse polynomial: {packed exponent: int coefficient}, zero coeffs dropped."""
 
-    __slots__ = ("nv", "ring", "_terms", "_deg")
+    __slots__ = ("nv", "_terms", "_deg")
 
-    def __init__(self, nv: int, ring: str,
-                 terms: Mapping[Expt, object] | Iterable[tuple[Expt, object]] = ()):
+    def __init__(self, nv: int,
+                 terms: Mapping[Expt, int] | Iterable[tuple[Expt, int]] = ()):
         self.nv = nv
-        self.ring = _check_ring(ring)
-        acc: dict[int, object] = {}
+        acc: dict[int, int] = {}
         deg = 0
         items = terms.items() if isinstance(terms, Mapping) else terms
         for expt, coeff in items:
@@ -70,72 +59,35 @@ class MPoly:
                 raise ValidationError(f"bad exponent tuple {expt} for {nv} variables")
             deg = max(deg, _check_degree(sum(expt)))
             key = sum(e << (W * i) for i, e in enumerate(expt))
-            if ring == GF2:
-                coeff = int(coeff) & 1
             acc[key] = acc.get(key, 0) + coeff
-            if ring == GF2:
-                acc[key] &= 1
             if not acc[key]:
                 del acc[key]
         self._terms = acc
         self._deg = deg
 
     @property
-    def terms(self) -> dict[Expt, object]:
+    def terms(self) -> dict[Expt, int]:
         """A fresh {exponent tuple: coefficient} dict of the nonzero terms."""
         return {_unpack(k, self.nv): c for k, c in self._terms.items()}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, nv: int, ring: str) -> "MPoly":
-        return _from_dict(nv, _check_ring(ring), {}, 0)
+    def zero(cls, nv: int) -> "MPoly":
+        return _from_dict(nv, {}, 0)
 
     @classmethod
-    def constant(cls, nv: int, ring: str, value) -> "MPoly":
-        if _check_ring(ring) == GF2:
-            value = int(value) & 1
-        return _from_dict(nv, ring, {0: value} if value else {}, 0)
+    def constant(cls, nv: int, value: int) -> "MPoly":
+        return _from_dict(nv, {0: value} if value else {}, 0)
 
     @classmethod
-    def linear(cls, coeffs: Sequence[int], ring: str) -> "MPoly":
-        gf2 = _check_ring(ring) == GF2
-        terms = {1 << (W * i): int(a) & 1 if gf2 else a for i, a in enumerate(coeffs)}
-        return _from_dict(len(coeffs), ring, {k: a for k, a in terms.items() if a}, 1)
+    def linear(cls, coeffs: Sequence[int]) -> "MPoly":
+        return _from_dict(len(coeffs), {1 << (W * i): a for i, a in enumerate(coeffs) if a}, 1)
 
     # -- ring operations ---------------------------------------------------
 
-    def _check(self, other: "MPoly") -> None:
-        if not isinstance(other, MPoly):
-            raise TypeError("expected an MPoly")
-        if self.nv != other.nv or self.ring != other.ring:
-            raise ValidationError("polynomials live in different rings")
-
-    def __add__(self, other: "MPoly") -> "MPoly":
-        self._check(other)
-        acc = dict(self._terms)
-        for key, coeff in other._terms.items():
-            v = acc.get(key, 0) + coeff
-            if self.ring == GF2:
-                v &= 1
-            if v:
-                acc[key] = v
-            else:
-                acc.pop(key, None)
-        return _from_dict(self.nv, self.ring, acc, max(self._deg, other._deg))
-
-    def __neg__(self) -> "MPoly":
-        if self.ring == GF2:
-            return self
-        return _from_dict(self.nv, self.ring,
-                          {k: -c for k, c in self._terms.items()}, self._deg)
-
-    def __sub__(self, other: "MPoly") -> "MPoly":
-        return self + (-other)
-
     def __mul__(self, other: "MPoly") -> "MPoly":
-        self._check(other)
-        return combination(((1, self, other),), self.nv, self.ring)
+        return combination(((1, self, other),), self.nv)
 
     # -- predicates --------------------------------------------------------
 
@@ -145,23 +97,22 @@ class MPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MPoly):
             return NotImplemented
-        return (self.nv == other.nv and self.ring == other.ring
-                and self._terms == other._terms)
+        return self.nv == other.nv and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self.nv, self.ring, frozenset(self._terms.items())))
+        return hash((self.nv, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
         if self.is_zero():
-            return f"MPoly({self.nv}, {self.ring!r}, 0)"
+            return f"MPoly({self.nv}, 0)"
         bits = []
         for e, c in sorted(self.terms.items()):
             mono = "*".join(f"x{i}^{p}" if p > 1 else f"x{i}"
                             for i, p in enumerate(e) if p) or "1"
-            bits.append(f"{c}*{mono}" if self.ring != GF2 else mono)
-        return f"MPoly({self.nv}, {self.ring!r}, {' + '.join(bits)})"
+            bits.append(f"{c}*{mono}")
+        return f"MPoly({self.nv}, {' + '.join(bits)})"
 
-    def constant_value(self):
+    def constant_value(self) -> int | None:
         """The coefficient of x^0 if the polynomial is constant, else None."""
         if self.is_zero():
             return 0
@@ -170,35 +121,32 @@ class MPoly:
         return None
 
 
-def _from_dict(nv: int, ring: str, terms: dict[int, object], deg: int) -> MPoly:
+def _from_dict(nv: int, terms: dict[int, int], deg: int) -> MPoly:
     p = MPoly.__new__(MPoly)
     p.nv = nv
-    p.ring = ring
     p._terms = terms
     p._deg = deg
     return p
 
 
-def product(factors: Iterable[MPoly], nv: int, ring: str) -> MPoly:
+def product(factors: Iterable[MPoly], nv: int) -> MPoly:
     """The product of the factors, starting from the first; the empty product is 1."""
     out = None
     for f in factors:
         out = f if out is None else out * f
-    return MPoly.constant(nv, ring, 1) if out is None else out
+    return MPoly.constant(nv, 1) if out is None else out
 
 
-def combination(terms: Iterable[tuple[object, MPoly, MPoly]], nv: int, ring: str) -> MPoly:
+def combination(terms: Iterable[tuple[int, MPoly, MPoly]], nv: int) -> MPoly:
     """The sum of k*a*b over (k, a, b) triples, accumulated in one dict: the
     one multiplication loop (``a * b`` is the triple (1, a, b)).  A zero k
-    (even, over GF(2)) adds nothing; cancelled terms are dropped at the end."""
-    gf2 = _check_ring(ring) == GF2
-    acc: dict[int, object] = {}
+    adds nothing; cancelled terms are dropped at the end."""
+    acc: dict[int, int] = {}
     get = acc.get
     deg = 0
     for k, a, b in terms:
-        if a.nv != nv or b.nv != nv or a.ring != ring or b.ring != ring:
+        if a.nv != nv or b.nv != nv:
             raise ValidationError("polynomials live in different rings")
-        k = int(k) & 1 if gf2 else k    # over GF(2) every stored coefficient is 1
         if not k:
             continue
         deg = max(deg, _check_degree(a._deg + b._deg))
@@ -211,29 +159,33 @@ def combination(terms: Iterable[tuple[object, MPoly, MPoly]], nv: int, ring: str
             for k2, c2 in right:
                 key = k1 + k2
                 acc[key] = get(key, 0) + c1 * c2
-    return _from_dict(nv, ring, {key: c & 1 if gf2 else c for key, c in acc.items()
-                                 if (c & 1 if gf2 else c)}, deg)
+    return _from_dict(nv, {key: c for key, c in acc.items() if c}, deg)
 
 
 # ---------------------------------------------------------------------------
 # division by linear forms
 
 
-def divmod_linear(p: MPoly, form: MPoly) -> tuple[MPoly, MPoly]:
-    """Quotient and remainder of p by a linear form, exactly.
+def divide_linear(p: MPoly, form: MPoly) -> MPoly | None:
+    """The quotient p / form when the linear form divides p over Z, else None.
 
     The division runs with respect to the first variable the form mentions
-    (the pivot); the remainder is then free of that variable, so ``r == 0``
-    decides divisibility.  A pivot coefficient other than 1 gives Fractions.
+    (the pivot).  The quotient by a linear form in its pivot variable is
+    unique, so its coefficients are those of the quotient over Q: p is
+    divisible exactly when every one is an integer and nothing is left free
+    of the pivot.  For a primitive form that is divisibility over Q as well
+    (Gauss's lemma).
 
     One pass: p's terms are bucketed by their pivot exponent and the buckets
     are walked from the top down.  A term c*x^e in bucket d gives the
-    quotient term (c/lead)*x^(e - pivot), and subtracting that times the rest
-    of the form only touches bucket d - 1, so every term is visited once and
-    T terms cost O(T) term operations.  What is left in bucket 0 is the
-    remainder.
+    quotient term (c/lead)*x^(e - pivot), None unless lead divides c, and
+    subtracting that times the rest of the form only touches bucket d - 1,
+    so every term is visited once and T terms cost O(T) term operations.
+    The division fails at the first such coefficient, or when bucket 0, the
+    remainder, is not empty.
     """
-    p._check(form)
+    if p.nv != form.nv:
+        raise ValidationError("polynomials live in different rings")
     # each key of a linear form is one bit, at the bottom of a variable's field
     if not form._terms or any(k & (k - 1) or (k.bit_length() - 1) % W for k in form._terms):
         raise ValidationError("divisor must be a nonzero linear form")
@@ -241,32 +193,29 @@ def divmod_linear(p: MPoly, form: MPoly) -> tuple[MPoly, MPoly]:
     shift = one.bit_length() - 1
     lead = form._terms[one]
     rest = [(k, c) for k, c in form._terms.items() if k != one]
-    gf2 = p.ring == GF2
-    buckets: dict[int, dict[int, object]] = {}
+    buckets: dict[int, dict[int, int]] = {}
     for k, c in p._terms.items():
         buckets.setdefault((k >> shift) & _MASK, {})[k] = c
-    quo: dict[int, object] = {}
+    quo: dict[int, int] = {}
     for d in range(max(buckets, default=0), 0, -1):
         here = buckets.get(d)
         if not here:
             continue
         below = buckets.setdefault(d - 1, {})
         for k, c in here.items():
-            # exact either way; c / lead on an int c would give a float
-            factor = c if lead == 1 else c / lead if type(c) is Fraction else Fraction(c, lead)
+            factor, left = divmod(c, lead)
+            if left:
+                return None
             qk = k - one
             quo[qk] = factor
             for a_k, a in rest:
                 nk = qk + a_k
                 v = below.get(nk, 0) - factor * a
-                if gf2:
-                    v &= 1
                 if v:
                     below[nk] = v
                 else:
                     del below[nk]
-    return (_from_dict(p.nv, p.ring, quo, p._deg),
-            _from_dict(p.nv, p.ring, buckets.get(0, {}), p._deg))
+    return None if buckets.get(0) else _from_dict(p.nv, quo, p._deg)
 
 
 # ---------------------------------------------------------------------------

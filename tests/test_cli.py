@@ -440,6 +440,17 @@ def test_chern_rejects_fixed_point_data_of_rank_below_one(n):
         "code": "validation-error", "message": "rank n must be at least 1"}
 
 
+def test_chern_names_a_gf2_weight_outside_zero_one():
+    # a GF(2) weight is refused as the data is read, before the sweep asks
+    # for integer data, as a GF(2) coloring's colors are
+    obj = {"flavor": "gf2", "n": 2, "points": [{"weights": [[1, 0], [1, -1]]}]}
+    r = run_cli("chern", json.dumps(obj))
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"] == {
+        "code": "validation-error",
+        "message": "GF(2) character (1, -1) has entries outside {0,1}"}
+
+
 def test_chern_refuses_an_oversized_sweep_at_once():
     r = subprocess.run(
         [sys.executable, "-m", "bordismkit.cli", "chern",

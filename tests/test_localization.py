@@ -3,12 +3,11 @@
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
 import localization_oracles
-from bordismkit import algebra, bott, gf2, intmat, kernels, localization, mvpoly
+from bordismkit import algebra, bott, gf2, intmat, jsonio, kernels, localization, mvpoly
 from bordismkit.algebra import ExtPolynomial, Gf2Polynomial
 from bordismkit.errors import ResourceLimitError, ValidationError
 from bordismkit.graphs import torus_graph_from_pair, torus_polynomial
@@ -90,6 +89,48 @@ def test_fixed_point_data_validates_faithfulness():
         FixedPointData("z", 2, [FixedPoint(1, ((2, 0), (0, 1)))])
     with pytest.raises(ValidationError, match="non-faithful"):
         FixedPointData("gf2", 2, [FixedPoint(1, ((1, 1), (1, 1)))])
+
+
+def test_gf2_fixed_points_refuse_weights_outside_zero_one():
+    # each point is a basis mod 2, but read raw, (-1, 0) and (1, 0) would be
+    # two coprime factors, and the sum would pass.  Reduced mod 2 it is
+    # three copies of 1/(x1 (x1 + x2)), not a polynomial
+    points = [((-1, -1), (-1, 0)), ((-1, -1), (-1, 2)), ((-1, 0), (-1, 1))]
+    reduced = [tuple(tuple(v % 2 for v in w) for w in weights) for weights in points]
+    assert not integrality_check_gf2(FixedPointData("gf2", 2, [FixedPoint(1, w) for w in reduced]),
+                                     SymmetricFunction.one())
+    with pytest.raises(ValidationError, match=r"GF\(2\) character \(-1, -1\) has entries"):
+        FixedPointData("gf2", 2, [FixedPoint(1, w) for w in points])
+    obj = {"flavor": "gf2", "n": 2, "points": [{"weights": [list(c) for c in w]} for w in points]}
+    with pytest.raises(ValidationError, match="entries outside"):
+        jsonio.fixed_point_data_from_obj(obj)
+
+
+def test_gf2_integrality_reads_the_weights_mod_2():
+    # random bases mod 2 with entries in {-1, 0, 1, 2}: GF(2) data takes
+    # them only when every entry is 0 or 1, and on the data reduced mod 2
+    # every verdict is the summand loop's
+    rng = random.Random(163)
+    verdicts, refused = set(), 0
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        raw, count = [], rng.randint(1, 4)
+        while len(raw) < count:
+            weights = tuple(tuple(rng.choice((-1, 0, 1, 2)) for _ in range(n)) for _ in range(n))
+            if algebra.Gf2Polynomial._dual_rows(
+                    [tuple(v % 2 for v in w) for w in weights], n) is not None:
+                raw.append(weights)
+        if any(v not in (0, 1) for weights in raw for w in weights for v in w):
+            refused += 1
+            with pytest.raises(ValidationError, match="entries outside"):
+                FixedPointData("gf2", n, [FixedPoint(1, w) for w in raw])
+        data = FixedPointData("gf2", n, [
+            FixedPoint(1, tuple(tuple(v % 2 for v in w) for w in weights)) for weights in raw])
+        for mu in [()] + mvpoly.partitions_up_to(n + 1, n):
+            got = integrality_check_gf2(data, SymmetricFunction.monomial(mu))
+            assert got == localization_oracles.sum_is_polynomial(data, [mu]), (raw, mu)
+            verdicts.add(got)
+    assert verdicts == {True, False} and refused
 
 
 @pytest.mark.parametrize("ring", [ExtPolynomial, Gf2Polynomial])
@@ -325,7 +366,7 @@ def test_localization_reaches_mvpoly_through_the_module(monkeypatch):
     # of two or more factors, ``*`` included, is one call of the accumulator
     # ``combination`` per factor after the first, and each localization
     # numerator is exactly one more.
-    calls = counting(monkeypatch, "divmod_linear", "product", "combination")
+    calls = counting(monkeypatch, "divide_linear", "product", "combination")
     # CP^2 has three points and three canonical weight forms: x0, x1, x0 - x1.
     # Up to degree n a Chern number is one evaluation and builds no polynomial
     data = FixedPointData.from_polynomial(CP2)
@@ -338,10 +379,10 @@ def test_localization_reaches_mvpoly_through_the_module(monkeypatch):
     # of one form each, no multiplication), e1 one linear form per point, 15
     # ladder steps cof*e1^i for i = 1..5, and the numerator
     assert equivariant_chern_number(data, 5, 0).value.terms[(3, 0)] == -18
-    chern = {"divmod_linear": 3, "product": 3, "combination": 16}
+    chern = {"divide_linear": 3, "product": 3, "combination": 16}
     assert calls == chern
     assert equivariant_chern_number(data, 3, 1).value.terms[(3, 0)] == -6
-    chern = {"divmod_linear": 6, "product": 3, "combination": 20}  # 3 e2 + 1
+    chern = {"divide_linear": 6, "product": 3, "combination": 20}  # 3 e2 + 1
     assert calls == chern
     # integrality is one evaluation per factor's hyperplane: it builds,
     # multiplies and divides no polynomial, on data with Chern ladders and
@@ -445,13 +486,13 @@ def test_chern_numbers_divide_from_rank_five(monkeypatch, n):
     # from rank 5 the evaluations' integers cost more than the sparse
     # quotient even at degree n (docs/decisions/0003): there every number
     # divides, at rank 4 none up to degree n, and both match H*(M)
-    calls = counting(monkeypatch, "divmod_linear")
+    calls = counting(monkeypatch, "divide_linear")
     shape = (1,) * n
     data = fixed_point_data(shape, standard_z_coloring(shape))
     for (i, j), want in cohomology_chern_numbers(shape).items():
-        before = calls["divmod_linear"]
+        before = calls["divide_linear"]
         assert equivariant_chern_number(data, i, j).constant == want, (i, j)
-        assert (calls["divmod_linear"] > before) == (n > 4), (i, j)
+        assert (calls["divide_linear"] > before) == (n > 4), (i, j)
     assert equivariant_chern_number(data, 3, 0).value.is_zero()
 
 
@@ -591,7 +632,7 @@ def assert_chern_matches_oracle(data, indices):
                None if r.value is None else r.value.terms, r.constant)
         assert got == localization_oracles.chern_number(data, i, j), (data.points, i, j)
         if r.constant is not None:
-            assert type(r.constant) is (int if r.integral else Fraction)
+            assert type(r.constant) is int
         outcomes.add(r.is_polynomial)
     return outcomes
 
@@ -644,10 +685,27 @@ def test_evaluation_matches_the_division_past_degree_n(n):
         for d in range(n, 2 * n + 4):
             for j in range(d // 2 + 1 if n > 1 else 1):
                 want = localization._quotient_by_division(loc, d - 2 * j, j)
-                assert localization._quotient_by_evaluation(loc, d - 2 * j, j) == want
+                got = localization._quotient_by_evaluation(loc, d - 2 * j, j)
+                assert got == want
+                # one coefficient type on both routes: ints (Gauss's lemma)
+                assert all(type(c) is int for quo in (got, want) if quo is not None
+                           for c in quo.terms.values()), (d, j)
                 verdicts.add(want is not None)
     # at rank 1 a term x^i / x of degree >= 0 is a polynomial
     assert verdicts == ({True, False} if n > 1 else {True})
+
+
+def test_division_keeps_int_coefficients_past_non_unit_leads():
+    # CP^2 under a seed-15 coloring has factors leading with 2, 3 and 5;
+    # dividing by them is fraction-free, so its (4, 0) quotient holds ints
+    # on both routes
+    data = fixed_point_data((2,), random_z_coloring((2,), random.Random(15)))
+    loc = localization._localization(data)
+    assert {next(v for v in c if v) for c in loc.chars} == {2, 3, 5}
+    quo = localization._quotient_by_division(loc, 4, 0)
+    assert quo == localization._quotient_by_evaluation(loc, 4, 0)
+    assert quo.terms == {(2, 0): -137, (1, 1): 117, (0, 2): -25}
+    assert all(type(c) is int for c in quo.terms.values())
 
 
 def test_chern_numbers_of_random_signed_data_match_the_summand_loop():
@@ -741,14 +799,15 @@ def test_each_degree_of_a_mixed_function_is_tested_alone(flavor, weights):
     # restricts to -y + y^2 (y + y^2 mod 2), so both degrees evaluated at
     # one point y = 1 would cancel; the sum is not a polynomial
     data = FixedPointData(flavor, 2, [FixedPoint(1, weights)])
-    ring = mvpoly.GF2 if flavor == "gf2" else mvpoly.Q
-    forms = [mvpoly.MPoly.linear(w, ring) for w in weights]
-    num = sum((localization_oracles.eval_monomial_symmetric(mu, forms, 2, ring)
-               for mu in ((1,), (2,))), mvpoly.MPoly.zero(2, ring))
+    oracle = localization_oracles
+    ring = oracle.GF2 if flavor == "gf2" else oracle.Q
+    forms = [oracle.linear(w, ring) for w in weights]
+    num = oracle.add(*(oracle.eval_monomial_symmetric(mu, forms, 2, ring)
+                       for mu in ((1,), (2,))), ring)
     for axis in ((1, 0), (0, 1)):
-        _, rem = localization_oracles.divmod_linear(num, mvpoly.MPoly.linear(axis, ring))
-        total = sum(rem.terms.values())   # the restriction at y = 1
-        assert not rem.is_zero() and (total % 2 if flavor == "gf2" else total) == 0
+        _, rem = oracle.divmod_linear(num, oracle.linear(axis, ring), ring)
+        total = sum(rem.values())   # the restriction at y = 1
+        assert rem and (total % 2 if flavor == "gf2" else total) == 0
     f = SymmetricFunction(((1,), (2,)))
     assert not localization_oracles.sum_is_polynomial(data, f.partitions)
     check = integrality_check_gf2 if flavor == "gf2" else integrality_check_z

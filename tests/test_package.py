@@ -14,10 +14,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "bordismkit"
 def test_import_is_stdlib_only():
     # numpy was the one third-party import; the package now needs none
     # dataclasses pulls in inspect, about half of the import time; the
-    # package's records are NamedTuples
+    # package's records are NamedTuples.  fractions pulls in decimal and
+    # numbers; the polynomials are integer-only (Gauss's lemma)
     code = ("import sys, bordismkit\n"
-            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
-            "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'\n")
+            "for name in ('numpy', 'dataclasses', 'fractions'):\n"
+            "    assert name not in sys.modules, name + ' was imported'\n")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
 
@@ -101,7 +102,7 @@ def test_only_chern_numbers_divide_by_linear_forms():
     # a Chern number up to degree n and rank 4 by one more evaluation; only
     # the Chern numbers above either divide, and only they build the
     # polynomial factors, cofactors and ladders
-    assert scopes_naming("divmod_linear") == {("localization", "_quotient_by_division")}
+    assert scopes_naming("divide_linear") == {("localization", "_quotient_by_division")}
     assert scopes_naming("_ladders") == {("localization", "_quotient_by_division")}
     assert scopes_naming("_quotient_by_division") == {
         ("localization", "equivariant_chern_number")}
