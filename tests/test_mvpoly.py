@@ -115,6 +115,70 @@ def read_in(p, ring):
 
 
 @pytest.mark.parametrize("ring", [oracle.GF2, oracle.Q])
+def test_divmod_linear_meets_its_definition(ring):
+    # the oracles' division in each ring they compute in: p == q*f + r with
+    # r free of the pivot variable pins both, and wherever the library's
+    # divide_linear finds a quotient over Z, read in the ring it is the
+    # oracle's, with no remainder; over Q the library refuses only where the
+    # oracle leaves a remainder or a non-integral quotient
+    rng = random.Random(97 if ring == oracle.GF2 else 89)
+    verdicts = set()
+    for _ in range(400):
+        nv = rng.randint(1, 4)
+        f = random_form(rng, nv)
+        fr = read_in(f, ring)
+        if not fr:
+            continue
+        q = random_poly(rng, nv)
+        r = MPoly(nv, {e: c for e, c in random_poly(rng, nv).terms.items()
+                       if not e[pivot_of(f)]})
+        p = rng.choice((random_poly(rng, nv), q * f, plus(q * f, r)))
+        pr = read_in(p, ring)
+        quo, rem = oracle.divmod_linear(pr, fr, ring)
+        assert oracle.add(oracle.mul(quo, fr, ring), rem, ring) == pr
+        pivot = min(e.index(1) for e in fr)
+        assert all(e[pivot] == 0 for e in rem)
+        assert all(quo.values()) and all(rem.values())
+        got = mvpoly.divide_linear(p, f)
+        if got is not None:
+            assert not rem and read_in(got, ring) == quo
+        elif ring == oracle.Q:
+            assert rem or any(c.denominator != 1 for c in quo.values())
+        verdicts.add(got is not None)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("ring", [oracle.GF2, oracle.Q])
+def test_unit_pivot_quotients_keep_integer_coefficients(ring):
+    # a pivot coefficient of 1 or -1 divides in Z, and read mod 2 it is 1:
+    # in each ring the oracle's quotient and remainder have integer
+    # coefficients, and the library's divide_linear refuses only where a
+    # remainder is left, over Q exactly there
+    rng = random.Random(113)
+    seen = set()
+    for _ in range(300):
+        nv = rng.randint(1, 4)
+        coeffs = [rng.choice((0, 0, 1, -1, 2, 3)) for _ in range(nv)]
+        if next((c for c in coeffs if c), 0) not in (1, -1):
+            continue
+        form = MPoly.linear(coeffs)
+        q = random_poly(rng, nv)
+        r = MPoly(nv, {e: c for e, c in random_poly(rng, nv).terms.items()
+                       if not e[pivot_of(form)]})
+        p = rng.choice((random_poly(rng, nv), plus(q * form, r)))
+        quo, rem = oracle.divmod_linear(read_in(p, ring), read_in(form, ring), ring)
+        assert all(c == int(c) for c in list(quo.values()) + list(rem.values()))
+        got = mvpoly.divide_linear(p, form)
+        if got is not None:
+            assert not rem and read_in(got, ring) == quo
+            assert all(type(c) is int for c in got.terms.values())
+        elif ring == oracle.Q:
+            assert rem
+        seen.add(got is not None)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("ring", [oracle.GF2, oracle.Q])
 def test_product_matches_the_tuple_key_loop(ring):
     # the oracles' term-by-term product on exponent tuples, in each ring
     # they compute in: the library's over Z, read there, is theirs
