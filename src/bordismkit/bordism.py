@@ -140,7 +140,7 @@ def surjectivity_probe(n: int, weight_bound: int = 1,
     only a weight-bounded slice.
     """
     # refuse over the window caps, then the kernel cap, before any work
-    kernels._check_window(n, weight_bound, max_n, None)
+    kernels._check_window(n, weight_bound, max_n, None, weight_fixed=True)
     target_space = kernel_space(n)
     window = kernel_sample_unitary(n, weight_bound, max_n=max_n)
 

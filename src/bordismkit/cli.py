@@ -198,8 +198,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if takes_n:
             p.add_argument("--n", type=int, required=True,
                            help="ambient torus rank")
-        p.add_argument("--format", choices=("json",), default="json",
-                       help="output format (canonical JSON)")
         return p
 
     p = add("dim", _cmd_dim, "dimension of the rank-n kernel space", takes_n=True)

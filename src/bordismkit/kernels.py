@@ -77,9 +77,8 @@ class KernelSpace(NamedTuple):
         return f"KernelSpace(n={self.n}, dim={self.dim})"
 
     def contains(self, p: Gf2Polynomial) -> bool:
-        if p.n != self.n or p.space != PRIMAL:
-            return False
-        return algebra.differential(algebra.dual(p)).is_zero()
+        """Whether p is a GF(2) polynomial of this rank in the image (``algebra.in_image``)."""
+        return isinstance(p, Gf2Polynomial) and p.n == self.n and algebra.in_image(p)
 
 
 def kernel_space(n: int, max_n: int | None = None) -> KernelSpace:
@@ -230,7 +229,7 @@ class WindowKernel(NamedTuple):
 
 
 def _check_window(n: int, weight_bound: int, max_n: int | None,
-                  max_weight_bound: int | None) -> None:
+                  max_weight_bound: int | None, weight_fixed: bool = False) -> None:
     if n < 1:
         raise ValidationError(f"ambient rank must be positive, got {n}")
     if weight_bound < 0:
@@ -241,8 +240,9 @@ def _check_window(n: int, weight_bound: int, max_n: int | None,
     if n > cap_n:
         hit.append(f"n <= {cap_n} (pass max_n={n} to allow it)")
     if weight_bound > cap_w:
-        hit.append(f"weight_bound <= {cap_w} (pass max_weight_bound={weight_bound} "
-                   "to allow it)")
+        how = ("fixed for the probe" if weight_fixed
+               else f"pass max_weight_bound={weight_bound} to allow it")
+        hit.append(f"weight_bound <= {cap_w} ({how})")
     if hit:
         chars = (2 * weight_bound + 1) ** n - 1
         raise ResourceLimitError(

@@ -21,7 +21,8 @@ it never reaches the polynomial (or a memo that holds it).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+import itertools
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 
@@ -223,37 +224,20 @@ def divide_linear(p: MPoly, form: MPoly) -> MPoly | None:
 
 
 def monomial_symmetric_value(mu: tuple[int, ...], values: Sequence[int]) -> int:
-    """m_mu at integer values, exactly; mu is canonical (see
+    """m_mu at integer values, exactly: the sum of x^a over the distinct
+    rearrangements a of mu padded with zeros; mu is canonical (see
     ``canonical_partition``), and 0 when it has more parts than values."""
     k = len(values)
     if len(mu) > k:
         return 0
     total = 0
-    for arrangement in _rearrangements(mu + (0,) * (k - len(mu))):
+    for arrangement in set(itertools.permutations(mu + (0,) * (k - len(mu)))):
         term = 1
         for v, d in zip(values, arrangement):
             if d:
                 term *= v ** d
         total += term
     return total
-
-
-def _rearrangements(values: Sequence[int]) -> Iterator[Expt]:
-    """Each distinct rearrangement of ``values`` once, in lexicographic order
-    (the next-permutation walk from the sorted tuple)."""
-    a = sorted(values)
-    while True:
-        yield tuple(a)
-        i = len(a) - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(a) - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1:] = reversed(a[i + 1:])
 
 
 def canonical_partition(mu: Iterable[int]) -> tuple[int, ...]:

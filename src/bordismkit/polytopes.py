@@ -31,7 +31,7 @@ Vertex = frozenset[int]
 class SimplePolytope:
     """Abstract simple n-polytope: facet indices 0..m-1 and vertex incidences."""
 
-    __slots__ = ("dim", "num_facets", "vertices")
+    __slots__ = ("dim", "num_facets", "vertices", "_adj")
 
     def __init__(self, dim: int, num_facets: int, vertices: Iterable[Iterable[int]]):
         self.dim = int(dim)
@@ -61,47 +61,38 @@ class SimplePolytope:
             missing = next(f for f in range(m) if f not in covered)
             raise ValidationError(f"no vertex lies on facet {missing}")
         # every (n-1)-set of facets lies in at most 2 vertices; those pairs are edges
-        ridge_count: dict[Vertex, int] = {}
-        for v in self.vertices:
-            for f in v:
-                ridge = v - {f}
-                ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
-        if any(c > 2 for c in ridge_count.values()):
-            raise ValidationError("a facet (n-1)-set lies on more than two vertices")
-        adj = self.adjacency()
-        if any(len(nb) != n for nb in adj):
-            raise ValidationError("edge graph is not n-regular")
-        # connectivity
-        if self.vertices:
-            seen = {0}
-            stack = [0]
-            while stack:
-                for w in adj[stack.pop()]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if len(seen) != len(self.vertices):
-                raise ValidationError("edge graph is not connected")
-
-    def adjacency(self) -> list[list[int]]:
-        """Neighbor lists; vertices are adjacent when they share n-1 facets."""
         by_ridge: dict[Vertex, list[int]] = {}
         for i, v in enumerate(self.vertices):
             for f in v:
                 by_ridge.setdefault(v - {f}, []).append(i)
+        if any(len(on) > 2 for on in by_ridge.values()):
+            raise ValidationError("a facet (n-1)-set lies on more than two vertices")
         adj: list[list[int]] = [[] for _ in self.vertices]
-        for pair in by_ridge.values():
-            if len(pair) == 2:
-                i, j = pair
+        for on in by_ridge.values():
+            if len(on) == 2:
+                i, j = on
                 adj[i].append(j)
                 adj[j].append(i)
-        return [sorted(nb) for nb in adj]
+        self._adj = [sorted(nb) for nb in adj]
+        if any(len(nb) != n for nb in self._adj):
+            raise ValidationError("edge graph is not n-regular")
+        # connectivity
+        seen = {0}
+        stack = [0]
+        while stack:
+            for w in self._adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) != len(self.vertices):
+            raise ValidationError("edge graph is not connected")
+
+    def adjacency(self) -> list[list[int]]:
+        """Neighbor lists; vertices are adjacent when they share n-1 facets."""
+        return [list(nb) for nb in self._adj]
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for i, nb in enumerate(self.adjacency()):
-            out.extend((i, j) for j in nb if i < j)
-        return out
+        return [(i, j) for i, nb in enumerate(self._adj) for j in nb if i < j]
 
     def __repr__(self) -> str:
         return (f"SimplePolytope(dim={self.dim}, facets={self.num_facets}, "
@@ -290,10 +281,10 @@ def random_gf2_coloring(p: SimplePolytope, rng: random.Random) -> Coloring:
     raise ValidationError("polytope admits no valid GF(2) coloring")
 
 
-def random_unimodular_matrix(n: int, rng: random.Random, ops: int = 12) -> list[list[int]]:
-    """Product of random elementary operations on the identity; det = ±1."""
+def random_unimodular_matrix(n: int, rng: random.Random) -> list[list[int]]:
+    """Product of 12 random elementary operations on the identity; det = ±1."""
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(ops):
+    for _ in range(12):
         kind = rng.randrange(3)
         if n > 1:
             i, j = rng.sample(range(n), 2)

@@ -200,6 +200,15 @@ def test_probe_respects_caps():
         surjectivity_probe(4)
 
 
+def test_probe_names_only_what_it_accepts():
+    # its weight cap is fixed, so the refusal offers no max_weight_bound
+    with pytest.raises(ResourceLimitError) as err:
+        surjectivity_probe(2, 3)
+    assert str(err.value) == (
+        "window (n=2, weight_bound=3) exceeds the cap weight_bound <= 2 (fixed for "
+        "the probe); it would scan C(48, 2) candidate monomials")
+
+
 def test_probe_meets_the_kernel_cap_before_building_a_window(monkeypatch):
     # a raised window cap must not start a rank-5 window the kernel cap refuses
     monkeypatch.delenv("BORDISMKIT_MAX_N", raising=False)

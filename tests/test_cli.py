@@ -508,6 +508,20 @@ def test_generators_exact_output_for_ranks_one_and_two():
                         '"kernel_dim":1,"n":2,"spanning_rank":1,"spans_kernel":true}\n')
 
 
+@pytest.mark.parametrize("argv", [
+    ["dim", "--n", "2"], ["generators", "--n", "2"],
+    *([verb, "-"] for verb in ("check", "dual", "diff", "poly-of-polytope",
+                               "poly-of-graph", "torus-poly", "chern", "reduce"))],
+    ids=lambda argv: argv[0])
+def test_json_only_verbs_take_no_format_option(argv, capsys):
+    # JSON is their only output, so only verify has a --format
+    from bordismkit import cli
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
 def test_verify_json_report():
     r = run_cli("verify", "--format", "json")
     out = json.loads(r.stdout)

@@ -8,7 +8,7 @@ import random
 import elimination_oracles
 import pytest
 
-from bordismkit import algebra, kernels
+from bordismkit import algebra, graphs, kernels, polytopes
 from bordismkit.algebra import PRIMAL, ExtPolynomial, Gf2Polynomial
 from bordismkit.errors import ResourceLimitError, ValidationError
 
@@ -67,6 +67,19 @@ def test_random_kernel_combinations_stay_inside():
             if rng.random() < 0.5:
                 p = p + b
         assert space.contains(p)
+
+
+def test_contains_is_in_image_over_gf2_of_the_rank():
+    space = kernels.kernel_space(2)
+    # a non-faithful monomial is not in the image, not a dualization error
+    lone = algebra.gf2_polynomial(2, [((1, 0),)])
+    assert not algebra.in_image(lone) and not space.contains(lone)
+    # the CP^1 x CP^1 torus polynomial answers the Z question, not this one
+    polytope = polytopes.product_of_simplices((1, 1))
+    torus = graphs.torus_polynomial(
+        graphs.torus_graph_from_pair(polytope, polytopes.standard_z_coloring((1, 1))))
+    assert algebra.in_image(torus) and not space.contains(torus)
+    assert space.contains(algebra.mod2_reduce(torus))     # it reduces to 0
 
 
 def test_kernel_rank_cap():

@@ -1,5 +1,6 @@
 """Simple polytopes, colorings, products, and connected sums."""
 
+import itertools
 import random
 import re
 
@@ -7,6 +8,7 @@ import pytest
 
 from bordismkit.algebra import DUAL
 from bordismkit.errors import ValidationError
+from bordismkit.mvpoly import partitions
 from bordismkit.polytopes import (Coloring, SimplePolytope, all_gf2_colorings,
                                   coloring_polynomial, connected_sum, product,
                                   product_of_simplices, random_gf2_coloring,
@@ -36,6 +38,30 @@ def test_product_of_simplices_shapes():
     assert (cube.dim, cube.num_facets, len(cube.vertices)) == (3, 6, 8)
     p = product_of_simplices((2, 1))
     assert (p.dim, p.num_facets, len(p.vertices)) == (3, 5, 6)
+
+
+def test_edges_are_the_pairs_on_a_common_ridge():
+    # in lex order of (i, j), i < j: the order graph edge weights and
+    # sigma pinning read
+    for n in range(1, 5):
+        for shape in partitions(n):
+            p = product_of_simplices(shape)
+            verts = p.vertices
+            adjacent = [[j for j, w in enumerate(verts) if len(v & w) == n - 1]
+                        for v in verts]
+            assert p.adjacency() == adjacent, shape
+            assert p.edges() == [(i, j) for i, j in itertools.combinations(
+                range(len(verts)), 2) if j in adjacent[i]], shape
+
+
+@pytest.mark.parametrize("n,m,vertices,message", [
+    (1, 3, [[0], [1], [2]], "a facet (n-1)-set lies on more than two vertices"),
+    (2, 4, [[0, 1], [1, 2], [2, 3]], "edge graph is not n-regular"),
+    (2, 6, [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]], "edge graph is not connected"),
+])
+def test_edge_graph_rejections(n, m, vertices, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        SimplePolytope(n, m, vertices)
 
 
 def test_non_simple_rejected():
