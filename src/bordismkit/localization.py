@@ -60,8 +60,8 @@ from .mvpoly import MPoly
 
 GF2 = "gf2"
 Z = "z"
-# counts numbers, not their cost: CP^2's default sweep (9) takes ~1 ms and its
-# cap-198 one (10,000) ~15 s, a rank-7 default sweep seconds; the largest in use has 25
+# counts numbers, not their cost (CHANGES.md FOUND, ROADMAP item 4); the
+# largest sweep in use has 25
 MAX_CHERN_NUMBERS = 10_000
 
 

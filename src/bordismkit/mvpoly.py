@@ -226,16 +226,27 @@ def divide_linear(p: MPoly, form: MPoly) -> MPoly | None:
 def monomial_symmetric_value(mu: tuple[int, ...], values: Sequence[int]) -> int:
     """m_mu at integer values, exactly: the sum of x^a over the distinct
     rearrangements a of mu padded with zeros; mu is canonical (see
-    ``canonical_partition``), and 0 when it has more parts than values."""
-    k = len(values)
-    if len(mu) > k:
+    ``canonical_partition``), and 0 when it has more parts than values.
+
+    A rearrangement puts mu's largest part d, of multiplicity m, on m of the
+    positions and the rest of mu on the others, so m_mu is the sum over
+    m-sets S of prod_S(x)^d times m_rest at the values off S: each
+    rearrangement is built once, with no search over repeats."""
+    if len(mu) > len(values):
         return 0
+    if not mu:
+        return 1
+    d, m = mu[0], mu.count(mu[0])
+    rest = mu[m:]
     total = 0
-    for arrangement in set(itertools.permutations(mu + (0,) * (k - len(mu)))):
+    for chosen in itertools.combinations(range(len(values)), m):
         term = 1
-        for v, d in zip(values, arrangement):
-            if d:
-                term *= v ** d
+        for i in chosen:
+            term *= values[i]
+        term **= d
+        if rest:
+            term *= monomial_symmetric_value(
+                rest, [v for i, v in enumerate(values) if i not in chosen])
         total += term
     return total
 

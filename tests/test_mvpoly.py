@@ -331,12 +331,21 @@ def test_combination_edge_cases():
 def test_monomial_symmetric_matches_the_permutation_set(ring):
     # m_mu at integers, as the hyperplane evaluations read it (mod 2 in the
     # GF(2) table), against the permutation-set oracle on constant forms:
-    # k = 0..7 values with zeros and repeats, every partition of degree <= 6
+    # k = 0..7 values with zeros and repeats, every partition of degree <= 6;
+    # at all-ones values it counts the distinct rearrangements of mu padded
+    # with zeros, k! / ((k - l)! * the product of the multiplicities' factorials)
     rng = random.Random(151)
     for k in range(8):
         draws = [[0, 2, 2, -1, 0, 3, -3][:k]]
         draws += [[rng.choice((0, 1, -1, 2, -3, 10**6 + 3)) for _ in range(k)]
                   for _ in range(3)]
+        for mu in [()] + mvpoly.partitions_up_to(6, 6):
+            count = 0
+            if len(mu) <= k:
+                count = math.factorial(k) // math.factorial(k - len(mu))
+                for part in set(mu):
+                    count //= math.factorial(mu.count(part))
+            assert mvpoly.monomial_symmetric_value(mu, [1] * k) == count, (k, mu)
         for values in draws:
             consts = [oracle.constant(1, v, ring) for v in values]
             for mu in [()] + mvpoly.partitions_up_to(6, 6):
@@ -351,3 +360,7 @@ def test_monomial_symmetric_matches_the_permutation_set(ring):
 def test_monomial_symmetric_frozen_value():
     # m_(2,1)(1, 2, 3) = sum over i != j of x_i^2 x_j, worked by hand
     assert mvpoly.monomial_symmetric_value((2, 1), (1, 2, 3)) == 2 + 3 + 4 + 12 + 9 + 18 == 48
+    # at 12 ones, C(12, 6) and 12! / (8! 2! 2!): the 12! permutations of the
+    # padded partition are never listed
+    assert mvpoly.monomial_symmetric_value((1,) * 6, [1] * 12) == 924
+    assert mvpoly.monomial_symmetric_value((2, 2, 1, 1), [1] * 12) == 2970
