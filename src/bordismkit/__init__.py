@@ -13,8 +13,8 @@ Set BORDISMKIT_MAX_N to raise the rank cap of ``kernel_space``.
 
 from .algebra import (DUAL, PRIMAL, ExtPolynomial, Gf2Polynomial, differential,
                       dual, ext_polynomial, gf2_polynomial, in_image,
-                      in_image_unitary, in_image_unitary_verdict,
-                      in_image_verdict, is_faithful, mod2_reduce)
+                      in_image_unitary, in_image_verdict, is_faithful,
+                      mod2_reduce)
 from .bordism import (UNITARY, UNORIENTED, BordismClass, ProbeReport, add,
                       multiply, reduce, surjectivity_probe, swap_conjugate)
 from .bott import (BottGenerator, SpanningReport, bott_generators,
@@ -48,7 +48,7 @@ __all__ = [
     "connected_sum", "differential", "dual", "dual_span_rank",
     "equivariant_chern_number", "ext_polynomial", "gf2_polynomial",
     "graph_coloring_polynomial", "graphs_equivalent", "in_image",
-    "in_image_unitary", "in_image_unitary_verdict", "in_image_verdict",
+    "in_image_unitary", "in_image_verdict",
     "integrality_check_gf2", "integrality_check_z", "is_faithful",
     "iter_bott_generators", "kernel_sample_unitary", "kernel_space",
     "min_fixed_points_check", "mod2_reduce", "multiply", "one_skeleton",

@@ -367,8 +367,7 @@ def in_image(p: Polynomial) -> bool:
     return in_image_verdict(p)[0]
 
 
-# the unitary names of the same test, kept for the Z reading
-in_image_unitary_verdict = in_image_verdict
+# the unitary name of the same test, kept for the Z reading
 in_image_unitary = in_image
 
 

@@ -17,40 +17,39 @@ product of pairwise coprime linear forms, and divisibility of the numerator
 N can be settled one linear factor ℓ at a time.
 
 Integrality never builds N: ℓ divides N exactly when N vanishes on the
-hyperplane ℓ = 0, where only the points holding ℓ contribute.  Each degree
-of f gives one homogeneous restricted sum in n − 1 variables, tested by one
-exact big-integer evaluation at a Kronecker point whose base exceeds an L1
-bound on its coefficients (docs/decisions/0002); f is a sum of m_mu.  A
-Chern number's value S is homogeneous of degree d_S = i + 2j − n.  Up to
-rank 4 and d_S = n its verdict is the same plane test with f = e1^i e2^j,
-and its value one more exact evaluation, S(x) = N(x) / D(x) at a Kronecker
-point whose base exceeds Mahler's bound on S's coefficients, read back
-digit by digit (docs/decisions/0003).  Above either, the big integers would
-cost more than the sparse quotient, so N is built with ``mvpoly`` and
-divided by each factor.
+hyperplane ℓ = 0, where only the points holding ℓ contribute, and there N is
+a nonzero polynomial times the local numerator: those points' sum over the
+product of their own distinct restricted weight forms (docs/decisions/0002).
+Each degree of f gives one homogeneous local numerator in n − 1 variables,
+tested by one exact big-integer evaluation at a Kronecker point whose base
+exceeds an L1 bound on its coefficients.  Over Z, above rank 4 or degree
+2n, every plane is first evaluated at one small point where no local form
+vanishes, and a nonzero value rejects at once; there a Chern number's
+plane whose Kronecker integers would be large is tested at the small
+points of a simplex lattice instead.  f is a sum of m_mu, or e1^i e2^j for a Chern number, whose verdict
+is the same plane test.  A Chern number's value S is homogeneous of degree
+d_S = i + 2j − n and has integer coefficients; it is read off exact values
+S(x) = N(x) / D(x), at one Kronecker point whose base exceeds Mahler's bound
+on its coefficients up to rank 4 and d_S = n, and at the points of a
+shifted simplex lattice, by Newton divided differences, above either
+(docs/decisions/0003).  No polynomial is multiplied or divided.
 
 Everything these sums share is built once per FixedPointData and kept in
 its private ``_memo``, a ``_Localization``: the canonical factors of D and
 the points folded by equal weights (each with its summed units and signed
-units, and its cofactor's factors) at construction, and in one dict read
-through ``memo(build, *args)``, on first use, each factor's hyperplane and
-the whole space (``_frame``: the factors there, and each point's L1 norms),
-per degree of f the evaluations' Kronecker values and cofactor products
-(per plane, by signed or bare units, and for the value), and for Chern
-numbers by division the factors as MPolys, each folded point's cofactor
-D/chi_p and the ladders cof*e1^i and e2^j, grown only as far as the indices
-asked for.  Such a numerator is one ``mvpoly.combination`` pass over a
-factor pair per folded point, so it costs that pass plus the divisions.
-This is safe because the points are an immutable tuple fixed at
-construction, the memo lives and dies with its data object (there is no
-module-level cache), and every returned polynomial is a fresh sum, never a
-memo entry.
+units) at construction, and in one dict read through ``memo(build, *args)``,
+on first use, each factor's hyperplane and the whole space with their local
+denominators (``_frame``), and per units and degree of f the evaluation
+points' form values and cofactor products.  This is safe because the points
+are an immutable tuple fixed at construction, the memo lives and dies with
+its data object (there is no module-level cache), and every returned
+polynomial is fresh, never a memo entry.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from typing import Iterator, NamedTuple, Sequence
 
 from . import algebra, mvpoly
@@ -60,7 +59,11 @@ from .mvpoly import MPoly
 
 GF2 = "gf2"
 Z = "z"
-# counts numbers, not their cost (CHANGES.md FOUND, ROADMAP item 4); the
+# counts numbers, not their cost: a sweep under it is still unbounded in
+# the rank, and in the factors of D and the degree of the numbers that pass
+# the one-point rejection, whose planes cost (deg + 1)^(n - 2) Kronecker
+# slots or C(deg + n - 2, n - 2) lattice points each (the default sweeps of
+# the torus manifolds of rank 6 take 8-32 s each on a 2-core Xeon VM); the
 # largest sweep in use has 25
 MAX_CHERN_NUMBERS = 10_000
 
@@ -84,10 +87,6 @@ class SymmetricFunction:
     @classmethod
     def monomial(cls, mu: Sequence[int]) -> "SymmetricFunction":
         return cls((tuple(mu),))
-
-    @classmethod
-    def elementary(cls, k: int) -> "SymmetricFunction":
-        return cls(((1,) * k,))
 
     def degree(self) -> int:
         return max((sum(mu) for mu in self.partitions), default=0)
@@ -212,17 +211,17 @@ class _Localization:
     each to the first power (weights within a point are rows of an invertible
     matrix, hence pairwise non-proportional, so each chi_p is square-free).
     Points with equal weights are folded into one, carrying the sum of their
-    units (``bare``) and of their signed units (``signed``), its weights as
-    (factor index, unit) pairs and its cofactor D/chi_p as the indices of
-    the factors not among them (``cof``).  The rest is built on first use by
+    units (``bare``) and of their signed units (``signed``) and its weights
+    as (factor index, unit) pairs.  The rest is built on first use by
     ``memo(build, *args)``, once per key: each factor's hyperplane and the
-    whole space (``_frame``), the evaluations' parts that every f of one
-    degree d shares (``_plane_terms`` by signed or bare units and d,
-    ``_value_terms`` by d; their B and slot spacing read only the units and
-    d), and the sparse route's factors, cofactors and ladders (``_ladders``).
+    whole space with their local denominators (``_frame``), each plane's
+    one-point rejection terms (``_probe_terms`` by signed or bare units), the
+    evaluations' parts that every f of one degree d shares (``_plane_terms``
+    by units, d and plane, ``_value_terms`` and ``_lattice_terms`` by d;
+    their points read only the units and d).
     """
 
-    __slots__ = ("n", "gf2", "chars", "weights", "own", "cof", "bare", "signed", "_memo")
+    __slots__ = ("n", "gf2", "chars", "weights", "own", "bare", "signed", "_memo")
 
     def __init__(self, data: FixedPointData):
         self.n = data.n
@@ -242,8 +241,6 @@ class _Localization:
         index = {c: t for t, c in enumerate(self.chars)}
         self.weights = list(folded)
         self.own = [tuple((index[c], u) for c, u in own) for own in canon]
-        every = set(index.values())
-        self.cof = [tuple(sorted(every.difference(s for s, _ in own))) for own in self.own]
         self.bare = [acc[1] for acc in folded.values()]
         self.signed = [acc[2] for acc in folded.values()]
         self._memo: dict[tuple, object] = {}
@@ -257,32 +254,53 @@ class _Localization:
 
 
 def _frame(loc: _Localization, t: int | None) -> tuple[list, list]:
-    """Factor t's hyperplane ℓ = 0, or the whole space when t is None:
-    (every factor's coefficients there, and per folded point holding ℓ
-    (every point when t is None): (point, its other weights as (factor,
-    unit), its cofactor's factors, the sum of its weights' L1 norms there,
-    the product of its cofactor's)).
+    """Factor t's hyperplane ℓ = 0, or the whole space when t is None, over
+    its local denominator: (the local forms, per member: (point, its other
+    weights as (local form, multiplier), its cofactor's local forms, its
+    scale, the sum of its weights' L1 norms there, |scale| times the product
+    of its cofactor's)).
 
-    x_k = ℓ_p·y_k (k ≠ p, the first variable ℓ mentions) and
-    x_p = −Σ ℓ_k·y_k map onto ℓ = 0, so a form a restricts to
-    ℓ_p·a_k − a_p·ℓ_k, read mod 2 over GF(2).  A point not holding ℓ is
-    left out: its cofactor has ℓ as a factor.
+    The members are the folded points holding ℓ (every point when t is
+    None); any other point's cofactor has ℓ as a factor.  x_k = ℓ_p·y_k
+    (k ≠ p, the first variable ℓ mentions) and x_p = −Σ ℓ_k·y_k map onto
+    ℓ = 0, so a form a restricts to ℓ_p·a_k − a_p·ℓ_k, read mod 2 over GF(2).
+    Each restriction is a scalar (a sign times its content) times a canonical
+    primitive form; the local forms are the distinct ones (the factors of D
+    when t is None), and a member's scale is the lcm of the members' scalar
+    products divided by its own (docs/decisions/0002).
     """
-    forms = loc.chars
+    held = [g for g, own in enumerate(loc.own) if t is None or any(s == t for s, _ in own)]
+    index: dict[Char, int] = {}
+    local: dict[int, tuple[int, int]] = {}   # factor -> (local form, scalar)
     if t is not None:
-        ell = forms[t]
+        ell = loc.chars[t]
         p = next(k for k, v in enumerate(ell) if v)
-        forms = [tuple(ell[p] * c[k] - c[p] * ell[k] for k in range(loc.n) if k != p)
-                 for c in forms]
-        if loc.gf2:
-            forms = [tuple(a & 1 for a in form) for form in forms]
+    for g in held:
+        for s, _ in loc.own[g]:
+            if s == t or s in local:
+                continue
+            form = loc.chars[s]
+            if t is not None:
+                form = tuple(ell[p] * form[k] - form[p] * ell[k] for k in range(loc.n) if k != p)
+                if loc.gf2:
+                    form = tuple(a & 1 for a in form)
+            form, sign = _canonical_char(form)
+            content = math.gcd(*form)
+            if content > 1:
+                form = tuple(a // content for a in form)
+            local[s] = (index.setdefault(form, len(index)), sign * content)
+    forms = list(index)
     l1 = [sum(map(abs, form)) for form in forms]
+    rows = [(g, tuple((local[s][0], u * local[s][1]) for s, u in loc.own[g] if s != t),
+             math.prod(local[s][1] for s, _ in loc.own[g] if s != t)) for g in held]
+    lcm = math.lcm(*(abs(scalar) for _, _, scalar in rows))
     members = []
-    for g, (own, cof) in enumerate(zip(loc.own, loc.cof)):
-        others = tuple(x for x in own if x[0] != t)
-        if len(others) < len(own) or t is None:
-            members.append((g, others, cof, sum(l1[s] for s, _ in own),
-                            math.prod(l1[s] for s in cof)))
+    for g, others, scalar in rows:
+        mine = {f for f, _ in others}
+        cof = tuple(f for f in range(len(forms)) if f not in mine)
+        scale = lcm // scalar
+        members.append((g, others, cof, scale, sum(abs(m) * l1[f] for f, m in others),
+                        abs(scale) * math.prod(l1[f] for f in cof)))
     return forms, members
 
 
@@ -305,8 +323,10 @@ def _slots(r: int, degree: int) -> int:
 
 
 def _kronecker_values(forms: list[tuple[int, ...]], degree: int, b: int) -> list[int]:
-    """Each restricted form at y_1 = 1, y_k = B^((degree+1)^(k-2)), B = 2^b,
+    """Each local form at y_1 = 1, y_k = B^((degree+1)^(k-2)), B = 2^b,
     where a form of this degree puts each coefficient in its own slot."""
+    if not forms:
+        return []
     shifts = [0] + [b * (degree + 1) ** k for k in range(len(forms[0]) - 1)]
     return [sum(a << s for a, s in zip(form, shifts) if a) for form in forms]
 
@@ -325,50 +345,132 @@ def _e1_e2_power(values: Sequence[int], i: int, j: int) -> int:
     return e1 ** i * ((e1 * e1 - sum(v * v for v in values)) // 2) ** j
 
 
+def _units(loc: _Localization, signed: bool) -> list[int]:
+    units = loc.signed if signed else loc.bare
+    return [k & 1 for k in units] if loc.gf2 else units
+
+
 def _bound(units: Sequence[int], members: list, d: int) -> int:
-    """An L1 bound on the coefficients of sum_g k_g f(w_g) D/chi_g over a
+    """An L1 bound on the coefficients of sum_g k_g s_g f(w_g) L/chi_g over a
     frame's members, f of degree d: L1(f(w)) <= (sum of the L1(w_i))^d,
     for a sum of distinct m_mu of degree d and for e1^i e2^j
     (docs/decisions/0002, 0003)."""
-    return sum(abs(units[g]) * own_l1 ** d * cof_l1 for g, _, _, own_l1, cof_l1 in members)
+    return sum(abs(units[g]) * own_l1 ** d * cof_l1 for g, *_, own_l1, cof_l1 in members)
 
 
-def _evaluate(units: Sequence[int], forms: list, members: list, degree: int, b: int
-              ) -> tuple[list[int], list[tuple]]:
-    """(the frame's forms at the Kronecker point, per member g with
-    k_g != 0: (g, k_g times its cofactor's product, its other weights) there)."""
-    vals = _kronecker_values(forms, degree, b)
-    return vals, [(g, units[g] * math.prod(vals[s] for s in cof), [u * vals[s] for s, u in others])
-                  for g, others, cof, _, _ in members if units[g]]
+def _evaluate(units: Sequence[int], members: list, vals: list[int]) -> list[tuple]:
+    """Per member g with k_g != 0, given its frame's forms' values: (g, k_g
+    times its scale and its cofactor's product, its other weights) there."""
+    at = vals.__getitem__
+    return [(g, units[g] * scale * math.prod(map(at, cof)), [m * at(f) for f, m in others])
+            for g, others, cof, scale, _, _ in members if units[g]]
 
 
-def _plane_terms(loc: _Localization, signed: bool, d: int) -> list[tuple]:
-    """Per factor t of D with a nonzero bound, for every f of degree d and
-    the signed or bare units (mod 2 over GF(2)): (t, b, the slot mask (-1
-    over Z), its ``_evaluate`` terms)."""
-    units = loc.signed if signed else loc.bare
-    if loc.gf2:
-        units = [k & 1 for k in units]
-    degree = d + len(loc.chars) - loc.n
+def _probe_terms(loc: _Localization, signed: bool) -> list[list[tuple]]:
+    """Per factor of D, its plane's ``_evaluate`` terms at the degree-1
+    Kronecker point with 2^b > 2·max|coefficient| of its local forms, where
+    none of them vanishes (integer data only)."""
+    units = _units(loc, signed)
+    out = []
+    for t in range(len(loc.chars)):
+        forms, members = loc.memo(_frame, t)
+        b = (2 * max((abs(a) for form in forms for a in form), default=0)).bit_length()
+        out.append(_evaluate(units, members, _kronecker_values(forms, 1, b)))
+    return out
+
+
+def _simplex(r: int, m: int) -> list[tuple[int, ...]]:
+    """Every a in N^r with a_1 + ... + a_r <= m, in lex order."""
+    if not r:
+        return [()]
+    return [(e, *rest) for e in range(m + 1) for rest in _simplex(r - 1, m - e)]
+
+
+# bits of a plane's Kronecker integers per point of its simplex lattice above
+# which e1^i e2^j, a few sums and powers of small integers per point, is
+# tested faster on the lattice: the default sweeps of the standard torus
+# manifolds of ranks 4-5 reach at most about 150 on any plane, and Kronecker
+# wins there; at rank 6 most planes have over 220, and the lattice wins
+# (docs/decisions/0002)
+LATTICE_BITS_PER_POINT = 192
+
+
+def _plane_terms(loc: _Localization, signed: bool, d: int, lattice_ok: bool) -> list:
+    """Per factor of D, for every f of degree d and the signed or bare units
+    (mod 2 over GF(2)): None when its bound is 0, else (b, the slots per
+    value, the slot mask (-1 over Z), its ``_evaluate`` terms), the terms
+    None when ``lattice_ok`` and its Kronecker integers would pass
+    ``LATTICE_BITS_PER_POINT`` bits per point of its simplex lattice."""
+    units = _units(loc, signed)
     out = []
     for t in range(len(loc.chars)):
         forms, members = loc.memo(_frame, t)
         b = _bound(units, members, d).bit_length()
-        if b:
+        degree = d + len(forms) - (loc.n - 1)   # of the local numerator
+        slots = _slots(loc.n - 1, degree)
+        if not b:
+            out.append(None)
+        elif lattice_ok and loc.n > 1 and b * slots > (
+                LATTICE_BITS_PER_POINT * math.comb(degree + loc.n - 2, loc.n - 2)):
+            out.append((b, slots, -1, None))
+        else:
             # over GF(2) the 0/1 lift's coefficients are its digits: the
             # lowest bit of every slot holds their parities
-            mask = ((1 << b * _slots(loc.n - 1, degree)) - 1) // ((1 << b) - 1) if loc.gf2 else -1
-            out.append((t, b, mask, _evaluate(units, forms, members, degree, b)[1]))
+            mask = ((1 << b * slots) - 1) // ((1 << b) - 1) if loc.gf2 else -1
+            out.append((b, slots, mask,
+                        _evaluate(units, members, _kronecker_values(forms, degree, b))))
     return out
 
 
-def _planes_vanish(loc: _Localization, signed: bool, d: int, f_at) -> bool:
+def _lattice(loc: _Localization, t: int | None, units: Sequence[int], degree: int,
+             shift: Sequence[int]) -> Iterator[tuple]:
+    """Frame t at each point x = (1, shift + a), a on the simplex lattice
+    {a >= 0, |a| <= degree} in the frame's variables after the first, which
+    is unisolvent for that degree, one point at a time: (a, its forms'
+    values, its ``_evaluate`` terms)."""
+    forms, members = loc.memo(_frame, t)
+    for a in _simplex(len(shift), degree):
+        x = (1, *map(operator.add, shift, a))
+        vals = [sum(map(operator.mul, form, x)) for form in forms]
+        yield a, vals, _evaluate(units, members, vals)
+
+
+def _small_kronecker(n: int, d: int) -> bool:
+    """Whether the Kronecker integers of a degree-d sum stay small: up to
+    rank 4 and degree 2n (d_S <= n).  The one rule, measured at ranks 1-6,
+    for a Chern value's method, for trying planes at one point first and
+    for letting Chern planes move to their lattices (docs/decisions/0003)."""
+    return n <= 4 and d <= 2 * n
+
+
+def _planes_vanish(loc: _Localization, signed: bool, d: int, f_at,
+                   lattice_ok: bool = False) -> bool:
     """Whether every factor ℓ of D divides N = sum_p k_p f(w_p) D/chi_p, for
-    f homogeneous of degree d with integer values f_at(values): per factor,
-    N on ℓ = 0 is tested by one exact evaluation whose base exceeds an L1
-    bound on its coefficients (docs/decisions/0002); all but f is shared."""
-    return not any(sum(kc * f_at(ys) for _, kc, ys in terms) & mask
-                   for _, _, mask, terms in loc.memo(_plane_terms, signed, d))
+    f homogeneous of degree d with integer values f_at(values).  On ℓ = 0
+    that is whether the local numerator, over the points holding ℓ and their
+    own denominator, vanishes (docs/decisions/0002): by one exact
+    evaluation whose base exceeds an L1 bound on its coefficients.  Over Z,
+    above rank 4 or degree 2n, every plane is first tried at one point, and
+    a nonzero value there rejects before any plane's terms are built; there,
+    for an f cheap at small integers (``lattice_ok``), a plane whose
+    Kronecker integers would be large is tested at every point of its
+    simplex lattice instead.  All but f is shared."""
+    large = not loc.gf2 and not _small_kronecker(loc.n, d)
+    if large and any(sum(kc * f_at(ys) for _, kc, ys in terms)
+                     for terms in loc.memo(_probe_terms, signed)):
+        return False
+    for t, plane in enumerate(loc.memo(_plane_terms, signed, d, large and lattice_ok)):
+        if plane is None:
+            continue
+        _, _, mask, terms = plane
+        if terms is None:   # one point at a time: a plane's lattice is too large to keep
+            degree = d + len(loc.memo(_frame, t)[0]) - (loc.n - 1)
+            if any(sum(kc * f_at(ys) for _, kc, ys in at) for *_, at in
+                   _lattice(loc, t, _units(loc, signed), degree, [0] * (loc.n - 2))):
+                return False
+        elif sum(kc * f_at(ys) for _, kc, ys in terms) & mask:
+            return False
+    return True
 
 
 def _sum_is_polynomial(data: FixedPointData, f: SymmetricFunction, signed: bool) -> bool:
@@ -410,22 +512,23 @@ class Gf2IntegralityTable:
     """Batch integrality checker for GF(2) polynomials at a fixed rank.
 
     Faithful monomials at rank n draw their characters from the common pool
-    of 2^n − 1 nonzero vectors, so the localization sum can always be put
-    over the full denominator D = product of ALL those linear forms: the
-    term of a point with monomial m becomes f(m's forms)·(D/χ_m), and a
-    factor ℓ divides the total iff the terms' restrictions to ℓ = 0 cancel
-    mod 2.  Only m's own factors are tested, since every other one divides
-    D/χ_m.  Those restrictions depend only on (monomial, partition, factor),
-    so they are read once, from the hyperplane data of the localization of
-    all faithful monomials (every character occurs in one, so there D is
-    the full product): each is one evaluation at a Kronecker point, whose
-    base and cofactor products every partition of one degree shares
-    (``_plane_terms`` with every unit 1), and its parity digits go to one
-    bit per (factor, slot) of an int per (monomial, partition).  The factors
-    fill disjoint bits, so the XOR of those ints is every per-factor XOR at
-    once.  A query is one XOR per monomial and one test for zero, and agrees
-    with ``integrality_check_gf2`` on every input (the extra factors of D
-    are units for the divisibility questions asked).
+    of 2^n − 1 nonzero vectors.  A factor ℓ divides a polynomial's sum
+    exactly when its local numerator on ℓ = 0 vanishes mod 2, and that
+    numerator may be put over the local denominator of ALL faithful
+    monomials holding ℓ (the product of the 2^(n−1) − 1 nonzero forms of the
+    plane), since a nonzero multiple of a sum vanishes exactly when the sum
+    does: the term of a monomial m holding ℓ is f(m's forms there) times the
+    local forms not among m's.  Only m's own factors are tested, since every
+    other one divides D/χ_m.  Those terms depend only on (monomial,
+    partition, factor), so they are read once, from the hyperplane data of
+    the localization of all faithful monomials: each is one evaluation at a
+    Kronecker point, whose base and cofactor products every partition of
+    one degree shares (``_plane_terms`` with every unit 1), and its parity
+    digits go to one bit per (factor, slot) of an int per (monomial,
+    partition).  GL(n, 2) permutes the planes, so every plane has the same
+    slot count and the factors fill disjoint bits: the XOR of those ints is
+    every per-factor XOR at once.  A query is one XOR per monomial and one
+    test for zero, and agrees with ``integrality_check_gf2`` on every input.
     """
 
     __slots__ = ("n", "partitions", "_bits")
@@ -449,9 +552,8 @@ class Gf2IntegralityTable:
             if len(mu) < n:   # else m_mu vanishes on every plane, as one weight does
                 d = sum(mu)
                 if d not in shared:
-                    shared = {d: _plane_terms(loc, False, d)}
-                slots = _slots(n - 1, d + len(loc.chars) - n)
-                for t, b, _, terms in shared[d]:
+                    shared = {d: _plane_terms(loc, False, d, False)}
+                for t, (b, slots, _, terms) in enumerate(shared[d]):
                     for g, kc, ys in terms:
                         rows[g] |= _slot_bits(kc * value_at(mu, ys), b) << (t * slots)
             self._bits[mu] = dict(zip(loc.weights, rows))
@@ -479,49 +581,6 @@ class Gf2IntegralityTable:
 # equivariant Chern numbers
 
 
-def _ladders(loc: _Localization) -> tuple[list[MPoly], list[tuple]]:
-    """The factors of D as MPolys, and per folded point its weights, e1 as
-    one linear form (the weights' column sums) and the ladders [D/chi_p]
-    and [1]."""
-    n = loc.n
-    factors = [MPoly.linear(c) for c in loc.chars]
-    one = MPoly.constant(n, 1)
-    return factors, [(weights, MPoly.linear([sum(col) for col in zip(*weights)]),
-                      [mvpoly.product((factors[s] for s in cof), n)], [one])
-                     for weights, cof in zip(loc.weights, loc.cof)]
-
-
-def _quotient_by_division(loc: _Localization, i: int, j: int) -> MPoly | None:
-    """The (i, j) sum as the sparse quotient N/D, or None.
-
-    N = sum_p k_p (cof_p e1^i) e2^j is one ``mvpoly.combination`` pass, the
-    ladders grown only as far as asked, and is divided by one factor at a
-    time, None as soon as one does not divide.  The factors are pairwise
-    coprime primitive linear forms, so this decides divisibility by their
-    product, and over Z, as over Q (Gauss's lemma).
-    """
-    n = loc.n
-    factors, points = loc.memo(_ladders)
-    terms = []
-    for k, (weights, e1, up, e2) in zip(loc.signed, points):
-        if k:
-            while len(up) <= i:
-                up.append(up[-1] * e1)
-            if j and len(e2) == 1:
-                forms = [MPoly.linear(w) for w in weights]
-                e2.append(mvpoly.combination(
-                    ((1, a, b) for a, b in itertools.combinations(forms, 2)), n))
-            while len(e2) <= j:
-                e2.append(e2[-1] * e2[1])
-            terms.append((k, up[i], e2[j]))
-    num = mvpoly.combination(terms, n)
-    for form in factors:
-        num = mvpoly.divide_linear(num, form)
-        if num is None:
-            return None
-    return num
-
-
 def _signed_digits(value: int, b: int, count: int) -> list[int]:
     """The ``count`` lowest base-2^b digits of value, each in
     [-2^(b-1), 2^(b-1)), when b is a multiple of 8 and they fit: one offset
@@ -533,48 +592,41 @@ def _signed_digits(value: int, b: int, count: int) -> list[int]:
             for k in range(0, width * count, width)]
 
 
-def _value_terms(loc: _Localization, d: int) -> tuple | None:
+def _value_terms(loc: _Localization, d: int) -> tuple:
     """For every (i, j) with i + 2j = d: (b, D(x), the whole space's
-    ``_evaluate`` terms at x), or None."""
+    ``_evaluate`` terms at the Kronecker point x)."""
     n, degree = loc.n, d - loc.n
     forms, members = loc.memo(_frame, None)
-    bound = _bound(loc.signed, members, d)
-    # N = 0: below degree 0 deg N < deg D, so D | N forces it; a zero bound
-    # means every k_p is 0
-    if degree < 0 or not bound:
-        return None
-    bound <<= n * degree
+    bound = _bound(loc.signed, members, d) << n * degree
     b = max(2 * bound, 2 * max(abs(v) for c in forms for v in c)).bit_length()
     b = -(-b // 8) * 8   # whole bytes, for the decode
-    vals, terms = _evaluate(loc.signed, forms, members, max(degree, 1), b)
-    return b, math.prod(vals), terms
+    vals = _kronecker_values(forms, max(degree, 1), b)
+    return b, math.prod(vals), _evaluate(loc.signed, members, vals)
 
 
-def _quotient_by_evaluation(loc: _Localization, i: int, j: int) -> MPoly | None:
-    """The (i, j) sum S = N/D from one exact evaluation, once each factor's
-    plane says it is a polynomial (docs/decisions/0003).
-
-    S is homogeneous of degree d_S = i + 2j - n, and 0 if d_S < 0.  At
-    x = (1, B, B^s, ..., B^(s^(n-2))), s = max(d_S + 1, 2), each monomial of
-    S lands on its own power of B, and S(x) = N(x) / D(x) exactly.  B = 2^b
-    exceeds twice Mahler's bound 2^(n d_S) ||N||_1 on S's coefficients, so
-    they are S(x)'s signed base-B digits, and twice every |ℓ_k|, so no
-    factor vanishes at x.
-    """
-    n, d = loc.n, i + 2 * j
-    if not _planes_vanish(loc, True, d, lambda ys: _e1_e2_power(ys, i, j)):
-        return None
-    shared = loc.memo(_value_terms, d)
-    if shared is None:
-        return MPoly.zero(n)
-    b, at_x, summands = shared
-    degree, spacing = d - n, max(d - n, 1)
+def _quotient(summands: list, at_x: int, i: int, j: int) -> int:
+    """S(x) = N(x) / D(x) for the (i, j) sum, exactly."""
     value, rem = divmod(sum(kc * _e1_e2_power(xs, i, j) for _, kc, xs in summands), at_x)
     if rem:
         raise ArithmeticError(f"the ({i}, {j}) sum is a polynomial, "
                               "yet D(x) does not divide N(x)")
+    return value
+
+
+def _kronecker_value(loc: _Localization, i: int, j: int) -> dict:
+    """The coefficients of S(1, y) from one exact evaluation.
+
+    At x = (1, B, B^s, ..., B^(s^(n-2))), s = max(d_S + 1, 2), each monomial
+    of S lands on its own power of B.  B = 2^b exceeds twice Mahler's bound
+    2^(n d_S) ||N||_1 on S's coefficients, so they are S(x)'s signed base-B
+    digits, and twice every |ℓ_k|, so no factor vanishes at x.
+    """
+    n, degree = loc.n, i + 2 * j - loc.n
+    b, at_x, summands = loc.memo(_value_terms, i + 2 * j)
+    spacing = max(degree, 1)
     terms = {}
-    for slot, c in enumerate(_signed_digits(value, b, (spacing + 1) ** (n - 1))):
+    for slot, c in enumerate(_signed_digits(_quotient(summands, at_x, i, j), b,
+                                            (spacing + 1) ** (n - 1))):
         if c:
             expt = []
             for _ in range(n - 1):
@@ -582,16 +634,67 @@ def _quotient_by_evaluation(loc: _Localization, i: int, j: int) -> MPoly | None:
                 expt.append(e)
             if sum(expt) > degree:
                 raise ArithmeticError(f"the ({i}, {j}) sum has a term above degree {degree}")
-            terms[(degree - sum(expt), *expt)] = c
-    return MPoly(n, terms)
+            terms[tuple(expt)] = c
+    return terms
 
 
-# The evaluations' integers have b * (deg + 1)^(n - 2) bits on a hyperplane
-# (deg = d + |factors of D| - n) and CPython multiplies them by Karatsuba, so
-# their cost grows as deg^(1.58 (n - 2)) while the sparse quotient's grows as
-# its deg^(n - 1) terms: evaluation wins up to rank 4 and d_S <= n, and loses
-# above either (docs/decisions/0003)
-MAX_EVALUATION_RANK = 4
+def _lattice_terms(loc: _Localization, d: int) -> tuple[list[int], list[tuple]]:
+    """For every (i, j) with i + 2j = d, d_S = d - n: (the shift c, per
+    lattice point a: (a, D(x), the whole space's ``_evaluate`` terms at
+    x = (1, c + a))), a on the simplex {a >= 0, |a| <= d_S} in n - 1
+    variables.  c_q exceeds every |coefficient| times the largest sum of
+    the coordinates before it, so the last variable a factor mentions
+    outweighs the rest and no factor vanishes at any x
+    (docs/decisions/0003)."""
+    n, m = loc.n, d - loc.n
+    top = max(abs(v) for form in loc.memo(_frame, None)[0] for v in form)
+    shift, reach = [], 1   # reach: the largest sum of the coordinates so far
+    for _ in range(n - 1):
+        shift.append(top * reach + 1)
+        reach += shift[-1] + m
+    return shift, [(a, math.prod(vals), terms)
+                   for a, vals, terms in _lattice(loc, None, loc.signed, m, shift)]
+
+
+def _lattice_value(loc: _Localization, i: int, j: int) -> dict:
+    """The coefficients of S(1, y), of degree m = d_S, from its values at the
+    shifted simplex lattice, which is unisolvent for degree m (Chung and
+    Yao, SIAM J. Numer. Anal. 14, 1977).
+
+    Newton divided differences at the consecutive nodes c_k, c_k + 1, ...,
+    one axis at a time, give the coefficients of S(1, y) in the basis
+    prod_k (y_k - c_k)(y_k - c_k - 1)...; Horner's rule per axis expands it.
+    S has integer coefficients (Gauss's lemma), so every divided difference
+    is an integer, and a remainder raises ``ArithmeticError``.
+    """
+    shift, points = loc.memo(_lattice_terms, i + 2 * j)
+    coeffs = {a: _quotient(summands, at_x, i, j) for a, at_x, summands in points}
+    lines_of = []
+    for k in range(len(shift)):
+        lines: dict[tuple, list] = {}
+        for a in coeffs:   # lex order, so each line's a_k ascends from 0
+            lines.setdefault(a[:k] + a[k + 1:], []).append(a)
+        lines_of.append(lines.values())
+    for lines in lines_of:
+        for line in lines:
+            f = [coeffs[a] for a in line]
+            for level in range(1, len(f)):
+                for t in range(len(f) - 1, level - 1, -1):
+                    f[t], rem = divmod(f[t] - f[t - 1], level)
+                    if rem:
+                        raise ArithmeticError(f"the ({i}, {j}) sum has a non-integer "
+                                              "divided difference")
+            coeffs.update(zip(line, f))
+    for c, lines in zip(shift, lines_of):
+        for line in lines:
+            poly: list[int] = []
+            for t in range(len(line) - 1, -1, -1):   # poly * (y - c - t) + f_t
+                poly = [0] + poly
+                for e in range(len(poly) - 1):
+                    poly[e] -= (c + t) * poly[e + 1]
+                poly[0] += coeffs[line[t]]
+            coeffs.update(zip(line, poly))
+    return coeffs
 
 
 class ChernNumber(NamedTuple):
@@ -610,11 +713,12 @@ def equivariant_chern_number(data: FixedPointData, i: int, j: int) -> ChernNumbe
     """The localization sum for the (i, j) equivariant Chern number.
 
     N/D with N = sum_p sign_p e1(w_p)^i e2(w_p)^j (D/chi_p).  Whether it is
-    a polynomial is decided on each factor's hyperplane and its value, of
-    degree d_S = i + 2j - n, comes from one exact evaluation when d_S <= n
-    and n <= MAX_EVALUATION_RANK; otherwise N is divided by each factor in
-    turn (docs/decisions/0003).  The factors are primitive, so by Gauss's
-    lemma a polynomial sum has integer coefficients.
+    a polynomial is decided on each factor's hyperplane.  Its value S, of
+    degree d_S = i + 2j - n, is 0 below degree 0 and otherwise read off
+    exact evaluations, of one Kronecker point up to rank 4 and d_S = n and
+    of a simplex lattice above either (docs/decisions/0003).  The factors
+    are primitive, so by Gauss's lemma a polynomial sum has integer
+    coefficients.
     """
     if data.flavor != Z:
         raise ValidationError("expected integer fixed-point data")
@@ -622,11 +726,13 @@ def equivariant_chern_number(data: FixedPointData, i: int, j: int) -> ChernNumbe
         raise ValidationError("Chern number indices must be nonnegative")
     if j and data.n < 2:
         raise ValidationError("e2 needs at least two weights per point")
-    by_evaluation = data.n <= MAX_EVALUATION_RANK and i + 2 * j <= 2 * data.n
-    quotient = _quotient_by_evaluation if by_evaluation else _quotient_by_division
-    quo = quotient(_localization(data), i, j)
-    if quo is None:
+    loc, n, d = _localization(data), data.n, i + 2 * j
+    if not _planes_vanish(loc, True, d, lambda ys: _e1_e2_power(ys, i, j), lattice_ok=True):
         return ChernNumber(i, j, False, False, None, None)
+    quo = MPoly.zero(n)
+    if d >= n and any(loc.signed):   # else deg N < deg D, or N = 0
+        read = _kronecker_value if _small_kronecker(n, d) else _lattice_value
+        quo = MPoly(n, {(d - n - sum(e), *e): c for e, c in read(loc, i, j).items() if c})
     return ChernNumber(i, j, True, True, quo, quo.constant_value())
 
 

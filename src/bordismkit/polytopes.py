@@ -87,10 +87,6 @@ class SimplePolytope:
         if len(seen) != len(self.vertices):
             raise ValidationError("edge graph is not connected")
 
-    def adjacency(self) -> list[list[int]]:
-        """Neighbor lists; vertices are adjacent when they share n-1 facets."""
-        return [list(nb) for nb in self._adj]
-
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i, nb in enumerate(self._adj) for j in nb if i < j]
 

@@ -17,12 +17,13 @@
 * The GF(2) table's bits with one Kronecker base per (factor, partition),
   from the largest single monomial's bound, as the library built them
   before every partition of a degree shared one base from the summed bound.
-  It reads the library's plane data and Kronecker helpers, since what it
+  It reads the library's local frames and Kronecker helpers, since what it
   checks is that the base moves no bit, and reads the bits off one at a time.
+* A Chern sum at one integer point, summand by summand over Fractions.
 
-Kept as test oracles, so the library's integer polynomials (``mvpoly``),
-its accumulator, its fraction-free division and its own-factor table are
-checked against code that uses none of them.
+Kept as test oracles, so the library's plane tests, its two ways of reading
+a Chern number's value and its own-factor table are checked against code
+that uses none of them.
 """
 
 import itertools
@@ -217,17 +218,17 @@ def gf2_table_bits(n, partitions):
     for mu in map(mvpoly.canonical_partition, partitions):
         rows = [0] * len(loc.weights)
         if len(mu) < n:
-            degree = sum(mu) + len(loc.chars) - n
-            slots = localization._slots(n - 1, degree)
             for t in range(len(loc.chars)):
                 forms, members = localization._frame(loc, t)
+                degree = sum(mu) + len(forms) - (n - 1)   # of the local numerator
+                slots = localization._slots(n - 1, degree)
                 b = max(own_l1 ** sum(mu) * cof_l1
-                        for _, _, _, own_l1, cof_l1 in members).bit_length()
+                        for *_, own_l1, cof_l1 in members).bit_length()
                 vals = localization._kronecker_values(forms, degree, b)
                 mask = ((1 << b * slots) - 1) // ((1 << b) - 1)   # each slot's lowest bit
-                for g, others, cof, _, _ in members:
-                    value = (mvpoly.monomial_symmetric_value(mu, [vals[s] for s, _ in others])
-                             * math.prod(vals[s] for s in cof))
+                for g, others, cof, scale, _, _ in members:
+                    value = (mvpoly.monomial_symmetric_value(mu, [m * vals[s] for s, m in others])
+                             * scale * math.prod(vals[s] for s in cof))
                     value &= mask
                     while value:   # each set bit, at a slot bottom b*s, as bit s
                         low = value & -value
@@ -235,3 +236,18 @@ def gf2_table_bits(n, partitions):
                         value ^= low
         bits[mu] = dict(zip(loc.weights, rows))
     return bits
+
+
+def chern_value_at(data, i, j, x):
+    """The (i, j) sum sum_p sign_p e1(w_p)^i e2(w_p)^j / chi_p at the
+    integer point x, as a Fraction, one summand at a time (None when a
+    weight vanishes at x)."""
+    total = Fraction(0)
+    for pt in data.points:
+        values = [sum(a * v for a, v in zip(w, x)) for w in pt.weights]
+        if not all(values):
+            return None
+        e1 = sum(values)
+        e2 = sum(a * b for a, b in itertools.combinations(values, 2))
+        total += Fraction(pt.sign * e1 ** i * e2 ** j, math.prod(values))
+    return total

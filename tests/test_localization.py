@@ -34,7 +34,7 @@ CP2_NUMBERS = {(1, 0): 0, (2, 0): 9, (0, 1): 3, (3, 0): 0, (1, 1): 0}
 
 
 def e_n_function(n):
-    return SymmetricFunction.elementary(n)
+    return SymmetricFunction(((1,) * n,))
 
 
 # -- symmetric functions ----------------------------------------------------
@@ -56,7 +56,7 @@ def test_symmetric_function_rejects_bad_parts():
 
 def test_elementary_and_one():
     assert SymmetricFunction.one().partitions == ((),)
-    assert SymmetricFunction.elementary(3).partitions == ((1, 1, 1),)
+    assert e_n_function(3).partitions == ((1, 1, 1),)
     assert SymmetricFunction.monomial((2, 1)).partitions == ((2, 1),)
 
 
@@ -349,55 +349,6 @@ def test_cp2_chern_numbers():
         assert r.constant == want, (i, j)
 
 
-def counting(monkeypatch, *names):
-    """Wrap mvpoly functions by name, as a profiler does, and count calls."""
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        def wrapper(*args, _name=name, _original=getattr(mvpoly, name)):
-            calls[_name] += 1
-            return _original(*args)
-        monkeypatch.setattr(mvpoly, name, wrapper)
-    return calls
-
-
-def test_localization_reaches_mvpoly_through_the_module(monkeypatch):
-    # layer counts are read off wrappers on mvpoly's attributes; a private
-    # shortcut around them would silently zero those counts.  Every product
-    # of two or more factors, ``*`` included, is one call of the accumulator
-    # ``combination`` per factor after the first, and each localization
-    # numerator is exactly one more.
-    calls = counting(monkeypatch, "divide_linear", "product", "combination")
-    # CP^2 has three points and three canonical weight forms: x0, x1, x0 - x1.
-    # Up to degree n a Chern number is one evaluation and builds no polynomial
-    data = FixedPointData.from_polynomial(CP2)
-    assert equivariant_chern_number(data, 2, 0).constant == 9
-    assert equivariant_chern_number(data, 0, 1).constant == 3
-    assert equivariant_chern_number(data, 4, 0).value.terms == {(2, 0): 27, (1, 1): -27,
-                                                                (0, 2): 27}
-    assert calls == dict.fromkeys(calls, 0)
-    # above it the numerator is divided: one cofactor per point (3 products
-    # of one form each, no multiplication), e1 one linear form per point, 15
-    # ladder steps cof*e1^i for i = 1..5, and the numerator
-    assert equivariant_chern_number(data, 5, 0).value.terms[(3, 0)] == -18
-    chern = {"divide_linear": 3, "product": 3, "combination": 16}
-    assert calls == chern
-    assert equivariant_chern_number(data, 3, 1).value.terms[(3, 0)] == -6
-    chern = {"divide_linear": 6, "product": 3, "combination": 20}  # 3 e2 + 1
-    assert calls == chern
-    # integrality is one evaluation per factor's hyperplane: it builds,
-    # multiplies and divides no polynomial, on data with Chern ladders and
-    # on fresh data, and neither does the GF(2) table
-    assert integrality_check_z(data, SymmetricFunction.elementary(2))
-    assert integrality_check_z(FixedPointData.from_polynomial(CP2),
-                               SymmetricFunction(((), (1,), (2, 1))), signed=True)
-    assert not integrality_check_z(FixedPointData("z", 2, [FixedPoint(1, ((1, 0), (0, 1)))]),
-                                   SymmetricFunction.monomial((2,)))
-    assert integrality_check_gf2(FixedPointData.from_polynomial(RP2), SymmetricFunction.one())
-    Gf2IntegralityTable(2, [(), (1,)])
-    Gf2IntegralityTable(3, [(), (2, 1), (1, 1, 1)])
-    assert calls == chern
-
-
 def test_chern_requires_z_flavor():
     data = FixedPointData.from_polynomial(RP2)
     with pytest.raises(ValidationError):
@@ -481,19 +432,34 @@ def test_chern_sweep_matches_the_cohomology_ring(shape):
             assert r.constant == want[(i, j)], (i, j)
 
 
+def counting(monkeypatch, *names):
+    """Wrap localization functions by name and count their calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def wrapper(*args, _name=name, _original=getattr(localization, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(localization, name, wrapper)
+    return calls
+
+
 @pytest.mark.parametrize("n", [4, 5])
-def test_chern_numbers_divide_from_rank_five(monkeypatch, n):
-    # from rank 5 the evaluations' integers cost more than the sparse
-    # quotient even at degree n (docs/decisions/0003): there every number
-    # divides, at rank 4 none up to degree n, and both match H*(M)
-    calls = counting(monkeypatch, "divide_linear")
+def test_values_come_from_the_lattice_from_rank_five(monkeypatch, n):
+    # up to rank 4 and degree n a value is one Kronecker evaluation, above
+    # either a simplex lattice (docs/decisions/0003); both match H*(M)
+    calls = counting(monkeypatch, "_kronecker_value", "_lattice_value")
     shape = (1,) * n
     data = fixed_point_data(shape, standard_z_coloring(shape))
     for (i, j), want in cohomology_chern_numbers(shape).items():
-        before = calls["divide_linear"]
+        before = dict(calls)
         assert equivariant_chern_number(data, i, j).constant == want, (i, j)
-        assert (calls["divide_linear"] > before) == (n > 4), (i, j)
+        took = "_lattice_value" if n > 4 else "_kronecker_value"
+        assert {k: calls[k] - before[k] for k in calls} == {
+            k: int(k == took) for k in calls}, (i, j)
+    # below degree n the value is 0 and neither is read
+    before = dict(calls)
     assert equivariant_chern_number(data, 3, 0).value.is_zero()
+    assert calls == before
 
 
 @pytest.mark.parametrize("shape", [(2, 1), (1, 1, 1), (3,)])
@@ -565,24 +531,19 @@ def test_a_sweep_evaluates_each_plane_once_per_degree(monkeypatch):
     # every (i, j) with one i + 2j reads the same Kronecker values: CP^3 has
     # 6 factors, so its default sweep (i + 2j <= 6) evaluates 6 planes at 7
     # degrees and values at the 4 degrees 3..6.  Bare integrality checks of
-    # degrees 0..3 add 6 planes at 4 degrees, the signed ones share the
-    # sweep's, and (5, 1) above degree n divides: 6 factors, 4 cofactors, 4
-    # e1 and 4 * 3 forms for e2.  A second pass on the same data builds
-    # nothing, and every answer equals a fresh data object's
+    # degrees 0..3 evaluate 6 planes at 4 degrees; the signed ones share the
+    # sweep's.  (5, 1) above degree 2n tries the 6 planes at one point
+    # each, then evaluates them at degree 7, and reads one lattice.  A
+    # second pass on the same data builds nothing, and every answer equals
+    # a fresh data object's
     kronecker = [0]
 
     def counted(*args, _real=localization._kronecker_values):
         kronecker[0] += 1
         return _real(*args)
     monkeypatch.setattr(localization, "_kronecker_values", counted)
-    calls = counting(monkeypatch, "product")
-
-    def linear(cls, *args, _real=mvpoly.MPoly.linear):
-        calls["linear"] += 1
-        return _real(*args)
-    calls["linear"] = 0
-    monkeypatch.setattr(mvpoly.MPoly, "linear", classmethod(linear))
-    fs = [SymmetricFunction.elementary(2), SymmetricFunction(((), (1,), (2, 1)))]
+    calls = counting(monkeypatch, "_lattice_terms")
+    fs = [e_n_function(2), SymmetricFunction(((), (1,), (2, 1)))]
 
     def one_pass(data):
         return ([integrality_check_z(data, f, signed=signed)
@@ -593,12 +554,29 @@ def test_a_sweep_evaluates_each_plane_once_per_degree(monkeypatch):
     data = fixed_point_data((3,), standard_z_coloring((3,)))
     assert len(localization._localization(data).chars) == 6
     first = one_pass(data)
+    assert first[0] == [True] * 4
     assert all(r[0] for r in first[1]) and len(first[1]) == len(sweep_indices(3))
     assert first[2][0]
-    assert (kronecker, calls) == ([6 * 7 + 4 + 6 * 4], {"product": 4, "linear": 6 + 4 + 12})
+    want = ([6 * 7 + 4 + 6 * 4 + 6 + 6], {"_lattice_terms": 1})
+    assert (kronecker, calls) == want
     assert one_pass(data) == first
-    assert (kronecker, calls) == ([6 * 7 + 4 + 6 * 4], {"product": 4, "linear": 6 + 4 + 12})
+    assert (kronecker, calls) == want
     assert one_pass(FixedPointData("z", 3, data.points)) == first
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_identity_point_sweeps_reject_at_one_point_per_plane(monkeypatch, n):
+    # one fixed point with weights x_1, ..., x_n: no e1^i e2^j is divisible
+    # by x_1 ... x_n.  Each number is rejected at the first plane's one
+    # point, before any plane's Kronecker terms are built: at rank 7 the
+    # sweep takes a millisecond, where its planes' Kronecker tests take
+    # 15 s
+    built = []
+    monkeypatch.setattr(localization, "_plane_terms", lambda *args: built.append(args))
+    identity = tuple(tuple(int(a == b) for b in range(n)) for a in range(n))
+    cap, numbers = chern_sweep(FixedPointData("z", n, [FixedPoint(1, identity)]))
+    assert [r.is_polynomial for r in numbers] == [False] * ((cap + 2) ** 2 // 4)
+    assert built == []
 
 
 # -- differential checks against the pre-accumulator algorithms -------------
@@ -652,8 +630,8 @@ def mutants(data, rng):
 def test_chern_numbers_match_the_summand_loop(n):
     # each torus manifold, seen through a unimodular change of coordinates
     # with entries of 10^3 and more, and with one sign flipped or one point
-    # dropped.  Ranks 1-3 go up to degree 2n + 3, past the evaluation
-    # (d_S <= n) into the division (d_S > n); rank 4 only up to degree n:
+    # dropped.  Ranks 1-3 go up to degree 2n + 3, past the Kronecker value
+    # (d_S <= n) into the lattice (d_S > n); rank 4 only up to degree n:
     # above it one sum costs seconds in the oracle
     rng = random.Random(131 + n)
     top = n if n == 4 else 2 * n + 3
@@ -667,45 +645,112 @@ def test_chern_numbers_match_the_summand_loop(n):
     assert outcomes == {True, False}
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_evaluation_matches_the_division_past_degree_n(n):
-    # the library evaluates up to d_S = n and divides above; both routes
-    # are run here for d_S = 0..n+3 on CP^n with the standard and a random
-    # coloring, on their mutants, and below rank 4 on CP^n seen through
-    # entries of 10^3 and more (at rank 4 its products take seconds)
-    rng = random.Random(157 + n)
+def both_values(data, i, j):
+    """The (i, j) number, and its value's terms read by the Kronecker point
+    and by the lattice (none unless a polynomial of degree >= 0)."""
+    r = equivariant_chern_number(data, i, j)
+    n, d, loc = data.n, i + 2 * j, localization._localization(data)
+    if not r.is_polynomial or d < n or not any(loc.signed):
+        return r, []
+    reads = (localization._kronecker_value, localization._lattice_value)
+    return r, [{(d - n - sum(e), *e): c for e, c in read(loc, i, j).items() if c}
+               for read in reads]
+
+
+def value_at(terms, x):
+    return sum(c * math.prod(v ** e for v, e in zip(x, expt)) for expt, c in terms.items())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_both_value_methods_match_the_summand_loop(n):
+    # the standard and a seeded random coloring of every shape, and their
+    # mutants, for d_S = 0..2n+3 at ranks 1-3 and 0..n+3 at ranks 4-5: each
+    # method's value holds ints and equals the library's, and the summand
+    # loop's.  At ranks 4-5, where the loop takes up to a second per
+    # number, it runs on CP^n and its mutants at a few degrees, and every
+    # other value is checked against the oracle's sum at 3 seeded points
+    rng = random.Random(167 + n)
+    top = 3 * n + 3 if n < 4 else 2 * n + 3
+    loop_degrees = (range(n, top + 1) if n < 4 else
+                    range(n, top + 1, 2) if n == 4 else (n, n + 2, top))
     cpn = fixed_point_data((n,), standard_z_coloring((n,)))
-    datas = [cpn, fixed_point_data((n,), random_z_coloring((n,), rng))]
-    datas += [m for data in datas for m in mutants(data, rng)]
-    if n < 4:
-        datas.append(moved(cpn, big_unimodular(n, rng)))
+    datas = [(True, cpn)] + [(True, m) for m in mutants(cpn, rng)]
+    for shape in bott.partitions(n):
+        for coloring in (standard_z_coloring(shape), random_z_coloring(shape, rng)):
+            data = fixed_point_data(shape, coloring)
+            datas += [(n < 4, x) for x in [data] + mutants(data, rng)]
     verdicts = set()
-    for data in datas:
-        loc = localization._localization(data)
-        for d in range(n, 2 * n + 4):
-            for j in range(d // 2 + 1 if n > 1 else 1):
-                want = localization._quotient_by_division(loc, d - 2 * j, j)
-                got = localization._quotient_by_evaluation(loc, d - 2 * j, j)
-                assert got == want
-                # one coefficient type on both routes: ints (Gauss's lemma)
-                assert all(type(c) is int for quo in (got, want) if quo is not None
-                           for c in quo.terms.values()), (d, j)
-                verdicts.add(want is not None)
+    for full, data in datas:
+        for d in range(n, top + 1):
+            js = range(d // 2 + 1 if n > 1 else 1)
+            if n >= 4:   # one j per degree
+                js = [d % (d // 2 + 1)]
+            for j in js:
+                r, values = both_values(data, d - 2 * j, j)
+                verdicts.add(r.is_polynomial)
+                if values:
+                    assert values == [r.value.terms] * 2, (data.points, d, j)
+                    assert all(type(c) is int for c in r.value.terms.values())
+                if full and d in loop_degrees:
+                    want = localization_oracles.chern_number(data, d - 2 * j, j)
+                    assert (r.is_polynomial, r.integral, r.value and r.value.terms,
+                            r.constant) == want, (data.points, d, j)
+                elif r.is_polynomial:
+                    for _ in range(3):
+                        x = [rng.randint(-99, 99) for _ in range(n)]
+                        want = localization_oracles.chern_value_at(data, d - 2 * j, j, x)
+                        assert want is None or value_at(r.value.terms, x) == want, (d, j, x)
     # at rank 1 a term x^i / x of degree >= 0 is a polynomial
     assert verdicts == ({True, False} if n > 1 else {True})
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_chern_planes_on_the_lattice_match_the_summand_loop(monkeypatch, n):
+    # above degree 2n, with every plane of a Chern number tested on its
+    # simplex lattice, as the planes with large Kronecker integers are, every
+    # verdict and value is the summand loop's, on the manifolds and their
+    # mutants
+    monkeypatch.setattr(localization, "LATTICE_BITS_PER_POINT", 0)
+    planes = []
+
+    def lattice(loc, t, *args, _real=localization._lattice):
+        planes.append(t)
+        return _real(loc, t, *args)
+    monkeypatch.setattr(localization, "_lattice", lattice)
+    rng = random.Random(191 + n)
+    indices = [(d - 2 * j, j) for d in range(2 * n + 1, 2 * n + (4 if n < 4 else 2))
+               for j in range(d // 2 + 1)]
+    outcomes = set()
+    for _, data in torus_manifolds(n, rng):
+        for other in [data] + mutants(data, rng):
+            outcomes |= assert_chern_matches_oracle(other, indices)
+    assert outcomes == {True, False} and any(t is not None for t in planes)
+
+
+def test_planes_take_the_lattice_where_kronecker_integers_are_large():
+    # the default sweeps of CP^4 and CP^5 reach at most about 150 bits per
+    # lattice point on any plane, and every plane of CP^6 at degree 12 over
+    # 220
+    cp4, cp5, cp6 = (localization._localization(fixed_point_data((n,), standard_z_coloring((n,))))
+                     for n in (4, 5, 6))
+    for loc in (cp4, cp5):
+        assert all(plane[3] is not None
+                   for plane in localization._plane_terms(loc, True, 2 * loc.n, True))
+    assert all(plane[3] is None for plane in localization._plane_terms(cp6, True, 12, True))
+
+
 def test_division_keeps_int_coefficients_past_non_unit_leads():
     # CP^2 under a seed-15 coloring has factors leading with 2, 3 and 5;
-    # dividing by them is fraction-free, so its (4, 0) quotient holds ints
-    # on both routes
+    # both value methods divide N(x) by D(x) exactly, and the lattice
+    # divides its differences by their spacing, so its (4, 0) value holds
+    # ints read either way
     data = fixed_point_data((2,), random_z_coloring((2,), random.Random(15)))
     loc = localization._localization(data)
     assert {next(v for v in c if v) for c in loc.chars} == {2, 3, 5}
-    quo = localization._quotient_by_division(loc, 4, 0)
-    assert quo == localization._quotient_by_evaluation(loc, 4, 0)
-    assert quo.terms == {(2, 0): -137, (1, 1): 117, (0, 2): -25}
-    assert all(type(c) is int for c in quo.terms.values())
+    r, values = both_values(data, 4, 0)
+    assert r.value.terms == {(2, 0): -137, (1, 1): 117, (0, 2): -25}
+    assert values == [r.value.terms] * 2
+    assert all(type(c) is int for c in r.value.terms.values())
 
 
 def test_chern_numbers_of_random_signed_data_match_the_summand_loop():
@@ -732,6 +777,30 @@ def test_integrality_checks_match_the_summand_loop(n):
                     localization_oracles.sum_is_polynomial(data, [mu], signed), (shape, mu)
             assert integrality_check_gf2(reduced, f) == \
                 localization_oracles.sum_is_polynomial(reduced, [mu]), (shape, mu)
+
+
+def test_integrality_checks_at_rank_five_match_the_summand_loop():
+    # from rank 5 every plane is first tried at one point: CP^5 and a
+    # seeded random coloring of CP^3 x CP^2, their mutants, signed and bare,
+    # and the manifolds' reductions mod 2, for every m_mu of degree <= 3
+    rng = random.Random(181)
+    parts = [()] + mvpoly.partitions_up_to(3, 4)
+    verdicts = set()
+    for shape, coloring in (((5,), standard_z_coloring((5,))),
+                            ((3, 2), random_z_coloring((3, 2), rng))):
+        data = fixed_point_data(shape, coloring)
+        reduced = FixedPointData.from_polynomial(algebra.mod2_reduce(torus_polynomial(
+            torus_graph_from_pair(product_of_simplices(shape), coloring))))
+        for mu in parts:
+            f = SymmetricFunction.monomial(mu)
+            for other in [data] + mutants(data, rng):
+                for signed in (False, True):
+                    want = localization_oracles.sum_is_polynomial(other, [mu], signed)
+                    assert integrality_check_z(other, f, signed=signed) == want, (shape, mu)
+                    verdicts.add(want)
+            assert integrality_check_gf2(reduced, f) == \
+                localization_oracles.sum_is_polynomial(reduced, [mu]), (shape, mu)
+    assert verdicts == {True, False}
 
 
 # -- integrality by hyperplane evaluation, against the summand loop ----------

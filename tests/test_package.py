@@ -97,12 +97,26 @@ def scopes_naming(name):
     return found
 
 
-def test_only_chern_numbers_divide_by_linear_forms():
-    # integrality is decided by evaluation on each factor's hyperplane, and
-    # a Chern number up to degree n and rank 4 by one more evaluation; only
-    # the Chern numbers above either divide, and only they build the
-    # polynomial factors, cofactors and ladders
-    assert scopes_naming("divide_linear") == {("localization", "_quotient_by_division")}
-    assert scopes_naming("_ladders") == {("localization", "_quotient_by_division")}
-    assert scopes_naming("_quotient_by_division") == {
-        ("localization", "equivariant_chern_number")}
+def test_no_module_multiplies_or_divides_polynomials():
+    # every localization sum, verdict and value alike, is read off exact
+    # evaluations (docs/decisions/0002, 0003): no module under src/ names
+    # the sparse route's division, accumulator or ladders, none reaches a
+    # ``product`` in mvpoly (the name is the polytope product's and
+    # itertools'), and mvpoly defines no multiplication
+    for name in ("divide_linear", "combination", "_ladders"):
+        assert scopes_naming(name) == set(), name
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom) and (node.module or "").endswith("mvpoly")
+                    and any(a.name == "product" for a in node.names)):
+                found.add((path.stem, "imports mvpoly.product"))
+            elif (isinstance(node, ast.Attribute) and node.attr == "product"
+                  and isinstance(node.value, ast.Name) and node.value.id == "mvpoly"):
+                found.add((path.stem, "reads mvpoly.product"))
+    assert found == set()
+    tree = ast.parse((SRC / "mvpoly.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert not defined & {"__mul__", "__rmul__", "__imul__", "__matmul__", "__truediv__",
+                          "__floordiv__", "product", "combination", "divide_linear"}

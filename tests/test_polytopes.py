@@ -49,9 +49,14 @@ def test_edges_are_the_pairs_on_a_common_ridge():
             verts = p.vertices
             adjacent = [[j for j, w in enumerate(verts) if len(v & w) == n - 1]
                         for v in verts]
-            assert p.adjacency() == adjacent, shape
-            assert p.edges() == [(i, j) for i, j in itertools.combinations(
+            edges = p.edges()
+            assert edges == [(i, j) for i, j in itertools.combinations(
                 range(len(verts)), 2) if j in adjacent[i]], shape
+            # each vertex's neighbors, read back from the edges, are the
+            # vertices sharing n - 1 facets with it, n of them
+            assert [sorted({j for e in edges if i in e for j in e} - {i})
+                    for i in range(len(verts))] == adjacent, shape
+            assert all(len(nb) == n for nb in adjacent), shape
 
 
 @pytest.mark.parametrize("n,m,vertices,message", [
