@@ -28,9 +28,11 @@ monomials, so the keys' span has the rank of the duals' span after every
 fold, and nothing in the walk is dualized.
 
 ``iter_bott_generators`` streams one (polytope, coloring, polynomial) triple
-per distinct polynomial of each shape, shape by shape in ``partitions`` order;
-``spanning_rank`` folds the same stream into the rank of the dual span with an
-optional early stop once a target rank is reached.
+per distinct polynomial of each shape, shape by shape in ``partitions`` order.
+``spanning_rank`` folds only each representative's key and the three
+generator images of every coloring whose key raised the rank.  The key of g.c
+is the key of c under the permutation g induces on the faithful monomials, so
+that span is GL(n, 2)-invariant and equals the stream's (docs/decisions/0004).
 """
 
 from __future__ import annotations
@@ -181,6 +183,23 @@ class _OrbitWalk:
                             queue.append(image)
                             yield polytope, image, key
 
+    def closure(self, acc: gf2.RankAccumulator) -> Iterator[int]:
+        """Fold into ``acc`` each representative's key and, after each fold that
+        raises the rank, the keys of its three generator images; yield each key."""
+        generators = _gl_generators(self.n)
+        for shape in partitions(self.n):
+            polytope = polytopes.product_of_simplices(shape)
+            vertices = [tuple(v) for v in polytope.vertices]
+            for rep in orbit_representatives(polytope):
+                self.representatives += 1
+                queue = [rep]
+                while queue:
+                    colors = queue.pop()
+                    key = self._key(colors, vertices)
+                    if acc.add(key):
+                        queue += [tuple([table[c] for c in colors]) for table in generators]
+                    yield key
+
 
 def iter_bott_generators(n: int, max_n: int | None = None) -> Iterator[BottGenerator]:
     """Stream generator triples over all shapes of rank n, one per distinct
@@ -213,7 +232,7 @@ def dual_span_rank(polynomials: Iterable[Gf2Polynomial], n: int) -> int:
 class SpanningReport(NamedTuple):
     n: int
     rank: int
-    distinct: int  # stream items folded
+    distinct: int  # keys folded: representatives and the images of rank-raising colorings
     colorings: int  # representatives walked x |GL(n, 2)|
     stopped_early: bool
 
@@ -222,20 +241,16 @@ def spanning_rank(n: int, target: int | None = None,
                   max_n: int | None = None) -> SpanningReport:
     """Rank of the span of dual generator polynomials.
 
-    Folds the keys of the ``iter_bott_generators`` stream into a rank
-    accumulator; after every fold their span has the rank of the duals'
-    span.  With ``target`` set, stops as soon as the rank reaches it (the
-    span only grows, so the reached rank is final as long as the target is
-    an upper bound, e.g. the kernel dimension).
+    Folds the keys of ``_OrbitWalk.closure``; their span is the stream's, with
+    the rank of the duals' span.  With ``target`` set, stops as soon as the
+    rank reaches it (the span only grows, so the reached rank is final as long
+    as the target is an upper bound, e.g. the kernel dimension).
     """
     _check_rank(n, max_n)
     walk = _OrbitWalk(n)
     acc = gf2.RankAccumulator()
-    folded = 0
     stopped = False
-    for _, _, key in walk:
-        acc.add(key)
-        folded += 1
+    for folded, _ in enumerate(walk.closure(acc), 1):  # never empty
         if target is not None and acc.rank >= target:
             stopped = True
             break

@@ -56,6 +56,20 @@ def _dual_keyed_walk(n):
     return walk
 
 
+# rank -> keys the closure folds: in full, and up to the kernel dimension
+CLOSURE_FOLDS = {1: (1, 1), 2: (7, 1), 3: (70, 35), 4: (2162, 1541)}
+
+
+def _closure(walk):
+    """The accumulator after the walk's full closure, and its rank-raising keys."""
+    acc = gf2.RankAccumulator()
+    raising = []
+    for key in walk.closure(acc):
+        if acc.rank > len(raising):
+            raising.append(key)
+    return acc, raising
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_walk_matches_the_dual_keyed_oracle(n):
     walk = _dual_keyed_walk(n)
@@ -75,13 +89,35 @@ def test_walk_matches_the_dual_keyed_oracle(n):
         assert new.rank == old.rank
         ranks.append(old.rank)
     colorings = walk.representatives * bott.gl2_order(n)
-    assert bott.spanning_rank(n) == (n, ranks[-1], len(want), colorings, False)
+    full, early = CLOSURE_FOLDS[n]
+    assert bott.spanning_rank(n) == (n, ranks[-1], full, colorings, False)
     dim = kernels.kernel_space(n).dim
-    folded = ranks.index(dim) + 1
-    assert bott.spanning_rank(n, target=dim)[:3] == (n, dim, folded)
+    assert bott.spanning_rank(n, target=dim)[:3] == (n, dim, early)
+    # the closure's span holds every key of the full stream, in either keying,
+    # and has its rank, so the two spans are equal
+    for keyed, keys in ((_dual_keyed_walk(n), [k for _, _, k in want]),
+                        (bott._OrbitWalk(n), [sum(map(bit.__getitem__, g.polynomial.terms))
+                                              for g in got])):
+        acc, _ = _closure(keyed)
+        assert acc.rank == ranks[-1]
+        assert all(acc._reduce(key) == 0 for key in keys)
+    reached = ranks.index(dim) + 1
     polys = [g.polynomial for g in got]
-    for k in {1, max(1, folded // 2), folded}:
+    for k in {1, max(1, reached // 2), reached}:
         assert bott.dual_span_rank(polys[:k], n) == ranks[k - 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rank_raising_keys_lie_in_the_kernel(n):
+    # the span of the raising keys is the span of every generator, so rank =
+    # kernel dim with every raising dual in the kernel proves generation
+    space = kernels.kernel_space(n)
+    walk = bott._OrbitWalk(n)
+    acc, raising = _closure(walk)
+    assert len(raising) == acc.rank == space.dim
+    for key in raising:
+        terms = {walk.monomial_of[i]: 1 for i in gf2.bits(key)}
+        assert space.contains(algebra.dual(Gf2Polynomial._of(n, DUAL, terms)))
 
 
 def test_span_is_the_independence_test():
@@ -132,11 +168,17 @@ def test_spanning_rank_early_stop_flag():
     assert full.colorings == 5208
 
 
+def test_spanning_rank_checks_the_target_after_every_fold():
+    # at n = 1 the one key is 0 and raises nothing, yet it reaches a target of 0
+    assert bott.spanning_rank(1, target=0) == (1, 0, 1, 1, True)
+    assert bott.spanning_rank(3, target=1)[:4] == (3, 1, 1, 168)
+
+
 def test_spanning_rank_without_target_scans_everything():
     report = bott.spanning_rank(2)
     assert report.rank == 1
     assert not report.stopped_early
-    assert report.distinct == 2
+    assert report.distinct == 7
 
 
 def test_generator_polynomials_equal_polytope_polynomials():
@@ -213,7 +255,7 @@ def test_rank_four_walk():
         assert sum(1 for _ in bott.orbit_representatives(p)) == count
     assert sum(1 for _ in bott.iter_bott_generators(4)) == 18931
     full = bott.spanning_rank(4)
-    assert full == bott.SpanningReport(n=4, rank=511, distinct=18931,
+    assert full == bott.SpanningReport(n=4, rank=511, distinct=2162,
                                        colorings=629 * 20160, stopped_early=False)
 
 
