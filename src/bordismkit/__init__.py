@@ -28,8 +28,7 @@ from .kernels import (KernelSpace, WindowKernel, kernel_sample_unitary,
                       kernel_space, support_floor)
 from .localization import (FixedPoint, FixedPointData, SymmetricFunction,
                            equivariant_chern_number, integrality_check_gf2,
-                           integrality_check_z, min_fixed_points_check,
-                           vanishing_test)
+                           integrality_check_z, vanishing_test)
 from .polytopes import (Coloring, SimplePolytope, all_gf2_colorings,
                         coloring_polynomial, connected_sum, product,
                         product_of_simplices, random_gf2_coloring,
@@ -51,7 +50,7 @@ __all__ = [
     "in_image_unitary", "in_image_verdict",
     "integrality_check_gf2", "integrality_check_z", "is_faithful",
     "iter_bott_generators", "kernel_sample_unitary", "kernel_space",
-    "min_fixed_points_check", "mod2_reduce", "multiply", "one_skeleton",
+    "mod2_reduce", "multiply", "one_skeleton",
     "product", "product_of_simplices", "random_gf2_coloring",
     "random_z_coloring", "reduce", "simplex", "spanning_rank",
     "standard_z_coloring", "support_floor", "surjectivity_probe",

@@ -308,7 +308,8 @@ def fixed_point_lower_bound() -> tuple[bool, str]:
         if floors[n] < bounds[n]:
             return False, (f"n={n}: weight-bound-2 window admits kernel "
                            f"elements of support {floors[n]} < {bounds[n]}")
-    return True, (f"exhaustive over weight-bound-2 windows: proven support "
+    return True, (f"row argument over weight-bound-2 windows (each row d(m*) is "
+                  f"±1 on the n deletions of m*, which fix m* for n >= 2): support "
                   f"floors {floors} meet the bounds {bounds}")
 
 

@@ -19,10 +19,12 @@ as the monomials do, so the left kernel pivots in the same order as on the
 monomials themselves.  Everything is Python integer arithmetic, so nothing
 is rounded or bounded.
 
-``support_floor`` turns the same row matrix into a proof: a relation with one
-monomial needs a zero row, a relation with two needs a proportional pair of
-rows, so when neither exists every nonzero kernel element of the window —
-basis element or not — has support at least 3.
+``support_floor`` reads a floor on the support of every nonzero kernel
+element of a window off the shape of these rows, without building them.  A
+relation with one monomial needs a zero row and a relation with two needs a
+proportional pair of rows.  Every row d(m*) is +-1 on the n deletions of m*,
+which are distinct, so no row is zero; for n >= 2 the deletions fix m* and
+so m, so no two rows are proportional and the floor is 3.
 """
 
 from __future__ import annotations
@@ -116,11 +118,6 @@ def _search(n: int, weight_bound: int) -> algebra.BasisSearch:
     chars = [c for c in itertools.product(range(-weight_bound, weight_bound + 1), repeat=n)
              if any(c)]
     return algebra.basis_search(chars, n, 0)
-
-
-def window_monomials(n: int, weight_bound: int) -> list[Monomial]:
-    """Faithful monomials whose character entries all lie in [-w, w], in lex order."""
-    return _search(n, weight_bound).monomials()
 
 
 def _dual_characters(window: algebra.BasisSearch) -> list[Char]:
@@ -273,28 +270,17 @@ def support_floor(n: int, weight_bound: int, max_n: int | None = None,
                   max_weight_bound: int | None = None) -> int:
     """Proven lower bound on the support of nonzero kernel elements of a window.
 
-    Checks two structural facts about the rows d(m*): no row is zero (so no
-    relation has support 1) and, when it holds, no two rows are proportional
-    over Q (so no relation has support 2).  The argument covers every element
-    of the window kernel, not just a basis.  The window caps are those of
+    A relation with support 1 needs a zero row d(m*), and one with support 2
+    a pair of rows proportional over Q.  Every row is +-1 on the n deletions
+    of m*, and these are distinct (n-1)-monomials, so no row is zero.  For
+    n >= 2 two rows are proportional only when they have the same columns;
+    the deletions fix m*, and m* fixes m, so no two rows are, and the floor
+    is 3.  At n = 1 every row is +-1 on the empty monomial, so the rows of
+    (1) and (-1) are proportional and the floor is 2 once the window holds
+    them (weight_bound >= 1).  An empty window has no nonzero kernel
+    element, and its floor stays 3.  The argument covers every element of
+    the window kernel, not just a basis.  The window caps are those of
     ``kernel_sample_unitary``.
-
-    For n >= 2 the second check cannot fail, whatever the window: every row
-    has coefficients +-1 on the n deletions of m*, so two rows are
-    proportional only when they have the same columns, and the columns fix
-    m* and so m.  The check then only re-proves that m -> m* is injective;
-    it is kept as the proof's literal statement.
     """
     _check_window(n, weight_bound, max_n, max_weight_bound)
-    seen: set[tuple[tuple[int, int], ...]] = set()
-    floor = 3
-    for row in _window_rows(_search(n, weight_bound)):
-        if not row:
-            return 1
-        if row[0][1] < 0:
-            row = tuple((k, -v) for k, v in row)
-        if row in seen:
-            floor = 2
-        else:
-            seen.add(row)
-    return floor
+    return 2 if n == 1 and weight_bound else 3

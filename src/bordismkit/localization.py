@@ -776,36 +776,3 @@ def vanishing_test(g: ExtPolynomial, degree_cap: int | None = None) -> bool:
         raise ValidationError("polynomial is not a kernel element")
     _, numbers = chern_sweep(FixedPointData.from_polynomial(g), cap)
     return all(r.is_zero() for r in numbers)
-
-
-class SupportReport(NamedTuple):
-    n: int
-    bound: int
-    samples: int
-    nonzero_samples: int
-    min_support: int | None
-    violations: tuple[int, ...]  # indices of nonzero samples below the bound
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def min_fixed_points_check(n: int, samples: Sequence[ExtPolynomial]) -> SupportReport:
-    """Check the ceil(n/2)+1 support bound on kernel samples; report the minimum."""
-    bound = (n + 1) // 2 + 1
-    min_support: int | None = None
-    nonzero = 0
-    violations = []
-    for idx, g in enumerate(samples):
-        if g.n != n:
-            raise ValidationError(f"sample {idx} has ambient rank {g.n}, expected {n}")
-        support = g.support()
-        if support == 0:
-            continue
-        nonzero += 1
-        if min_support is None or support < min_support:
-            min_support = support
-        if support < bound:
-            violations.append(idx)
-    return SupportReport(n, bound, len(samples), nonzero, min_support, tuple(violations))

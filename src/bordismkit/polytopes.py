@@ -225,8 +225,7 @@ def coloring_polynomial(p: SimplePolytope, coloring: Coloring) -> Gf2Polynomial:
 # random/backtracking coloring search (small cases; bott has a fast path)
 
 
-def _gf2_coloring_search(p: SimplePolytope, rng: random.Random | None,
-                         limit: int | None) -> Iterable[Coloring]:
+def _gf2_coloring_search(p: SimplePolytope, rng: random.Random | None) -> Iterable[Coloring]:
     """Backtracking enumeration of valid GF(2) colorings, facet by facet.
 
     With an rng the value order is shuffled, so the first hit is a uniform-ish
@@ -239,18 +238,13 @@ def _gf2_coloring_search(p: SimplePolytope, rng: random.Random | None,
         for f in v:
             at_vertex[f].append(i)
     assign: list[int] = [0] * m
-    count = 0
 
     def vertex_ok(vi: int, upto: int) -> bool:
         rows = [assign[f] for f in p.vertices[vi] if f <= upto]
         return len(gf2.span(rows)) == 1 << len(rows)
 
     def extend(f: int):
-        nonlocal count
-        if limit is not None and count >= limit:
-            return
         if f == m:
-            count += 1
             yield Coloring("gf2", {i: gf2.unpack(assign[i], n) for i in range(m)})
             return
         order = list(chars)
@@ -260,19 +254,16 @@ def _gf2_coloring_search(p: SimplePolytope, rng: random.Random | None,
             assign[f] = c
             if all(vertex_ok(vi, f) for vi in at_vertex[f]):
                 yield from extend(f + 1)
-            if limit is not None and count >= limit:
-                return
-        assign[f] = 0
 
     yield from extend(0)
 
 
 def all_gf2_colorings(p: SimplePolytope) -> list[Coloring]:
-    return list(_gf2_coloring_search(p, None, None))
+    return list(_gf2_coloring_search(p, None))
 
 
 def random_gf2_coloring(p: SimplePolytope, rng: random.Random) -> Coloring:
-    for c in _gf2_coloring_search(p, rng, 1):
+    for c in _gf2_coloring_search(p, rng):
         return c
     raise ValidationError("polytope admits no valid GF(2) coloring")
 

@@ -13,6 +13,9 @@
 * The extended-Euclid functional φ with φ(v) = 1 for a primitive v, which
   the torus-graph congruence axiom used before it read φ off the vertex
   dual basis.
+* The scan of every window row d(m*) for zero or proportional rows, which
+  ``kernels.support_floor`` ran before it returned the floor of its row
+  argument.
 
 Kept verbatim as test oracles, so the library's shared routines are checked
 against code that does not use them.
@@ -127,6 +130,23 @@ def probe_witnesses(n, weight_bound):
                 witness = witness + p
         out.append((index, witness))
     return out
+
+
+def support_floor(n, weight_bound):
+    """The window's support floor by scanning its rows: 1 on a zero row, 2
+    on a pair of rows proportional over Q, else 3 (floors <= 3 only)."""
+    seen = set()
+    floor = 3
+    for row in kernels._window_rows(kernels._search(n, weight_bound)):
+        if not row:
+            return 1
+        if row[0][1] < 0:
+            row = tuple((k, -v) for k, v in row)
+        if row in seen:
+            floor = 2
+        else:
+            seen.add(row)
+    return floor
 
 
 def det(mat):

@@ -151,6 +151,17 @@ def test_support_floor_matches_basis_minimum():
         assert min(b.support() for b in win.basis) >= floor
 
 
+# every window up to rank 3 and weight 2, and two past the weight cap
+@pytest.mark.parametrize("n,w,caps", [(n, w, {}) for n in (1, 2, 3) for w in (0, 1, 2)] + [
+    (1, 3, {"max_weight_bound": 3}), (2, 3, {"max_weight_bound": 3})])
+def test_support_floor_matches_the_row_scan(n, w, caps):
+    # the row argument gives the floor the scan of every row finds, and it
+    # meets the survey's ceil(n/2) + 1 fixed points of a nonbounding manifold
+    floor = kernels.support_floor(n, w, **caps)
+    assert floor == elimination_oracles.support_floor(n, w)
+    assert floor >= (n + 1) // 2 + 1
+
+
 def test_support_floor_caps():
     with pytest.raises(ResourceLimitError) as err:
         kernels.support_floor(4, 2)
@@ -237,7 +248,7 @@ def test_window_three_two_against_scalar_reference_on_a_stride():
 def test_pruned_search_matches_scalar_reference_past_the_cap():
     # the gcd prune fires at every depth of a (2, 3) window; the cap is
     # raised for this test only
-    monomials = kernels.window_monomials(2, 3)
+    monomials = kernels._search(2, 3).monomials()
     assert monomials == _reference_monomials(2, 3)
     win = kernels.kernel_sample_unitary(2, 3, max_weight_bound=3)
     assert win.monomials == monomials

@@ -16,8 +16,7 @@ from bordismkit.localization import (MAX_CHERN_NUMBERS, FixedPoint,
                                      SymmetricFunction,
                                      chern_sweep, equivariant_chern_number,
                                      integrality_check_gf2,
-                                     integrality_check_z,
-                                     min_fixed_points_check, vanishing_test)
+                                     integrality_check_z, vanishing_test)
 from bordismkit.polytopes import (product_of_simplices, random_z_coloring,
                                   standard_z_coloring)
 
@@ -961,11 +960,3 @@ def test_chern_sweep_refuses_more_numbers_than_its_limit():
     # the default cap 2n
     with pytest.raises(ResourceLimitError, match="has 10000200001 numbers"):
         chern_sweep(FixedPointData("z", 100_000, []))
-
-
-def test_min_fixed_points_report():
-    report = min_fixed_points_check(2, kernels.kernel_sample_unitary(2, 1).basis)
-    assert report.ok
-    assert report.n == 2
-    assert report.min_support >= (2 + 1) // 2 + 1
-    assert report.violations == ()

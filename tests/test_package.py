@@ -120,3 +120,18 @@ def test_no_module_multiplies_or_divides_polynomials():
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
     assert not defined & {"__mul__", "__rmul__", "__imul__", "__matmul__", "__truediv__",
                           "__floordiv__", "product", "combination", "divide_linear"}
+
+
+def test_all_names_exactly_the_package_imports():
+    # every exported name resolves and appears once, and __all__ is the set
+    # of public names the package's ``from .x import`` lines bind, so a
+    # deleted function cannot leave a stale export
+    import bordismkit
+    exported = bordismkit.__all__
+    assert len(exported) == len(set(exported))
+    assert all(hasattr(bordismkit, name) for name in exported)
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    assert set(exported) == {name for name in imported if not name.startswith("_")}
