@@ -29,10 +29,10 @@ from .kernels import (KernelSpace, WindowKernel, kernel_sample_unitary,
 from .localization import (FixedPoint, FixedPointData, SymmetricFunction,
                            equivariant_chern_number, integrality_check_gf2,
                            integrality_check_z, vanishing_test)
-from .polytopes import (Coloring, SimplePolytope, all_gf2_colorings,
-                        coloring_polynomial, connected_sum, product,
-                        product_of_simplices, random_gf2_coloring,
-                        random_z_coloring, simplex, standard_z_coloring)
+from .polytopes import (Coloring, SimplePolytope, coloring_polynomial,
+                        connected_sum, product, product_of_simplices,
+                        random_gf2_coloring, random_z_coloring, simplex,
+                        standard_z_coloring)
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,7 @@ __all__ = [
     "ProbeReport", "ResourceLimitError", "SimplePolytope",
     "SpanningReport", "SymmetricFunction", "TorusGraph", "UNITARY",
     "UNORIENTED", "ValidationError", "WindowKernel", "add",
-    "all_gf2_colorings", "bott_generators", "coloring_polynomial",
+    "bott_generators", "coloring_polynomial",
     "connected_sum", "differential", "dual", "dual_span_rank",
     "equivariant_chern_number", "ext_polynomial", "gf2_polynomial",
     "graph_coloring_polynomial", "graphs_equivalent", "in_image",

@@ -14,12 +14,13 @@ and the coloring polynomial follows it: P(g.c) = g.P(c).  The colors at any
 one vertex form a basis, so each orbit holds exactly one coloring with the
 standard basis e_1, ..., e_n on the facets of the lexicographically first
 vertex (McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998).
-``orbit_representatives`` walks those colorings by a DFS over the other
-facets.  The polynomials of a shape are then the GL(n, 2)-orbits of its
-representatives' polynomials: for each representative whose polynomial the
-shape has not seen yet, a BFS under the transposition (1 2), the n-cycle and
-the transvection e_1 -> e_1 + e_2, which generate GL(n, 2), reaches the whole
-orbit and carries a witnessing coloring g.c along.
+``polytopes.orbit_representatives``, the one walk over basis colorings,
+reaches those colorings by a DFS over the other facets.  The polynomials of
+a shape are then the GL(n, 2)-orbits of its representatives' polynomials:
+for each representative whose polynomial the shape has not seen yet, a BFS
+under the transposition (1 2), the n-cycle and the transvection
+e_1 -> e_1 + e_2, which generate GL(n, 2), reaches the whole orbit and
+carries a witnessing coloring g.c along.
 
 Inside the walk a polynomial is held as its key: the bitset of its monomials
 over the faithful monomials in ``algebra.all_faithful_monomials_gf2`` order,
@@ -45,7 +46,7 @@ from . import algebra, gf2, polytopes
 from .algebra import DUAL, Gf2Polynomial, Monomial
 from .errors import ResourceLimitError, ValidationError
 from .mvpoly import partitions
-from .polytopes import Coloring, SimplePolytope
+from .polytopes import Coloring, SimplePolytope, orbit_representatives
 
 DEFAULT_MAX_N = 4
 
@@ -83,37 +84,6 @@ def _check_rank(n: int, max_n: int | None) -> None:
             f"orbit walk would visit up to 10^{log_reps:.1f} representative "
             f"colorings, standing for up to 10^{log_colorings:.1f} basis "
             f"colorings (pass max_n={n} to allow it)")
-
-
-def orbit_representatives(p: SimplePolytope) -> Iterator[tuple[int, ...]]:
-    """Basis colorings of p with e_1, ..., e_n on the facets of the first vertex.
-
-    Colorings are tuples of packed characters indexed by facet; the facets of
-    the lexicographically first vertex get 1, 2, 4, ... in facet order, and
-    the rest are filled in facet order with colors in increasing order, so
-    the representatives come out in lexicographic order.
-    """
-    vertices = sorted(tuple(sorted(v)) for v in p.vertices)
-    colors = [0] * p.num_facets
-    for j, f in enumerate(vertices[0]):
-        colors[f] = 1 << j
-    free = [f for f in range(p.num_facets) if not colors[f]]
-    # at every vertex through free[i]: its facets colored before free[i]
-    before = [[[g for g in v if g != f and (colors[g] or g < f)]
-               for v in vertices if f in v] for f in free]
-    palette = range(1, 1 << p.dim)
-
-    def walk(i: int) -> Iterator[tuple[int, ...]]:
-        if i == len(free):
-            yield tuple(colors)
-            return
-        spans = [gf2.span(colors[g] for g in others) for others in before[i]]
-        for c in palette:
-            if not any(c in s for s in spans):
-                colors[free[i]] = c
-                yield from walk(i + 1)
-
-    yield from walk(0)
 
 
 def _gl_generators(n: int) -> list[list[int]]:
@@ -225,7 +195,15 @@ def dual_span_rank(polynomials: Iterable[Gf2Polynomial], n: int) -> int:
     bit_of, _ = _key_bits(n)
     acc = gf2.RankAccumulator()
     for p in polynomials:
-        acc.add(sum(bit_of[_mask(m)] for m in p.terms))  # distinct monomials, distinct bits
+        if p.n != n:
+            raise ValidationError(f"polynomial has rank {p.n}, expected {n}")
+        key = 0
+        try:
+            for m in p.terms:
+                key |= bit_of[_mask(m)]  # distinct monomials, distinct bits
+        except KeyError:
+            raise ValidationError(f"non-faithful monomial {m}") from None
+        acc.add(key)
     return acc.rank
 
 

@@ -14,12 +14,17 @@ builders in :mod:`.graphs` read their edge weights off those same rows.
 The GF(2) coloring polynomial (sum over vertices of the product of incident
 facet colors) lives in the dual space; its dual is the edge-colored graph
 polynomial of the 1-skeleton.
+
+Each GL(n, 2) orbit of basis GF(2) colorings holds one coloring with e_1,
+..., e_n at the first vertex.  ``orbit_representatives`` is the one walk over
+them: :mod:`.bott` enumerates it, and ``random_gf2_coloring`` moves the first
+coloring of a shuffled walk by a uniform g in GL(n, 2).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import algebra, gf2
 from .algebra import Gf2Polynomial
@@ -222,50 +227,59 @@ def coloring_polynomial(p: SimplePolytope, coloring: Coloring) -> Gf2Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# random/backtracking coloring search (small cases; bott has a fast path)
+# basis colorings: one representative per GL(n, 2) orbit
 
 
-def _gf2_coloring_search(p: SimplePolytope, rng: random.Random | None) -> Iterable[Coloring]:
-    """Backtracking enumeration of valid GF(2) colorings, facet by facet.
+def orbit_representatives(p: SimplePolytope,
+                          rng: random.Random | None = None) -> Iterator[tuple[int, ...]]:
+    """Basis colorings of p with e_1, ..., e_n on the facets of the first vertex.
 
-    With an rng the value order is shuffled, so the first hit is a uniform-ish
-    random sample; without one the enumeration is deterministic.
+    Colorings are tuples of packed characters indexed by facet; the facets of
+    the lexicographically first vertex get 1, 2, 4, ... in facet order, and
+    the rest are filled in facet order.  Without an rng each free facet tries
+    its colors in increasing order, so the representatives come out in
+    lexicographic order; with one, each tries them in a shuffled order.
     """
-    n, m = p.dim, p.num_facets
-    chars = [gf2.pack(c) for c in algebra.nonzero_chars_gf2(n)]
-    at_vertex: list[list[int]] = [[] for _ in range(m)]
-    for i, v in enumerate(p.vertices):
-        for f in v:
-            at_vertex[f].append(i)
-    assign: list[int] = [0] * m
+    vertices = sorted(tuple(sorted(v)) for v in p.vertices)
+    colors = [0] * p.num_facets
+    for j, f in enumerate(vertices[0]):
+        colors[f] = 1 << j
+    free = [f for f in range(p.num_facets) if not colors[f]]
+    # at every vertex through free[i]: its facets colored before free[i]
+    before = [[[g for g in v if g != f and (colors[g] or g < f)]
+               for v in vertices if f in v] for f in free]
+    palette = range(1, 1 << p.dim)
 
-    def vertex_ok(vi: int, upto: int) -> bool:
-        rows = [assign[f] for f in p.vertices[vi] if f <= upto]
-        return len(gf2.span(rows)) == 1 << len(rows)
-
-    def extend(f: int):
-        if f == m:
-            yield Coloring("gf2", {i: gf2.unpack(assign[i], n) for i in range(m)})
+    def walk(i: int) -> Iterator[tuple[int, ...]]:
+        if i == len(free):
+            yield tuple(colors)
             return
-        order = list(chars)
-        if rng is not None:
-            rng.shuffle(order)
+        spans = [gf2.span(colors[g] for g in others) for others in before[i]]
+        order = palette if rng is None else rng.sample(palette, len(palette))
         for c in order:
-            assign[f] = c
-            if all(vertex_ok(vi, f) for vi in at_vertex[f]):
-                yield from extend(f + 1)
+            if not any(c in s for s in spans):
+                colors[free[i]] = c
+                yield from walk(i + 1)
 
-    yield from extend(0)
-
-
-def all_gf2_colorings(p: SimplePolytope) -> list[Coloring]:
-    return list(_gf2_coloring_search(p, None))
+    yield from walk(0)
 
 
 def random_gf2_coloring(p: SimplePolytope, rng: random.Random) -> Coloring:
-    for c in _gf2_coloring_search(p, rng):
-        return c
-    raise ValidationError("polytope admits no valid GF(2) coloring")
+    """g.c for the first representative c of a shuffled orbit walk and a
+    uniform g in GL(n, 2).  GL(n, 2) acts freely and every orbit has a
+    representative, so every basis coloring of p can be drawn."""
+    n = p.dim
+    rep = next(orbit_representatives(p, rng), None)
+    if rep is None:
+        raise ValidationError("polytope admits no valid GF(2) coloring")
+    # g column by column, each drawn outside the span of the earlier ones;
+    # image[x] = g(x) on the 2^j characters x spanned by e_1, ..., e_j
+    image = [0]
+    while len(image) < 1 << n:
+        c = rng.randrange(1 << n)
+        if c not in image:
+            image += [x ^ c for x in image]
+    return Coloring("gf2", {f: gf2.unpack(image[c], n) for f, c in enumerate(rep)})
 
 
 def random_unimodular_matrix(n: int, rng: random.Random) -> list[list[int]]:
@@ -287,8 +301,15 @@ def random_unimodular_matrix(n: int, rng: random.Random) -> list[list[int]]:
     return m
 
 
+def _check_shape(factors: Sequence[int]) -> None:
+    if not factors or any(not isinstance(k, int) or k < 1 for k in factors):
+        raise ValidationError("a product of simplices needs a nonempty shape of "
+                              f"positive integer parts, got {tuple(factors)}")
+
+
 def standard_z_coloring(factors: Sequence[int]) -> Coloring:
     """Standard unitary coloring of Δ^{k1}×⋯×Δ^{kr}: e-basis plus −(Σe) per factor."""
+    _check_shape(factors)
     n = sum(factors)
     colors: dict[int, tuple[int, ...]] = {}
     fid = 0
@@ -312,8 +333,8 @@ def random_z_coloring(factors: Sequence[int], rng: random.Random) -> Coloring:
     applies a global unimodular change of coordinates — all three moves
     preserve the det ±1 vertex condition.
     """
-    n = sum(factors)
     base = standard_z_coloring(factors)
+    n = sum(factors)
     u = random_unimodular_matrix(n, rng)
     out = {}
     for f, c in base.map.items():
@@ -324,6 +345,7 @@ def random_z_coloring(factors: Sequence[int], rng: random.Random) -> Coloring:
 
 
 def product_of_simplices(factors: Sequence[int]) -> SimplePolytope:
+    _check_shape(factors)
     p = simplex(factors[0])
     for k in factors[1:]:
         p = product(p, simplex(k))

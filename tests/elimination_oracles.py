@@ -16,6 +16,10 @@
 * The scan of every window row d(m*) for zero or proportional rows, which
   ``kernels.support_floor`` ran before it returned the floor of its row
   argument.
+* The backtracking walk over every basis GF(2) coloring of a polytope,
+  facet by facet, which ``polytopes.random_gf2_coloring`` drew from and
+  ``all_gf2_colorings`` listed before both gave way to the one orbit walk
+  ``polytopes.orbit_representatives``; it checks the orbit counts.
 
 Kept verbatim as test oracles, so the library's shared routines are checked
 against code that does not use them.
@@ -26,6 +30,7 @@ from math import gcd
 from bordismkit import algebra, gf2, kernels
 from bordismkit.algebra import PRIMAL, ExtPolynomial, Gf2Polynomial
 from bordismkit.intmat import ext_gcd
+from bordismkit.polytopes import Coloring
 
 
 def faithful_monomials_gf2(n):
@@ -147,6 +152,33 @@ def support_floor(n, weight_bound):
         else:
             seen.add(row)
     return floor
+
+
+def gf2_colorings(p):
+    """Every basis GF(2) coloring of ``p``, by a backtracking walk facet by
+    facet: each facet tries every nonzero character in increasing order."""
+    n, m = p.dim, p.num_facets
+    chars = [gf2.pack(c) for c in algebra.nonzero_chars_gf2(n)]
+    at_vertex = [[] for _ in range(m)]
+    for i, v in enumerate(p.vertices):
+        for f in v:
+            at_vertex[f].append(i)
+    assign = [0] * m
+
+    def vertex_ok(vi, upto):
+        rows = [assign[f] for f in p.vertices[vi] if f <= upto]
+        return len(gf2.span(rows)) == 1 << len(rows)
+
+    def extend(f):
+        if f == m:
+            yield Coloring("gf2", {i: gf2.unpack(assign[i], n) for i in range(m)})
+            return
+        for c in chars:
+            assign[f] = c
+            if all(vertex_ok(vi, f) for vi in at_vertex[f]):
+                yield from extend(f + 1)
+
+    return list(extend(0))
 
 
 def det(mat):

@@ -2,6 +2,8 @@
 
 import json
 import math
+import random
+import re
 import subprocess
 import sys
 import time
@@ -11,9 +13,9 @@ import pytest
 
 from bordismkit import algebra, bott, gf2, kernels, mvpoly
 from bordismkit.algebra import DUAL, Gf2Polynomial
-from bordismkit.errors import ResourceLimitError
-from bordismkit.polytopes import (Coloring, all_gf2_colorings,
-                                  coloring_polynomial, product_of_simplices)
+from bordismkit.errors import ResourceLimitError, ValidationError
+from bordismkit.polytopes import (Coloring, coloring_polynomial,
+                                  product_of_simplices)
 
 # rank -> (generators, distinct polynomials, rank of the span of their duals);
 # at n = 3 two distinct colorings of distinct shapes share one polynomial
@@ -136,6 +138,19 @@ def test_generator_counts_and_span():
         assert bott.dual_span_rank(polys, n) == rank
 
 
+@pytest.mark.parametrize("polynomial,message", [
+    # one character is no basis of GF(2)^2
+    (algebra.gf2_polynomial(2, [[(1, 0)]]), "non-faithful monomial ((1, 0),)"),
+    (algebra.gf2_polynomial(2, [[(1, 0), (1, 1)], [(1, 0), (0, 1), (1, 1)]]),
+     "non-faithful monomial ((0, 1), (1, 0), (1, 1))"),
+    # two characters of GF(2)^3 pack like a basis of GF(2)^2
+    (algebra.gf2_polynomial(3, [[(1, 0, 0), (0, 1, 0)]]), "polynomial has rank 3, expected 2"),
+])
+def test_dual_span_rank_refuses_what_it_cannot_key(polynomial, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        bott.dual_span_rank([polynomial], 2)
+
+
 def test_generators_live_in_dual_space():
     for g in bott.bott_generators(2):
         assert g.polynomial.space == DUAL
@@ -213,14 +228,14 @@ def test_gl2_order():
 
 
 def test_orbit_counts_match_the_full_walk():
-    # all_gf2_colorings walks every basis coloring facet by facet; it is the
-    # independent oracle for both the orbit count and the polynomial orbits
+    # the oracle walks every basis coloring facet by facet; it is the
+    # independent check of both the orbit count and the polynomial orbits
     for shape, (colorings, distinct) in SHAPES.items():
         p = product_of_simplices(shape)
         n = p.dim
         reps = list(bott.orbit_representatives(p))
         assert len(reps) * bott.gl2_order(n) == colorings
-        full = all_gf2_colorings(p)
+        full = elimination_oracles.gf2_colorings(p)
         assert len(full) == colorings
         assert len({coloring_polynomial(p, c) for c in full}) == distinct
         stream = [g for g in bott.iter_bott_generators(n) if g.polytope == p]
@@ -241,6 +256,17 @@ def test_representatives_are_lex_ordered_basis_colorings():
             assert [rep[f] for f in first] == [1 << j for j in range(n)]
             coloring = Coloring("gf2", {f: gf2.unpack(c, n) for f, c in enumerate(rep)})
             coloring.validate(p)
+
+
+def test_shuffled_walk_yields_the_same_representatives():
+    # an rng only reorders each free facet's colors
+    rng = random.Random(11)
+    for shape in SHAPES:
+        p = product_of_simplices(shape)
+        reps = list(bott.orbit_representatives(p))
+        for _ in range(3):
+            shuffled = list(bott.orbit_representatives(p, rng))
+            assert sorted(shuffled) == reps, shape
 
 
 def test_stream_witnesses_carry_their_polynomials():

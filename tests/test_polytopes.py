@@ -5,16 +5,16 @@ import itertools
 import random
 import re
 
+import elimination_oracles
 import pytest
 
 from bordismkit.algebra import DUAL
 from bordismkit.errors import ValidationError
 from bordismkit.mvpoly import partitions
-from bordismkit.polytopes import (Coloring, SimplePolytope, all_gf2_colorings,
-                                  coloring_polynomial, connected_sum, product,
-                                  product_of_simplices, random_gf2_coloring,
-                                  random_unimodular_matrix, random_z_coloring,
-                                  simplex, standard_z_coloring)
+from bordismkit.polytopes import (Coloring, SimplePolytope, coloring_polynomial,
+                                  connected_sum, product, product_of_simplices,
+                                  random_gf2_coloring, random_unimodular_matrix,
+                                  random_z_coloring, simplex, standard_z_coloring)
 
 RP2_COLORING = Coloring("gf2", {0: (1, 0), 1: (0, 1), 2: (1, 1)})
 
@@ -145,7 +145,7 @@ def test_rp2_coloring_polynomial():
 
 def test_all_gf2_colorings_of_triangle():
     # three distinct nonzero colors, any order: 3! of them
-    colorings = all_gf2_colorings(simplex(2))
+    colorings = elimination_oracles.gf2_colorings(simplex(2))
     assert len(colorings) == 6
     polys = {coloring_polynomial(simplex(2), c) for c in colorings}
     assert len(polys) == 1  # all give the same polynomial
@@ -153,8 +153,8 @@ def test_all_gf2_colorings_of_triangle():
 
 def test_coloring_counts_for_cubes():
     # opposite facets may share colors, so these exceed the injective counts
-    assert len(all_gf2_colorings(product_of_simplices((1, 1)))) == 18
-    assert len(all_gf2_colorings(product_of_simplices((1, 1, 1)))) == 4200
+    assert len(elimination_oracles.gf2_colorings(product_of_simplices((1, 1)))) == 18
+    assert len(elimination_oracles.gf2_colorings(product_of_simplices((1, 1, 1)))) == 4200
 
 
 def test_random_gf2_coloring_is_valid():
@@ -165,18 +165,32 @@ def test_random_gf2_coloring_is_valid():
         coloring_polynomial(p, lam)  # validates
 
 
+def test_random_gf2_coloring_reaches_every_coloring():
+    # g.c over a uniform g reaches every coloring of every orbit
+    for p, count in ((simplex(2), 6), (product_of_simplices((1, 1)), 18)):
+        want = {tuple(sorted(c.map.items())) for c in elimination_oracles.gf2_colorings(p)}
+        assert len(want) == count
+        drawn = set()
+        for seed in range(200):
+            lam = random_gf2_coloring(p, random.Random(seed))
+            lam.validate(p)
+            drawn.add(tuple(sorted(lam.map.items())))
+        assert drawn == want
+
+
 # sha256 over shapes (2,), (1,1), (3,), (1,2), (1,1,1), (2,2), (4,) and seeds
 # 0-29 of repr(sorted(map.items())) of each seeded random_gf2_coloring: the
-# facet-by-facet shuffles draw from the rng in one fixed order, so the
-# colorings that ``verify`` and the benchmark's inputs draw from a seed stay put
-RANDOM_GF2_DIGEST = "ff368d57c923ece5c8ef4c4e39bbd62fb5639e9608adc92730b49f4401ed8cc2"
+# shuffled orbit walk and the columns of g draw from the rng in one fixed
+# order, so the colorings that ``verify`` and the benchmark's inputs draw from
+# a seed stay put
+RANDOM_GF2_DIGEST = "d74c494245083fedc75f753475be416742834863cbae0cb98a1416f88bf13c35"
 
 
 def test_random_gf2_coloring_draws_in_a_fixed_order():
     assert random_gf2_coloring(simplex(2), random.Random(0)).map == {
         0: (0, 1), 1: (1, 1), 2: (1, 0)}
     assert random_gf2_coloring(product_of_simplices((1, 2)), random.Random(3)).map == {
-        0: (0, 0, 1), 1: (1, 0, 0), 2: (1, 1, 1), 3: (1, 0, 1), 4: (0, 1, 0)}
+        0: (1, 1, 1), 1: (1, 0, 1), 2: (0, 1, 1), 3: (0, 1, 0), 4: (0, 0, 1)}
     h = hashlib.sha256()
     for shape in ((2,), (1, 1), (3,), (1, 2), (1, 1, 1), (2, 2), (4,)):
         p = product_of_simplices(shape)
@@ -184,6 +198,16 @@ def test_random_gf2_coloring_draws_in_a_fixed_order():
             lam = random_gf2_coloring(p, random.Random(seed))
             h.update(repr(sorted(lam.map.items())).encode())
     assert h.hexdigest() == RANDOM_GF2_DIGEST
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (2, -1), (1.5,), ("2",)])
+def test_a_product_of_simplices_needs_positive_integer_parts(shape):
+    message = ("a product of simplices needs a nonempty shape of positive "
+               f"integer parts, got {shape}")
+    for build in (product_of_simplices, standard_z_coloring,
+                  lambda s: random_z_coloring(s, random.Random(0))):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build(shape)
 
 
 def test_standard_z_coloring_cp2():
