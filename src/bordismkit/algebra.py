@@ -14,19 +14,20 @@ reordering sign folded into the coefficient, and a repeated character makes
 it vanish, so equal elements have equal representations.  Over GF(2) the
 sign is trivial and the wedge is the square-free product, so sums, wedges,
 the dual, the differential, the image test, mod-2 reduction, block
-embeddings and coordinate permutations are written once for both rings.
-Only ``_check_char`` and ``_dual_rows`` differ, and ``RINGS`` names the two
+embeddings, coordinate permutations, the character check and the basis test
+are written once, and the rings differ only in their modulus (and in
+``Gf2Polynomial``'s monomial-list constructor).  ``RINGS`` names the two
 classes "gf2" and "z".  ``mod2_reduce`` maps the Z ring onto the GF(2) ring.
 
-A monomial is *faithful* when its characters are a basis (invertible over
-GF(2), determinant ±1 over Z), that is, when their dual basis exists.  Each
-ring's hook ``_dual_rows(chars, n)`` is one elimination; it returns the dual
-basis and det(chars) (always 1 over GF(2)), or None unless ``chars`` are a
-basis.  Every given basis in the package (monomials, polytope and graph
-vertices, fixed points) is proved by it, and no basis gets a second
-determinant.  ``dual`` sorts those rows into the dual monomial and swaps the
-space tag; ``in_image_verdict`` dualizes once and tests membership in the
-geometric image via d(g*) = 0.
+A monomial is *faithful* when its characters are a basis (determinant odd
+over GF(2), ±1 over Z), that is, when their dual basis exists.  The hook
+``_dual_rows(chars, n)``, one ``intmat.dual_basis`` keyed by the modulus,
+returns the dual basis and det(chars) (1 over GF(2)), or None unless
+``chars`` are a basis.  Every given basis in the package (monomials,
+polytope and graph vertices, fixed points) is proved by it, and no basis
+gets a second determinant.  ``dual`` sorts those rows into the dual
+monomial and swaps the space tag; ``in_image_verdict`` dualizes once and
+tests membership in the geometric image via d(g*) = 0.
 
 Bases are searched for in one place, ``basis_search``, over Z or GF(2) by
 one gcd test: it enumerates the faithful GF(2) monomials of a rank and the
@@ -54,7 +55,7 @@ import math
 import operator
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from . import gf2, intmat
+from . import intmat
 from .errors import ValidationError
 
 Char = tuple[int, ...]
@@ -173,15 +174,23 @@ class Polynomial:
         p.terms = terms
         return p
 
-    @staticmethod
-    def _check_char(char: Char, n: int) -> Char:
+    @classmethod
+    def _check_char(cls, char: Char, n: int) -> Char:
         """A nonzero integer character of length n; GF(2) adds 0/1 entries."""
         char = tuple(int(v) for v in char)
         if len(char) != n:
             raise ValidationError(f"character {char} does not have length {n}")
         if not any(char):
             raise ValidationError("zero character is not allowed")
+        if cls.modulus and any(v not in (0, 1) for v in char):
+            raise ValidationError(f"GF(2) character {char} has entries outside {{0,1}}")
         return char
+
+    @classmethod
+    def _dual_rows(cls, chars: Sequence[Char], n: int) -> tuple[list[Char], int] | None:
+        """(the dual basis of ``chars`` in order, det(chars)); None unless a
+        basis.  The count is checked first: no rows have the empty dual."""
+        return intmat.dual_basis(chars, cls.modulus) if len(chars) == n else None
 
     def _sum(self, pairs: Iterable[tuple[Monomial, int]], *, n: int | None = None,
              space: str | None = None) -> "Polynomial":
@@ -260,31 +269,12 @@ class Gf2Polynomial(Polynomial):
     def __init__(self, n: int, monomials: Iterable[Monomial] = (), space: str = PRIMAL):
         super().__init__(n, ((m, 1) for m in monomials), space)
 
-    @staticmethod
-    def _check_char(char: Char, n: int) -> Char:
-        char = Polynomial._check_char(char, n)
-        if any(v not in (0, 1) for v in char):
-            raise ValidationError(f"GF(2) character {char} has entries outside {{0,1}}")
-        return char
-
-    @staticmethod
-    def _dual_rows(chars: Sequence[Char], n: int) -> tuple[list[Char], int] | None:
-        """(the dual basis of ``chars`` in order, det 1); None unless a basis."""
-        rows = gf2.inverse_transpose([gf2.pack(c) for c in chars], n)
-        return None if rows is None else ([gf2.unpack(r, n) for r in rows], 1)
-
 
 class ExtPolynomial(Polynomial):
     """Element of the free exterior Z-algebra on characters in Z^n."""
 
     __slots__ = ()
     modulus = 0
-
-    @staticmethod
-    def _dual_rows(chars: Sequence[Char], n: int) -> tuple[list[Char], int] | None:
-        """(the dual basis of ``chars`` in order, det ±1); None unless a basis
-        of Z^n.  The count is checked first: no rows at all have the empty dual."""
-        return intmat.dual_basis(chars) if len(chars) == n else None
 
 
 # coloring targets and fixed-point flavors

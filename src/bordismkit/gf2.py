@@ -1,12 +1,9 @@
 """GF(2) linear algebra on int bitsets.
 
 Vectors over GF(2) are packed into Python ints (bit i = coordinate i), which
-keeps the small dense problems that dominate this package — n×n character
-matrices with n ≤ 6 — allocation free and exact.  ``inverse_transpose``
-returns the dual basis of such a matrix, or None unless the rows are a
-basis; its one caller is the hook ``algebra.Gf2Polynomial._dual_rows``,
-which proves given bases (the enumerated ones come with their duals from
-``algebra.basis_search``).
+keeps the coloring checks and the wide eliminations allocation free and
+exact.  A given n×n basis is proved by ``intmat.dual_basis`` mod 2, the
+elimination of both rings (the hook ``algebra.Polynomial._dual_rows``).
 ``span`` is the one independence test for the few vectors at a vertex of a
 coloring search.  ``RankAccumulator`` is the one elimination of wide rows,
 with pivots keyed by their leading bit: it folds the generator span in
@@ -47,31 +44,6 @@ def span(vectors: Iterable[int]) -> set[int]:
     for x in vectors:
         out |= {s ^ x for s in out}
     return out
-
-
-def inverse_transpose(rows: Sequence[int], n: int) -> list[int] | None:
-    """Rows of (A^{-1})^T = (A^T)^{-1}, the dual basis of the rows of A, by
-    one Gauss–Jordan elimination of A^T; None unless A is n×n invertible."""
-    if len(rows) != n:
-        return None
-    work = [0] * n     # A^T
-    for i, row in enumerate(rows):
-        for j in bits(row):
-            work[j] |= 1 << i
-    inv = [1 << i for i in range(n)]
-    for col in range(n):
-        for r in range(col, n):
-            if (work[r] >> col) & 1:
-                break
-        else:
-            return None
-        work[col], work[r] = work[r], work[col]
-        inv[col], inv[r] = inv[r], inv[col]
-        for r in range(n):
-            if r != col and (work[r] >> col) & 1:
-                work[r] ^= work[col]
-                inv[r] ^= inv[col]
-    return inv
 
 
 class RankAccumulator:
@@ -137,6 +109,3 @@ class RankAccumulator:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    def contains(self, row: int) -> bool:
-        return self._reduce(row) == 0

@@ -225,12 +225,16 @@ class WindowKernel(NamedTuple):
                 f"dim={self.dim}, rank={self.rank})")
 
 
-def _check_window(n: int, weight_bound: int, max_n: int | None,
-                  max_weight_bound: int | None, weight_fixed: bool = False) -> None:
+def _check_ranks(n: int, weight_bound: int) -> None:
     if n < 1:
         raise ValidationError(f"ambient rank must be positive, got {n}")
     if weight_bound < 0:
         raise ValidationError(f"weight bound must be nonnegative, got {weight_bound}")
+
+
+def _check_window(n: int, weight_bound: int, max_n: int | None,
+                  max_weight_bound: int | None, weight_fixed: bool = False) -> None:
+    _check_ranks(n, weight_bound)
     cap_n = DEFAULT_SAMPLE_MAX_N if max_n is None else max_n
     cap_w = DEFAULT_SAMPLE_MAX_WEIGHT if max_weight_bound is None else max_weight_bound
     hit = []
@@ -266,8 +270,7 @@ def kernel_sample_unitary(n: int, weight_bound: int = 1,
                         rank=rank, monomials=monomials, basis=basis)
 
 
-def support_floor(n: int, weight_bound: int, max_n: int | None = None,
-                  max_weight_bound: int | None = None) -> int:
+def support_floor(n: int, weight_bound: int) -> int:
     """Proven lower bound on the support of nonzero kernel elements of a window.
 
     A relation with support 1 needs a zero row d(m*), and one with support 2
@@ -279,8 +282,8 @@ def support_floor(n: int, weight_bound: int, max_n: int | None = None,
     (1) and (-1) are proportional and the floor is 2 once the window holds
     them (weight_bound >= 1).  An empty window has no nonzero kernel
     element, and its floor stays 3.  The argument covers every element of
-    the window kernel, not just a basis.  The window caps are those of
-    ``kernel_sample_unitary``.
+    the window kernel, not just a basis.  No window is built, so no cap
+    applies.
     """
-    _check_window(n, weight_bound, max_n, max_weight_bound)
+    _check_ranks(n, weight_bound)
     return 2 if n == 1 and weight_bound else 3

@@ -284,6 +284,8 @@ def random_gf2_coloring(p: SimplePolytope, rng: random.Random) -> Coloring:
 
 def random_unimodular_matrix(n: int, rng: random.Random) -> list[list[int]]:
     """Product of 12 random elementary operations on the identity; det = ±1."""
+    if n < 1:
+        raise ValidationError("rank n must be at least 1")
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(12):
         kind = rng.randrange(3)

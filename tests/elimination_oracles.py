@@ -8,8 +8,9 @@
 * The Bareiss determinant that the integer window's cofactors used before
   the window search built them from its prefixes' minors.
 * The adjugate inverse (n² Bareiss minors) and the determinant/rank
-  faithfulness predicates that ``intmat.dual_basis`` and the per-ring dual
-  hooks replaced; the GF(2) predicate runs its own small rank.
+  faithfulness predicates that ``intmat.dual_basis``, the one dual-basis
+  hook of both rings, replaced; the GF(2) predicate runs its own small
+  rank, not the elimination mod 2.
 * The extended-Euclid functional φ with φ(v) = 1 for a primitive v, which
   the torus-graph congruence axiom used before it read φ off the vertex
   dual basis.

@@ -1,11 +1,12 @@
 """Core polynomial algebra: canonicalization, dual, differential, membership."""
 
+import itertools
 import random
 
 import elimination_oracles
 import pytest
 
-from bordismkit import algebra, gf2, graphs, intmat, localization, polytopes
+from bordismkit import algebra, graphs, intmat, localization, polytopes
 from bordismkit.algebra import (DUAL, PRIMAL, ExtPolynomial, Gf2Polynomial,
                                 ext_polynomial, gf2_polynomial)
 from bordismkit.errors import ValidationError
@@ -221,26 +222,71 @@ def test_is_faithful_matches_the_det_and_rank_predicates():
     assert all(v == {True, False} for v in verdicts.values())
 
 
-def test_every_basis_proof_goes_through_the_ring_hooks(monkeypatch):
-    # each eliminator call comes from its ring's ``_dual_rows``, and the
-    # dual, colorings, both graph kinds and fixed points all reach the hooks
-    calls = dict.fromkeys(("gf2", "z", "inverse_transpose", "dual_basis"), 0)
+def pairs_to_identity_mod2(chars, rows):
+    """Row j of ``rows`` pairs to 1 with chars[j] and to 0 with the others, mod 2."""
+    n = len(chars)
+    return all(sum(a * b for a, b in zip(chars[i], rows[j])) % 2 == (i == j)
+               for i in range(n) for j in range(n))
+
+
+def gf2_tuples():
+    """Every ordered n-tuple of nonzero GF(2) characters at n <= 3, and 5,000
+    seeded ones at n = 4 and at n = 5."""
+    for n in (1, 2, 3):
+        for chars in itertools.product(algebra.nonzero_chars_gf2(n), repeat=n):
+            yield n, chars
+    rng = random.Random(30)
+    for n in (4, 5):
+        nonzero = algebra.nonzero_chars_gf2(n)
+        for _ in range(5000):
+            yield n, tuple(rng.choice(nonzero) for _ in range(n))
+
+
+def test_gf2_hook_proves_exactly_the_bases():
+    # the one elimination, read mod 2, against the oracle's own small rank
+    verdicts = set()
+    for n, chars in gf2_tuples():
+        found = Gf2Polynomial._dual_rows(chars, n)
+        basis = elimination_oracles.is_faithful_monomial_gf2(chars, n)
+        assert (found is not None) == basis, chars
+        verdicts.add(basis)
+        if basis:
+            rows, det = found
+            assert det == 1
+            assert all(v in (0, 1) for row in rows for v in row), chars
+            assert pairs_to_identity_mod2(chars, rows), chars
+    assert verdicts == {True, False}
+
+
+def test_an_odd_determinant_is_a_basis_over_gf2_only():
+    circulant = [[1, 1, 0, 1], [1, 1, 1, 0], [0, 1, 1, 1], [1, 0, 1, 1]]
+    assert elimination_oracles.det(circulant) == -3
+    assert intmat.dual_basis(circulant) is None
+    rows, det = intmat.dual_basis(circulant, 2)
+    assert det == 1
+    assert pairs_to_identity_mod2(circulant, rows)
+    chars = tuple(map(tuple, circulant))
+    assert ExtPolynomial._dual_rows(chars, 4) is None
+    assert Gf2Polynomial._dual_rows(chars, 4) == (rows, 1)
+
+
+def test_every_basis_proof_goes_through_the_ring_hooks(monkeypatch, dual_basis_calls):
+    # each elimination comes from the ``_dual_rows`` hook of its ring, keyed
+    # by the ring's modulus, and the dual, colorings, both graph kinds and
+    # fixed points all reach the hook
+    calls = dict.fromkeys(("gf2", "z"), 0)
     for name, ring in (("gf2", Gf2Polynomial), ("z", ExtPolynomial)):
         def hook(chars, n, _real=ring._dual_rows, _name=name):
             calls[_name] += 1
             return _real(chars, n)
         monkeypatch.setattr(ring, "_dual_rows", staticmethod(hook))
-    for module, name in ((gf2, "inverse_transpose"), (intmat, "dual_basis")):
-        def counted(*args, _real=getattr(module, name), _name=name):
-            calls[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(module, name, counted)
 
     def reached(action, gf2_calls, z_calls):
         calls.update(dict.fromkeys(calls, 0))
+        dual_basis_calls.clear()
         action()
-        assert calls == {"gf2": gf2_calls, "z": z_calls,
-                         "inverse_transpose": gf2_calls, "dual_basis": z_calls}
+        assert calls == {"gf2": gf2_calls, "z": z_calls}
+        assert (dual_basis_calls[2], dual_basis_calls[0]) == (gf2_calls, z_calls)
 
     rp2 = Gf2Polynomial(2, RP2_MONOS)
     rp2_coloring = polytopes.Coloring("gf2", {0: (1, 0), 1: (0, 1), 2: (1, 1)})

@@ -257,24 +257,18 @@ def test_torus_poly_from_graph_and_from_polytope():
     assert from_polytope.stdout == from_graph.stdout
 
 
-def test_torus_poly_proves_each_vertex_basis_once(monkeypatch, capsys):
+def test_torus_poly_proves_each_vertex_basis_once(dual_basis_calls, capsys):
     # validation proves every vertex basis of a graph read from JSON and
     # hands the proofs to the polynomial: one dual basis per vertex, 6 on
     # CP2 x CP1
-    from bordismkit import cli, intmat
+    from bordismkit import cli
 
     p, lam = product_of_simplices((2, 1)), standard_z_coloring((2, 1))
     g = torus_graph_from_pair(p, lam)
     want = dumps(jsonio.polynomial_to_obj(torus_polynomial(g)))
-    calls = []
-
-    def counted(mat, _real=intmat.dual_basis):
-        calls.append(mat)
-        return _real(mat)
-
-    monkeypatch.setattr(intmat, "dual_basis", counted)
+    dual_basis_calls.clear()
     assert cli.main(["torus-poly", dumps(jsonio.torus_graph_to_obj(g)).strip()]) == 0
-    assert len(calls) == 6
+    assert dual_basis_calls[0] == 6
     assert capsys.readouterr().out == want
     # the polytope route prints the same bytes
     assert run_cli("torus-poly", dumps(jsonio.polytope_to_obj(p, lam)).strip()).stdout == want

@@ -7,7 +7,7 @@ import random
 import pytest
 
 import localization_oracles
-from bordismkit import algebra, bott, gf2, intmat, jsonio, kernels, localization, mvpoly
+from bordismkit import algebra, bott, jsonio, kernels, localization, mvpoly
 from bordismkit.algebra import ExtPolynomial, Gf2Polynomial
 from bordismkit.errors import ResourceLimitError, ValidationError
 from bordismkit.graphs import torus_graph_from_pair, torus_polynomial
@@ -156,26 +156,21 @@ def test_fixed_point_data_needs_rank_at_least_one(n):
         FixedPointData("z", n, [])
 
 
-def test_each_distinct_fixed_point_basis_is_proved_once(monkeypatch):
+def test_each_distinct_fixed_point_basis_is_proved_once(dual_basis_calls):
     # the rank-3 window kernel element with the largest coefficient sum
     g = max(kernels.kernel_sample_unitary(3, 1).basis,
             key=lambda b: sum(map(abs, b.terms.values())))
     assert (g.support(), sum(map(abs, g.terms.values()))) == (65, 82)
     # no library module takes a determinant at all (tests/test_package.py)
-    calls = dict.fromkeys(("dual_basis",), 0)
-    for name in calls:
-        def counted(mat, _real=getattr(intmat, name), _name=name):
-            calls[_name] += 1
-            return _real(mat)
-        monkeypatch.setattr(intmat, name, counted)
+    dual_basis_calls.clear()
     assert len(FixedPointData.from_polynomial(g)) == 82
     # one per distinct weight tuple, not per unit; the sign comes from the
     # same elimination, so no determinant is taken
-    assert calls == {"dual_basis": 65}
-    calls.update(dict.fromkeys(calls, 0))
+    assert dual_basis_calls[0] == 65
+    dual_basis_calls.clear()
     vanishing_test(g, 1)
     # 65 in the image test, 65 for the data
-    assert calls == {"dual_basis": 130}
+    assert dual_basis_calls[0] == 130
 
 
 def test_gf2_flavor_forces_positive_signs():
@@ -274,17 +269,11 @@ def test_batch_table_needs_rank_at_least_one(n):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_batch_table_takes_the_enumerated_bases_unproved(monkeypatch, n):
+def test_batch_table_takes_the_enumerated_bases_unproved(dual_basis_calls, n):
     # all_faithful_monomials_gf2 yields bases, so none is inverted again
     # (28 and 840 inversions before)
-    calls = [0]
-
-    def counted(*args, _real=gf2.inverse_transpose):
-        calls[0] += 1
-        return _real(*args)
-    monkeypatch.setattr(gf2, "inverse_transpose", counted)
     Gf2IntegralityTable(n, [()])
-    assert calls == [0]
+    assert dual_basis_calls[2] == 0
 
 
 def test_batch_table_at_rank_three_matches_reference():

@@ -56,23 +56,17 @@ def test_only_the_integer_window_takes_determinants():
 
 
 def test_only_the_ring_hooks_name_the_dual_basis_routines():
-    # a basis is inverted only by its ring's hook, ``_dual_rows`` in
-    # ``algebra``; gf2 and intmat define the routines, and no other module
-    # under src/ imports, reads or calls them
-    names = {"inverse_transpose", "dual_basis"}
-    found = set()
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom):
-                named = names.intersection(a.name for a in node.names)
-            elif isinstance(node, ast.Attribute):
-                named = names & {node.attr}
-            elif isinstance(node, ast.Name):
-                named = names & {node.id}
-            else:
-                continue
-            found.update((path.stem, name) for name in named)
-    assert found == {("algebra", "inverse_transpose"), ("algebra", "dual_basis")}
+    # a basis is inverted only by the one hook ``Polynomial._dual_rows`` in
+    # ``algebra``, keyed by the ring's modulus; intmat defines the routine,
+    # no other module under src/ imports, reads or calls it, and the GF(2)
+    # elimination ``inverse_transpose`` is gone
+    assert scopes_naming("dual_basis") == {("algebra", "Polynomial._dual_rows")}
+    assert scopes_naming("inverse_transpose") == set()
+    defined = {(path.stem, node.name) for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name in ("dual_basis", "inverse_transpose")}
+    assert defined == {("intmat", "dual_basis")}
 
 
 def scopes_naming(name):

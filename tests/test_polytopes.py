@@ -235,6 +235,15 @@ def test_random_unimodular_matrix_is_unimodular():
         assert abs(_det(rows)) == 1
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_random_unimodular_matrix_needs_rank_at_least_one(n):
+    # the refusal comes before the first draw; rank 0 used to raise IndexError
+    rng = random.Random(0)
+    with pytest.raises(ValidationError, match="^rank n must be at least 1$"):
+        random_unimodular_matrix(n, rng)
+    assert rng.getstate() == random.Random(0).getstate()
+
+
 def _det(rows):
     n = len(rows)
     if n == 1:
