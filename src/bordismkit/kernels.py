@@ -10,7 +10,11 @@ window: all faithful monomials whose characters have entries bounded by a
 given weight.  The left kernel of the integer row matrix is computed by
 streaming unimodular row reduction, so the reported basis generates the full
 kernel lattice of the window (any integral relation among the rows is an
-integer combination of the basis).
+integer combination of the basis).  The pivot rows are kept reduced on each
+other's pivot columns wherever the pivot divides (Gauss-Jordan), so an
+incoming row mostly picks up entries off the pivot columns; every window
+pivot is +-1, and then the basis is the one any unit-pivot elimination
+returns (``_left_kernel``).
 
 The window is a box of characters searched by ``algebra.basis_search`` over
 Z, and the rows d(m*) are lookups in its cofactor table and a sort, with no
@@ -33,6 +37,7 @@ import itertools
 import math
 import operator
 import os
+from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
@@ -160,9 +165,30 @@ def _left_kernel(rows: Iterable[Iterable[tuple[int, int]]]
     """Rank and an integral basis of {x : sum_i x_i row_i = 0}.
 
     Streaming row reduction of [M | I] by unimodular operations: combinations
-    of rows that reduce to zero span the full left-kernel lattice.
+    of rows that reduce to zero span the full left-kernel lattice.  Each
+    incoming row reduces at its smallest column first, by a quotient where
+    the pivot divides the entry and by the gcd step otherwise.  A row that
+    becomes the pivot p at column c is then reduced on the later pivot
+    columns it holds, in increasing order, and subtracted from every earlier
+    pivot row whose entry at c is a multiple of p, combinations alike.  So
+    pivot rows are reduced on each other's pivot columns wherever the pivot
+    divides, and with unit pivots they are zero there: an incoming row
+    picks up entries off the pivot columns only.
+
+    With unit pivots only (every window), row i becomes a pivot exactly when
+    it is independent over Q of rows 0..i-1, so the pivot rows P are the
+    first row basis whatever the order of elimination, and a dependent row
+    k gets e_k - c_k, c_k its unique coordinates over the rows of P: the
+    rank and the basis are those of the echelon pass without clearing.  With
+    other pivots every step is still unimodular on [M | I], and the pivot
+    rows keep distinct leading columns, so they stay independent: the
+    combinations of the rows that reached zero are part of a basis of Z^N
+    and span every integral relation, a basis of the same lattice, though
+    not always the one the echelon pass returns.
     """
     pivots: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
+    # column -> pivot columns whose rows may hold it (stale entries skipped)
+    holders: defaultdict[int, list[int]] = defaultdict(list)
     kernel: list[dict[int, int]] = []
     for i, r in enumerate(rows):
         row = dict(r)
@@ -172,7 +198,6 @@ def _left_kernel(rows: Iterable[Iterable[tuple[int, int]]]
             val = row[col]
             hit = pivots.get(col)
             if hit is None:
-                pivots[col] = (row, comb)
                 break
             prow, pcomb = hit
             piv = prow[col]
@@ -185,10 +210,41 @@ def _left_kernel(rows: Iterable[Iterable[tuple[int, int]]]
                 _, a, b = intmat.ext_gcd(piv, val)
                 u, v = -(val // g), piv // g  # second row of a unimodular 2x2
                 pivots[col] = (_combine(prow, row, a, b), _combine(pcomb, comb, a, b))
+                for k in pivots[col][0]:
+                    holders[k].append(col)
                 row = _combine(prow, row, u, v)
                 comb = _combine(pcomb, comb, u, v)
         else:
             kernel.append(comb)
+            continue
+        # the new pivot row, reduced on the later pivot columns it holds
+        for c in sorted([c for c in row if c in pivots]):
+            val = row.get(c)
+            prow, pcomb = pivots[c]
+            if val and val % prow[c] == 0:
+                q = val // prow[c]
+                _addmul(row, prow, -q)
+                _addmul(comb, pcomb, -q)
+        # clears its column from the earlier pivot rows
+        piv = row[col]
+        for p in holders.pop(col, ()):
+            prow, pcomb = pivots[p]
+            val = prow.get(col)
+            if val and val % piv == 0:
+                q = -(val // piv)
+                for k, v in row.items():
+                    nv = prow.get(k)
+                    if nv is None:
+                        prow[k] = q * v
+                        holders[k].append(p)
+                    elif nv + q * v:
+                        prow[k] = nv + q * v
+                    else:
+                        del prow[k]
+                _addmul(pcomb, comb, q)
+        pivots[col] = (row, comb)
+        for k in row:
+            holders[k].append(col)
     return len(pivots), kernel
 
 
@@ -261,10 +317,10 @@ def kernel_sample_unitary(n: int, weight_bound: int = 1,
     rank, combos = _left_kernel(_window_rows(window))
     basis = []
     for comb in combos:
-        # window monomials are canonical and the combination has no zeros
-        terms = {monomials[i]: c for i, c in comb.items()}
-        if terms[min(terms)] < 0:
-            terms = {m: -c for m, c in terms.items()}
+        # window monomials are canonical, distinct and sorted, so the
+        # smallest index holds the smallest monomial
+        sign = 1 if comb[min(comb)] > 0 else -1
+        terms = {monomials[i]: sign * c for i, c in comb.items()}
         basis.append(ExtPolynomial._of(n, PRIMAL, terms))
     return WindowKernel(n=n, weight_bound=weight_bound, dim=len(basis),
                         rank=rank, monomials=monomials, basis=basis)

@@ -17,6 +17,10 @@
 * The scan of every window row d(m*) for zero or proportional rows, which
   ``kernels.support_floor`` ran before it returned the floor of its row
   argument.
+* The streaming echelon left kernel of the integer window rows, which
+  ``kernels._left_kernel`` ran before it kept its pivot rows reduced on
+  each other's pivot columns (Gauss-Jordan), with its ``_addmul`` and
+  ``_combine``.
 * The backtracking walk over every basis GF(2) coloring of a polytope,
   facet by facet, which ``polytopes.random_gf2_coloring`` drew from and
   ``all_gf2_colorings`` listed before both gave way to the one orbit walk
@@ -153,6 +157,60 @@ def support_floor(n, weight_bound):
         else:
             seen.add(row)
     return floor
+
+
+def left_kernel(rows):
+    """Rank and an integral basis of {x : sum_i x_i row_i = 0} by streaming
+    row reduction of [M | I]: each row reduces at its smallest column
+    first, by a quotient where the pivot divides the entry and by the gcd
+    step otherwise, and a pivot row changes only when a gcd step replaces
+    it."""
+    pivots = {}
+    kernel = []
+    for i, r in enumerate(rows):
+        row = dict(r)
+        comb = {i: 1}
+        while row:
+            col = min(row)
+            val = row[col]
+            hit = pivots.get(col)
+            if hit is None:
+                pivots[col] = (row, comb)
+                break
+            prow, pcomb = hit
+            piv = prow[col]
+            if val % piv == 0:
+                q = val // piv
+                _addmul(row, prow, -q)
+                _addmul(comb, pcomb, -q)
+            else:
+                g = gcd(piv, val)
+                _, a, b = ext_gcd(piv, val)
+                u, v = -(val // g), piv // g  # second row of a unimodular 2x2
+                pivots[col] = (_combine(prow, row, a, b), _combine(pcomb, comb, a, b))
+                row = _combine(prow, row, u, v)
+                comb = _combine(pcomb, comb, u, v)
+        else:
+            kernel.append(comb)
+    return len(pivots), kernel
+
+
+def _addmul(dst, src, factor):
+    for k, v in src.items():
+        nv = dst.get(k, 0) + factor * v
+        if nv:
+            dst[k] = nv
+        else:
+            dst.pop(k, None)
+
+
+def _combine(r1, r2, c1, c2):
+    out = {}
+    for k in set(r1) | set(r2):
+        v = c1 * r1.get(k, 0) + c2 * r2.get(k, 0)
+        if v:
+            out[k] = v
+    return out
 
 
 def gf2_colorings(p):

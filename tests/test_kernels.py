@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import elimination_oracles
 import pytest
@@ -107,6 +108,14 @@ def test_window_kernel_stats():
         win = kernels.kernel_sample_unitary(n, w)
         assert (len(win.monomials), win.rank, win.dim) == (monos, rank, dim)
         assert win.rank + win.dim == len(win.monomials)
+
+
+def test_window_three_two_at_the_default_caps():
+    # the largest window the default caps accept
+    win = kernels.kernel_sample_unitary(3, 2)
+    assert (len(win.monomials), win.rank, win.dim) == (22_568, 6_491, 16_077)
+    for b in win.basis[::997]:
+        assert algebra.differential(algebra.dual(b)).is_zero()
 
 
 def test_window_kernel_basis_in_unitary_image():
@@ -253,6 +262,81 @@ def test_pruned_search_matches_scalar_reference_past_the_cap():
     win = kernels.kernel_sample_unitary(2, 3, max_weight_bound=3)
     assert win.monomials == monomials
     assert all(algebra.differential(algebra.dual(b)).is_zero() for b in win.basis)
+
+
+# The left kernel.  Every pivot of a window is +-1, so the pivot rows are the
+# first row basis and a dependent row's combination is unique: the
+# Gauss-Jordan pass gives the streaming echelon pass's rank and combinations.
+
+@pytest.mark.parametrize("n,w", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (2, 3)])
+def test_left_kernel_matches_the_echelon_oracle(n, w):
+    rows = list(kernels._window_rows(kernels._search(n, w)))
+    rank, combos = elimination_oracles.left_kernel(rows)
+    assert kernels._left_kernel(rows) == (rank, combos)
+    win = kernels.kernel_sample_unitary(n, w, max_weight_bound=3)
+    assert win.rank == rank
+    want = []
+    for comb in combos:
+        terms = {win.monomials[i]: c for i, c in comb.items()}
+        if terms[min(terms)] < 0:
+            terms = {m: -c for m, c in terms.items()}
+        want.append(ExtPolynomial(n, terms, space=PRIMAL))
+    assert win.basis == want
+
+
+def test_left_kernel_gcd_step():
+    # 2 does not divide 3: the pivot becomes gcd 1 and 2*row1 - 3*row0 is left
+    assert kernels._left_kernel([[(0, 2)], [(0, 3)]]) == (1, [{0: -3, 1: 2}])
+    assert kernels._left_kernel([[(0, 3)], [(0, 2)]]) == (1, [{0: -2, 1: 3}])
+
+
+def test_left_kernel_clears_where_the_new_pivot_divides():
+    # row 1 becomes the pivot 2 at column 1, where row 0 holds -1: no
+    # multiple, so row 0 keeps it (clearing by the floor quotient would
+    # leave row 0 + row 1 and end at {0: -1, 1: -1, 2: -1, 3: 2}); rows 2
+    # and 3 each need the gcd step
+    rows = [[(0, 2), (1, -1)], [(1, 2)], [(1, -1)], [(0, 1)]]
+    assert kernels._left_kernel(rows) == (2, [{1: 1, 2: 2}, {0: -1, 2: 1, 3: 2}])
+    # with 2 in row 0 it is cleared, and row 2 reduces by units alone
+    rows = [[(0, 1), (1, 2)], [(1, 2)], [(0, 1)]]
+    assert kernels._left_kernel(rows) == (2, [{0: -1, 1: 1, 2: 1}])
+
+
+def _rational_rank(mat):
+    rows = [[Fraction(v) for v in r] for r in mat]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        hit = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if hit is None:
+            continue
+        rows[rank], rows[hit] = rows[hit], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] / rows[rank][c]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("left_kernel", [kernels._left_kernel, elimination_oracles.left_kernel],
+                         ids=["gauss-jordan", "echelon-oracle"])
+def test_left_kernel_is_a_basis_of_the_kernel_lattice(left_kernel):
+    # small random matrices reach the gcd step often; the basis must span
+    # the integer kernel: N - rank vectors, each with x.A = 0, and the gcd of
+    # their maximal minors 1 (no vector of the kernel is a fraction of them)
+    rng = random.Random(3101)
+    for _ in range(2000):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 4)
+        mat = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+        rank, basis = left_kernel([[(j, v) for j, v in enumerate(r) if v] for r in mat])
+        assert rank == _rational_rank(mat)
+        assert len(basis) == nrows - rank
+        for x in basis:
+            assert all(sum(x.get(i, 0) * mat[i][j] for i in range(nrows)) == 0
+                       for j in range(ncols))
+        dense = [[x.get(i, 0) for i in range(nrows)] for x in basis]
+        minors = (elimination_oracles.det([[r[c] for c in cols] for r in dense])
+                  for cols in itertools.combinations(range(nrows), len(basis)))
+        assert math.gcd(*minors) == 1
 
 
 # sha256 of repr((kept, list(cofactors.items()))) as the window search left
