@@ -25,14 +25,22 @@ over GF(2), ±1 over Z), that is, when their dual basis exists.  The hook
 returns the dual basis and det(chars) (1 over GF(2)), or None unless
 ``chars`` are a basis.  Every given basis in the package (monomials,
 polytope and graph vertices, fixed points) is proved by it, and no basis
-gets a second determinant.  ``dual`` sorts those rows into the dual
+gets a second determinant.  The hook keeps each proof for the process, up
+to row order and duality (``_PROOFS``, docs/decisions/0005), so a basis
+met again as a vertex, its dual or a fixed point is not eliminated again;
+``dual_basis`` is a pure function, so every input is still checked and
+every answer is the elimination's.  ``dual`` sorts those rows into the dual
 monomial and swaps the space tag; ``in_image_verdict`` dualizes once and
 tests membership in the geometric image via d(g*) = 0.
 
 Bases are searched for in one place, ``basis_search``, over Z or GF(2) by
-one gcd test: it enumerates the faithful GF(2) monomials of a rank and the
-unimodular monomials of an integer window (``kernels``), and its cofactor
-table gives each found basis its dual with no inversion.
+one gcd test: it enumerates the faithful GF(2) monomials of a rank (once
+per rank and process, ``_SEARCHES``) and the unimodular monomials of an
+integer window (``kernels``), and its cofactor table gives each found basis
+its dual with no inversion.
+
+Integer inputs are read by ``exact_int``: a float or a string is refused,
+not truncated.
 
 Sign convention for the Z dual (the calibrated design decision): a
 faithful monomial is dualized by rewriting it in a determinant-positive
@@ -67,6 +75,16 @@ DUAL = "dual"
 
 # ---------------------------------------------------------------------------
 # characters and monomials
+
+
+def exact_int(value: object, what: str) -> int:
+    """``value`` as an int when it is an exact integer (``operator.index``),
+    else ValidationError: 1.5 or the string "1" is refused, not truncated or
+    parsed."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
 
 
 def char_mod2(char: Char) -> Char:
@@ -144,7 +162,9 @@ class Polynomial:
         modulus = self.modulus
         pairs = []
         for mono, coeff in (terms.items() if isinstance(terms, Mapping) else terms):
-            coeff = int(coeff) % modulus if modulus else int(coeff)
+            coeff = exact_int(coeff, "coefficient")
+            if modulus:
+                coeff %= modulus
             if coeff == 0:
                 continue
             mono = tuple(self._check_char(c, n) for c in mono)
@@ -177,7 +197,7 @@ class Polynomial:
     @classmethod
     def _check_char(cls, char: Char, n: int) -> Char:
         """A nonzero integer character of length n; GF(2) adds 0/1 entries."""
-        char = tuple(int(v) for v in char)
+        char = tuple([exact_int(v, "character entry") for v in char])
         if len(char) != n:
             raise ValidationError(f"character {char} does not have length {n}")
         if not any(char):
@@ -189,8 +209,36 @@ class Polynomial:
     @classmethod
     def _dual_rows(cls, chars: Sequence[Char], n: int) -> tuple[list[Char], int] | None:
         """(the dual basis of ``chars`` in order, det(chars)); None unless a
-        basis.  The count is checked first: no rows have the empty dual."""
-        return intmat.dual_basis(chars, cls.modulus) if len(chars) == n else None
+        basis.  The count is checked first: no rows have the empty dual.
+
+        Each proof is made once per process up to row order and duality
+        (docs/decisions/0005): ``_PROOFS`` keeps, per (sorted rows, modulus),
+        ``intmat.dual_basis`` of the sorted rows, and after an elimination
+        also the dual's own entry, the input back.  A hit is put back in the
+        caller's row order, its det times the sign of the sorting
+        permutation over Z, and is always a fresh list.
+        """
+        if len(chars) != n:
+            return None
+        modulus = cls.modulus
+        rows = list(map(tuple, chars))
+        order, sign = _row_order(rows)
+        key = (tuple(map(rows.__getitem__, order)), modulus)
+        proof = _PROOFS.get(key, _UNPROVED)
+        if proof is _UNPROVED:
+            proof = intmat.dual_basis(key[0], modulus)
+            if len(_PROOFS) > MAX_PROOFS - 2:
+                _PROOFS.clear()
+            _PROOFS[key] = proof
+            if proof is not None:
+                _remember_dual(key, proof)
+        if proof is None:
+            return None
+        dual, det = proof
+        out: list[Char] = [()] * n
+        for k, i in enumerate(order):
+            out[i] = dual[k]
+        return out, det if modulus else sign * det
 
     def _sum(self, pairs: Iterable[tuple[Monomial, int]], *, n: int | None = None,
              space: str | None = None) -> "Polynomial":
@@ -275,6 +323,44 @@ class ExtPolynomial(Polynomial):
 
     __slots__ = ()
     modulus = 0
+
+
+# ---------------------------------------------------------------------------
+# the process-lifetime proof memo read by ``Polynomial._dual_rows``
+
+ProofKey = tuple[tuple[Char, ...], int]  # (rows in sorted order, modulus)
+Proof = tuple[list[Char], int]           # (dual rows in key order, det of the key rows)
+
+# (sorted rows, modulus) -> the dual basis and det of the sorted rows, or None
+# for a non-basis; emptied when it reaches MAX_PROOFS entries (the localize
+# benchmark pass ends holding about 750)
+_PROOFS: dict[ProofKey, Proof | None] = {}
+MAX_PROOFS = 4096
+_UNPROVED = object()
+
+
+def _row_order(rows: Sequence[Char]) -> tuple[list[int], int]:
+    """The indices of ``rows`` in sorted order, and the sign of that
+    permutation."""
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    sign = 1
+    for j, a in enumerate(order):
+        for b in order[j + 1:]:
+            if a > b:
+                sign = -sign
+    return order, sign
+
+
+def _remember_dual(key: ProofKey, proof: Proof) -> None:
+    """Store the entry of a proved basis's dual: the dual of the dual is the
+    basis, with the same det (±1 over Z), and mod 2 over GF(2), as the
+    elimination reads it."""
+    rows, modulus = key
+    dual, det = proof
+    back = [tuple(int(v) % modulus if modulus else int(v) for v in row) for row in rows]
+    order, sign = _row_order(dual)
+    _PROOFS[tuple(map(dual.__getitem__, order)), modulus] = (
+        list(map(back.__getitem__, order)), det if modulus else sign * det)
 
 
 # coloring targets and fixed-point flavors
@@ -479,16 +565,28 @@ def nonzero_chars_gf2(n: int) -> list[Char]:
     return [c for c in itertools.product((0, 1), repeat=max(n, 0)) if any(c)]
 
 
+# one faithful GF(2) search per rank for the process; the readers below
+# return fresh lists and dicts built from it
+_SEARCHES: dict[int, BasisSearch] = {}
+
+
+def _faithful_search(n: int) -> BasisSearch:
+    found = _SEARCHES.get(n)
+    if found is None:
+        found = _SEARCHES[n] = basis_search(nonzero_chars_gf2(n), n, 2)
+    return found
+
+
 def all_faithful_monomials_gf2(n: int) -> list[Monomial]:
     """All unordered bases of GF(2)^n as canonical monomials, sorted."""
-    return basis_search(nonzero_chars_gf2(n), n, 2).monomials()
+    return _faithful_search(n).monomials()
 
 
 def faithful_duals_gf2(n: int) -> dict[Monomial, Monomial]:
     """Each faithful GF(2) monomial of rank n -> its dual, in
     ``all_faithful_monomials_gf2`` order, read off the search's cofactors
     mod 2; every value is one of the enumerated monomials, not a copy."""
-    found = basis_search(nonzero_chars_gf2(n), n, 2)
+    found = _faithful_search(n)
     monomials = found.monomials()
     position = {c: i for i, c in enumerate(found.chars)}
     row = {s: position[tuple(a & 1 for a in v)] for s, v in found.cofactors.items()}

@@ -24,15 +24,19 @@ FLAVORS = (UNORIENTED, UNITARY)
 POLYNOMIAL_TYPES = {UNORIENTED: Gf2Polynomial, UNITARY: ExtPolynomial}
 
 
+def _polynomial_type(flavor: str) -> type[Polynomial]:
+    if flavor not in FLAVORS:
+        raise ValidationError(f"unknown flavor {flavor!r}")
+    return POLYNOMIAL_TYPES[flavor]
+
+
 class BordismClass:
     """An equivariant bordism class, stored as its polynomial invariant."""
 
     __slots__ = ("flavor", "n", "polynomial")
 
     def __init__(self, flavor: str, polynomial: Polynomial):
-        if flavor not in FLAVORS:
-            raise ValidationError(f"unknown flavor {flavor!r}")
-        want = POLYNOMIAL_TYPES[flavor]
+        want = _polynomial_type(flavor)
         if not isinstance(polynomial, want):
             raise ValidationError(
                 f"{flavor} classes carry {want.__name__} polynomials")
@@ -45,7 +49,7 @@ class BordismClass:
 
     @classmethod
     def zero(cls, flavor: str, n: int) -> "BordismClass":
-        return cls(flavor, POLYNOMIAL_TYPES[flavor](n, (), space=algebra.PRIMAL))
+        return cls(flavor, _polynomial_type(flavor)(n, (), space=algebra.PRIMAL))
 
     def is_zero(self) -> bool:
         return self.polynomial.is_zero()

@@ -13,7 +13,7 @@ import argparse
 import sys
 from typing import Any
 
-from . import algebra, bordism, bott, graphs, jsonio, kernels
+from . import algebra, bordism, bott, jsonio, kernels
 from .acceptance import run_all
 from .algebra import ExtPolynomial, Polynomial
 from .errors import BordismError, InputFormatError, ValidationError
@@ -102,12 +102,13 @@ def _cmd_torus_poly(args: argparse.Namespace) -> int:
         if isinstance(g, ColoredGraph):
             raise ValidationError(
                 "input is a GF(2)-colored graph; use the poly-of-graph verb")
-        # each vertex basis is proved once, by validation, and handed on
-        bases = g.validate()
+        # the polynomial's vertex bases are the ones validation proved, read
+        # back from the dual-basis hook's memo
+        g.validate()
         if g.sigma is None:
             raise ValidationError('torus graph has no "sigma" field; torus-poly '
                                   'needs the orientation of every vertex')
-        poly = graphs._torus_polynomial(g, bases)
+        poly = torus_polynomial(g)
     else:
         p, coloring = jsonio.polytope_from_obj(obj)
         if coloring is None or coloring.target != "z":

@@ -39,7 +39,7 @@ is exactly the orientation relation.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import algebra, gf2
 from .algebra import Char, ExtPolynomial, Gf2Polynomial
@@ -198,7 +198,7 @@ class TorusGraph:
         for (u, v) in list(self.alpha):
             if (v, u) not in self.alpha:
                 raise ValidationError(f"edge ({u},{v}) is missing its reversal")
-        self.sigma = None if sigma is None else [int(s) for s in sigma]
+        self.sigma = None if sigma is None else [algebra.exact_int(s, "sigma") for s in sigma]
         if self.sigma is not None:
             if len(self.sigma) != num_vertices or any(s not in (1, -1) for s in self.sigma):
                 raise ValidationError("sigma must assign ±1 to every vertex")
@@ -229,10 +229,9 @@ class TorusGraph:
             raise ValidationError(f"axiom (2) fails: vertex {bad} has valence "
                                   f"{len(out.get(bad, ()))}, expected {self.n}")
 
-    def validate(self) -> list[VertexBasis]:
+    def validate(self) -> None:
         """Torus graph axioms: reversal signs, vertex bases, congruence
-        matching, and the orientation relation when σ is set.  Returns the
-        vertex bases it proved, which ``_torus_polynomial`` reads.
+        matching, and the orientation relation when σ is set.
 
         The dual basis of each vertex's weights is the basis proof, and its
         row φ for α(u, v) (φ·α(u, v) = 1) gives the canonical representatives
@@ -264,14 +263,13 @@ class TorusGraph:
                 raise ValidationError(
                     f"axiom (3) fails along edge {u}-{v}: no color bijection mod alpha(e)")
         if self.sigma is None:
-            return bases
+            return
         for (u, v), a in self.alpha.items():
             su, sv = self.sigma[u], self.sigma[v]
             if u < v and [su * x for x in a] != [-sv * x for x in self.alpha[(v, u)]]:
                 raise ValidationError(
                     f"orientation fails along edge {u}-{v}: "
                     f"sigma({u})alpha({u},{v}) is not -sigma({v})alpha({v},{u})")
-        return bases
 
     def orient(self) -> "TorusGraph":
         """Compute σ by constraint propagation, σ(vertex 0) = +1.
@@ -318,13 +316,9 @@ def torus_graph_from_pair(p: SimplePolytope, coloring: Coloring) -> TorusGraph:
 
 def torus_polynomial(graph: TorusGraph) -> ExtPolynomial:
     """Σ_v σ(v)·(vertex weight wedge in det-normalized order), primal space."""
-    return _torus_polynomial(graph, graph._vertex_bases())
-
-
-def _torus_polynomial(graph: TorusGraph, bases: Iterable[VertexBasis]) -> ExtPolynomial:
-    """``torus_polynomial`` from vertex bases already proved, in vertex order."""
     if graph.sigma is None:
         raise ValidationError("torus graph is not oriented; call orient() first")
-    terms = [(rows, s * det) for s, (_, rows, (_, det)) in zip(graph.sigma, bases)]
+    terms = [(rows, s * det)
+             for s, (_, rows, (_, det)) in zip(graph.sigma, graph._vertex_bases())]
     # sorting W_v in the constructor turns det W_v into δ(W_v)
     return ExtPolynomial(graph.n, terms, space=algebra.PRIMAL)

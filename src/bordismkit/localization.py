@@ -42,8 +42,9 @@ on first use, each factor's hyperplane and the whole space with their local
 denominators (``_frame``), and per units and degree of f the evaluation
 points' form values and cofactor products.  This is safe because the points
 are an immutable tuple fixed at construction, the memo lives and dies with
-its data object (there is no module-level cache), and every returned
-polynomial is fresh, never a memo entry.
+its data object (the one module-level memo a data object reaches is the
+basis proofs of ``algebra``'s dual-basis hook, docs/decisions/0005), and
+every returned polynomial is fresh, never a memo entry.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import operator
 from typing import Iterator, NamedTuple, Sequence
 
 from . import algebra, mvpoly
-from .algebra import Char, ExtPolynomial, Gf2Polynomial, Monomial, Polynomial
+from .algebra import Char, ExtPolynomial, Gf2Polynomial, Monomial, Polynomial, exact_int
 from .errors import ResourceLimitError, ValidationError
 from .mvpoly import MPoly
 
@@ -114,7 +115,7 @@ class FixedPoint(NamedTuple):
 
 
 def _check_weights(weights: Sequence[Char], n: int) -> Monomial:
-    weights = tuple(tuple(int(v) for v in w) for w in weights)
+    weights = tuple(tuple([exact_int(v, "weight entry") for v in w]) for w in weights)
     if len(weights) != n or any(len(w) != n for w in weights):
         raise ValidationError(f"point weights {weights} are not {n} characters of length {n}")
     return weights
@@ -140,19 +141,16 @@ class FixedPointData:
             raise ValidationError("rank n must be at least 1")
         ring = algebra.RINGS[flavor]
         checked = []
-        proved: set[Monomial] = set()   # each distinct basis is proved once
         for pt in points:
-            sign = int(pt.sign)
+            sign = exact_int(pt.sign, "fixed-point sign")
             if flavor == GF2:
                 sign = 1
             elif sign not in (1, -1):
                 raise ValidationError(f"fixed-point sign must be ±1, got {pt.sign}")
             weights = _check_weights(pt.weights, n)
-            if weights not in proved:
-                for w in weights:
-                    ring._check_char(w, n)     # GF(2) refuses entries outside {0,1}
-                _basis_det(ring, weights, n)   # raises unless a basis
-            proved.add(weights)
+            for w in weights:
+                ring._check_char(w, n)     # GF(2) refuses entries outside {0,1}
+            _basis_det(ring, weights, n)   # raises unless a basis
             checked.append(FixedPoint(sign, weights))
         self.flavor, self.n, self.points, self._memo = flavor, n, tuple(checked), None
 

@@ -180,7 +180,8 @@ class Coloring:
         if target not in algebra.RINGS:
             raise ValidationError(f"unknown coloring target {target!r}")
         self.target = target
-        self.map = {int(f): tuple(int(x) for x in c) for f, c in colors.items()}
+        self.map = {int(f): tuple([algebra.exact_int(x, "color entry") for x in c])
+                    for f, c in colors.items()}
 
     def validate(self, p: SimplePolytope) -> None:
         self.vertex_duals(p)

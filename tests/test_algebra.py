@@ -273,7 +273,8 @@ def test_an_odd_determinant_is_a_basis_over_gf2_only():
 def test_every_basis_proof_goes_through_the_ring_hooks(monkeypatch, dual_basis_calls):
     # each elimination comes from the ``_dual_rows`` hook of its ring, keyed
     # by the ring's modulus, and the dual, colorings, both graph kinds and
-    # fixed points all reach the hook
+    # fixed points all reach the hook; each action starts from an empty
+    # proof memo, so it eliminates once per basis up to row order and duality
     calls = dict.fromkeys(("gf2", "z"), 0)
     for name, ring in (("gf2", Gf2Polynomial), ("z", ExtPolynomial)):
         def hook(chars, n, _real=ring._dual_rows, _name=name):
@@ -281,29 +282,150 @@ def test_every_basis_proof_goes_through_the_ring_hooks(monkeypatch, dual_basis_c
             return _real(chars, n)
         monkeypatch.setattr(ring, "_dual_rows", staticmethod(hook))
 
-    def reached(action, gf2_calls, z_calls):
+    def reached(action, gf2_calls, z_calls, eliminations=None):
         calls.update(dict.fromkeys(calls, 0))
         dual_basis_calls.clear()
+        algebra._PROOFS.clear()
         action()
         assert calls == {"gf2": gf2_calls, "z": z_calls}
-        assert (dual_basis_calls[2], dual_basis_calls[0]) == (gf2_calls, z_calls)
+        assert ((dual_basis_calls[2], dual_basis_calls[0])
+                == (eliminations or (gf2_calls, z_calls)))
 
     rp2 = Gf2Polynomial(2, RP2_MONOS)
     rp2_coloring = polytopes.Coloring("gf2", {0: (1, 0), 1: (0, 1), 2: (1, 1)})
     triangle = polytopes.simplex(2)
     prism = polytopes.product_of_simplices((2, 1))
     lam = polytopes.standard_z_coloring((2, 1))
-    reached(lambda: algebra.dual(rp2), 3, 0)
+    # RP2's three bases are two up to duality: {(0,1), (1,1)} has the dual
+    # {(1,0), (1,1)}, stored when the first is proved, so every action on
+    # them makes three hook calls and two eliminations
+    rp2_bases = (2, 0)
+    reached(lambda: algebra.dual(rp2), 3, 0, rp2_bases)
     reached(lambda: algebra.dual(CP2), 0, 3)
-    reached(lambda: rp2_coloring.vertex_duals(triangle), 3, 0)
+    reached(lambda: rp2_coloring.vertex_duals(triangle), 3, 0, rp2_bases)
     reached(lambda: lam.vertex_duals(prism), 0, 6)
     skeleton = graphs.one_skeleton(triangle, rp2_coloring)
     torus = graphs.torus_graph_from_pair(prism, lam)
-    reached(skeleton.validate, 3, 0)
+    reached(skeleton.validate, 3, 0, rp2_bases)
     reached(torus.validate, 0, 6)
-    reached(lambda: localization.FixedPointData.from_polynomial(rp2), 3, 0)
+    reached(lambda: localization.FixedPointData.from_polynomial(rp2), 3, 0, rp2_bases)
     # CP^2 twice over: three distinct points, each proved once
     reached(lambda: localization.FixedPointData.from_polynomial(CP2.scale(2)), 0, 3)
+
+
+def _proof_memo_cases(rng, n, modulus):
+    """Seeded n-row inputs for the proof memo, as (label, rows): a basis, its
+    rows reversed, swapped, shuffled and negated, and inputs that are not
+    bases or not square (over GF(2) some entries lie outside {0,1})."""
+    base = [tuple(v % 2 if modulus else v for v in row)
+            for row in polytopes.random_unimodular_matrix(n, rng)]
+    swapped = [base[1], base[0]] + base[2:] if n > 1 else base
+    doubled = [tuple(2 * v for v in base[0])] + base[1:]
+    tripled = [tuple(3 * v for v in base[0])] + base[1:]
+    return [
+        ("basis", base),
+        ("reversed", base[::-1]),
+        ("swapped", swapped),
+        ("shuffled", rng.sample(base, n)),
+        ("negated", [tuple(-v for v in row) if rng.random() < 0.5 else row
+                     for row in rng.sample(base, n)]),
+        ("doubled row", doubled),
+        ("tripled row", tripled),
+        ("repeated row", [base[0]] + base[:-1]),
+        ("ragged", base[:-1] + [base[-1][:-1]]),
+        ("too few", base[:-1]),
+        ("too many", base + [base[0]]),
+    ]
+
+
+@pytest.mark.parametrize("modulus", [2, 0])
+def test_the_proof_memo_answers_as_the_elimination_does(modulus, dual_basis_calls):
+    # _dual_rows keeps each proof per (sorted rows, modulus) and stores the
+    # dual's entry after each elimination; in every row order, on a hit or a
+    # miss, it must answer exactly as intmat.dual_basis on the caller's rows
+    ring = {2: Gf2Polynomial, 0: ExtPolynomial}[modulus]
+    rng = random.Random(3200 + modulus)
+    seen = set()
+    for n in range(1, 6):
+        for _ in range(12):
+            for label, rows in _proof_memo_cases(rng, n, modulus):
+                want = intmat.dual_basis(rows, modulus) if len(rows) == n else None
+                for _ in range(2):  # a miss or a hit, then a hit
+                    assert ring._dual_rows(rows, n) == want, (label, rows)
+                if want is None:
+                    continue
+                seen.add(label)
+                # the answer's own dual is the input back, served by the
+                # entry stored when the input was proved
+                dual_rows, det = want
+                back = intmat.dual_basis(dual_rows, modulus)
+                dual_basis_calls.clear()
+                assert ring._dual_rows(dual_rows, n) == back, (label, rows)
+                assert dual_basis_calls == {}, (label, rows)
+    assert {"basis", "swapped", "negated"} <= seen
+    # a non-basis is kept as None, and over GF(2) an odd multiple of a row
+    # is still a basis
+    assert ("tripled row" in seen) == (modulus == 2)
+    assert len(algebra._PROOFS) <= algebra.MAX_PROOFS
+
+
+def test_a_proof_can_be_changed_by_its_caller():
+    # every answer is a fresh list, so editing one changes no later answer
+    for ring, chars in ((ExtPolynomial, ((0, 1), (1, 0))), (Gf2Polynomial, RP2_MONOS[1])):
+        first = ring._dual_rows(chars, 2)
+        first[0].reverse()
+        again = ring._dual_rows(chars, 2)
+        assert again == intmat.dual_basis(chars, ring.modulus)
+        assert again[0] is not first[0]
+
+
+def test_the_proof_memo_is_emptied_at_its_bound(monkeypatch):
+    monkeypatch.setattr(algebra, "MAX_PROOFS", 8)
+    algebra._PROOFS.clear()
+    rng = random.Random(8)
+    for _ in range(40):
+        rows = polytopes.random_unimodular_matrix(3, rng)
+        assert ExtPolynomial._dual_rows(rows, 3) == intmat.dual_basis(rows)
+        assert len(algebra._PROOFS) <= 8
+    algebra._PROOFS.clear()
+
+
+def test_the_faithful_search_is_made_once_per_rank(dual_basis_calls):
+    # both readers of the GF(2) basis search share one search per rank and
+    # hand out fresh lists and dicts equal to a cold search's
+    for n in range(1, 5):
+        cold = algebra.basis_search(algebra.nonzero_chars_gf2(n), n, 2).monomials()
+        cold_duals = {m: algebra.sort_monomial(intmat.dual_basis(m, 2)[0])[1] for m in cold}
+        monomials = algebra.all_faithful_monomials_gf2(n)
+        search = algebra._SEARCHES[n]
+        duals = algebra.faithful_duals_gf2(n)
+        assert algebra._SEARCHES[n] is search
+        assert monomials == cold and list(duals) == cold and duals == cold_duals
+        monomials.clear()
+        duals.clear()
+        assert algebra.all_faithful_monomials_gf2(n) == cold
+        assert algebra.faithful_duals_gf2(n) == cold_duals
+    assert sorted(algebra._SEARCHES) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ext_polynomial(2, [(((1.5, 0), (0, 1)), 1.5)]),
+    lambda: ext_polynomial(2, [(((1, 0), (0, 1)), 1.5)]),
+    lambda: ext_polynomial(2, [(((1.5, 0), (0, 1)), 1)]),
+    lambda: gf2_polynomial(2, [[("1", 0), (0, 1)]]),
+    lambda: polytopes.Coloring("z", {0: (1.7,), 1: (-1,)}),
+    lambda: localization.FixedPointData("z", 1, [localization.FixedPoint(1, ((1.9,),))]),
+    lambda: localization.FixedPointData("z", 1, [localization.FixedPoint(1.0, ((1,),))]),
+    lambda: graphs.TorusGraph(1, 2, {(0, 1): (1.5,), (1, 0): (-1,)}),
+    lambda: graphs.TorusGraph(1, 2, {(0, 1): (1,), (1, 0): (-1,)}, sigma=[1, -1.0]),
+], ids=["ext coefficient and character", "ext coefficient", "ext character",
+        "gf2 character", "coloring", "fixed-point weight", "fixed-point sign",
+        "torus graph alpha", "torus graph sigma"])
+def test_inexact_integers_are_refused(build):
+    # an integer input is read by operator.index, so a float or a string is
+    # refused, not truncated (1.5 -> 1) or parsed ("1" -> 1)
+    with pytest.raises(ValidationError, match="must be an integer, got"):
+        build()
 
 
 def test_dual_involutive_random():

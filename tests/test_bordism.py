@@ -63,6 +63,9 @@ def test_zero_classes():
 def test_unknown_flavor():
     with pytest.raises(ValidationError):
         BordismClass("oriented", RP2)
+    # the zero class names the flavor before reading its polynomial type
+    with pytest.raises(ValidationError, match="^unknown flavor 'bogus'$"):
+        BordismClass.zero("bogus", 2)
 
 
 # -- ring structure ------------------------------------------------------------

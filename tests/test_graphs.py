@@ -357,8 +357,9 @@ def test_derived_graphs_satisfy_the_axioms():
 
 
 def test_vertex_bases_are_proved_once(monkeypatch, dual_basis_calls):
-    # one dual basis per vertex: CP2 x CP1 has 6 vertices; ``dual_basis``
-    # is counted by modulus, 0 over Z and 2 over GF(2)
+    # one dual basis per vertex basis up to row order and duality: CP2 x CP1
+    # has 6 vertices; ``dual_basis`` is counted by modulus, 0 over Z and 2
+    # over GF(2), and the hook's memo of proofs starts empty
     # no library module takes a determinant at all (tests/test_package.py)
     span_calls = [0]
 
@@ -379,18 +380,27 @@ def test_vertex_bases_are_proved_once(monkeypatch, dual_basis_calls):
     calls()
     torus = torus_graph_from_pair(p, lam)
     assert calls() == {"dual_basis": 6, "dual_basis mod 2": 0, "span": 0}
+    # the six mod-2 color bases are three sets, two vertices each, and
+    # {e3, e2, e1+e2} has the dual {e3, e1+e2, e1}: two eliminations
     skeleton = one_skeleton(p, mod2)
-    assert calls() == {"dual_basis": 0, "dual_basis mod 2": 6, "span": 0}
-    # validation proves each vertex basis once more, and its dual rows give
-    # the congruence functionals
+    assert calls() == {"dual_basis": 0, "dual_basis mod 2": 2, "span": 0}
+    # validation proves the vertex bases again, each the dual of a facet
+    # basis already proved, so the memo answers it; its dual rows give the
+    # congruence functionals
     torus.validate()
-    assert calls() == {"dual_basis": 6, "dual_basis mod 2": 0, "span": 0}
+    assert calls() == {"dual_basis": 0, "dual_basis mod 2": 0, "span": 0}
     skeleton.validate()
-    assert calls() == {"dual_basis": 0, "dual_basis mod 2": 6, "span": 0}
+    assert calls() == {"dual_basis": 0, "dual_basis mod 2": 0, "span": 0}
     # the sign δ(W_v) of each vertex term comes from the elimination that
     # proves W_v a basis, not from a determinant
     torus_polynomial(torus)
-    assert calls() == {"dual_basis": 6, "dual_basis mod 2": 0, "span": 0}
+    assert calls() == {"dual_basis": 0, "dual_basis mod 2": 0, "span": 0}
+    # with the memo emptied, each step proves its bases itself
+    for step, want in ((torus.validate, (6, 0)), (skeleton.validate, (0, 2)),
+                       (lambda: torus_polynomial(torus), (6, 0))):
+        algebra._PROOFS.clear()
+        step()
+        assert calls() == {"dual_basis": want[0], "dual_basis mod 2": want[1], "span": 0}
 
 
 def test_orientation_survives_a_json_round_trip():

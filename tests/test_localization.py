@@ -164,13 +164,29 @@ def test_each_distinct_fixed_point_basis_is_proved_once(dual_basis_calls):
     # no library module takes a determinant at all (tests/test_package.py)
     dual_basis_calls.clear()
     assert len(FixedPointData.from_polynomial(g)) == 82
-    # one per distinct weight tuple, not per unit; the sign comes from the
-    # same elimination, so no determinant is taken
-    assert dual_basis_calls[0] == 65
+    # one per distinct weight tuple up to duality, not per unit: two of the
+    # 65 monomials are duals of earlier ones, whose proofs stored them; the
+    # sign comes from the same elimination, so no determinant is taken
+    assert dual_basis_calls[0] == 63
     dual_basis_calls.clear()
     vanishing_test(g, 1)
-    # 65 in the image test, 65 for the data
-    assert dual_basis_calls[0] == 130
+    # the image test and the data meet only bases the hook has proved
+    assert dual_basis_calls[0] == 0
+
+
+def test_a_repeated_pipeline_proves_nothing_again(dual_basis_calls):
+    # the hook keeps every basis proof for the process, so the same graph,
+    # polynomial and fixed points built a second time eliminate nothing
+    p, lam = product_of_simplices((2, 1)), standard_z_coloring((2, 1))
+
+    def pipeline():
+        return FixedPointData.from_polynomial(torus_polynomial(torus_graph_from_pair(p, lam)))
+
+    first = pipeline()
+    assert dual_basis_calls[0] == 6
+    dual_basis_calls.clear()
+    assert pipeline().points == first.points
+    assert dual_basis_calls == {}
 
 
 def test_gf2_flavor_forces_positive_signs():
