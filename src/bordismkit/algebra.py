@@ -39,8 +39,12 @@ per rank and process, ``_SEARCHES``) and the unimodular monomials of an
 integer window (``kernels``), and its cofactor table gives each found basis
 its dual with no inversion.
 
-Integer inputs are read by ``exact_int``: a float or a string is refused,
-not truncated.
+Every integer the package is given is read by ``exact_int``
+(``operator.index``, with an optional lower bound): ranks, dimensions,
+counts, facet and vertex ids, weight bounds, degree caps, Chern indices,
+partition parts, exponents, coefficients, character entries, signs, the
+scale factor and the swap split.  A float or a string is refused with a
+ValidationError naming the argument, never truncated or parsed.
 
 Sign convention for the Z dual (the calibrated design decision): a
 faithful monomial is dualized by rewriting it in a determinant-positive
@@ -77,14 +81,17 @@ DUAL = "dual"
 # characters and monomials
 
 
-def exact_int(value: object, what: str) -> int:
+def exact_int(value: object, what: str, least: int | None = None) -> int:
     """``value`` as an int when it is an exact integer (``operator.index``),
-    else ValidationError: 1.5 or the string "1" is refused, not truncated or
-    parsed."""
+    at least ``least`` when that is given, else ValidationError: 1.5 or the
+    string "1" is refused, not truncated or parsed."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValidationError(f"{what} must be at least {least}, got {value}")
+    return value
 
 
 def char_mod2(char: Char) -> Char:
@@ -155,9 +162,7 @@ class Polynomial:
                  space: str = PRIMAL):
         if space not in (PRIMAL, DUAL):
             raise ValidationError(f"unknown space {space!r}")
-        if n < 1:
-            raise ValidationError("rank n must be at least 1")
-        self.n = int(n)
+        self.n = n = exact_int(n, "rank n", 1)
         self.space = space
         modulus = self.modulus
         pairs = []
@@ -212,21 +217,25 @@ class Polynomial:
         basis.  The count is checked first: no rows have the empty dual.
 
         Each proof is made once per process up to row order and duality
-        (docs/decisions/0005): ``_PROOFS`` keeps, per (sorted rows, modulus),
-        ``intmat.dual_basis`` of the sorted rows, and after an elimination
-        also the dual's own entry, the input back.  A hit is put back in the
-        caller's row order, its det times the sign of the sorting
-        permutation over Z, and is always a fresh list.
+        (docs/decisions/0005): the rows are sorted by ``sort_monomial``, so
+        repeated rows answer None with no elimination, and ``_PROOFS``
+        keeps, per (sorted rows, modulus), ``intmat.dual_basis`` of the
+        sorted rows, and after an elimination also the dual's own entry, the
+        input back.  A hit is put back in the caller's row order, its det
+        times the sign of the sorting permutation over Z, and is always a
+        fresh list.
         """
         if len(chars) != n:
             return None
         modulus = cls.modulus
         rows = list(map(tuple, chars))
-        order, sign = _row_order(rows)
-        key = (tuple(map(rows.__getitem__, order)), modulus)
+        sign, ordered = sort_monomial(rows)
+        if not sign:   # a repeated row
+            return None
+        key = (ordered, modulus)
         proof = _PROOFS.get(key, _UNPROVED)
         if proof is _UNPROVED:
-            proof = intmat.dual_basis(key[0], modulus)
+            proof = intmat.dual_basis(ordered, modulus)
             if len(_PROOFS) > MAX_PROOFS - 2:
                 _PROOFS.clear()
             _PROOFS[key] = proof
@@ -235,10 +244,8 @@ class Polynomial:
         if proof is None:
             return None
         dual, det = proof
-        out: list[Char] = [()] * n
-        for k, i in enumerate(order):
-            out[i] = dual[k]
-        return out, det if modulus else sign * det
+        dual_of = dict(zip(ordered, dual))
+        return [dual_of[row] for row in rows], det if modulus else sign * det
 
     def _sum(self, pairs: Iterable[tuple[Monomial, int]], *, n: int | None = None,
              space: str | None = None) -> "Polynomial":
@@ -296,7 +303,7 @@ class Polynomial:
         return self + (-other)
 
     def scale(self, k: int) -> "Polynomial":
-        k = int(k)
+        k = exact_int(k, "scale factor")
         return self._sum((m, k * c) for m, c in self.terms.items())
 
     def wedge(self, other: "Polynomial") -> "Polynomial":
@@ -339,28 +346,18 @@ MAX_PROOFS = 4096
 _UNPROVED = object()
 
 
-def _row_order(rows: Sequence[Char]) -> tuple[list[int], int]:
-    """The indices of ``rows`` in sorted order, and the sign of that
-    permutation."""
-    order = sorted(range(len(rows)), key=rows.__getitem__)
-    sign = 1
-    for j, a in enumerate(order):
-        for b in order[j + 1:]:
-            if a > b:
-                sign = -sign
-    return order, sign
-
-
 def _remember_dual(key: ProofKey, proof: Proof) -> None:
     """Store the entry of a proved basis's dual: the dual of the dual is the
     basis, with the same det (±1 over Z), and mod 2 over GF(2), as the
     elimination reads it."""
     rows, modulus = key
     dual, det = proof
-    back = [tuple(int(v) % modulus if modulus else int(v) for v in row) for row in rows]
-    order, sign = _row_order(dual)
-    _PROOFS[tuple(map(dual.__getitem__, order)), modulus] = (
-        list(map(back.__getitem__, order)), det if modulus else sign * det)
+    if modulus:
+        rows = tuple(tuple(v % modulus for v in row) for row in rows)
+    back_of = dict(zip(dual, rows))
+    sign, ordered = sort_monomial(dual)
+    _PROOFS[ordered, modulus] = ([back_of[row] for row in ordered],
+                                 det if modulus else sign * det)
 
 
 # coloring targets and fixed-point flavors
@@ -516,8 +513,7 @@ def basis_search(chars: list[Char], n: int, modulus: int) -> BasisSearch:
     det A (-1)^(n-1-j) v_(A without row j), and v_(A without row j) mod 2;
     each such prefix is in the table, as its minors' gcd divides det A.
     """
-    if n < 1:
-        raise ValidationError("rank n must be at least 1")
+    n = exact_int(n, "rank n", 1)
     cols = [[c[k] for c in chars] for k in range(n)]
     subsets = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
     where = [{s: i for i, s in enumerate(level)} for level in subsets]
@@ -571,6 +567,7 @@ _SEARCHES: dict[int, BasisSearch] = {}
 
 
 def _faithful_search(n: int) -> BasisSearch:
+    n = exact_int(n, "rank n", 1)
     found = _SEARCHES.get(n)
     if found is None:
         found = _SEARCHES[n] = basis_search(nonzero_chars_gf2(n), n, 2)

@@ -95,6 +95,7 @@ def swap_conjugate(a: BordismClass, split: int) -> BordismClass:
     point's sign intact, so a symmetric product is a fixed point of the swap.
     Mod 2 the scaling is the identity.
     """
+    split = algebra.exact_int(split, "split")
     if not 0 <= split <= a.n:
         raise ValidationError(f"split {split} out of range for rank {a.n}")
     perm = tuple(range(split, a.n)) + tuple(range(split))
@@ -144,7 +145,7 @@ def surjectivity_probe(n: int, weight_bound: int = 1,
     only a weight-bounded slice.
     """
     # refuse over the window caps, then the kernel cap, before any work
-    kernels._check_window(n, weight_bound, max_n, None, weight_fixed=True)
+    n, weight_bound = kernels._check_window(n, weight_bound, max_n, None, weight_fixed=True)
     target_space = kernel_space(n)
     window = kernel_sample_unitary(n, weight_bound, max_n=max_n)
 

@@ -65,9 +65,8 @@ def gl2_order(n: int) -> int:
     return out
 
 
-def _check_rank(n: int, max_n: int | None) -> None:
-    if n < 1:
-        raise ValidationError(f"ambient rank must be positive, got {n}")
+def _check_rank(n: int, max_n: int | None) -> int:
+    n = algebra.exact_int(n, "ambient rank", 1)
     cap = DEFAULT_MAX_N if max_n is None else max_n
     if n > cap:
         # a shape with r parts has r facets off the first vertex, each taking
@@ -84,6 +83,7 @@ def _check_rank(n: int, max_n: int | None) -> None:
             f"orbit walk would visit up to 10^{log_reps:.1f} representative "
             f"colorings, standing for up to 10^{log_colorings:.1f} basis "
             f"colorings (pass max_n={n} to allow it)")
+    return n
 
 
 def _gl_generators(n: int) -> list[list[int]]:
@@ -174,7 +174,7 @@ class _OrbitWalk:
 def iter_bott_generators(n: int, max_n: int | None = None) -> Iterator[BottGenerator]:
     """Stream generator triples over all shapes of rank n, one per distinct
     polynomial of each shape."""
-    _check_rank(n, max_n)
+    n = _check_rank(n, max_n)
     walk = _OrbitWalk(n)
     unpacked = [gf2.unpack(c, n) for c in range(1 << n)]
     for polytope, colors, key in walk:
@@ -224,7 +224,7 @@ def spanning_rank(n: int, target: int | None = None,
     rank reaches it (the span only grows, so the reached rank is final as long
     as the target is an upper bound, e.g. the kernel dimension).
     """
-    _check_rank(n, max_n)
+    n = _check_rank(n, max_n)
     walk = _OrbitWalk(n)
     acc = gf2.RankAccumulator()
     stopped = False

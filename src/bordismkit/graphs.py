@@ -50,22 +50,6 @@ from .polytopes import Coloring, SimplePolytope
 VertexBasis = tuple[list[tuple[int, int]], list[Char], tuple[list[Char], int]]
 
 
-def _vertex_count(num_vertices: int) -> int:
-    num_vertices = int(num_vertices)
-    if num_vertices < 0:
-        raise ValidationError(f"vertex count must be nonnegative, got {num_vertices}")
-    return num_vertices
-
-
-def _rank(n: int) -> int:
-    """The rank, checked before anything is sized by the vertex count: at
-    n = 0 every vertex has the right degree, so all of them would be walked."""
-    n = int(n)
-    if n < 1:
-        raise ValidationError("rank n must be at least 1")
-    return n
-
-
 def _first_wrong_degree(degrees: Mapping[int, int], num_vertices: int, n: int) -> int | None:
     """The first vertex whose degree is not n, from the degrees of the
     vertices that have edges: its cost follows the edges, not the vertex
@@ -85,14 +69,16 @@ class ColoredGraph:
 
     def __init__(self, n: int, num_vertices: int,
                  alpha: Mapping[frozenset[int], Sequence[int]]):
-        self.n = _rank(n)
-        self.num_vertices = _vertex_count(num_vertices)
+        # the rank first: at n = 0 every vertex has the right degree, so all
+        # of them would be walked
+        self.n = algebra.exact_int(n, "rank n", 1)
+        self.num_vertices = algebra.exact_int(num_vertices, "vertex count", 0)
         self.alpha: dict[frozenset[int], Char] = {}
         for e, c in alpha.items():
-            e = frozenset(int(v) for v in e)
+            e = frozenset([algebra.exact_int(v, "vertex id") for v in e])
             if len(e) != 2:
                 raise ValidationError(f"edge {sorted(e)} must join two distinct vertices")
-            if any(v < 0 or v >= num_vertices for v in e):
+            if any(v < 0 or v >= self.num_vertices for v in e):
                 raise ValidationError(f"edge {sorted(e)} references an unknown vertex")
             self.alpha[e] = Gf2Polynomial._check_char(tuple(c), self.n)
 
@@ -187,12 +173,12 @@ class TorusGraph:
     def __init__(self, n: int, num_vertices: int,
                  alpha: Mapping[tuple[int, int], Sequence[int]],
                  sigma: Sequence[int] | None = None):
-        self.n = _rank(n)
-        self.num_vertices = _vertex_count(num_vertices)
+        self.n = algebra.exact_int(n, "rank n", 1)   # first, as in ColoredGraph
+        self.num_vertices = algebra.exact_int(num_vertices, "vertex count", 0)
         self.alpha: dict[tuple[int, int], Char] = {}
         for (u, v), c in alpha.items():
-            u, v = int(u), int(v)
-            if u == v or min(u, v) < 0 or max(u, v) >= num_vertices:
+            u, v = algebra.exact_int(u, "vertex id"), algebra.exact_int(v, "vertex id")
+            if u == v or min(u, v) < 0 or max(u, v) >= self.num_vertices:
                 raise ValidationError(f"bad oriented edge ({u},{v})")
             self.alpha[(u, v)] = ExtPolynomial._check_char(tuple(c), self.n)
         for (u, v) in list(self.alpha):
@@ -200,7 +186,7 @@ class TorusGraph:
                 raise ValidationError(f"edge ({u},{v}) is missing its reversal")
         self.sigma = None if sigma is None else [algebra.exact_int(s, "sigma") for s in sigma]
         if self.sigma is not None:
-            if len(self.sigma) != num_vertices or any(s not in (1, -1) for s in self.sigma):
+            if len(self.sigma) != self.num_vertices or any(s not in (1, -1) for s in self.sigma):
                 raise ValidationError("sigma must assign ±1 to every vertex")
 
     def _out_edges(self) -> dict[int, list[tuple[int, int]]]:

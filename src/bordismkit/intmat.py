@@ -32,8 +32,7 @@ def dual_basis(mat: Matrix, modulus: int = 0) -> tuple[list[tuple[int, ...]], in
     n = len(mat)
     if any(len(row) != n for row in mat):
         return None
-    a = [[int(v) for v in row] + [int(i == j) for j in range(n)]
-         for i, row in enumerate(mat)]
+    a = [[*row, *(1 if i == j else 0 for j in range(n))] for i, row in enumerate(mat)]
     prev = sign = 1
     for k in range(n):
         for r in range(k, n):

@@ -90,8 +90,7 @@ class KernelSpace(NamedTuple):
 
 def kernel_space(n: int, max_n: int | None = None) -> KernelSpace:
     """Exact kernel basis over GF(2) for ambient rank n."""
-    if n < 1:
-        raise ValidationError(f"ambient rank must be positive, got {n}")
+    n = algebra.exact_int(n, "ambient rank", 1)
     cap = max_rank_limit() if max_n is None else max_n
     if n > cap:
         raise ResourceLimitError(
@@ -281,16 +280,16 @@ class WindowKernel(NamedTuple):
                 f"dim={self.dim}, rank={self.rank})")
 
 
-def _check_ranks(n: int, weight_bound: int) -> None:
-    if n < 1:
-        raise ValidationError(f"ambient rank must be positive, got {n}")
-    if weight_bound < 0:
-        raise ValidationError(f"weight bound must be nonnegative, got {weight_bound}")
+def _check_ranks(n: int, weight_bound: int) -> tuple[int, int]:
+    return (algebra.exact_int(n, "ambient rank", 1),
+            algebra.exact_int(weight_bound, "weight bound", 0))
 
 
 def _check_window(n: int, weight_bound: int, max_n: int | None,
-                  max_weight_bound: int | None, weight_fixed: bool = False) -> None:
-    _check_ranks(n, weight_bound)
+                  max_weight_bound: int | None, weight_fixed: bool = False
+                  ) -> tuple[int, int]:
+    """(n, weight bound) as read, once the window is within its caps."""
+    n, weight_bound = _check_ranks(n, weight_bound)
     cap_n = DEFAULT_SAMPLE_MAX_N if max_n is None else max_n
     cap_w = DEFAULT_SAMPLE_MAX_WEIGHT if max_weight_bound is None else max_weight_bound
     hit = []
@@ -305,13 +304,14 @@ def _check_window(n: int, weight_bound: int, max_n: int | None,
         raise ResourceLimitError(
             f"window (n={n}, weight_bound={weight_bound}) exceeds the cap "
             f"{' and '.join(hit)}; it would scan C({chars}, {n}) candidate monomials")
+    return n, weight_bound
 
 
 def kernel_sample_unitary(n: int, weight_bound: int = 1,
                           max_n: int | None = None,
                           max_weight_bound: int | None = None) -> WindowKernel:
     """Integral kernel basis over the window of weight-bounded monomials."""
-    _check_window(n, weight_bound, max_n, max_weight_bound)
+    n, weight_bound = _check_window(n, weight_bound, max_n, max_weight_bound)
     window = _search(n, weight_bound)
     monomials = window.monomials()
     rank, combos = _left_kernel(_window_rows(window))
@@ -341,5 +341,5 @@ def support_floor(n: int, weight_bound: int) -> int:
     the window kernel, not just a basis.  No window is built, so no cap
     applies.
     """
-    _check_ranks(n, weight_bound)
+    n, weight_bound = _check_ranks(n, weight_bound)
     return 2 if n == 1 and weight_bound else 3

@@ -137,8 +137,7 @@ class FixedPointData:
     def __init__(self, flavor: str, n: int, points: Sequence[FixedPoint]):
         if flavor not in algebra.RINGS:
             raise ValidationError(f"unknown flavor {flavor!r}")
-        if n < 1:
-            raise ValidationError("rank n must be at least 1")
+        n = exact_int(n, "rank n", 1)
         ring = algebra.RINGS[flavor]
         checked = []
         for pt in points:
@@ -532,7 +531,7 @@ class Gf2IntegralityTable:
     __slots__ = ("n", "partitions", "_bits")
 
     def __init__(self, n: int, partitions: Sequence[Sequence[int]]):
-        self.n = n
+        self.n = n = exact_int(n, "rank n", 1)
         self.partitions = tuple(map(mvpoly.canonical_partition, partitions))
         # the enumeration yields bases, so they are not proved again
         data = FixedPointData._of(GF2, n, [FixedPoint(1, m)
@@ -558,10 +557,14 @@ class Gf2IntegralityTable:
 
     def passes(self, p: Gf2Polynomial, mu: Sequence[int]) -> bool:
         """Whether the monomial symmetric function m_mu gives a polynomial sum."""
-        mu = mvpoly.canonical_partition(mu)
-        rows = self._bits.get(mu)
+        rows = None
+        if type(mu) is tuple and all(type(x) is int for x in mu):
+            rows = self._bits.get(mu)   # a canonical mu is a key as it is
         if rows is None:
-            raise ValidationError(f"partition {mu} is not in the table")
+            mu = mvpoly.canonical_partition(mu)
+            rows = self._bits.get(mu)
+            if rows is None:
+                raise ValidationError(f"partition {mu} is not in the table")
         if p.n != self.n:
             raise ValidationError(f"polynomial has rank {p.n}, table has {self.n}")
         if p.space != algebra.PRIMAL:
@@ -720,8 +723,7 @@ def equivariant_chern_number(data: FixedPointData, i: int, j: int) -> ChernNumbe
     """
     if data.flavor != Z:
         raise ValidationError("expected integer fixed-point data")
-    if i < 0 or j < 0:
-        raise ValidationError("Chern number indices must be nonnegative")
+    i, j = exact_int(i, "Chern index i", 0), exact_int(j, "Chern index j", 0)
     if j and data.n < 2:
         raise ValidationError("e2 needs at least two weights per point")
     loc, n, d = _localization(data), data.n, i + 2 * j
@@ -735,10 +737,7 @@ def equivariant_chern_number(data: FixedPointData, i: int, j: int) -> ChernNumbe
 
 
 def _degree_cap(n: int, degree_cap: int | None) -> int:
-    cap = 2 * n if degree_cap is None else int(degree_cap)
-    if cap < 0:
-        raise ValidationError("degree cap must be nonnegative")
-    return cap
+    return 2 * n if degree_cap is None else exact_int(degree_cap, "degree cap", 0)
 
 
 def chern_sweep(data: FixedPointData, degree_cap: int | None = None

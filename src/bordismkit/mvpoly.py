@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, Sequence
 
+from .algebra import exact_int
 from .errors import ValidationError
 
 Expt = tuple[int, ...]
@@ -26,14 +27,14 @@ class MPoly:
 
     def __init__(self, nv: int,
                  terms: Mapping[Expt, int] | Iterable[tuple[Expt, int]] = ()):
-        self.nv = nv
+        self.nv = nv = exact_int(nv, "variable count", 0)
         acc: dict[Expt, int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for expt, coeff in items:
-            expt = tuple(int(e) for e in expt)
-            if len(expt) != nv or any(e < 0 for e in expt):
+            expt = tuple([exact_int(e, "exponent", 0) for e in expt])
+            if len(expt) != nv:
                 raise ValidationError(f"bad exponent tuple {expt} for {nv} variables")
-            acc[expt] = acc.get(expt, 0) + coeff
+            acc[expt] = acc.get(expt, 0) + exact_int(coeff, "coefficient")
             if not acc[expt]:
                 del acc[expt]
         self._terms = acc
@@ -111,10 +112,11 @@ def monomial_symmetric_value(mu: tuple[int, ...], values: Sequence[int]) -> int:
 
 def canonical_partition(mu: Iterable[int]) -> tuple[int, ...]:
     """The parts of ``mu`` as ints, largest first; every part must be positive."""
-    mu = tuple(sorted((int(x) for x in mu), reverse=True))
-    if any(x <= 0 for x in mu):
-        raise ValidationError(f"partition parts must be positive, got {mu}")
-    return mu
+    try:
+        parts = [exact_int(x, "partition part", 1) for x in mu]
+    except TypeError:
+        raise ValidationError(f"a partition is a sequence of parts, got {mu!r}") from None
+    return tuple(sorted(parts, reverse=True))
 
 
 def partitions(n: int) -> list[tuple[int, ...]]:

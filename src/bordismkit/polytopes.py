@@ -33,23 +33,23 @@ from .errors import ValidationError
 Vertex = frozenset[int]
 
 
+def _facet_id(f: object) -> int:
+    return algebra.exact_int(f, "facet id")
+
+
 class SimplePolytope:
     """Abstract simple n-polytope: facet indices 0..m-1 and vertex incidences."""
 
     __slots__ = ("dim", "num_facets", "vertices", "_adj")
 
     def __init__(self, dim: int, num_facets: int, vertices: Iterable[Iterable[int]]):
-        self.dim = int(dim)
-        self.num_facets = int(num_facets)
-        self.vertices = [frozenset(int(f) for f in v) for v in vertices]
+        self.dim = algebra.exact_int(dim, "polytope dimension", 1)
+        self.num_facets = algebra.exact_int(num_facets, "facet count", 0)
+        self.vertices = [frozenset(map(_facet_id, v)) for v in vertices]
         self._validate()
 
     def _validate(self) -> None:
         n, m = self.dim, self.num_facets
-        if n < 1:
-            raise ValidationError("polytope dimension must be at least 1")
-        if m < 0:
-            raise ValidationError(f"facet count must be nonnegative, got {m}")
         if len(self.vertices) < n + 1:
             raise ValidationError(f"a simple {n}-polytope has at least {n + 1} vertices, "
                                   f"got {len(self.vertices)}")
@@ -108,8 +108,7 @@ class SimplePolytope:
 
 def simplex(k: int) -> SimplePolytope:
     """The k-simplex: k+1 facets, vertices = all k-element facet subsets."""
-    if k < 1:
-        raise ValidationError("simplex dimension must be at least 1")
+    k = algebra.exact_int(k, "simplex dimension", 1)
     verts = [frozenset(range(k + 1)) - {i} for i in range(k + 1)]
     return SimplePolytope(k, k + 1, verts)
 
@@ -132,15 +131,14 @@ def connected_sum(p1: SimplePolytope, v1: Vertex | Iterable[int],
     unmerged p2 facets are appended.  Facets that end up with no vertices are
     dropped (this happens only in the degenerate 1-dimensional case).
     """
-    v1 = frozenset(int(f) for f in v1)
-    v2 = frozenset(int(f) for f in v2)
+    v1, v2 = frozenset(map(_facet_id, v1)), frozenset(map(_facet_id, v2))
     if v1 not in p1.vertices:
         raise ValidationError("v1 is not a vertex of the first polytope")
     if v2 not in p2.vertices:
         raise ValidationError("v2 is not a vertex of the second polytope")
     if p1.dim != p2.dim:
         raise ValidationError("connected sum needs equal dimensions")
-    pairing = {int(a): int(b) for a, b in pairing.items()}
+    pairing = {_facet_id(a): _facet_id(b) for a, b in pairing.items()}
     if set(pairing) != set(v1) or set(pairing.values()) != set(v2):
         raise ValidationError("pairing must biject the facets at v1 with those at v2")
 
@@ -180,7 +178,7 @@ class Coloring:
         if target not in algebra.RINGS:
             raise ValidationError(f"unknown coloring target {target!r}")
         self.target = target
-        self.map = {int(f): tuple([algebra.exact_int(x, "color entry") for x in c])
+        self.map = {_facet_id(f): tuple([algebra.exact_int(x, "color entry") for x in c])
                     for f, c in colors.items()}
 
     def validate(self, p: SimplePolytope) -> None:
@@ -285,8 +283,7 @@ def random_gf2_coloring(p: SimplePolytope, rng: random.Random) -> Coloring:
 
 def random_unimodular_matrix(n: int, rng: random.Random) -> list[list[int]]:
     """Product of 12 random elementary operations on the identity; det = ±1."""
-    if n < 1:
-        raise ValidationError("rank n must be at least 1")
+    n = algebra.exact_int(n, "rank n", 1)
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(12):
         kind = rng.randrange(3)

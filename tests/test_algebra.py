@@ -6,7 +6,8 @@ import random
 import elimination_oracles
 import pytest
 
-from bordismkit import algebra, graphs, intmat, localization, polytopes
+from bordismkit import (algebra, bordism, bott, graphs, intmat, kernels, localization,
+                        mvpoly, polytopes)
 from bordismkit.algebra import (DUAL, PRIMAL, ExtPolynomial, Gf2Polynomial,
                                 ext_polynomial, gf2_polynomial)
 from bordismkit.errors import ValidationError
@@ -131,7 +132,7 @@ def test_basis_search_reads_one_gcd_test_for_both_rings():
     lambda: algebra.all_faithful_monomials_gf2(0), lambda: algebra.faithful_duals_gf2(0)])
 def test_basis_search_needs_rank_at_least_one(search):
     # rank 0 used to fail with an IndexError inside the walk
-    with pytest.raises(ValidationError, match="^rank n must be at least 1$"):
+    with pytest.raises(ValidationError, match="^rank n must be at least 1, got (0|-1)$"):
         search()
 
 
@@ -369,6 +370,13 @@ def test_the_proof_memo_answers_as_the_elimination_does(modulus, dual_basis_call
     assert len(algebra._PROOFS) <= algebra.MAX_PROOFS
 
 
+def test_repeated_rows_are_refused_with_no_elimination(dual_basis_calls):
+    # the sort that orders the rows for the memo key finds the repeat
+    for ring in (ExtPolynomial, Gf2Polynomial):
+        assert ring._dual_rows([(0, 1), (0, 1)], 2) is None
+    assert dual_basis_calls == {}
+
+
 def test_a_proof_can_be_changed_by_its_caller():
     # every answer is a fresh list, so editing one changes no later answer
     for ring, chars in ((ExtPolynomial, ((0, 1), (1, 0))), (Gf2Polynomial, RP2_MONOS[1])):
@@ -426,6 +434,111 @@ def test_inexact_integers_are_refused(build):
     # refused, not truncated (1.5 -> 1) or parsed ("1" -> 1)
     with pytest.raises(ValidationError, match="must be an integer, got"):
         build()
+
+
+def _integer_arguments():
+    """(id, build, the message) for every integer argument read by
+    ``exact_int``: 1.5 and "1" for each, and one below the bound where
+    there is one."""
+    segment = polytopes.simplex(1)
+    empty = localization.FixedPointData("z", 2, [])
+    zero = bordism.BordismClass.zero(bordism.UNITARY, 2)
+    cases = [
+        # (argument, build from the value, what the message names, bound)
+        ("polytope dimension", lambda v: polytopes.SimplePolytope(v, 2, [[0], [1]]),
+         "polytope dimension", 1),
+        ("facet count", lambda v: polytopes.SimplePolytope(1, v, [[0], [1]]),
+         "facet count", 0),
+        ("vertex facet", lambda v: polytopes.SimplePolytope(1, 2, [[0], [v]]),
+         "facet id", None),
+        ("simplex", polytopes.simplex, "simplex dimension", 1),
+        ("connected_sum vertex",
+         lambda v: polytopes.connected_sum(segment, [v], segment, [0], {0: 0}),
+         "facet id", None),
+        ("connected_sum pairing",
+         lambda v: polytopes.connected_sum(segment, [0], segment, [0], {v: 0}),
+         "facet id", None),
+        ("coloring facet", lambda v: polytopes.Coloring("z", {v: (1,), 1: (-1,)}),
+         "facet id", None),
+        ("random_unimodular_matrix",
+         lambda v: polytopes.random_unimodular_matrix(v, random.Random(0)), "rank n", 1),
+        ("ColoredGraph rank", lambda v: graphs.ColoredGraph(v, 2, {}), "rank n", 1),
+        ("ColoredGraph vertex count", lambda v: graphs.ColoredGraph(1, v, {}),
+         "vertex count", 0),
+        ("ColoredGraph edge end",
+         lambda v: graphs.ColoredGraph(1, 2, {frozenset((0, v)): (1,)}), "vertex id", None),
+        ("TorusGraph rank", lambda v: graphs.TorusGraph(v, 2, {}), "rank n", 1),
+        ("TorusGraph vertex count", lambda v: graphs.TorusGraph(1, v, {}),
+         "vertex count", 0),
+        ("TorusGraph edge end",
+         lambda v: graphs.TorusGraph(1, 2, {(0, v): (1,), (1, 0): (-1,)}), "vertex id", None),
+        ("polynomial rank", lambda v: ExtPolynomial(v), "rank n", 1),
+        ("scale", lambda v: CP1.scale(v), "scale factor", None),
+        ("basis_search", lambda v: algebra.basis_search([(1,)], v, 0), "rank n", 1),
+        ("all_faithful_monomials_gf2", algebra.all_faithful_monomials_gf2, "rank n", 1),
+        ("kernel_space", kernels.kernel_space, "ambient rank", 1),
+        ("kernel_sample_unitary rank", lambda v: kernels.kernel_sample_unitary(v, 1),
+         "ambient rank", 1),
+        ("kernel_sample_unitary weight", lambda v: kernels.kernel_sample_unitary(2, v),
+         "weight bound", 0),
+        ("support_floor rank", lambda v: kernels.support_floor(v, 1), "ambient rank", 1),
+        ("support_floor weight", lambda v: kernels.support_floor(1, v), "weight bound", 0),
+        ("spanning_rank", bott.spanning_rank, "ambient rank", 1),
+        ("bott_generators", bott.bott_generators, "ambient rank", 1),
+        ("swap_conjugate", lambda v: bordism.swap_conjugate(zero, v), "split", None),
+        ("FixedPointData rank", lambda v: localization.FixedPointData("z", v, []),
+         "rank n", 1),
+        ("SymmetricFunction part", lambda v: localization.SymmetricFunction(((v,),)),
+         "partition part", 1),
+        ("Gf2IntegralityTable rank", lambda v: localization.Gf2IntegralityTable(v, [(1,)]),
+         "rank n", 1),
+        ("Gf2IntegralityTable part", lambda v: localization.Gf2IntegralityTable(3, [(v,)]),
+         "partition part", 1),
+        ("Chern index i", lambda v: localization.equivariant_chern_number(empty, v, 0),
+         "Chern index i", 0),
+        ("Chern index j", lambda v: localization.equivariant_chern_number(empty, 0, v),
+         "Chern index j", 0),
+        ("chern_sweep cap", lambda v: localization.chern_sweep(empty, v), "degree cap", 0),
+        ("vanishing_test cap", lambda v: localization.vanishing_test(CP1, v), "degree cap", 0),
+        ("MPoly variables", mvpoly.MPoly, "variable count", 0),
+        ("MPoly exponent", lambda v: mvpoly.MPoly(2, {(v, 1): 3}), "exponent", 0),
+        ("MPoly coefficient", lambda v: mvpoly.MPoly(1, {(0,): v}), "coefficient", None),
+    ]
+    for name, build, what, least in cases:
+        yield f"{name}-1.5", lambda b=build: b(1.5), f"{what} must be an integer, got 1.5"
+        yield f"{name}-'1'", lambda b=build: b("1"), f"{what} must be an integer, got '1'"
+        if least is not None:
+            yield (f"{name}-{least - 1}", lambda b=build, v=least - 1: b(v),
+                   f"{what} must be at least {least}, got {least - 1}")
+    # the shape check reads exact ints too (isinstance), with one message
+    # for the whole shape
+    shape = "a product of simplices needs a nonempty shape of positive integer parts, got "
+    for parts in ((2, 1.5), (2, "1"), (2, 0)):
+        yield (f"product_of_simplices-{parts[1]!r}",
+               lambda s=parts: polytopes.product_of_simplices(s), shape + repr(parts))
+    # inexact ids that were truncated: to a 1-polytope with vertices {0}, {1},
+    # to facets 0 and 1, and to the edge (0, 1)
+    yield ("polytope truncated", lambda: polytopes.SimplePolytope(1.7, 2, [[0], [1.2]]),
+           "polytope dimension must be an integer, got 1.7")
+    yield ("coloring truncated", lambda: polytopes.Coloring("z", {0.5: (1,), 1.9: (-1,)}),
+           "facet id must be an integer, got 0.5")
+    yield ("torus graph truncated",
+           lambda: graphs.TorusGraph(1, 2, {(0, 1.9): (1,), (1, 0): (-1,)}),
+           "vertex id must be an integer, got 1.9")
+
+
+INTEGER_ARGUMENTS = list(_integer_arguments())
+
+
+@pytest.mark.parametrize("build, message", [case[1:] for case in INTEGER_ARGUMENTS],
+                         ids=[case[0] for case in INTEGER_ARGUMENTS])
+def test_every_integer_argument_is_read_exactly(build, message):
+    # a float or a string is refused, not truncated or parsed, and a value
+    # below the argument's bound is refused: always a ValidationError naming
+    # the argument, never a TypeError from deeper down
+    with pytest.raises(ValidationError) as raised:
+        build()
+    assert str(raised.value) == message
 
 
 def test_dual_involutive_random():

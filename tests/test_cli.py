@@ -227,7 +227,7 @@ def test_a_rank_0_graph_is_refused_before_its_vertices_are_walked(verb, vertices
     r = run_cli(verb, json.dumps(obj), timeout=5)
     assert r.returncode == 1
     assert json.loads(r.stdout)["error"] == {"code": "validation-error",
-                                             "message": "rank n must be at least 1"}
+                                             "message": "rank n must be at least 1, got 0"}
 
 
 def test_poly_of_graph_and_cross_verb_guard(tmp_path):
@@ -278,7 +278,7 @@ def test_torus_poly_proves_each_vertex_basis_once(dual_basis_calls, capsys):
 
 
 @pytest.mark.parametrize("facets, message", [
-    (-5, "facet count must be nonnegative, got -5"),
+    (-5, "facet count must be at least 0, got -5"),
     (0, "a simple 1-polytope has at least 2 vertices, got 0"),
 ])
 def test_a_polytope_with_no_vertices_is_refused(facets, message):
@@ -298,7 +298,7 @@ def test_a_negative_vertex_count_is_refused(verb, graph):
     r = run_cli(verb, graph)
     assert r.returncode == 1
     assert json.loads(r.stdout)["error"] == {
-        "code": "validation-error", "message": "vertex count must be nonnegative, got -3"}
+        "code": "validation-error", "message": "vertex count must be at least 0, got -3"}
 
 
 @pytest.mark.parametrize("graph, message", [
@@ -394,7 +394,7 @@ def test_chern_rejects_a_negative_degree_bound():
     assert r.returncode == 1
     err = json.loads(r.stdout)["error"]
     assert err == {"code": "validation-error",
-                   "message": "degree cap must be nonnegative"}
+                   "message": "degree cap must be at least 0, got -3"}
 
 
 def test_chern_rejects_an_unknown_flavor_as_input_format():
@@ -434,7 +434,7 @@ def test_chern_rejects_fixed_point_data_of_rank_below_one(n):
     r = run_cli("chern", json.dumps({"flavor": "z", "n": n, "points": []}))
     assert r.returncode == 1
     assert json.loads(r.stdout)["error"] == {
-        "code": "validation-error", "message": "rank n must be at least 1"}
+        "code": "validation-error", "message": f"rank n must be at least 1, got {n}"}
 
 
 def test_chern_names_a_gf2_weight_outside_zero_one():

@@ -156,7 +156,7 @@ def test_reversal_axiom_enforced():
 @pytest.mark.parametrize("graph", [ColoredGraph, TorusGraph])
 def test_graphs_need_rank_at_least_one(graph, n):
     # checked before the vertex count sizes anything (it was walked at n = 0)
-    with pytest.raises(ValidationError, match="^rank n must be at least 1$"):
+    with pytest.raises(ValidationError, match=f"^rank n must be at least 1, got {n}$"):
         graph(n, 10**30, {})
 
 

@@ -181,9 +181,9 @@ def test_support_floor_caps():
     # still read off the row argument; only a bad rank or weight is refused
     assert kernels.support_floor(4, 2) == 3
     assert kernels.support_floor(2, 3) == 3
-    with pytest.raises(ValidationError, match="^ambient rank must be positive, got 0$"):
+    with pytest.raises(ValidationError, match="^ambient rank must be at least 1, got 0$"):
         kernels.support_floor(0, 1)
-    with pytest.raises(ValidationError, match="^weight bound must be nonnegative, got -1$"):
+    with pytest.raises(ValidationError, match="^weight bound must be at least 0, got -1$"):
         kernels.support_floor(1, -1)
 
 

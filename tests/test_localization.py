@@ -258,7 +258,7 @@ def test_batch_table_input_checks():
         table.passes(Gf2Polynomial(2, [((0, 1), (1, 0))]), (2,))
     with pytest.raises(ValidationError):
         table.passes(Gf2Polynomial(3, [], space="primal"), (1,))
-    with pytest.raises(ValidationError, match="must be positive"):
+    with pytest.raises(ValidationError, match="^partition part must be at least 1, got 0$"):
         table.passes(RP2, (1, 0))
     # a dual polynomial's characters are facet colors, not weights
     with pytest.raises(ValidationError, match="^polynomial is not in the primal space$"):
@@ -272,15 +272,35 @@ def test_batch_table_input_checks():
         for mu in ((2, 1), (1, 2), [1, 2], [2, 1], (3,), [3]):
             want = integrality_check_gf2(data, SymmetricFunction((mu,)))
             assert table.passes(g, mu) == want, (g, mu)
-    with pytest.raises(ValidationError, match="must be positive"):
+    with pytest.raises(ValidationError, match="^partition part must be at least 1, got 0$"):
         table.passes(RP2, [1, 0])
     with pytest.raises(ValidationError, match=r"^partition \(2, 2\) is not in the table$"):
         table.passes(RP2, [2, 2])
 
 
+@pytest.mark.parametrize("mu, message", [
+    ((2.0, 1), "partition part must be an integer, got 2.0"),
+    ([1.5, 2], "partition part must be an integer, got 1.5"),
+    (("3",), "partition part must be an integer, got '3'"),
+    ([[1], 2], "partition part must be an integer, got [1]"),
+    (3, "a partition is a sequence of parts, got 3"),
+    (None, "a partition is a sequence of parts, got None"),
+])
+def test_batch_table_queries_read_partitions_exactly(mu, message):
+    # a query is looked up as it is only when it is a tuple of ints, so an
+    # inexact part that equals a table part (2.0 == 2), an unhashable part
+    # or a partition that is no sequence goes to the canonical form and is
+    # refused there, never as a TypeError
+    table = Gf2IntegralityTable(2, [(1, 2), (3,)])
+    with pytest.raises(ValidationError) as raised:
+        table.passes(RP2, mu)
+    assert str(raised.value) == message
+    assert table.passes(RP2, (x for x in (1, 2))) == table.passes(RP2, (2, 1))
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_batch_table_needs_rank_at_least_one(n):
-    with pytest.raises(ValidationError, match="^rank n must be at least 1$"):
+    with pytest.raises(ValidationError, match=f"^rank n must be at least 1, got {n}$"):
         Gf2IntegralityTable(n, [()])
 
 
@@ -929,9 +949,9 @@ def test_vanishing_test_reports_errors_in_a_fixed_order():
     not_kernel = ExtPolynomial(2, {((0, 1), (1, 0)): 1})
     with pytest.raises(ValidationError, match="integer-coefficient"):
         vanishing_test(RP2, -1)
-    with pytest.raises(ValidationError, match="degree cap must be nonnegative"):
+    with pytest.raises(ValidationError, match="^degree cap must be at least 0, got -1$"):
         vanishing_test(not_kernel, -1)
-    with pytest.raises(ValidationError, match="degree cap must be nonnegative"):
+    with pytest.raises(ValidationError, match="^degree cap must be at least 0, got -1$"):
         vanishing_test(ExtPolynomial(2), -1)
     with pytest.raises(ValidationError, match="not a kernel element"):
         vanishing_test(not_kernel, 3)
@@ -948,7 +968,7 @@ def test_chern_sweep_order_rank_rule_and_cap():
             got = list(numbers)
             assert [(r.i, r.j) for r in got] == want
             assert got == [equivariant_chern_number(data, i, j) for i, j in want]
-    with pytest.raises(ValidationError, match="degree cap must be nonnegative"):
+    with pytest.raises(ValidationError, match="^degree cap must be at least 0, got -1$"):
         chern_sweep(FixedPointData.from_polynomial(CP2), -1)
 
 

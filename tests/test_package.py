@@ -69,26 +69,45 @@ def test_only_the_ring_hooks_name_the_dual_basis_routines():
     assert defined == {("intmat", "dual_basis")}
 
 
-def scopes_naming(name):
-    """(module, top-level function or Class.method) of every reference to
-    ``name`` under src/, as an import, an attribute or a bare name."""
-    found = set()
+def src_scopes():
+    """(module, top-level function or Class.method, its AST) for every
+    scope of every module under src/."""
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        scopes = []
         for stmt in tree.body:
             if isinstance(stmt, ast.ClassDef):
-                scopes += [(f"{stmt.name}.{s.name}", s) for s in stmt.body
-                           if isinstance(s, ast.FunctionDef)]
+                for s in stmt.body:
+                    if isinstance(s, ast.FunctionDef):
+                        yield path.stem, f"{stmt.name}.{s.name}", s
             else:
-                scopes.append((getattr(stmt, "name", "<module>"), stmt))
-        for scope, stmt in scopes:
-            for node in ast.walk(stmt):
-                if ((isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names))
-                        or (isinstance(node, ast.Attribute) and node.attr == name)
-                        or (isinstance(node, ast.Name) and node.id == name)):
-                    found.add((path.stem, scope))
+                yield path.stem, getattr(stmt, "name", "<module>"), stmt
+
+
+def scopes_naming(name):
+    """(module, scope) of every reference to ``name`` under src/, as an
+    import, an attribute or a bare name."""
+    found = set()
+    for module, scope, stmt in src_scopes():
+        for node in ast.walk(stmt):
+            if ((isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names))
+                    or (isinstance(node, ast.Attribute) and node.attr == name)
+                    or (isinstance(node, ast.Name) and node.id == name)):
+                found.add((module, scope))
     return found
+
+
+def test_only_text_is_parsed_with_int():
+    # an integer argument is read by ``algebra.exact_int`` (operator.index,
+    # with an optional lower bound), which refuses 1.5 and "1"; the builtin
+    # int() truncates and parses, so it is called only where text is parsed:
+    # the decimal coloring.map keys of the JSON form (twice),
+    # BORDISMKIT_MAX_N, and the binary digits in ``_slot_bits``
+    calls = sorted((module, scope) for module, scope, stmt in src_scopes()
+                   for node in ast.walk(stmt)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == "int")
+    assert calls == [("jsonio", "polytope_from_obj"), ("jsonio", "polytope_from_obj"),
+                     ("kernels", "max_rank_limit"), ("localization", "_slot_bits")]
 
 
 def test_no_module_multiplies_or_divides_polynomials():

@@ -239,7 +239,7 @@ def test_random_unimodular_matrix_is_unimodular():
 def test_random_unimodular_matrix_needs_rank_at_least_one(n):
     # the refusal comes before the first draw; rank 0 used to raise IndexError
     rng = random.Random(0)
-    with pytest.raises(ValidationError, match="^rank n must be at least 1$"):
+    with pytest.raises(ValidationError, match=f"^rank n must be at least 1, got {n}$"):
         random_unimodular_matrix(n, rng)
     assert rng.getstate() == random.Random(0).getstate()
 
