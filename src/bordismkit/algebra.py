@@ -469,6 +469,8 @@ def mod2_reduce(p: Polynomial) -> Gf2Polynomial:
 def embed_chars(p: Polynomial, total: int, offset: int) -> Polynomial:
     """Pad every character with zeros to rank ``total``, starting at ``offset``
     (the block embedding used by the class product)."""
+    offset = exact_int(offset, "offset", 0)
+    total = exact_int(total, "total rank", offset + p.n)
     head, tail = (0,) * offset, (0,) * (total - offset - p.n)
     return p._sum(_canonical((tuple(head + c + tail for c in mono), coeff)
                              for mono, coeff in p.terms.items()), n=total)
@@ -558,11 +560,13 @@ def basis_search(chars: list[Char], n: int, modulus: int) -> BasisSearch:
 
 def nonzero_chars_gf2(n: int) -> list[Char]:
     """The nonzero vectors of GF(2)^n; none when n < 1."""
+    n = exact_int(n, "rank n")
     return [c for c in itertools.product((0, 1), repeat=max(n, 0)) if any(c)]
 
 
-# one faithful GF(2) search per rank for the process; the readers below
-# return fresh lists and dicts built from it
+# one faithful GF(2) search per rank for the process; its readers
+# (``all_faithful_monomials_gf2``, ``kernels._rows``, ``bott._key_bits``)
+# build fresh lists and dicts from it, by character id
 _SEARCHES: dict[int, BasisSearch] = {}
 
 
@@ -577,16 +581,3 @@ def _faithful_search(n: int) -> BasisSearch:
 def all_faithful_monomials_gf2(n: int) -> list[Monomial]:
     """All unordered bases of GF(2)^n as canonical monomials, sorted."""
     return _faithful_search(n).monomials()
-
-
-def faithful_duals_gf2(n: int) -> dict[Monomial, Monomial]:
-    """Each faithful GF(2) monomial of rank n -> its dual, in
-    ``all_faithful_monomials_gf2`` order, read off the search's cofactors
-    mod 2; every value is one of the enumerated monomials, not a copy."""
-    found = _faithful_search(n)
-    monomials = found.monomials()
-    position = {c: i for i, c in enumerate(found.chars)}
-    row = {s: position[tuple(a & 1 for a in v)] for s, v in found.cofactors.items()}
-    by_ids = {ids: m for (ids, _), m in zip(found.kept, monomials)}
-    return {m: by_ids[tuple(sorted(row[ids[:j] + ids[j + 1:]] for j in range(n)))]
-            for (ids, _), m in zip(found.kept, monomials)}

@@ -59,6 +59,7 @@ class BottGenerator(NamedTuple):
 
 def gl2_order(n: int) -> int:
     """|GL(n, 2)|, the number of colorings each representative stands for."""
+    n = algebra.exact_int(n, "rank n", 0)
     out = 1
     for i in range(n):
         out *= (1 << n) - (1 << i)
@@ -105,9 +106,12 @@ def _mask(mono: Monomial) -> int:
 
 def _key_bits(n: int) -> tuple[dict[int, int], list[Monomial]]:
     """Faithful monomials of rank n: mask -> key bit, and the index of that
-    bit -> the monomial."""
-    monomial_of = algebra.all_faithful_monomials_gf2(n)
-    return {_mask(m): 1 << i for i, m in enumerate(monomial_of)}, monomial_of
+    bit -> the monomial.  Each mask is read off the search's character ids,
+    one ``1 << pack(c)`` per character."""
+    found = algebra._faithful_search(n)
+    char_bit = [1 << gf2.pack(c) for c in found.chars]
+    return ({sum([char_bit[i] for i in ids]): 1 << k for k, (ids, _) in enumerate(found.kept)},
+            found.monomials())
 
 
 class _OrbitWalk:

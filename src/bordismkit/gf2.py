@@ -7,8 +7,9 @@ elimination of both rings (the hook ``algebra.Polynomial._dual_rows``).
 ``span`` is the one independence test for the few vectors at a vertex of a
 coloring search.  ``RankAccumulator`` is the one elimination of wide rows,
 with pivots keyed by their leading bit: it folds the generator span in
-:mod:`.bott` and, tracking combinations, finds the kernel in
-``kernel_space`` and the witnesses of ``surjectivity_probe``.
+:mod:`.bott` and the rank of ``kernel_space``, and, tracking combinations,
+finds the kernel basis when ``KernelSpace.basis`` is first read and the
+witnesses of ``surjectivity_probe``.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """Kernels of the deletion differential composed with dualization.
 
 ``kernel_space`` works over GF(2): the row of each faithful degree-n
-monomial m is d(m*), m* from ``algebra.faithful_duals_gf2``, in the
-degree-(n-1) square-free monomials, and the kernel (g with d(g*) = 0) is
-read off from the vanishing combinations of ``gf2.RankAccumulator``.
+monomial m is d(m*) in the degree-(n-1) square-free monomials, read off the
+faithful basis search by character id (``_rows``).  The dimension of the
+kernel (g with d(g*) = 0) is the rank deficit of the rows, from an untracked
+``gf2.RankAccumulator``; the basis, the vanishing combinations of a tracked
+one, is built when ``KernelSpace.basis`` is first read.
 
 ``kernel_sample_unitary`` is the integer analogue restricted to a finite
 window: all faithful monomials whose characters have entries bounded by a
@@ -72,24 +74,68 @@ def _log10_basis_count(n: int, k: int) -> float:
     return k * n * math.log10(2) + corrections - math.lgamma(k + 1) / math.log(10)
 
 
-class KernelSpace(NamedTuple):
-    """GF(2) kernel of g -> d(g*) in homogeneous degree n."""
+class KernelSpace:
+    """GF(2) kernel of g -> d(g*) in homogeneous degree n; ``basis`` is
+    built on its first read and kept."""
 
-    n: int
-    dim: int
-    basis: list[Gf2Polynomial]
-    monomials: list[Monomial]
+    __slots__ = ("n", "dim", "monomials", "_basis")
+
+    def __init__(self, n: int, dim: int, monomials: list[Monomial]) -> None:
+        self.n = n
+        self.dim = dim
+        self.monomials = monomials
+        self._basis: list[Gf2Polynomial] | None = None
 
     def __repr__(self) -> str:
         return f"KernelSpace(n={self.n}, dim={self.dim})"
+
+    @property
+    def basis(self) -> list[Gf2Polynomial]:
+        """One polynomial per row that does not raise the rank: the relation
+        it closes, over the faithful monomials."""
+        if self._basis is None:
+            n, monomials = self.n, self.monomials
+            acc = gf2.RankAccumulator(track=True)
+            basis = []
+            for row in _rows(n):
+                if not acc.add(row):
+                    # faithful monomials are canonical and distinct
+                    terms = {monomials[j]: 1 for j in gf2.bits(acc.relation)}
+                    basis.append(Gf2Polynomial._of(n, PRIMAL, terms))
+            self._basis = basis
+        return self._basis
 
     def contains(self, p: Gf2Polynomial) -> bool:
         """Whether p is a GF(2) polynomial of this rank in the image (``algebra.in_image``)."""
         return isinstance(p, Gf2Polynomial) and p.n == self.n and algebra.in_image(p)
 
 
+def _rows(n: int) -> Iterator[int]:
+    """The row d(m*) of each faithful monomial m, in search order, as a
+    bitset over the (n-1)-monomials numbered by first appearance.
+
+    All by character id of ``algebra._faithful_search``: row j of the dual
+    basis of kept ids A is the cofactor vector of A without row j mod 2, so
+    m* is the set of those ids, held as one bit per id, and a deletion of m*
+    is that mask less one bit.  The characters are in lex order, so deleting
+    in increasing id order numbers the columns as the sorted monomials would.
+    """
+    found = algebra._faithful_search(n)
+    position = {c: i for i, c in enumerate(found.chars)}
+    dual_bit = {s: 1 << position[tuple([a & 1 for a in v])] for s, v in found.cofactors.items()}
+    col_ids: dict[int, int] = {}
+    for ids, _ in found.kept:
+        star = sorted([dual_bit[ids[:j] + ids[j + 1:]] for j in range(n)])
+        mask = sum(star)
+        row = 0
+        for bit in star:
+            row ^= 1 << col_ids.setdefault(mask ^ bit, len(col_ids))
+        yield row
+
+
 def kernel_space(n: int, max_n: int | None = None) -> KernelSpace:
-    """Exact kernel basis over GF(2) for ambient rank n."""
+    """The GF(2) kernel for ambient rank n: its dimension now, by the rank
+    of the rows alone, and its basis when ``basis`` is first read."""
     n = algebra.exact_int(n, "ambient rank", 1)
     cap = max_rank_limit() if max_n is None else max_n
     if n > cap:
@@ -98,20 +144,11 @@ def kernel_space(n: int, max_n: int | None = None) -> KernelSpace:
             f"would run over a 10^{_log10_basis_count(n, n):.1f} x "
             f"10^{_log10_basis_count(n, n - 1):.1f} matrix "
             f"(set BORDISMKIT_MAX_N={n} or pass max_n={n} to allow it)")
-    duals = algebra.faithful_duals_gf2(n)
-    monomials = list(duals)
-    col_ids: dict[Monomial, int] = {}
-    acc = gf2.RankAccumulator(track=True)
-    basis: list[Gf2Polynomial] = []
-    for star in duals.values():
-        row = 0
-        for j in range(n):
-            row ^= 1 << col_ids.setdefault(star[:j] + star[j + 1:], len(col_ids))
-        if not acc.add(row):
-            # faithful monomials are canonical and distinct
-            terms = {monomials[j]: 1 for j in gf2.bits(acc.relation)}
-            basis.append(Gf2Polynomial._of(n, PRIMAL, terms))
-    return KernelSpace(n=n, dim=len(basis), basis=basis, monomials=monomials)
+    monomials = algebra.all_faithful_monomials_gf2(n)
+    acc = gf2.RankAccumulator()
+    for row in _rows(n):
+        acc.add(row)
+    return KernelSpace(n, len(monomials) - acc.rank, monomials)
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,7 @@ def canonical_partition(mu: Iterable[int]) -> tuple[int, ...]:
 
 def partitions(n: int) -> list[tuple[int, ...]]:
     """Partitions of n in descending lexicographic order, largest part first."""
+    n = exact_int(n, "partition size", 0)
     out: list[tuple[int, ...]] = []
 
     def walk(rest: int, cap: int, acc: tuple[int, ...]) -> None:

@@ -5,6 +5,9 @@
   each walks its own pivot dict and tracks its own combinations.
 * The pivot DFS that enumerated the faithful GF(2) monomials before
   ``algebra.basis_search`` found the bases of both rings.
+* The monomial-keyed table of faithful GF(2) duals that ``kernel_space``
+  read off the search before it read the dual of each basis by character
+  id; its tests check it against the dual-basis hook.
 * The Bareiss determinant that the integer window's cofactors used before
   the window search built them from its prefixes' minors.
 * The adjugate inverse (n² Bareiss minors) and the determinant/rank
@@ -59,6 +62,19 @@ def faithful_monomials_gf2(n):
 
     extend(0, [], [])
     return out
+
+
+def faithful_duals_gf2(n):
+    """Each faithful GF(2) monomial of rank n -> its dual, in
+    ``all_faithful_monomials_gf2`` order, read off the search's cofactors
+    mod 2; every value is one of the enumerated monomials, not a copy."""
+    found = algebra._faithful_search(n)
+    monomials = found.monomials()
+    position = {c: i for i, c in enumerate(found.chars)}
+    row = {s: position[tuple(a & 1 for a in v)] for s, v in found.cofactors.items()}
+    by_ids = {ids: m for (ids, _), m in zip(found.kept, monomials)}
+    return {m: by_ids[tuple(sorted(row[ids[:j] + ids[j + 1:]] for j in range(n)))]
+            for (ids, _), m in zip(found.kept, monomials)}
 
 
 def kernel_basis(n):

@@ -129,7 +129,8 @@ def test_basis_search_reads_one_gcd_test_for_both_rings():
 @pytest.mark.parametrize("search", [
     lambda: algebra.basis_search([], 0, 0), lambda: algebra.basis_search([], 0, 2),
     lambda: algebra.basis_search([(1,)], -1, 0),
-    lambda: algebra.all_faithful_monomials_gf2(0), lambda: algebra.faithful_duals_gf2(0)])
+    lambda: algebra.all_faithful_monomials_gf2(0),
+    lambda: elimination_oracles.faithful_duals_gf2(0)])
 def test_basis_search_needs_rank_at_least_one(search):
     # rank 0 used to fail with an IndexError inside the walk
     with pytest.raises(ValidationError, match="^rank n must be at least 1, got (0|-1)$"):
@@ -152,14 +153,15 @@ def test_dual_monomial_frozen_pair():
 
 def test_faithful_dual_table_is_the_involution_of_dual_monomial():
     for n in range(1, 5):
-        duals = algebra.faithful_duals_gf2(n)
+        duals = elimination_oracles.faithful_duals_gf2(n)
         assert list(duals) == algebra.all_faithful_monomials_gf2(n)
         for mono, star in duals.items():
             assert star == gf2_dual(mono, n)
             assert duals[star] == mono
         # the values are the enumerated monomials, not equal copies of them
         assert {id(m) for m in duals.values()} == {id(m) for m in duals}
-    self_dual = [m for m, star in algebra.faithful_duals_gf2(4).items() if m == star]
+    self_dual = [m for m, star in elimination_oracles.faithful_duals_gf2(4).items()
+                 if m == star]
     assert len(self_dual) == 14
 
 
@@ -399,20 +401,24 @@ def test_the_proof_memo_is_emptied_at_its_bound(monkeypatch):
 
 
 def test_the_faithful_search_is_made_once_per_rank(dual_basis_calls):
-    # both readers of the GF(2) basis search share one search per rank and
+    # the readers of the GF(2) basis search share one search per rank and
     # hand out fresh lists and dicts equal to a cold search's
+    assert algebra.nonzero_chars_gf2(0) == algebra.nonzero_chars_gf2(-1) == []
     for n in range(1, 5):
         cold = algebra.basis_search(algebra.nonzero_chars_gf2(n), n, 2).monomials()
         cold_duals = {m: algebra.sort_monomial(intmat.dual_basis(m, 2)[0])[1] for m in cold}
         monomials = algebra.all_faithful_monomials_gf2(n)
         search = algebra._SEARCHES[n]
-        duals = algebra.faithful_duals_gf2(n)
+        duals = elimination_oracles.faithful_duals_gf2(n)
         assert algebra._SEARCHES[n] is search
         assert monomials == cold and list(duals) == cold and duals == cold_duals
         monomials.clear()
         duals.clear()
         assert algebra.all_faithful_monomials_gf2(n) == cold
-        assert algebra.faithful_duals_gf2(n) == cold_duals
+        assert elimination_oracles.faithful_duals_gf2(n) == cold_duals
+        kernels.kernel_space(n).basis
+        bott._key_bits(n)
+        assert algebra._SEARCHES[n] is search
     assert sorted(algebra._SEARCHES) == [1, 2, 3, 4]
 
 
@@ -503,6 +509,11 @@ def _integer_arguments():
         ("MPoly variables", mvpoly.MPoly, "variable count", 0),
         ("MPoly exponent", lambda v: mvpoly.MPoly(2, {(v, 1): 3}), "exponent", 0),
         ("MPoly coefficient", lambda v: mvpoly.MPoly(1, {(0,): v}), "coefficient", None),
+        ("partitions", mvpoly.partitions, "partition size", 0),
+        ("gl2_order", bott.gl2_order, "rank n", 0),
+        ("nonzero_chars_gf2", algebra.nonzero_chars_gf2, "rank n", None),
+        ("embed_chars offset", lambda v: algebra.embed_chars(CP1, 2, v), "offset", 0),
+        ("embed_chars total", lambda v: algebra.embed_chars(CP1, v, 0), "total rank", 1),
     ]
     for name, build, what, least in cases:
         yield f"{name}-1.5", lambda b=build: b(1.5), f"{what} must be an integer, got 1.5"
@@ -525,6 +536,9 @@ def _integer_arguments():
     yield ("torus graph truncated",
            lambda: graphs.TorusGraph(1, 2, {(0, 1.9): (1,), (1, 0): (-1,)}),
            "vertex id must be an integer, got 1.9")
+    # the block must fit: total rank at least offset + the rank embedded
+    yield ("embed_chars past the end", lambda: algebra.embed_chars(CP1, 2, 2),
+           "total rank must be at least 3, got 2")
 
 
 INTEGER_ARGUMENTS = list(_integer_arguments())

@@ -74,7 +74,11 @@ def test_walk_matches_the_dual_keyed_oracle(n):
     want = list(walk)
     got = list(bott.iter_bott_generators(n))
     assert len(got) == len(want)
-    bit = {m: 1 << i for i, m in enumerate(bott._key_bits(n)[1])}
+    # the masks read off the search's character ids are the monomials' own
+    bit_of, monomial_of = bott._key_bits(n)
+    assert monomial_of == algebra.all_faithful_monomials_gf2(n)
+    assert bit_of == {bott._mask(m): 1 << i for i, m in enumerate(monomial_of)}
+    bit = {m: 1 << i for i, m in enumerate(monomial_of)}
     old, new = gf2.RankAccumulator(), gf2.RankAccumulator()
     ranks = []
     for g, (polytope, colors, dual_key) in zip(got, want):
@@ -220,7 +224,7 @@ RANK4_REPRESENTATIVES = {(4,): 1, (3, 1): 9, (2, 2): 7, (2, 1, 1): 69,
 
 
 def test_gl2_order():
-    assert [bott.gl2_order(n) for n in range(1, 6)] == [1, 6, 168, 20160, 9999360]
+    assert [bott.gl2_order(n) for n in range(6)] == [1, 1, 6, 168, 20160, 9999360]
 
 
 def test_orbit_counts_match_the_full_walk():

@@ -54,6 +54,26 @@ def test_kernel_basis_matches_the_inline_elimination(n):
     assert kernels.kernel_space(n).basis == elimination_oracles.kernel_basis(n)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dim_builds_no_basis_until_it_is_read(n, monkeypatch):
+    # the dimension is the rank deficit alone; the basis polynomials are
+    # built on the first read of ``basis`` and that list is kept
+    built = []
+    real = Gf2Polynomial._of.__func__
+
+    def counted(cls, *args):
+        built.append(args)
+        return real(cls, *args)
+
+    monkeypatch.setattr(Gf2Polynomial, "_of", classmethod(counted))
+    space = kernels.kernel_space(n)
+    assert space.dim == KERNEL_DIMS[n] and not built
+    basis = space.basis
+    assert len(built) == space.dim
+    assert basis == elimination_oracles.kernel_basis(n)
+    assert space.basis is basis and len(built) == space.dim
+
+
 def test_kernel_dim_reproducible():
     # elimination must not depend on iteration order side effects
     assert kernels.kernel_space(3).dim == kernels.kernel_space(3).dim
