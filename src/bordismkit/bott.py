@@ -68,7 +68,7 @@ def gl2_order(n: int) -> int:
 
 def _check_rank(n: int, max_n: int | None) -> int:
     n = algebra.exact_int(n, "ambient rank", 1)
-    cap = DEFAULT_MAX_N if max_n is None else max_n
+    cap = DEFAULT_MAX_N if max_n is None else algebra.exact_int(max_n, "rank cap", 0)
     if n > cap:
         # a shape with r parts has r facets off the first vertex, each taking
         # one of 2^n - 1 colors; summed over all compositions of n this is
@@ -229,6 +229,8 @@ def spanning_rank(n: int, target: int | None = None,
     as the target is an upper bound, e.g. the kernel dimension).
     """
     n = _check_rank(n, max_n)
+    if target is not None:
+        target = algebra.exact_int(target, "target rank", 0)
     walk = _OrbitWalk(n)
     acc = gf2.RankAccumulator()
     stopped = False

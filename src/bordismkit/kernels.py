@@ -14,16 +14,17 @@ streaming unimodular row reduction, so the reported basis generates the full
 kernel lattice of the window (any integral relation among the rows is an
 integer combination of the basis).  The pivot rows are kept reduced on each
 other's pivot columns wherever the pivot divides (Gauss-Jordan), so an
-incoming row mostly picks up entries off the pivot columns; every window
-pivot is +-1, and then the basis is the one any unit-pivot elimination
-returns (``_left_kernel``).
+incoming row mostly picks up entries off the pivot columns.  The columns are
+eliminated newest first, so a row that brings a new column pivots there and
+the earlier pivot rows mostly have nothing to clear; every window pivot is
++-1, and then the basis is the one any unit-pivot elimination returns,
+whatever the column order (``_left_kernel``).
 
 The window is a box of characters searched by ``algebra.basis_search`` over
 Z, and the rows d(m*) are lookups in its cofactor table and a sort, with no
 inversion.  Their columns, the (n-1)-monomials, are integer ids that compare
-as the monomials do, so the left kernel pivots in the same order as on the
-monomials themselves.  Everything is Python integer arithmetic, so nothing
-is rounded or bounded.
+as the monomials do, so a row's new columns are keyed in monomial order.
+Everything is Python integer arithmetic, so nothing is rounded or bounded.
 
 ``support_floor`` reads a floor on the support of every nonzero kernel
 element of a window off the shape of these rows, without building them.  A
@@ -40,7 +41,7 @@ import math
 import operator
 import os
 from collections import defaultdict
-from collections.abc import Iterable, Iterator
+from collections.abc import Hashable, Iterable, Iterator, Mapping
 from typing import NamedTuple
 
 from . import algebra, gf2, intmat
@@ -137,7 +138,7 @@ def kernel_space(n: int, max_n: int | None = None) -> KernelSpace:
     """The GF(2) kernel for ambient rank n: its dimension now, by the rank
     of the rows alone, and its basis when ``basis`` is first read."""
     n = algebra.exact_int(n, "ambient rank", 1)
-    cap = max_rank_limit() if max_n is None else max_n
+    cap = max_rank_limit() if max_n is None else algebra.exact_int(max_n, "rank cap", 0)
     if n > cap:
         raise ResourceLimitError(
             f"rank {n} exceeds the configured maximum {cap}; the elimination "
@@ -196,13 +197,21 @@ def _window_rows(window: algebra.BasisSearch) -> Iterator[tuple[tuple[int, int],
         yield tuple((sum(map(operator.mul, star, w)), sign * s) for w, s in drops)
 
 
-def _left_kernel(rows: Iterable[Iterable[tuple[int, int]]]
+def _left_kernel(rows: Iterable[Mapping[Hashable, int] | Iterable[tuple[Hashable, int]]]
                  ) -> tuple[int, list[dict[int, int]]]:
     """Rank and an integral basis of {x : sum_i x_i row_i = 0}.
 
+    Each row is a mapping or (column, value) pairs; a column is any sortable,
+    hashable key.  The columns are eliminated newest first: a column gets an
+    int key when a row first brings it, below every key given before, and a
+    row's new columns keep their sorted order among themselves.  So a row
+    that brings a new column pivots there (it holds the smallest key), and
+    since no earlier pivot row holds that column there is mostly nothing to
+    clear (a fill-reducing order in Markowitz's sense).
+
     Streaming row reduction of [M | I] by unimodular operations: combinations
     of rows that reduce to zero span the full left-kernel lattice.  Each
-    incoming row reduces at its smallest column first, by a quotient where
+    incoming row reduces at its smallest key first, by a quotient where
     the pivot divides the entry and by the gcd step otherwise.  A row that
     becomes the pivot p at column c is then reduced on the later pivot
     columns it holds, in increasing order, and subtracted from every earlier
@@ -211,23 +220,31 @@ def _left_kernel(rows: Iterable[Iterable[tuple[int, int]]]
     divides, and with unit pivots they are zero there: an incoming row
     picks up entries off the pivot columns only.
 
-    With unit pivots only (every window), row i becomes a pivot exactly when
-    it is independent over Q of rows 0..i-1, so the pivot rows P are the
-    first row basis whatever the order of elimination, and a dependent row
-    k gets e_k - c_k, c_k its unique coordinates over the rows of P: the
-    rank and the basis are those of the echelon pass without clearing.  With
-    other pivots every step is still unimodular on [M | I], and the pivot
-    rows keep distinct leading columns, so they stay independent: the
-    combinations of the rows that reached zero are part of a basis of Z^N
-    and span every integral relation, a basis of the same lattice, though
-    not always the one the echelon pass returns.
+    The order of the columns cannot change a window's basis.  With unit
+    pivots only (every window), row i becomes a pivot exactly when it is
+    independent over Q of rows 0..i-1, so the pivot rows P are the first row
+    basis whatever the column order, and a dependent row k gets e_k - c_k,
+    c_k its unique coordinates over the rows of P: the rank and the basis
+    are those of the echelon pass on the caller's columns.  With other
+    pivots every step is still unimodular on [M | I] with its columns
+    renamed, which leaves the left kernel as it is, and the pivot rows keep
+    distinct leading columns, so they stay independent: the combinations of
+    the rows that reached zero are part of a basis of Z^N and span every
+    integral relation, a basis of the same lattice, though not always the
+    one the echelon pass returns.
     """
     pivots: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
     # column -> pivot columns whose rows may hold it (stale entries skipped)
     holders: defaultdict[int, list[int]] = defaultdict(list)
     kernel: list[dict[int, int]] = []
+    # the caller's column -> its key, below every key given before it
+    key: dict[Hashable, int] = {}
     for i, r in enumerate(rows):
         row = dict(r)
+        if not row.keys() <= key.keys():
+            fresh = sorted([c for c in row if c not in key])
+            key.update(zip(fresh, range(-len(key) - len(fresh), -len(key))))
+        row = {key[c]: v for c, v in row.items()}
         comb = {i: 1}
         while row:
             col = min(row)
@@ -327,8 +344,10 @@ def _check_window(n: int, weight_bound: int, max_n: int | None,
                   ) -> tuple[int, int]:
     """(n, weight bound) as read, once the window is within its caps."""
     n, weight_bound = _check_ranks(n, weight_bound)
-    cap_n = DEFAULT_SAMPLE_MAX_N if max_n is None else max_n
-    cap_w = DEFAULT_SAMPLE_MAX_WEIGHT if max_weight_bound is None else max_weight_bound
+    cap_n = (DEFAULT_SAMPLE_MAX_N if max_n is None
+             else algebra.exact_int(max_n, "rank cap", 0))
+    cap_w = (DEFAULT_SAMPLE_MAX_WEIGHT if max_weight_bound is None
+             else algebra.exact_int(max_weight_bound, "weight cap", 0))
     hit = []
     if n > cap_n:
         hit.append(f"n <= {cap_n} (pass max_n={n} to allow it)")

@@ -483,13 +483,23 @@ def _integer_arguments():
         ("basis_search", lambda v: algebra.basis_search([(1,)], v, 0), "rank n", 1),
         ("all_faithful_monomials_gf2", algebra.all_faithful_monomials_gf2, "rank n", 1),
         ("kernel_space", kernels.kernel_space, "ambient rank", 1),
+        ("kernel_space cap", lambda v: kernels.kernel_space(1, max_n=v), "rank cap", 0),
         ("kernel_sample_unitary rank", lambda v: kernels.kernel_sample_unitary(v, 1),
          "ambient rank", 1),
         ("kernel_sample_unitary weight", lambda v: kernels.kernel_sample_unitary(2, v),
          "weight bound", 0),
+        ("kernel_sample_unitary rank cap",
+         lambda v: kernels.kernel_sample_unitary(1, 1, max_n=v), "rank cap", 0),
+        ("kernel_sample_unitary weight cap",
+         lambda v: kernels.kernel_sample_unitary(1, 1, max_weight_bound=v), "weight cap", 0),
+        ("surjectivity_probe cap", lambda v: bordism.surjectivity_probe(1, 1, max_n=v),
+         "rank cap", 0),
         ("support_floor rank", lambda v: kernels.support_floor(v, 1), "ambient rank", 1),
         ("support_floor weight", lambda v: kernels.support_floor(1, v), "weight bound", 0),
         ("spanning_rank", bott.spanning_rank, "ambient rank", 1),
+        ("spanning_rank target", lambda v: bott.spanning_rank(1, target=v), "target rank", 0),
+        ("spanning_rank cap", lambda v: bott.spanning_rank(1, max_n=v), "rank cap", 0),
+        ("bott_generators cap", lambda v: bott.bott_generators(1, max_n=v), "rank cap", 0),
         ("bott_generators", bott.bott_generators, "ambient rank", 1),
         ("swap_conjugate", lambda v: bordism.swap_conjugate(zero, v), "split", None),
         ("FixedPointData rank", lambda v: localization.FixedPointData("z", v, []),

@@ -322,6 +322,36 @@ def test_left_kernel_clears_where_the_new_pivot_divides():
     assert kernels._left_kernel(rows) == (2, [{0: -1, 1: 1, 2: 1}])
 
 
+@pytest.mark.parametrize("n,w", sorted(WINDOW_STATS) + [(2, 3)])
+def test_left_kernel_does_not_depend_on_column_names(n, w):
+    # renaming the columns leaves the left kernel as it is, and with unit
+    # pivots its basis e_k - c_k is unique: a seeded random bijection of the
+    # column ids changes which column each row pivots at, not the answer
+    rows = list(kernels._window_rows(kernels._search(n, w)))
+    columns = sorted({c for row in rows for c, _ in row})
+    names = dict(zip(columns, random.Random(3501 + 10 * n + w).sample(range(10**6), len(columns))))
+    renamed = [[(names[c], v) for c, v in row] for row in rows]
+    assert kernels._left_kernel(renamed) == kernels._left_kernel(rows)
+
+
+def test_left_kernel_pivots_at_the_newest_column(monkeypatch):
+    # eliminating the columns newest first leaves the earlier pivot rows
+    # mostly nothing to clear: 7,888 _addmul calls at (3, 1) when the
+    # smallest column id was eliminated first, 5,546 newest first
+    rows = list(kernels._window_rows(kernels._search(3, 1)))
+    calls = 0
+    addmul = kernels._addmul
+
+    def counting(dst, src, factor):
+        nonlocal calls
+        calls += 1
+        addmul(dst, src, factor)
+
+    monkeypatch.setattr(kernels, "_addmul", counting)
+    kernels._left_kernel(rows)
+    assert calls < 7_888
+
+
 def _rational_rank(mat):
     rows = [[Fraction(v) for v in r] for r in mat]
     rank = 0
