@@ -10,11 +10,11 @@ object, 2 on malformed input.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
-from typing import Any
+from typing import Any, NoReturn
 
 from . import algebra, bordism, bott, jsonio, kernels
-from .acceptance import run_all
 from .algebra import ExtPolynomial, Polynomial
 from .errors import BordismError, InputFormatError, ValidationError
 from .graphs import (ColoredGraph, TorusGraph, graph_coloring_polynomial,
@@ -164,6 +164,8 @@ def _cmd_generators(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # only this verb runs the suite, so only it pays for the import
+    from .acceptance import run_all
     if args.format == "json":
         results = run_all()
         _emit({"passed": sum(r.passed for r in results),
@@ -182,64 +184,64 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # parser plumbing
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_INPUT = ("input", {"metavar": "INPUT",
+                    "help": "path to a JSON artifact, inline JSON, or - for stdin"})
+_N = ("--n", {"type": int, "required": True, "help": "ambient torus rank"})
+
+# verb -> (function, help, description or None for the help, arguments);
+# the order is the order of the help text
+_VERBS: dict[str, tuple] = {
+    "dim": (_cmd_dim, "dimension of the rank-n kernel space", None, (
+        _N,
+        ("--weight-bound", {"type": int, "default": None,
+                            "help": "also report the integral window kernel dimension "
+                                    "over characters of this weight (default: skip)"}))),
+    "check": (_cmd_check, "membership verdict for a polynomial artifact", None, (_INPUT,)),
+    "dual": (_cmd_dual, "dual polynomial of a faithful polynomial", None, (_INPUT,)),
+    "diff": (_cmd_diff, "boundary differential of a polynomial", None, (_INPUT,)),
+    "poly-of-polytope": (_cmd_poly_of_polytope,
+                         "coloring polynomial of a colored simple polytope", None, (_INPUT,)),
+    "poly-of-graph": (_cmd_poly_of_graph,
+                      "coloring polynomial of a GF(2)-colored graph", None, (_INPUT,)),
+    "torus-poly": (_cmd_torus_poly,
+                   "torus polynomial of a torus graph or integer-colored polytope",
+                   None, (_INPUT,)),
+    "chern": (_cmd_chern, "equivariant Chern number sweep for fixed-point data", None, (
+        _INPUT,
+        ("--degree-bound", {"type": int, "default": None,
+                            "help": "sweep c1^i c2^j with i + 2j up to this bound "
+                                    "(default: 2n)"}))),
+    "reduce": (_cmd_reduce, "mod-2 reduction of an integer class or polynomial", None,
+               (_INPUT,)),
+    "generators": (_cmd_generators,
+                   "distinct generator polynomials of rank n and their span", None, (_N,)),
+    "verify": (_cmd_verify, "run the bundled verification suite",
+               "Run the bundled verification suite; exits nonzero if any criterion fails.",
+               (("--format", {"choices": ("text", "json"), "default": "text",
+                              "help": "one PASS/FAIL line per criterion, or a JSON report"}),)),
+}
+
+
+def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser with only ``verb``'s subparser when it names one, else with
+    every verb's (for help, usage and the invalid-choice error)."""
     ap = argparse.ArgumentParser(
         prog="bordismkit",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="verb", required=True, metavar="VERB")
-
-    def add(name: str, fn, help_: str, *, takes_input: bool = False,
-            takes_n: bool = False) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_, description=help_)
+    for name in (verb,) if verb in _VERBS else _VERBS:
+        fn, help_, description, arguments = _VERBS[name]
+        p = sub.add_parser(name, help=help_, description=description or help_)
         p.set_defaults(func=fn)
-        if takes_input:
-            p.add_argument("input", metavar="INPUT",
-                           help="path to a JSON artifact, inline JSON, or - for stdin")
-        if takes_n:
-            p.add_argument("--n", type=int, required=True,
-                           help="ambient torus rank")
-        return p
-
-    p = add("dim", _cmd_dim, "dimension of the rank-n kernel space", takes_n=True)
-    p.add_argument("--weight-bound", type=int, default=None,
-                   help="also report the integral window kernel dimension "
-                        "over characters of this weight (default: skip)")
-    add("check", _cmd_check, "membership verdict for a polynomial artifact",
-        takes_input=True)
-    add("dual", _cmd_dual, "dual polynomial of a faithful polynomial",
-        takes_input=True)
-    add("diff", _cmd_diff, "boundary differential of a polynomial",
-        takes_input=True)
-    add("poly-of-polytope", _cmd_poly_of_polytope,
-        "coloring polynomial of a colored simple polytope", takes_input=True)
-    add("poly-of-graph", _cmd_poly_of_graph,
-        "coloring polynomial of a GF(2)-colored graph", takes_input=True)
-    add("torus-poly", _cmd_torus_poly,
-        "torus polynomial of a torus graph or integer-colored polytope",
-        takes_input=True)
-    p = add("chern", _cmd_chern,
-            "equivariant Chern number sweep for fixed-point data",
-            takes_input=True)
-    p.add_argument("--degree-bound", type=int, default=None,
-                   help="sweep c1^i c2^j with i + 2j up to this bound "
-                        "(default: 2n)")
-    add("reduce", _cmd_reduce,
-        "mod-2 reduction of an integer class or polynomial", takes_input=True)
-    add("generators", _cmd_generators,
-        "distinct generator polynomials of rank n and their span",
-        takes_n=True)
-    p = sub.add_parser("verify", help="run the bundled verification suite",
-                       description="Run the bundled verification suite; exits "
-                                   "nonzero if any criterion fails.")
-    p.set_defaults(func=_cmd_verify)
-    p.add_argument("--format", choices=("text", "json"), default="text",
-                   help="one PASS/FAIL line per criterion, or a JSON report")
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except InputFormatError as exc:
@@ -250,5 +252,17 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def entry() -> NoReturn:
+    """Process entry of the console script and ``python -m``: run ``main``,
+    then freeze the collector so that shutdown skips the full collection
+    of every object the imports made (docs/decisions/0006).  atexit handlers
+    and the stream flush still run; ``main`` itself never touches gc."""
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -56,12 +56,13 @@ DEFAULT_SAMPLE_MAX_WEIGHT = 2
 def max_rank_limit() -> int:
     """Ambient rank cap, overridable through BORDISMKIT_MAX_N."""
     raw = os.environ.get("BORDISMKIT_MAX_N", "")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ValidationError(f"BORDISMKIT_MAX_N={raw!r} is not an integer") from exc
-    return DEFAULT_MAX_N
+    if not raw:
+        return DEFAULT_MAX_N
+    try:
+        value = int(raw)
+    except ValueError as exc:
+        raise ValidationError(f"BORDISMKIT_MAX_N={raw!r} is not an integer") from exc
+    return algebra.exact_int(value, "BORDISMKIT_MAX_N", 0)
 
 
 def _log10_basis_count(n: int, k: int) -> float:

@@ -1,6 +1,9 @@
 """End-to-end command-line checks through real subprocesses."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -66,6 +69,16 @@ def test_dim_far_over_cap_reports_the_cap():
     assert err["code"] == "resource-limit"
     assert "BORDISMKIT_MAX_N=200" in err["message"]
     assert "10^11665.8 x 10^11608.2 matrix" in err["message"]
+
+
+def test_a_negative_rank_cap_in_the_environment_is_a_domain_error():
+    r = subprocess.run([sys.executable, "-m", "bordismkit.cli", "dim", "--n", "1"],
+                       capture_output=True, text=True,
+                       env={**os.environ, "BORDISMKIT_MAX_N": "-1"})
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"] == {
+        "code": "validation-error",
+        "message": "BORDISMKIT_MAX_N must be at least 0, got -1"}
 
 
 def test_check_single_monomial_exact_output():
@@ -529,3 +542,58 @@ def test_verify_json_report():
     for entry in out["results"]:
         assert isinstance(entry["passed"], bool)
         assert entry["detail"]
+
+
+# -- the parser is built from one verb table -------------------------------
+
+VERBS = ["dim", "check", "dual", "diff", "poly-of-polytope", "poly-of-graph",
+         "torus-poly", "chern", "reduce", "generators", "verify"]
+
+
+def _parse_exit(parse, argv):
+    """(exit code, stdout, stderr) of a parse that exits, as argparse prints them."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], [], ["no-such-verb"], ["dim"], ["generators"], ["chern"],
+    ["dim", "--n", "2", "--format", "json"], ["dim", "--n", "two"],
+    ["verify", "--format", "xml"],
+    *([verb, "--help"] for verb in VERBS)], ids=lambda argv: " ".join(argv) or "no verb")
+def test_the_one_verb_parser_prints_what_the_full_parser_prints(argv, monkeypatch):
+    # main builds only the named verb's subparser (every one for help, no
+    # verb or an unknown verb); help, usage and errors are the same bytes
+    # and exit code as the parser built with every verb
+    from bordismkit import cli
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _parse_exit(cli._build_parser().parse_args, argv)
+    assert _parse_exit(cli.main, argv) == full
+    assert full[0] in (0, 2) and (full[1] or full[2])
+
+
+def test_a_named_verb_builds_only_its_subparser():
+    from bordismkit import cli
+    assert list(cli._VERBS) == VERBS
+    text = cli._build_parser("chern").format_help()
+    assert "equivariant Chern number sweep" in text
+    assert "dimension of the rank-n kernel space" not in text
+
+
+def test_the_process_entry_exits_with_mains_code_and_runs_atexit():
+    # entry() freezes the collector before exit; shutdown still runs the
+    # atexit handlers and flushes stdout, and the exit code is main's
+    code = ("import atexit, sys\n"
+            "from bordismkit import cli\n"
+            "atexit.register(lambda: print('atexit ran'))\n"
+            "sys.argv = ['bordismkit'] + sys.argv[1:]\n"
+            "cli.entry()\n")
+    for argv, rc, first in ((["dim", "--n", "2"], 0, '{"dim":1}'),
+                            (["dim", "--n", "99"], 1, '{"error":'),
+                            (["check", "{oops"], 2, '{"error":')):
+        r = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+        assert r.returncode == rc, r.stderr
+        assert r.stdout.startswith(first) and r.stdout.endswith("atexit ran\n")

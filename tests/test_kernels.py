@@ -123,6 +123,15 @@ def test_kernel_rank_cap_override(monkeypatch):
         kernels.kernel_space(4)
 
 
+def test_a_negative_rank_cap_is_refused(monkeypatch):
+    # the environment's cap is read like max_n: a whole number, at least 0
+    monkeypatch.setenv("BORDISMKIT_MAX_N", "-1")
+    with pytest.raises(ValidationError, match="BORDISMKIT_MAX_N must be at least 0, got -1"):
+        kernels.kernel_space(1)
+    monkeypatch.setenv("BORDISMKIT_MAX_N", "0")
+    assert kernels.max_rank_limit() == 0
+
+
 def test_window_kernel_stats():
     for (n, w), (monos, rank, dim) in WINDOW_STATS.items():
         win = kernels.kernel_sample_unitary(n, w)

@@ -3,7 +3,9 @@ module may reach which routine, and the README's example."""
 
 import ast
 import doctest
+import gc
 import io
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +23,47 @@ def test_import_is_stdlib_only():
             "    assert name not in sys.modules, name + ' was imported'\n")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
+
+
+def test_the_cli_imports_the_suite_only_for_verify():
+    # only the verify verb runs the acceptance suite, so a cold CLI import
+    # does not load it; verify still finds it
+    code = ("import sys, bordismkit.cli\n"
+            "assert 'bordismkit.acceptance' not in sys.modules\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    r = subprocess.run([sys.executable, "-m", "bordismkit.cli", "verify", "--format", "json"],
+                       capture_output=True, text=True)
+    assert json.loads(r.stdout)["total"] == 10
+
+
+# gc calls that change the collector's state for the rest of the process,
+# or run a collection in it
+GC_STATE_CHANGES = {"freeze", "unfreeze", "disable", "enable", "set_threshold",
+                    "set_debug", "collect"}
+
+
+def test_only_the_cli_process_entry_changes_the_collector():
+    # library code never changes the collector of a process that imports
+    # it; the one-shot CLI process freezes it once before exit
+    # (docs/decisions/0006)
+    found = set()
+    for module, scope, stmt in src_scopes():
+        for node in ast.walk(stmt):
+            if ((isinstance(node, ast.ImportFrom) and node.module == "gc")
+                    or (isinstance(node, ast.Attribute) and node.attr in GC_STATE_CHANGES
+                        and isinstance(node.value, ast.Name) and node.value.id == "gc")):
+                found.add((module, scope))
+    assert found == {("cli", "entry")}
+
+
+def test_cli_main_in_process_leaves_the_collector_alone(capsys):
+    from bordismkit import cli
+    before = (gc.get_freeze_count(), gc.isenabled(), gc.get_threshold())
+    assert cli.main(["dim", "--n", "2"]) == 0
+    assert cli.main(["dim", "--n", "99"]) == 1
+    assert capsys.readouterr().out.startswith('{"dim":1}\n{"error":')
+    assert (gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()) == before
 
 
 def test_readme_example_runs():
