@@ -478,6 +478,9 @@ def embed_chars(p: Polynomial, total: int, offset: int) -> Polynomial:
 
 def permute_coords(p: Polynomial, perm: tuple[int, ...]) -> Polynomial:
     """Reorder the coordinates of every character: new coordinate k is old perm[k]."""
+    perm = tuple([exact_int(i, "permutation entry", 0) for i in perm])
+    if sorted(perm) != list(range(p.n)):
+        raise ValidationError(f"{perm} is not a permutation of range({p.n})")
     return p._sum(_canonical((tuple(tuple(c[i] for i in perm) for c in mono), coeff)
                              for mono, coeff in p.terms.items()))
 

@@ -26,7 +26,8 @@ Inside the walk a polynomial is held as its key: the bitset of its monomials
 over the faithful monomials in ``algebra.all_faithful_monomials_gf2`` order,
 which is the row ``spanning_rank`` folds.  Dualizing permutes the faithful
 monomials, so the keys' span has the rank of the duals' span after every
-fold, and nothing in the walk is dualized.
+fold, and nothing in the walk is dualized.  The walk reads only each
+monomial's key bit; ``iter_bott_generators`` alone reads the monomials.
 
 ``iter_bott_generators`` streams one (polytope, coloring, polynomial) triple
 per distinct polynomial of each shape, shape by shape in ``partitions`` order.
@@ -34,6 +35,8 @@ per distinct polynomial of each shape, shape by shape in ``partitions`` order.
 generator images of every coloring whose key raised the rank.  The key of g.c
 is the key of c under the permutation g induces on the faithful monomials, so
 that span is GL(n, 2)-invariant and equals the stream's (docs/decisions/0004).
+Both refuse a rank above ``kernels.DEFAULT_MAX_N`` unless ``max_n`` raises
+it; ``BORDISMKIT_MAX_N`` does not reach the walk.
 """
 
 from __future__ import annotations
@@ -42,13 +45,11 @@ import math
 from collections import deque
 from typing import Iterable, Iterator, NamedTuple
 
-from . import algebra, gf2, polytopes
+from . import algebra, gf2, kernels, polytopes
 from .algebra import DUAL, Gf2Polynomial, Monomial
 from .errors import ResourceLimitError, ValidationError
 from .mvpoly import partitions
 from .polytopes import Coloring, SimplePolytope, orbit_representatives
-
-DEFAULT_MAX_N = 4
 
 
 class BottGenerator(NamedTuple):
@@ -68,16 +69,14 @@ def gl2_order(n: int) -> int:
 
 def _check_rank(n: int, max_n: int | None) -> int:
     n = algebra.exact_int(n, "ambient rank", 1)
-    cap = DEFAULT_MAX_N if max_n is None else algebra.exact_int(max_n, "rank cap", 0)
+    cap = kernels.DEFAULT_MAX_N if max_n is None else algebra.exact_int(max_n, "rank cap", 0)
     if n > cap:
         # a shape with r parts has r facets off the first vertex, each taking
         # one of 2^n - 1 colors; summed over all compositions of n this is
-        # (2^n - 1) 2^(n(n-1)); in log10, summing only the last 64 factors of
-        # |GL(n,2)| (the rest round to 1), the message is cheap for any n
-        log2 = math.log10(2)
-        log_reps = n * n * log2 + math.log10(1 - 0.5 ** n)
-        log_gl = n * n * log2 + sum(math.log10(1 - 0.5 ** (n - i))
-                                    for i in range(max(0, n - 64), n))
+        # (2^n - 1) 2^(n(n-1)); |GL(n,2)| is n! times the count of unordered
+        # bases, so both stay cheap in log10 for any n
+        log_reps = n * n * math.log10(2) + math.log10(1 - 0.5 ** n)
+        log_gl = kernels._log10_basis_count(n, n) + math.lgamma(n + 1) / math.log(10)
         log_colorings = log_reps + log_gl
         raise ResourceLimitError(
             f"rank {n} exceeds the generator enumeration cap n <= {cap}; the "
@@ -104,14 +103,13 @@ def _mask(mono: Monomial) -> int:
     return sum(1 << gf2.pack(c) for c in mono)
 
 
-def _key_bits(n: int) -> tuple[dict[int, int], list[Monomial]]:
-    """Faithful monomials of rank n: mask -> key bit, and the index of that
-    bit -> the monomial.  Each mask is read off the search's character ids,
-    one ``1 << pack(c)`` per character."""
+def _key_bits(n: int) -> dict[int, int]:
+    """Faithful monomials of rank n: mask -> key bit, bit k for the k-th in
+    ``algebra.all_faithful_monomials_gf2`` order.  Each mask is read off the
+    search's character ids, one ``1 << pack(c)`` per character."""
     found = algebra._faithful_search(n)
     char_bit = [1 << gf2.pack(c) for c in found.chars]
-    return ({sum([char_bit[i] for i in ids]): 1 << k for k, (ids, _) in enumerate(found.kept)},
-            found.monomials())
+    return {sum([char_bit[i] for i in ids]): 1 << k for k, (ids, _) in enumerate(found.kept)}
 
 
 class _OrbitWalk:
@@ -121,7 +119,7 @@ class _OrbitWalk:
     def __init__(self, n: int):
         self.n = n
         self.representatives = 0
-        self.bit_of, self.monomial_of = _key_bits(n)
+        self.bit_of = _key_bits(n)
 
     def _key(self, colors: tuple[int, ...], vertices: list[tuple[int, ...]]) -> int:
         bit_of = self.bit_of
@@ -179,12 +177,12 @@ def iter_bott_generators(n: int, max_n: int | None = None) -> Iterator[BottGener
     """Stream generator triples over all shapes of rank n, one per distinct
     polynomial of each shape."""
     n = _check_rank(n, max_n)
-    walk = _OrbitWalk(n)
+    monomials = algebra.all_faithful_monomials_gf2(n)
     unpacked = [gf2.unpack(c, n) for c in range(1 << n)]
-    for polytope, colors, key in walk:
+    for polytope, colors, key in _OrbitWalk(n):
         coloring = Coloring("gf2", {f: unpacked[c] for f, c in enumerate(colors)})
         # key monomials are canonical and distinct
-        terms = {walk.monomial_of[i]: 1 for i in gf2.bits(key)}
+        terms = {monomials[i]: 1 for i in gf2.bits(key)}
         yield BottGenerator(polytope, coloring, Gf2Polynomial._of(n, DUAL, terms))
 
 
@@ -196,7 +194,7 @@ def bott_generators(n: int, max_n: int | None = None) -> list[BottGenerator]:
 def dual_span_rank(polynomials: Iterable[Gf2Polynomial], n: int) -> int:
     """GF(2) rank of the span of the duals of the given faithful polynomials
     (the rank of their own span: dualizing permutes the faithful monomials)."""
-    bit_of, _ = _key_bits(n)
+    bit_of = _key_bits(n)
     acc = gf2.RankAccumulator()
     for p in polynomials:
         if p.n != n:

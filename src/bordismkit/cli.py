@@ -244,12 +244,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
-    except InputFormatError as exc:
-        _emit({"error": {"code": exc.code, "message": str(exc)}})
-        return 2
     except BordismError as exc:
         _emit({"error": {"code": exc.code, "message": str(exc)}})
-        return 1
+        return 2 if isinstance(exc, InputFormatError) else 1
 
 
 def entry() -> NoReturn:

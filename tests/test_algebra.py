@@ -502,6 +502,7 @@ def _integer_arguments():
         ("bott_generators cap", lambda v: bott.bott_generators(1, max_n=v), "rank cap", 0),
         ("bott_generators", bott.bott_generators, "ambient rank", 1),
         ("swap_conjugate", lambda v: bordism.swap_conjugate(zero, v), "split", None),
+        ("permute_coords", lambda v: algebra.permute_coords(CP1, (v,)), "permutation entry", 0),
         ("FixedPointData rank", lambda v: localization.FixedPointData("z", v, []),
          "rank n", 1),
         ("SymmetricFunction part", lambda v: localization.SymmetricFunction(((v,),)),
@@ -799,6 +800,17 @@ def test_permute_coords_identity_and_involution():
         inverse = tuple(perm.index(i) for i in range(n))
         assert algebra.permute_coords(
             algebra.permute_coords(p, perm), inverse) == p
+
+
+@pytest.mark.parametrize("perm", [(0, 0), (1,), (0, 2)])
+def test_permute_coords_refuses_a_non_permutation(perm):
+    # a repeated entry would hold the zero character, a short one would cut
+    # the characters to the wrong length, and one out of range was an
+    # IndexError
+    p = gf2_polynomial(2, [((1, 0), (0, 1))])
+    with pytest.raises(ValidationError) as raised:
+        algebra.permute_coords(p, perm)
+    assert str(raised.value) == f"{perm} is not a permutation of range(2)"
 
 
 def test_permute_coords_gf2_matches_mod2():

@@ -7,8 +7,8 @@ import pytest
 
 from bordismkit import algebra, kernels
 from bordismkit.algebra import ExtPolynomial, Gf2Polynomial
-from bordismkit.bordism import (BordismClass, UNITARY, UNORIENTED, add,
-                                multiply, reduce, surjectivity_probe,
+from bordismkit.bordism import (BordismClass, ProbeEntry, UNITARY, UNORIENTED,
+                                add, multiply, reduce, surjectivity_probe,
                                 swap_conjugate)
 from bordismkit.errors import ResourceLimitError, ValidationError
 from bordismkit.graphs import torus_graph_from_pair, torus_polynomial
@@ -186,6 +186,15 @@ def test_probe_covers_rank_two_kernel():
     (entry,) = report.entries
     assert entry.hit
     assert algebra.mod2_reduce(entry.witness) == kernels.kernel_space(2).basis[0]
+
+
+def test_probe_records_a_miss_without_a_witness():
+    # the weight-0 window is empty, so the one rank-2 target is missed
+    report = surjectivity_probe(2, 0)
+    assert (report.kernel_dim, report.window_dim) == (1, 0)
+    assert report.entries == (ProbeEntry(0, False, None),)
+    assert report.hits == 0
+    assert not report.full_coverage
 
 
 def test_probe_witnesses_reduce_to_targets():

@@ -42,16 +42,39 @@ def test_no_enumerated_basis_is_inverted(dual_basis_calls):
     assert dual_basis_calls[2] == 0
 
 
+def test_the_span_builds_no_monomial(monkeypatch):
+    # spanning_rank and dual_span_rank read key bits only; the faithful
+    # monomials are built where a key becomes a polynomial again
+    calls = []
+    real = algebra.BasisSearch.monomials
+    monkeypatch.setattr(algebra.BasisSearch, "monomials",
+                        lambda self: calls.append(self.n) or real(self))
+    polys = [g.polynomial for g in bott.bott_generators(3)]
+    assert calls == [3]
+    assert bott.spanning_rank(4).rank == 511
+    assert bott.dual_span_rank(polys, 3) == 13
+    assert calls == [3]
+
+
+def test_the_walk_reads_the_one_default_cap(monkeypatch):
+    # the walk has no cap constant of its own: kernels.DEFAULT_MAX_N moves it
+    assert not hasattr(bott, "DEFAULT_MAX_N")
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_N", 2)
+    for call in (lambda: bott.spanning_rank(3), lambda: bott.bott_generators(3)):
+        with pytest.raises(ResourceLimitError, match=r"cap n <= 2; .*max_n=3"):
+            call()
+    assert bott.spanning_rank(3, max_n=3).rank == 13
+
+
 def _dual_keyed_walk(n):
-    """The orbit walk keyed as it was before it stopped dualizing: bit i of a
-    key is the dual of the i-th faithful monomial, from the GF(2) ring's
-    dual-basis hook."""
+    """The orbit walk keyed as it was before it stopped dualizing, with the
+    monomial of each key bit: bit i of a key is the dual of the i-th faithful
+    monomial, from the GF(2) ring's dual-basis hook."""
     faithful = elimination_oracles.faithful_monomials_gf2(n)
     duals = [algebra.sort_monomial(Gf2Polynomial._dual_rows(m, n)[0])[1] for m in faithful]
     walk = bott._OrbitWalk(n)
     walk.bit_of = {bott._mask(m): 1 << i for i, m in enumerate(duals)}
-    walk.monomial_of = duals
-    return walk
+    return walk, duals
 
 
 # rank -> keys the closure folds: in full, and up to the kernel dimension
@@ -70,21 +93,20 @@ def _closure(walk):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_walk_matches_the_dual_keyed_oracle(n):
-    walk = _dual_keyed_walk(n)
+    walk, duals = _dual_keyed_walk(n)
     want = list(walk)
     got = list(bott.iter_bott_generators(n))
     assert len(got) == len(want)
     # the masks read off the search's character ids are the monomials' own
-    bit_of, monomial_of = bott._key_bits(n)
-    assert monomial_of == algebra.all_faithful_monomials_gf2(n)
-    assert bit_of == {bott._mask(m): 1 << i for i, m in enumerate(monomial_of)}
-    bit = {m: 1 << i for i, m in enumerate(monomial_of)}
+    monomials = algebra.all_faithful_monomials_gf2(n)
+    assert bott._key_bits(n) == {bott._mask(m): 1 << i for i, m in enumerate(monomials)}
+    bit = {m: 1 << i for i, m in enumerate(monomials)}
     old, new = gf2.RankAccumulator(), gf2.RankAccumulator()
     ranks = []
     for g, (polytope, colors, dual_key) in zip(got, want):
         assert g.polytope == polytope
         assert g.coloring.map == {f: gf2.unpack(c, n) for f, c in enumerate(colors)}
-        assert g.polynomial.terms == {walk.monomial_of[i]: 1 for i in gf2.bits(dual_key)}
+        assert g.polynomial.terms == {duals[i]: 1 for i in gf2.bits(dual_key)}
         # dualizing permutes the key bits, so the rank after every fold agrees
         old.add(dual_key)
         new.add(sum(map(bit.__getitem__, g.polynomial.terms)))
@@ -97,7 +119,7 @@ def test_walk_matches_the_dual_keyed_oracle(n):
     assert bott.spanning_rank(n, target=dim)[:3] == (n, dim, early)
     # the closure's span holds every key of the full stream, in either keying,
     # and has its rank, so the two spans are equal
-    for keyed, keys in ((_dual_keyed_walk(n), [k for _, _, k in want]),
+    for keyed, keys in ((_dual_keyed_walk(n)[0], [k for _, _, k in want]),
                         (bott._OrbitWalk(n), [sum(map(bit.__getitem__, g.polynomial.terms))
                                               for g in got])):
         acc, _ = _closure(keyed)
@@ -114,11 +136,11 @@ def test_rank_raising_keys_lie_in_the_kernel(n):
     # the span of the raising keys is the span of every generator, so rank =
     # kernel dim with every raising dual in the kernel proves generation
     space = kernels.kernel_space(n)
-    walk = bott._OrbitWalk(n)
-    acc, raising = _closure(walk)
+    monomials = algebra.all_faithful_monomials_gf2(n)
+    acc, raising = _closure(bott._OrbitWalk(n))
     assert len(raising) == acc.rank == space.dim
     for key in raising:
-        terms = {walk.monomial_of[i]: 1 for i in gf2.bits(key)}
+        terms = {monomials[i]: 1 for i in gf2.bits(key)}
         assert space.contains(algebra.dual(Gf2Polynomial._of(n, DUAL, terms)))
 
 

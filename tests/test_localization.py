@@ -751,6 +751,29 @@ def test_chern_planes_on_the_lattice_match_the_summand_loop(monkeypatch, n):
     assert outcomes == {True, False} and any(t is not None for t in planes)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_lattice_plane_rejects_alone(monkeypatch, n):
+    # with the one-point probe emptied and every Chern plane on its simplex
+    # lattice, a non-polynomial sum above degree 2n can be rejected only on
+    # some plane's lattice: the verdicts on the manifolds with one sign
+    # flipped are the summand loop's
+    monkeypatch.setattr(localization, "LATTICE_BITS_PER_POINT", 0)
+    probed = []
+
+    def empty_probe(loc, signed):
+        probed.append(signed)
+        return [[] for _ in loc.chars]
+    monkeypatch.setattr(localization, "_probe_terms", empty_probe)
+    rng = random.Random(211 + n)
+    d = 2 * n + 1
+    indices = [(d - 2 * j, j) for j in range(d // 2 + 1)]
+    outcomes = set()
+    for _, data in torus_manifolds(n, rng):
+        for flipped in mutants(data, rng)[:1]:
+            outcomes |= assert_chern_matches_oracle(flipped, indices)
+    assert False in outcomes and probed
+
+
 def test_planes_take_the_lattice_where_kronecker_integers_are_large():
     # the default sweeps of CP^4 and CP^5 reach at most about 150 bits per
     # lattice point on any plane, and every plane of CP^6 at degree 12 over
