@@ -182,15 +182,6 @@ class Polynomial:
         self.terms = _collect(pairs, modulus)
 
     @classmethod
-    def from_terms(cls, n: int, terms: Iterable[tuple[Monomial, int]],
-                   space: str = PRIMAL) -> "Polynomial":
-        """Validating constructor from (monomial, coefficient) pairs; the
-        coefficients are read mod the class's modulus."""
-        p = object.__new__(cls)
-        Polynomial.__init__(p, n, terms, space)
-        return p
-
-    @classmethod
     def _of(cls, n: int, space: str, terms: dict[Monomial, int]) -> "Polynomial":
         """Unchecked constructor: ``terms`` canonical, nonzero and reduced."""
         p = object.__new__(cls)
@@ -363,16 +354,9 @@ def _remember_dual(key: ProofKey, proof: Proof) -> None:
 # coloring targets and fixed-point flavors
 RINGS: dict[str, type[Polynomial]] = {"gf2": Gf2Polynomial, "z": ExtPolynomial}
 
-
-def gf2_polynomial(n: int, monomials: Iterable[Iterable[Iterable[int]]],
-                   space: str = PRIMAL) -> Gf2Polynomial:
-    """Convenience constructor from nested iterables."""
-    return Gf2Polynomial(n, [tuple(tuple(c) for c in m) for m in monomials], space)
-
-
-def ext_polynomial(n: int, terms: Iterable[tuple[Iterable[Iterable[int]], int]],
-                   space: str = PRIMAL) -> ExtPolynomial:
-    return ExtPolynomial(n, [(tuple(tuple(c) for c in m), k) for m, k in terms], space)
+# the public constructor names: each ring's class is its one validating way in
+gf2_polynomial = Gf2Polynomial
+ext_polynomial = ExtPolynomial
 
 
 # ---------------------------------------------------------------------------

@@ -80,9 +80,10 @@ def _check_rank(n: int, max_n: int | None) -> int:
         log_colorings = log_reps + log_gl
         raise ResourceLimitError(
             f"rank {n} exceeds the generator enumeration cap n <= {cap}; the "
-            f"orbit walk would visit up to 10^{log_reps:.1f} representative "
-            f"colorings, standing for up to 10^{log_colorings:.1f} basis "
-            f"colorings (pass max_n={n} to allow it)")
+            f"orbit walk would visit up to {kernels._power_of_ten(log_reps)} "
+            f"representative colorings, standing for up to "
+            f"{kernels._power_of_ten(log_colorings)} basis colorings "
+            f"(pass max_n={n} to allow it)")
     return n
 
 

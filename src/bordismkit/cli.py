@@ -15,7 +15,7 @@ import sys
 from typing import Any, NoReturn
 
 from . import algebra, bordism, bott, jsonio, kernels
-from .algebra import ExtPolynomial, Polynomial
+from .algebra import ExtPolynomial
 from .errors import BordismError, InputFormatError, ValidationError
 from .graphs import (ColoredGraph, TorusGraph, graph_coloring_polynomial,
                      torus_graph_from_pair, torus_polynomial)
@@ -37,13 +37,6 @@ def _read_input(raw: str) -> Any:
     return jsonio.parse_text(text)
 
 
-def _as_polynomial(obj: Any) -> Polynomial:
-    """Accept a polynomial object, unwrapping a bordism-class wrapper if given."""
-    if isinstance(obj, dict) and "polynomial" in obj:
-        obj = obj["polynomial"]
-    return jsonio.polynomial_from_obj(obj)
-
-
 def _emit(obj: Any) -> None:
     sys.stdout.write(jsonio.canonical_dumps(obj))
 
@@ -63,19 +56,21 @@ def _cmd_dim(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    ok, reason = algebra.in_image_verdict(_as_polynomial(_read_input(args.input)))
+    p = jsonio.polynomial_from_obj(_read_input(args.input))
+    ok, reason = algebra.in_image_verdict(p)
     _emit({"in_image": ok, "reason": reason})
     return 0
 
 
 def _cmd_dual(args: argparse.Namespace) -> int:
-    _emit(jsonio.polynomial_to_obj(algebra.dual(_as_polynomial(_read_input(args.input)))))
+    p = jsonio.polynomial_from_obj(_read_input(args.input))
+    _emit(jsonio.polynomial_to_obj(algebra.dual(p)))
     return 0
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    _emit(jsonio.polynomial_to_obj(
-        algebra.differential(_as_polynomial(_read_input(args.input)))))
+    p = jsonio.polynomial_from_obj(_read_input(args.input))
+    _emit(jsonio.polynomial_to_obj(algebra.differential(p)))
     return 0
 
 
@@ -123,7 +118,7 @@ def _cmd_chern(args: argparse.Namespace) -> int:
     if isinstance(obj, dict) and "points" in obj:
         data = jsonio.fixed_point_data_from_obj(obj)
     else:
-        data = FixedPointData.from_polynomial(_as_polynomial(obj))
+        data = FixedPointData.from_polynomial(jsonio.polynomial_from_obj(obj))
     cap, sweep = chern_sweep(data, args.degree_bound)
     numbers = [{"i": r.i, "j": r.j,
                 "polynomial": r.is_polynomial,
@@ -150,7 +145,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 def _cmd_generators(args: argparse.Namespace) -> int:
     gens = bott.bott_generators(args.n)
     polys = [g.polynomial for g in gens]
-    rank = bott.dual_span_rank(polys, args.n)
+    rank = bott.spanning_rank(args.n).rank
     kernel_dim = kernels.kernel_space(args.n).dim
     _emit({
         "n": args.n,

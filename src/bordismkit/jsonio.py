@@ -23,7 +23,6 @@ from .polytopes import Coloring, SimplePolytope
 
 GF2_RING = "gf2"
 Z_RING = "z-ext"
-RINGS = {GF2_RING: Gf2Polynomial, Z_RING: ExtPolynomial}
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -82,10 +81,12 @@ def polynomial_from_obj(obj: Any) -> Polynomial:
         chars = _char_list(_need(t, "chars", list, f"terms[{i}]"), f"terms[{i}].chars")
         coeff = _need(t, "coeff", int, f"terms[{i}]")
         terms.append((chars, coeff))
-    if ring not in RINGS:
-        raise InputFormatError(f"unknown polynomial ring {ring!r}")
-    # GF(2) coefficients count mod 2: an even one drops its monomial unchecked
-    return RINGS[ring].from_terms(n, terms, space=space)
+    if ring == GF2_RING:
+        # coefficients count mod 2: an even one drops its monomial unchecked
+        return Gf2Polynomial(n, [chars for chars, coeff in terms if coeff % 2], space)
+    if ring == Z_RING:
+        return ExtPolynomial(n, terms, space)
+    raise InputFormatError(f"unknown polynomial ring {ring!r}")
 
 
 # ---------------------------------------------------------------------------

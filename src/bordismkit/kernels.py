@@ -76,6 +76,12 @@ def _log10_basis_count(n: int, k: int) -> float:
     return k * n * math.log10(2) + corrections - math.lgamma(k + 1) / math.log(10)
 
 
+def _power_of_ten(log10: float) -> str:
+    """10^x as text for x = ``log10``, with only the digits a float holds
+    (15): to one decimal below 10^14, to 15 significant digits above."""
+    return f"10^{log10:.1f}" if abs(log10) < 1e14 else f"10^({log10:.15g})"
+
+
 class KernelSpace:
     """GF(2) kernel of g -> d(g*) in homogeneous degree n; ``basis`` is
     built on its first read and kept."""
@@ -143,8 +149,8 @@ def kernel_space(n: int, max_n: int | None = None) -> KernelSpace:
     if n > cap:
         raise ResourceLimitError(
             f"rank {n} exceeds the configured maximum {cap}; the elimination "
-            f"would run over a 10^{_log10_basis_count(n, n):.1f} x "
-            f"10^{_log10_basis_count(n, n - 1):.1f} matrix "
+            f"would run over a {_power_of_ten(_log10_basis_count(n, n))} x "
+            f"{_power_of_ten(_log10_basis_count(n, n - 1))} matrix "
             f"(set BORDISMKIT_MAX_N={n} or pass max_n={n} to allow it)")
     monomials = algebra.all_faithful_monomials_gf2(n)
     acc = gf2.RankAccumulator()

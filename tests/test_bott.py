@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from decimal import Decimal, localcontext
 
 import elimination_oracles
 import pytest
@@ -342,6 +343,40 @@ def test_cap_message_sums_only_the_last_factors():
             bott.spanning_rank(n)
         assert (f"up to 10^{log_reps:.1f} representative colorings, standing for "
                 f"up to 10^{log_reps + log_gl:.1f} basis colorings") in str(exc.value)
+
+
+def test_huge_rank_refusals_print_only_the_digits_a_float_holds():
+    # at n = 10^9 the log10 counts are about 3 x 10^17, where a float holds
+    # 15 significant digits; each is written out here in 50-digit decimals
+    # (Stirling's series for log10 k!) and rounded to those 15
+    n = 10 ** 9
+
+    def log10(x):
+        return x.ln() / Decimal(10).ln()
+
+    def log10_factorial(k):
+        k = Decimal(k)
+        ln = k * k.ln() - k + (Decimal(math.tau) * k).ln() / 2 + 1 / (12 * k)
+        return ln / Decimal(10).ln()
+
+    def log10_bases(k):
+        # sum_{i<k} log10(1 - 2^(i-n)); the factors below 2^-200 add nothing
+        tail = sum(log10(1 - Decimal(2) ** (i - n)) for i in range(max(0, k - 200), k))
+        return k * n * log10(Decimal(2)) + tail - log10_factorial(k)
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        reps = n * n * log10(Decimal(2)) + log10(1 - Decimal(2) ** -n)
+        colorings = reps + log10_bases(n) + log10_factorial(n)
+        matrix = log10_bases(n), log10_bases(n - 1)
+    with pytest.raises(ResourceLimitError) as exc:
+        kernels.kernel_space(n, max_n=4)
+    assert "run over a 10^({:.15g}) x 10^({:.15g}) matrix".format(*matrix) in str(exc.value)
+    with pytest.raises(ResourceLimitError) as exc:
+        bott.spanning_rank(n)
+    assert (f"up to 10^({reps:.15g}) representative colorings, standing for "
+            f"up to 10^({colorings:.15g}) basis colorings") in str(exc.value)
+    assert "10^(3.01029995663981e+17) representative" in str(exc.value)
 
 
 def test_cap_refuses_a_huge_rank_at_once():

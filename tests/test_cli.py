@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from bordismkit import jsonio
+from bordismkit import bott, jsonio, kernels
 from bordismkit.algebra import ExtPolynomial, Gf2Polynomial, dual
 from bordismkit.bordism import UNITARY, UNORIENTED, BordismClass
 from bordismkit.errors import ValidationError
@@ -516,6 +516,21 @@ def test_generators_exact_output_for_ranks_one_and_two():
                         '{"chars":[[1,0],[1,1]],"coeff":1}]},'
                         '{"n":2,"ring":"gf2","space":"dual","terms":[]}],'
                         '"kernel_dim":1,"n":2,"spanning_rank":1,"spans_kernel":true}\n')
+
+
+def test_generators_exact_output_for_rank_three():
+    # the verb reads its rank off the closure (bott.spanning_rank); the bytes
+    # are the ones the full stream re-keyed by dual_span_rank gives
+    polys = [g.polynomial for g in bott.bott_generators(3)]
+    rank = bott.dual_span_rank(polys, 3)
+    kernel_dim = kernels.kernel_space(3).dim
+    r = run_cli("generators", "--n", "3")
+    assert r.returncode == 0
+    assert r.stdout == dumps({
+        "n": 3, "count": len(polys), "kernel_dim": kernel_dim,
+        "spanning_rank": rank, "spans_kernel": rank == kernel_dim,
+        "generators": [jsonio.polynomial_to_obj(p) for p in polys]})
+    assert (len(polys), rank, kernel_dim) == (51, 13, 13)
 
 
 @pytest.mark.parametrize("argv", [

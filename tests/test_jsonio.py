@@ -50,6 +50,13 @@ def test_gf2_coefficients_normalize_mod_two():
     assert jsonio.polynomial_from_obj(odd) == want
     assert jsonio.polynomial_from_obj(neg) == want
     assert jsonio.polynomial_from_obj(even).is_zero()
+    # an even coefficient drops its monomial unchecked, a zero character too
+    zero = dict(base, terms=[{"chars": [[0, 0]], "coeff": 2}])
+    assert jsonio.polynomial_from_obj(zero).is_zero()
+    # two odd entries of one monomial, in either character order, cancel
+    twice = dict(base, terms=[{"chars": [[0, 1], [1, 0]], "coeff": 1},
+                              {"chars": [[1, 0], [0, 1]], "coeff": 3}])
+    assert jsonio.polynomial_from_obj(twice).is_zero()
 
 
 def test_polynomial_structural_errors():

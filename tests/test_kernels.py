@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import derivations
 import elimination_oracles
 import pytest
 
@@ -29,8 +30,11 @@ WINDOW_STATS = {
 
 
 def test_kernel_dimensions():
-    for n, want in KERNEL_DIMS.items():
-        assert kernels.kernel_space(n).dim == want
+    # the elimination against the closed form, derivation 1 of
+    # docs/decisions/0001; rank 5 is above the default cap
+    for n, want in {**KERNEL_DIMS, 5: 61193}.items():
+        assert derivations.kernel_dim(n) == want
+        assert kernels.kernel_space(n, max_n=5).dim == want
 
 
 def test_kernel_basis_members_pass_membership():

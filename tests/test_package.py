@@ -78,6 +78,19 @@ def test_readme_example_runs():
     assert len(test.examples) == 7 and runner.failures == 0, out.getvalue()
 
 
+def test_the_derivations_read_no_bordismkit_code():
+    # tests/derivations.py answers from the mathematics alone, so it imports
+    # only the standard library: not bordismkit, nor an oracle that does
+    path = Path(__file__).resolve().parent / "derivations.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or "").split(".")[0])
+    assert imported and imported <= sys.stdlib_module_names, imported
+
+
 def test_only_the_integer_window_takes_determinants():
     # a basis and its determinant's sign come from one elimination, the
     # ring's dual-basis hook, and the window's determinants from its
