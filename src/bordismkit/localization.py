@@ -20,6 +20,10 @@ Integrality never builds N: ℓ divides N exactly when N vanishes on the
 hyperplane ℓ = 0, where only the points holding ℓ contribute, and there N is
 a nonzero polynomial times the local numerator: those points' sum over the
 product of their own distinct restricted weight forms (docs/decisions/0002).
+Points with equal restricted weights there share f's value and their
+cofactor for every symmetric f, so they are folded into one term first; a
+plane whose terms all cancel, as every plane of a kernel element's does,
+evaluates nothing.
 Each degree of f gives one homogeneous local numerator in n − 1 variables,
 tested by one exact big-integer evaluation at a Kronecker point whose base
 exceeds an L1 bound on its coefficients.  Over Z, above rank 4 or degree
@@ -39,7 +43,8 @@ its private ``_memo``, a ``_Localization``: the canonical factors of D and
 the points folded by equal weights (each with its summed units and signed
 units) at construction, and in one dict read through ``memo(build, *args)``,
 on first use, each factor's hyperplane and the whole space with their local
-denominators (``_frame``), and per units and degree of f the evaluation
+denominators (``_frame``), their points folded by equal restricted weights
+per units (``_groups``), and per units and degree of f the evaluation
 points' form values and cofactor products.  This is safe because the points
 are an immutable tuple fixed at construction, the memo lives and dies with
 its data object (the one module-level memo a data object reaches is the
@@ -63,9 +68,11 @@ Z = "z"
 # counts numbers, not their cost: a sweep under it is still unbounded in
 # the rank, and in the factors of D and the degree of the numbers that pass
 # the one-point rejection, whose planes cost (deg + 1)^(n - 2) Kronecker
-# slots or C(deg + n - 2, n - 2) lattice points each (the default sweeps of
-# the torus manifolds of rank 6 take 8-32 s each on a 2-core Xeon VM); the
-# largest sweep in use has 25
+# slots or C(deg + n - 2, n - 2) lattice points each unless they fold away
+# (a torus manifold's do: the default sweeps of the standard ones of rank 6
+# take 0.2-0.9 s each on a 2-core Xeon VM, 5-25 s with their planes
+# evaluated; data whose planes do not fold still pays that); the largest
+# sweep in use has 25
 MAX_CHERN_NUMBERS = 10_000
 
 
@@ -211,9 +218,11 @@ class _Localization:
     units (``bare``) and of their signed units (``signed``) and its weights
     as (factor index, unit) pairs.  The rest is built on first use by
     ``memo(build, *args)``, once per key: each factor's hyperplane and the
-    whole space with their local denominators (``_frame``), each plane's
-    one-point rejection terms (``_probe_terms`` by signed or bare units), the
-    evaluations' parts that every f of one degree d shares (``_plane_terms``
+    whole space with their local denominators (``_frame``), their members
+    folded by equal restricted weights per signed or bare units
+    (``_groups``; on the whole space the points are already folded), each
+    plane's one-point rejection terms (``_probe_terms`` by signed or bare
+    units), the evaluations' parts that every f of one degree d shares (``_plane_terms``
     by units, d and plane, ``_value_terms`` and ``_lattice_terms`` by d;
     their points read only the units and d).
     """
@@ -253,9 +262,9 @@ class _Localization:
 def _frame(loc: _Localization, t: int | None) -> tuple[list, list]:
     """Factor t's hyperplane ℓ = 0, or the whole space when t is None, over
     its local denominator: (the local forms, per member: (point, its other
-    weights as (local form, multiplier), its cofactor's local forms, its
-    scale, the sum of its weights' L1 norms there, |scale| times the product
-    of its cofactor's)).
+    weights as sorted (local form, multiplier) pairs, its cofactor's local
+    forms, its scale, the sum of its weights' L1 norms there, the product of
+    its cofactor's)).
 
     The members are the folded points holding ℓ (every point when t is
     None); any other point's cofactor has ℓ as a factor.  x_k = ℓ_p·y_k
@@ -288,7 +297,7 @@ def _frame(loc: _Localization, t: int | None) -> tuple[list, list]:
             local[s] = (index.setdefault(form, len(index)), sign * content)
     forms = list(index)
     l1 = [sum(map(abs, form)) for form in forms]
-    rows = [(g, tuple((local[s][0], u * local[s][1]) for s, u in loc.own[g] if s != t),
+    rows = [(g, tuple(sorted((local[s][0], u * local[s][1]) for s, u in loc.own[g] if s != t)),
              math.prod(local[s][1] for s, _ in loc.own[g] if s != t)) for g in held]
     lcm = math.lcm(*(abs(scalar) for _, _, scalar in rows))
     members = []
@@ -297,8 +306,37 @@ def _frame(loc: _Localization, t: int | None) -> tuple[list, list]:
         cof = tuple(f for f in range(len(forms)) if f not in mine)
         scale = lcm // scalar
         members.append((g, others, cof, scale, sum(abs(m) * l1[f] for f, m in others),
-                        abs(scale) * math.prod(l1[f] for f in cof)))
+                        math.prod(l1[f] for f in cof)))
     return forms, members
+
+
+def _units(loc: _Localization, signed: bool) -> list[int]:
+    units = loc.signed if signed else loc.bare
+    return [k & 1 for k in units] if loc.gf2 else units
+
+
+def _groups(loc: _Localization, t: int | None, signed: bool, fold: bool = True
+            ) -> tuple[list, list]:
+    """Frame t's local forms, and its members with the signed or bare units
+    (mod 2 over GF(2)) folded by equal restricted weights: per group, (its
+    first member, their other weights, cofactor and L1 quantities, k = the
+    sum of unit times scale over the group).  Members with equal sorted
+    other weights share f(w) for every symmetric f, and their cofactor, so
+    their terms add up to k times one term (docs/decisions/0002).  Groups
+    whose k is 0, or even over GF(2), are dropped; on a plane of a kernel
+    element every group is.  With ``fold`` False every member with a
+    nonzero unit is its own group, for terms read per point."""
+    units = _units(loc, signed)
+    forms, members = loc.memo(_frame, t)
+    groups: dict = {}
+    for g, others, cof, scale, own_l1, cof_l1 in members:
+        if units[g]:
+            acc = groups.setdefault(others if fold else g, [g, others, cof, 0, own_l1, cof_l1])
+            acc[3] += units[g] * scale
+    if loc.gf2:
+        for acc in groups.values():
+            acc[3] &= 1
+    return forms, [tuple(acc) for acc in groups.values() if acc[3]]
 
 
 def _localization(data: FixedPointData) -> _Localization:
@@ -342,37 +380,32 @@ def _e1_e2_power(values: Sequence[int], i: int, j: int) -> int:
     return e1 ** i * ((e1 * e1 - sum(v * v for v in values)) // 2) ** j
 
 
-def _units(loc: _Localization, signed: bool) -> list[int]:
-    units = loc.signed if signed else loc.bare
-    return [k & 1 for k in units] if loc.gf2 else units
+def _bound(groups: list, d: int) -> int:
+    """An L1 bound on the coefficients of sum k f(w) L/chi over a frame's
+    ``_groups``, f of degree d: L1(f(w)) <= (sum of the L1(w_i))^d, for a
+    sum of distinct m_mu of degree d and for e1^i e2^j (docs/decisions/0002,
+    0003)."""
+    return sum(abs(k) * own_l1 ** d * cof_l1 for _, _, _, k, own_l1, cof_l1 in groups)
 
 
-def _bound(units: Sequence[int], members: list, d: int) -> int:
-    """An L1 bound on the coefficients of sum_g k_g s_g f(w_g) L/chi_g over a
-    frame's members, f of degree d: L1(f(w)) <= (sum of the L1(w_i))^d,
-    for a sum of distinct m_mu of degree d and for e1^i e2^j
-    (docs/decisions/0002, 0003)."""
-    return sum(abs(units[g]) * own_l1 ** d * cof_l1 for g, *_, own_l1, cof_l1 in members)
-
-
-def _evaluate(units: Sequence[int], members: list, vals: list[int]) -> list[tuple]:
-    """Per member g with k_g != 0, given its frame's forms' values: (g, k_g
-    times its scale and its cofactor's product, its other weights) there."""
+def _evaluate(groups: list, vals: list[int]) -> list[tuple]:
+    """Per group, given its frame's forms' values: (its member, k times its
+    cofactor's product, its other weights) there."""
     at = vals.__getitem__
-    return [(g, units[g] * scale * math.prod(map(at, cof)), [m * at(f) for f, m in others])
-            for g, others, cof, scale, _, _ in members if units[g]]
+    return [(g, k * math.prod(map(at, cof)), [m * at(f) for f, m in others])
+            for g, others, cof, k, _, _ in groups]
 
 
 def _probe_terms(loc: _Localization, signed: bool) -> list[list[tuple]]:
     """Per factor of D, its plane's ``_evaluate`` terms at the degree-1
     Kronecker point with 2^b > 2·max|coefficient| of its local forms, where
-    none of them vanishes (integer data only)."""
-    units = _units(loc, signed)
+    none of them vanishes (integer data only); none where every group
+    folded away."""
     out = []
     for t in range(len(loc.chars)):
-        forms, members = loc.memo(_frame, t)
+        forms, groups = loc.memo(_groups, t, signed)
         b = (2 * max((abs(a) for form in forms for a in form), default=0)).bit_length()
-        out.append(_evaluate(units, members, _kronecker_values(forms, 1, b)))
+        out.append(_evaluate(groups, _kronecker_values(forms, 1, b)) if groups else [])
     return out
 
 
@@ -388,21 +421,25 @@ def _simplex(r: int, m: int) -> list[tuple[int, ...]]:
 # tested faster on the lattice: the default sweeps of the standard torus
 # manifolds of ranks 4-5 reach at most about 150 on any plane, and Kronecker
 # wins there; at rank 6 most planes have over 220, and the lattice wins
-# (docs/decisions/0002)
+# (docs/decisions/0002).  Calibrated on those manifolds' planes, which now
+# fold away: only the planes of data that is not a kernel element's reach
+# it, and it has not been tuned for them
 LATTICE_BITS_PER_POINT = 192
 
 
-def _plane_terms(loc: _Localization, signed: bool, d: int, lattice_ok: bool) -> list:
+def _plane_terms(loc: _Localization, signed: bool, d: int, lattice_ok: bool,
+                 fold: bool = True) -> list:
     """Per factor of D, for every f of degree d and the signed or bare units
-    (mod 2 over GF(2)): None when its bound is 0, else (b, the slots per
-    value, the slot mask (-1 over Z), its ``_evaluate`` terms), the terms
-    None when ``lattice_ok`` and its Kronecker integers would pass
-    ``LATTICE_BITS_PER_POINT`` bits per point of its simplex lattice."""
-    units = _units(loc, signed)
+    (mod 2 over GF(2)): None when its bound is 0, as when every group folded
+    away, else (b, the slots per value, the slot mask (-1 over Z), its
+    ``_evaluate`` terms), the terms None when ``lattice_ok`` and its
+    Kronecker integers would pass ``LATTICE_BITS_PER_POINT`` bits per point
+    of its simplex lattice.  ``fold`` False keeps one term per point."""
     out = []
     for t in range(len(loc.chars)):
-        forms, members = loc.memo(_frame, t)
-        b = _bound(units, members, d).bit_length()
+        forms, groups = (loc.memo(_groups, t, signed) if fold
+                         else _groups(loc, t, signed, fold=False))
+        b = _bound(groups, d).bit_length()
         degree = d + len(forms) - (loc.n - 1)   # of the local numerator
         slots = _slots(loc.n - 1, degree)
         if not b:
@@ -414,22 +451,21 @@ def _plane_terms(loc: _Localization, signed: bool, d: int, lattice_ok: bool) -> 
             # over GF(2) the 0/1 lift's coefficients are its digits: the
             # lowest bit of every slot holds their parities
             mask = ((1 << b * slots) - 1) // ((1 << b) - 1) if loc.gf2 else -1
-            out.append((b, slots, mask,
-                        _evaluate(units, members, _kronecker_values(forms, degree, b))))
+            out.append((b, slots, mask, _evaluate(groups, _kronecker_values(forms, degree, b))))
     return out
 
 
-def _lattice(loc: _Localization, t: int | None, units: Sequence[int], degree: int,
+def _lattice(loc: _Localization, t: int | None, signed: bool, degree: int,
              shift: Sequence[int]) -> Iterator[tuple]:
     """Frame t at each point x = (1, shift + a), a on the simplex lattice
     {a >= 0, |a| <= degree} in the frame's variables after the first, which
     is unisolvent for that degree, one point at a time: (a, its forms'
     values, its ``_evaluate`` terms)."""
-    forms, members = loc.memo(_frame, t)
+    forms, groups = loc.memo(_groups, t, signed)
     for a in _simplex(len(shift), degree):
         x = (1, *map(operator.add, shift, a))
         vals = [sum(map(operator.mul, form, x)) for form in forms]
-        yield a, vals, _evaluate(units, members, vals)
+        yield a, vals, _evaluate(groups, vals)
 
 
 def _small_kronecker(n: int, d: int) -> bool:
@@ -463,7 +499,7 @@ def _planes_vanish(loc: _Localization, signed: bool, d: int, f_at,
         if terms is None:   # one point at a time: a plane's lattice is too large to keep
             degree = d + len(loc.memo(_frame, t)[0]) - (loc.n - 1)
             if any(sum(kc * f_at(ys) for _, kc, ys in at) for *_, at in
-                   _lattice(loc, t, _units(loc, signed), degree, [0] * (loc.n - 2))):
+                   _lattice(loc, t, signed, degree, [0] * (loc.n - 2))):
                 return False
         elif sum(kc * f_at(ys) for _, kc, ys in terms) & mask:
             return False
@@ -520,7 +556,8 @@ class Gf2IntegralityTable:
     partition, factor), so they are read once, from the hyperplane data of
     the localization of all faithful monomials: each is one evaluation at a
     Kronecker point, whose base and cofactor products every partition of
-    one degree shares (``_plane_terms`` with every unit 1), and its parity
+    one degree shares (``_plane_terms`` with every unit 1, unfolded, since
+    the bits are read per monomial), and its parity
     digits go to one bit per (factor, slot) of an int per (monomial,
     partition).  GL(n, 2) permutes the planes, so every plane has the same
     slot count and the factors fill disjoint bits: the XOR of those ints is
@@ -549,7 +586,7 @@ class Gf2IntegralityTable:
             if len(mu) < n:   # else m_mu vanishes on every plane, as one weight does
                 d = sum(mu)
                 if d not in shared:
-                    shared = {d: _plane_terms(loc, False, d, False)}
+                    shared = {d: _plane_terms(loc, False, d, False, fold=False)}
                 for t, (b, slots, _, terms) in enumerate(shared[d]):
                     for g, kc, ys in terms:
                         rows[g] |= _slot_bits(kc * value_at(mu, ys), b) << (t * slots)
@@ -597,12 +634,12 @@ def _value_terms(loc: _Localization, d: int) -> tuple:
     """For every (i, j) with i + 2j = d: (b, D(x), the whole space's
     ``_evaluate`` terms at the Kronecker point x)."""
     n, degree = loc.n, d - loc.n
-    forms, members = loc.memo(_frame, None)
-    bound = _bound(loc.signed, members, d) << n * degree
+    forms, groups = loc.memo(_groups, None, True)
+    bound = _bound(groups, d) << n * degree
     b = max(2 * bound, 2 * max(abs(v) for c in forms for v in c)).bit_length()
     b = -(-b // 8) * 8   # whole bytes, for the decode
     vals = _kronecker_values(forms, max(degree, 1), b)
-    return b, math.prod(vals), _evaluate(loc.signed, members, vals)
+    return b, math.prod(vals), _evaluate(groups, vals)
 
 
 def _quotient(summands: list, at_x: int, i: int, j: int) -> int:
@@ -654,7 +691,7 @@ def _lattice_terms(loc: _Localization, d: int) -> tuple[list[int], list[tuple]]:
         shift.append(top * reach + 1)
         reach += shift[-1] + m
     return shift, [(a, math.prod(vals), terms)
-                   for a, vals, terms in _lattice(loc, None, loc.signed, m, shift)]
+                   for a, vals, terms in _lattice(loc, None, True, m, shift)]
 
 
 def _lattice_value(loc: _Localization, i: int, j: int) -> dict:

@@ -409,7 +409,8 @@ def exact(r):
     return (r.is_polynomial, r.integral, value, r.constant)
 
 
-@pytest.mark.parametrize("shape", [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)])
+@pytest.mark.parametrize("shape", [shape for n in range(1, 6) for shape in bott.partitions(n)]
+                         + [(4, 2), (3, 3)])
 def test_chern_sweep_matches_the_cohomology_ring(shape):
     n = sum(shape)
     want = cohomology_chern_numbers(shape)
@@ -519,14 +520,15 @@ def test_integrality_checks_on_one_data_object_match_fresh_ones():
 
 
 def test_a_sweep_evaluates_each_plane_once_per_degree(monkeypatch):
-    # every (i, j) with one i + 2j reads the same Kronecker values: CP^3 has
-    # 6 factors, so its default sweep (i + 2j <= 6) evaluates 6 planes at 7
-    # degrees and values at the 4 degrees 3..6.  Bare integrality checks of
-    # degrees 0..3 evaluate 6 planes at 4 degrees; the signed ones share the
-    # sweep's.  (5, 1) above degree 2n tries the 6 planes at one point
-    # each, then evaluates them at degree 7, and reads one lattice.  A
-    # second pass on the same data builds nothing, and every answer equals
-    # a fresh data object's
+    # a torus manifold's signed sums fold away on every plane
+    # (docs/decisions/0002): the default sweep of CP^3 under a seeded random
+    # coloring (i + 2j <= 6) and its signed integrality checks build no
+    # plane's Kronecker values, only the values at the 4 degrees 3..6, and
+    # (5, 1) above degree 2n reads one lattice.  Its bare sums keep 3 of
+    # the 6 planes: bare checks of every m_mu of degrees 0..3 evaluate each
+    # of those once per degree, whatever the verdicts.  A second pass on
+    # the same data builds nothing, and every answer equals a fresh data
+    # object's
     kronecker = [0]
 
     def counted(*args, _real=localization._kronecker_values):
@@ -534,25 +536,36 @@ def test_a_sweep_evaluates_each_plane_once_per_degree(monkeypatch):
         return _real(*args)
     monkeypatch.setattr(localization, "_kronecker_values", counted)
     calls = counting(monkeypatch, "_lattice_terms")
-    fs = [e_n_function(2), SymmetricFunction(((), (1,), (2, 1)))]
+    parts = [()] + mvpoly.partitions_up_to(3, 2)
 
-    def one_pass(data):
-        return ([integrality_check_z(data, f, signed=signed)
-                 for f in fs for signed in (True, False)],
+    def signed_pass(data):
+        return ([integrality_check_z(data, f, signed=True)
+                 for f in (e_n_function(2), SymmetricFunction(((), (1,), (2, 1))))],
                 [exact(r) for r in chern_sweep(data)[1]],
                 exact(equivariant_chern_number(data, 5, 1)))
 
-    data = fixed_point_data((3,), standard_z_coloring((3,)))
-    assert len(localization._localization(data).chars) == 6
-    first = one_pass(data)
-    assert first[0] == [True] * 4
+    def bare_pass(data):
+        return [integrality_check_z(data, SymmetricFunction.monomial(mu)) for mu in parts]
+
+    data = fixed_point_data((3,), random_z_coloring((3,), random.Random(1)))
+    loc = localization._localization(data)
+    assert len(loc.chars) == 6
+    assert [bool(localization._groups(loc, t, False)[1]) for t in range(6)] == [
+        True, False, True, True, False, False]
+    first = signed_pass(data)
+    assert first[0] == [True] * 2
     assert all(r[0] for r in first[1]) and len(first[1]) == len(sweep_indices(3))
     assert first[2][0]
-    want = ([6 * 7 + 4 + 6 * 4 + 6 + 6], {"_lattice_terms": 1})
+    assert (kronecker, calls) == ([4], {"_lattice_terms": 1})
+    bare = bare_pass(data)
+    assert {sum(mu) for mu in parts} == {0, 1, 2, 3}
+    assert bare == [localization_oracles.sum_is_polynomial(data, [mu], False) for mu in parts]
+    want = ([4 + 3 * 4], {"_lattice_terms": 1})
     assert (kronecker, calls) == want
-    assert one_pass(data) == first
+    assert (signed_pass(data), bare_pass(data)) == (first, bare)
     assert (kronecker, calls) == want
-    assert one_pass(FixedPointData("z", 3, data.points)) == first
+    fresh = FixedPointData("z", 3, data.points)
+    assert (signed_pass(fresh), bare_pass(fresh)) == (first, bare)
 
 
 @pytest.mark.parametrize("n", [7, 8])
@@ -695,13 +708,23 @@ def test_both_value_methods_match_the_summand_loop(n):
     assert verdicts == ({True, False} if n > 1 else {True})
 
 
+def unfolded(monkeypatch):
+    """Keep one term per point on every frame, as before the fold of equal
+    restricted weights, so that a manifold's planes are evaluated."""
+    def groups(loc, t, signed, fold=True, _real=localization._groups):
+        return _real(loc, t, signed, fold=False)
+    monkeypatch.setattr(localization, "_groups", groups)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_chern_planes_on_the_lattice_match_the_summand_loop(monkeypatch, n):
     # above degree 2n, with every plane of a Chern number tested on its
     # simplex lattice, as the planes with large Kronecker integers are, every
     # verdict and value is the summand loop's, on the manifolds and their
-    # mutants
+    # mutants.  A manifold's planes fold away, so the fold is turned off
+    # here: the point is the lattice route
     monkeypatch.setattr(localization, "LATTICE_BITS_PER_POINT", 0)
+    unfolded(monkeypatch)
     planes = []
 
     def lattice(loc, t, *args, _real=localization._lattice):
@@ -742,15 +765,65 @@ def test_a_lattice_plane_rejects_alone(monkeypatch, n):
 
 
 def test_planes_take_the_lattice_where_kronecker_integers_are_large():
-    # the default sweeps of CP^4 and CP^5 reach at most about 150 bits per
-    # lattice point on any plane, and every plane of CP^6 at degree 12 over
-    # 220
+    # one term per point (the fold off), the default sweeps of CP^4 and
+    # CP^5 reach at most about 150 bits per lattice point on any plane, and
+    # every plane of CP^6 at degree 12 over 220.  With the fold every plane
+    # of theirs folds away, signed and bare, and builds nothing
     cp4, cp5, cp6 = (localization._localization(fixed_point_data((n,), standard_z_coloring((n,))))
                      for n in (4, 5, 6))
     for loc in (cp4, cp5):
-        assert all(plane[3] is not None
-                   for plane in localization._plane_terms(loc, True, 2 * loc.n, True))
-    assert all(plane[3] is None for plane in localization._plane_terms(cp6, True, 12, True))
+        assert all(plane[3] is not None for plane in
+                   localization._plane_terms(loc, True, 2 * loc.n, True, fold=False))
+    assert all(plane[3] is None
+               for plane in localization._plane_terms(cp6, True, 12, True, fold=False))
+    for loc in (cp4, cp5, cp6):
+        for signed in (True, False):
+            assert localization._plane_terms(loc, signed, 2 * loc.n, True) == [None] * len(
+                loc.chars)
+
+
+def folds_away(p, signed):
+    """Whether every plane of p's fixed-point data folds away."""
+    loc = localization._localization(FixedPointData.from_polynomial(p))
+    return not any(localization._groups(loc, t, signed)[1] for t in range(len(loc.chars)))
+
+
+def test_the_fold_matches_the_kernel():
+    # every plane of a kernel element folds away, and some plane of every
+    # other faithful polynomial does not (docs/decisions/0002): seeded
+    # integer combinations of the window kernel bases of ranks 1-3 against
+    # seeded sums of window monomials, signed, and seeded sums of GF(2)
+    # kernel basis elements of ranks 2-4 against seeded sums of faithful
+    # monomials.  Each sample is kept, whatever it is
+    seen = set()
+    for n in (1, 2, 3):
+        window = kernels.kernel_sample_unitary(n, 1)
+        rng = random.Random(300 + n)
+        for _ in range(40):
+            g = ExtPolynomial(n)
+            for b in rng.sample(window.basis, min(3, len(window.basis))):
+                g = g + b.scale(rng.choice((-2, -1, 1, 2)))
+            count = rng.randint(1, min(4, len(window.monomials)))
+            other = ExtPolynomial(n, {m: rng.choice((-1, 1, 2))
+                                      for m in rng.sample(window.monomials, count)})
+            for p in (g, other):
+                kernel = algebra.in_image(p)
+                assert folds_away(p, True) == kernel, p
+                seen.add(("z", kernel))
+    for n in (2, 3, 4):
+        basis = kernels.kernel_space(n).basis
+        faithful = algebra.all_faithful_monomials_gf2(n)
+        rng = random.Random(400 + n)
+        for _ in range(40):
+            g = Gf2Polynomial(n)
+            for b in rng.sample(basis, min(4, len(basis))):
+                g = g + b
+            other = Gf2Polynomial(n, rng.sample(faithful, rng.randint(1, min(6, len(faithful)))))
+            for p in (g, other):
+                kernel = algebra.in_image(p)
+                assert folds_away(p, False) == kernel, p
+                seen.add(("gf2", kernel))
+    assert seen == {(ring, kernel) for ring in ("z", "gf2") for kernel in (True, False)}
 
 
 def test_division_keeps_int_coefficients_past_non_unit_leads():
