@@ -26,17 +26,16 @@ plane whose terms all cancel, as every plane of a kernel element's does,
 evaluates nothing.
 Each degree of f gives one homogeneous local numerator in n − 1 variables,
 tested by one exact big-integer evaluation at a Kronecker point whose base
-exceeds an L1 bound on its coefficients.  Over Z, above rank 4 or degree
-2n, every plane is first evaluated at one small point where no local form
-vanishes, and a nonzero value rejects at once; there a Chern number's
-plane whose Kronecker integers would be large is tested at the small
-points of a simplex lattice instead.  f is a sum of m_mu, or e1^i e2^j for a Chern number, whose verdict
-is the same plane test.  A Chern number's value S is homogeneous of degree
-d_S = i + 2j − n and has integer coefficients; it is read off exact values
-S(x) = N(x) / D(x), at one Kronecker point whose base exceeds Mahler's bound
-on its coefficients up to rank 4 and d_S = n, and at the points of a
-shifted simplex lattice, by Newton divided differences, above either
-(docs/decisions/0003).  No polynomial is multiplied or divided.
+exceeds an L1 bound on its coefficients.  Over Z every plane is first
+evaluated at one small point where no local form vanishes, and a nonzero
+value rejects at once.  f is a sum of m_mu, or e1^i e2^j for a Chern
+number, whose verdict is the same plane test.  A Chern number's value S is
+homogeneous of degree d_S = i + 2j − n and has integer coefficients; it is
+read off exact values S(x) = N(x) / D(x), at one Kronecker point whose
+base exceeds Mahler's bound on its coefficients up to rank 4 and d_S = n,
+and at the points of a shifted simplex lattice, by Newton divided
+differences, above either (docs/decisions/0003).  No polynomial is
+multiplied or divided.
 
 Everything these sums share is built once per FixedPointData and kept in
 its private ``_memo``, a ``_Localization``: the canonical factors of D and
@@ -68,11 +67,10 @@ Z = "z"
 # counts numbers, not their cost: a sweep under it is still unbounded in
 # the rank, and in the factors of D and the degree of the numbers that pass
 # the one-point rejection, whose planes cost (deg + 1)^(n - 2) Kronecker
-# slots or C(deg + n - 2, n - 2) lattice points each unless they fold away
-# (a torus manifold's do: the default sweeps of the standard ones of rank 6
-# take 0.2-0.9 s each on a 2-core Xeon VM, 5-25 s with their planes
-# evaluated; data whose planes do not fold still pays that); the largest
-# sweep in use has 25
+# slots each unless they fold away (a torus manifold's do: the default
+# sweeps of the standard ones of rank 6 take 0.2-0.9 s each on a 2-core
+# Xeon VM; data whose planes neither fold nor fail at one point pays for
+# them); the largest sweep in use has 25
 MAX_CHERN_NUMBERS = 10_000
 
 
@@ -397,15 +395,16 @@ def _evaluate(groups: list, vals: list[int]) -> list[tuple]:
 
 
 def _probe_terms(loc: _Localization, signed: bool) -> list[list[tuple]]:
-    """Per factor of D, its plane's ``_evaluate`` terms at the degree-1
-    Kronecker point with 2^b > 2·max|coefficient| of its local forms, where
-    none of them vanishes (integer data only); none where every group
-    folded away."""
+    """Per factor of D whose groups do not all fold away, its plane's
+    ``_evaluate`` terms at the degree-1 Kronecker point with 2^b >
+    2·max|coefficient| of its local forms, where none of them vanishes
+    (integer data only)."""
     out = []
     for t in range(len(loc.chars)):
         forms, groups = loc.memo(_groups, t, signed)
-        b = (2 * max((abs(a) for form in forms for a in form), default=0)).bit_length()
-        out.append(_evaluate(groups, _kronecker_values(forms, 1, b)) if groups else [])
+        if groups:
+            b = (2 * max((abs(a) for form in forms for a in form), default=0)).bit_length()
+            out.append(_evaluate(groups, _kronecker_values(forms, 1, b)))
     return out
 
 
@@ -416,92 +415,48 @@ def _simplex(r: int, m: int) -> list[tuple[int, ...]]:
     return [(e, *rest) for e in range(m + 1) for rest in _simplex(r - 1, m - e)]
 
 
-# bits of a plane's Kronecker integers per point of its simplex lattice above
-# which e1^i e2^j, a few sums and powers of small integers per point, is
-# tested faster on the lattice: the default sweeps of the standard torus
-# manifolds of ranks 4-5 reach at most about 150 on any plane, and Kronecker
-# wins there; at rank 6 most planes have over 220, and the lattice wins
-# (docs/decisions/0002).  Calibrated on those manifolds' planes, which now
-# fold away: only the planes of data that is not a kernel element's reach
-# it, and it has not been tuned for them
-LATTICE_BITS_PER_POINT = 192
-
-
-def _plane_terms(loc: _Localization, signed: bool, d: int, lattice_ok: bool,
-                 fold: bool = True) -> list:
+def _plane_terms(loc: _Localization, signed: bool, d: int, fold: bool = True) -> list:
     """Per factor of D, for every f of degree d and the signed or bare units
     (mod 2 over GF(2)): None when its bound is 0, as when every group folded
     away, else (b, the slots per value, the slot mask (-1 over Z), its
-    ``_evaluate`` terms), the terms None when ``lattice_ok`` and its
-    Kronecker integers would pass ``LATTICE_BITS_PER_POINT`` bits per point
-    of its simplex lattice.  ``fold`` False keeps one term per point."""
+    ``_evaluate`` terms).  ``fold`` False keeps one term per point."""
     out = []
     for t in range(len(loc.chars)):
         forms, groups = (loc.memo(_groups, t, signed) if fold
                          else _groups(loc, t, signed, fold=False))
         b = _bound(groups, d).bit_length()
-        degree = d + len(forms) - (loc.n - 1)   # of the local numerator
-        slots = _slots(loc.n - 1, degree)
         if not b:
             out.append(None)
-        elif lattice_ok and loc.n > 1 and b * slots > (
-                LATTICE_BITS_PER_POINT * math.comb(degree + loc.n - 2, loc.n - 2)):
-            out.append((b, slots, -1, None))
-        else:
-            # over GF(2) the 0/1 lift's coefficients are its digits: the
-            # lowest bit of every slot holds their parities
-            mask = ((1 << b * slots) - 1) // ((1 << b) - 1) if loc.gf2 else -1
-            out.append((b, slots, mask, _evaluate(groups, _kronecker_values(forms, degree, b))))
+            continue
+        degree = d + len(forms) - (loc.n - 1)   # of the local numerator
+        slots = _slots(loc.n - 1, degree)
+        # over GF(2) the 0/1 lift's coefficients are its digits: the lowest
+        # bit of every slot holds their parities
+        mask = ((1 << b * slots) - 1) // ((1 << b) - 1) if loc.gf2 else -1
+        out.append((b, slots, mask, _evaluate(groups, _kronecker_values(forms, degree, b))))
     return out
 
 
-def _lattice(loc: _Localization, t: int | None, signed: bool, degree: int,
-             shift: Sequence[int]) -> Iterator[tuple]:
-    """Frame t at each point x = (1, shift + a), a on the simplex lattice
-    {a >= 0, |a| <= degree} in the frame's variables after the first, which
-    is unisolvent for that degree, one point at a time: (a, its forms'
-    values, its ``_evaluate`` terms)."""
-    forms, groups = loc.memo(_groups, t, signed)
-    for a in _simplex(len(shift), degree):
-        x = (1, *map(operator.add, shift, a))
-        vals = [sum(map(operator.mul, form, x)) for form in forms]
-        yield a, vals, _evaluate(groups, vals)
-
-
 def _small_kronecker(n: int, d: int) -> bool:
-    """Whether the Kronecker integers of a degree-d sum stay small: up to
-    rank 4 and degree 2n (d_S <= n).  The one rule, measured at ranks 1-6,
-    for a Chern value's method, for trying planes at one point first and
-    for letting Chern planes move to their lattices (docs/decisions/0003)."""
+    """Whether a Chern value of degree d is read at one Kronecker point, whose
+    integers stay small up to rank 4 and degree 2n (d_S <= n), or above either
+    off a simplex lattice; measured at ranks 1-6 (docs/decisions/0003)."""
     return n <= 4 and d <= 2 * n
 
 
-def _planes_vanish(loc: _Localization, signed: bool, d: int, f_at,
-                   lattice_ok: bool = False) -> bool:
+def _planes_vanish(loc: _Localization, signed: bool, d: int, f_at) -> bool:
     """Whether every factor ℓ of D divides N = sum_p k_p f(w_p) D/chi_p, for
     f homogeneous of degree d with integer values f_at(values).  On ℓ = 0
     that is whether the local numerator, over the points holding ℓ and their
     own denominator, vanishes (docs/decisions/0002): by one exact
-    evaluation whose base exceeds an L1 bound on its coefficients.  Over Z,
-    above rank 4 or degree 2n, every plane is first tried at one point, and
-    a nonzero value there rejects before any plane's terms are built; there,
-    for an f cheap at small integers (``lattice_ok``), a plane whose
-    Kronecker integers would be large is tested at every point of its
-    simplex lattice instead.  All but f is shared."""
-    large = not loc.gf2 and not _small_kronecker(loc.n, d)
-    if large and any(sum(kc * f_at(ys) for _, kc, ys in terms)
-                     for terms in loc.memo(_probe_terms, signed)):
-        return False
-    for t, plane in enumerate(loc.memo(_plane_terms, signed, d, large and lattice_ok)):
-        if plane is None:
-            continue
-        _, _, mask, terms = plane
-        if terms is None:   # one point at a time: a plane's lattice is too large to keep
-            degree = d + len(loc.memo(_frame, t)[0]) - (loc.n - 1)
-            if any(sum(kc * f_at(ys) for _, kc, ys in at) for *_, at in
-                   _lattice(loc, t, signed, degree, [0] * (loc.n - 2))):
-                return False
-        elif sum(kc * f_at(ys) for _, kc, ys in terms) & mask:
+    evaluation whose base exceeds an L1 bound on its coefficients.  Over Z
+    every plane is first tried at one point, and a nonzero value there
+    rejects before any plane's terms are built.  All but f is shared."""
+    for terms in () if loc.gf2 else loc.memo(_probe_terms, signed):
+        if sum(kc * f_at(ys) for _, kc, ys in terms):
+            return False
+    for plane in loc.memo(_plane_terms, signed, d):
+        if plane is not None and sum(kc * f_at(ys) for _, kc, ys in plane[3]) & plane[2]:
             return False
     return True
 
@@ -570,14 +525,14 @@ class Gf2IntegralityTable:
     def __init__(self, n: int, partitions: Sequence[Sequence[int]]):
         self.n = n = exact_int(n, "rank n", 1)
         self.partitions = tuple(map(mvpoly.canonical_partition, partitions))
-        # the enumeration yields bases, so they are not proved again
-        data = FixedPointData._of(GF2, n, [FixedPoint(1, m)
-                                           for m in algebra.all_faithful_monomials_gf2(n)])
-        loc = _Localization(data)
         for mu in self.partitions:
             if len(mu) > n:
                 raise ValidationError(
                     f"partition {mu} has more parts than the {n} available variables")
+        # the enumeration yields bases, so they are not proved again
+        data = FixedPointData._of(GF2, n, [FixedPoint(1, m)
+                                           for m in algebra.all_faithful_monomials_gf2(n)])
+        loc = _Localization(data)
         value_at = mvpoly.monomial_symmetric_value
         self._bits = {}  # mu -> monomial -> bits
         shared: dict[int, list] = {}   # one degree's plane terms at a time, every unit 1
@@ -586,7 +541,7 @@ class Gf2IntegralityTable:
             if len(mu) < n:   # else m_mu vanishes on every plane, as one weight does
                 d = sum(mu)
                 if d not in shared:
-                    shared = {d: _plane_terms(loc, False, d, False, fold=False)}
+                    shared = {d: _plane_terms(loc, False, d, fold=False)}
                 for t, (b, slots, _, terms) in enumerate(shared[d]):
                     for g, kc, ys in terms:
                         rows[g] |= _slot_bits(kc * value_at(mu, ys), b) << (t * slots)
@@ -685,13 +640,18 @@ def _lattice_terms(loc: _Localization, d: int) -> tuple[list[int], list[tuple]]:
     outweighs the rest and no factor vanishes at any x
     (docs/decisions/0003)."""
     n, m = loc.n, d - loc.n
-    top = max(abs(v) for form in loc.memo(_frame, None)[0] for v in form)
+    forms, groups = loc.memo(_groups, None, True)
+    top = max(abs(v) for form in forms for v in form)
     shift, reach = [], 1   # reach: the largest sum of the coordinates so far
     for _ in range(n - 1):
         shift.append(top * reach + 1)
         reach += shift[-1] + m
-    return shift, [(a, math.prod(vals), terms)
-                   for a, vals, terms in _lattice(loc, None, True, m, shift)]
+    points = []
+    for a in _simplex(n - 1, m):
+        x = (1, *map(operator.add, shift, a))
+        vals = [sum(map(operator.mul, form, x)) for form in forms]
+        points.append((a, math.prod(vals), _evaluate(groups, vals)))
+    return shift, points
 
 
 def _lattice_value(loc: _Localization, i: int, j: int) -> dict:
@@ -764,7 +724,7 @@ def equivariant_chern_number(data: FixedPointData, i: int, j: int) -> ChernNumbe
     if j and data.n < 2:
         raise ValidationError("e2 needs at least two weights per point")
     loc, n, d = _localization(data), data.n, i + 2 * j
-    if not _planes_vanish(loc, True, d, lambda ys: _e1_e2_power(ys, i, j), lattice_ok=True):
+    if not _planes_vanish(loc, True, d, lambda ys: _e1_e2_power(ys, i, j)):
         return ChernNumber(i, j, False, False, None, None)
     quo = MPoly.zero(n)
     if d >= n and any(loc.signed):   # else deg N < deg D, or N = 0

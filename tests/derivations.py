@@ -28,6 +28,34 @@ def kernel_dim(n):
     return abs(total)
 
 
+def lex_shelling_count(n):
+    """The homology facets of the lex shelling of the same complex.
+
+    Walk the n-subsets of the nonzero vectors of GF(2)^n, read as the ints
+    1 .. 2^n - 1, in ``combinations`` order, keep the independent ones (the
+    bases, the complex's facets) and count those whose n ridges all lie in
+    an earlier basis.  Lex order of a matroid's bases is a shelling, and its
+    homology facets number |reduced Euler characteristic| (Björner 1992), so
+    this is ``kernel_dim`` by independence tests and a set of ridges alone
+    (docs/decisions/0001, derivation 4).
+    """
+    seen = set()
+    count = 0
+    for basis in itertools.combinations(range(1, 2 ** n), n):
+        pivots = {}   # leading bit -> reduced vector
+        for v in basis:
+            while v and v.bit_length() in pivots:
+                v ^= pivots[v.bit_length()]
+            if not v:
+                break
+            pivots[v.bit_length()] = v
+        else:
+            ridges = [basis[:k] + basis[k + 1:] for k in range(n)]
+            count += all(ridge in seen for ridge in ridges)
+            seen.update(ridges)
+    return count
+
+
 def cohomology_chern_numbers(shape):
     """c1^i c2^j [M] (i + 2j = n) of M = CP^k1 x ... x CP^km, from H*(M) alone.
 

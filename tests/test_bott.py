@@ -1,5 +1,6 @@
 """Generator enumeration over products of simplices and its span."""
 
+import itertools
 import json
 import math
 import random
@@ -306,6 +307,30 @@ def test_rank_four_walk():
     full = bott.spanning_rank(4)
     assert full == bott.SpanningReport(n=4, rank=511, distinct=2162,
                                        colorings=629 * 20160, stopped_early=False)
+
+
+def test_span_of_each_shape():
+    # each shape's generators alone: the rank of their duals' span, and every
+    # polynomial's term count against the parity of the shape's vertex
+    # count prod(k_i + 1), read off the shape alone.  At rank 4 the shapes
+    # with a part 1, whose vertex counts are even, together span 510, one
+    # short of the kernel; (2, 2) alone, and (4) with (2, 1, 1), span all 511
+    # (docs/decisions/0001, "Spans by shape")
+    want = {2: {(2,): 1, (1, 1): 0},
+            3: {(3,): 7, (2, 1): 13, (1, 1, 1): 0},
+            4: {(4,): 168, (3, 1): 420, (2, 2): 511, (2, 1, 1): 510, (1, 1, 1, 1): 0}}
+    for n, ranks in want.items():
+        by_shape = {}
+        walk = itertools.groupby(bott.iter_bott_generators(n), key=lambda g: g.polytope)
+        for shape, (polytope, gens) in zip(bott.partitions(n), walk):   # the walk's order
+            vertices = math.prod(k + 1 for k in shape)
+            assert len(polytope.vertices) == vertices
+            polys = by_shape[shape] = [g.polynomial for g in gens]
+            assert {len(p.terms) % 2 for p in polys} == {vertices % 2}, shape
+        assert {shape: bott.dual_span_rank(polys, n) for shape, polys in by_shape.items()} == ranks
+    with_interval = [p for shape, polys in by_shape.items() if 1 in shape for p in polys]
+    assert bott.dual_span_rank(with_interval, 4) == 510
+    assert bott.dual_span_rank(by_shape[(4,)] + by_shape[(2, 1, 1)], 4) == 511
 
 
 def test_spanning_rank_with_and_without_target():

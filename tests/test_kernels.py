@@ -30,10 +30,12 @@ WINDOW_STATS = {
 
 
 def test_kernel_dimensions():
-    # the elimination against the closed form, derivation 1 of
-    # docs/decisions/0001; rank 5 is above the default cap
+    # the elimination against the closed form and the lex-shelling count,
+    # derivations 1 and 4 of docs/decisions/0001; rank 5 is above the
+    # default cap
     for n, want in {**KERNEL_DIMS, 5: 61193}.items():
         assert derivations.kernel_dim(n) == want
+        assert derivations.lex_shelling_count(n) == want
         assert kernels.kernel_space(n, max_n=5).dim == want
 
 

@@ -304,6 +304,18 @@ def test_batch_table_needs_rank_at_least_one(n):
         Gf2IntegralityTable(n, [()])
 
 
+def test_batch_table_refuses_too_many_parts_before_any_search(monkeypatch):
+    # a partition with more parts than the rank is refused as it is read,
+    # before the rank's faithful monomials are searched: at rank 5 the
+    # search alone takes about 2 s
+    searched = []
+    monkeypatch.setattr(algebra, "all_faithful_monomials_gf2", lambda n: searched.append(n) or [])
+    with pytest.raises(ValidationError, match=r"^partition \(1, 1, 1, 1, 1, 1\) has more parts "
+                                              r"than the 5 available variables$"):
+        Gf2IntegralityTable(5, [(1,), (1,) * 6])
+    assert searched == []
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_batch_table_takes_the_enumerated_bases_unproved(dual_basis_calls, n):
     # all_faithful_monomials_gf2 yields bases, so none is inverted again
@@ -525,10 +537,11 @@ def test_a_sweep_evaluates_each_plane_once_per_degree(monkeypatch):
     # coloring (i + 2j <= 6) and its signed integrality checks build no
     # plane's Kronecker values, only the values at the 4 degrees 3..6, and
     # (5, 1) above degree 2n reads one lattice.  Its bare sums keep 3 of
-    # the 6 planes: bare checks of every m_mu of degrees 0..3 evaluate each
-    # of those once per degree, whatever the verdicts.  A second pass on
-    # the same data builds nothing, and every answer equals a fresh data
-    # object's
+    # the 6 planes: bare checks of every m_mu of degrees 0..3 are all
+    # rejected at those planes' one points, built once for every degree,
+    # and with the probe emptied they evaluate each of those planes once
+    # per degree, whatever the verdicts.  A second pass on the same data
+    # builds nothing, and every answer equals a fresh data object's
     kronecker = [0]
 
     def counted(*args, _real=localization._kronecker_values):
@@ -560,12 +573,18 @@ def test_a_sweep_evaluates_each_plane_once_per_degree(monkeypatch):
     bare = bare_pass(data)
     assert {sum(mu) for mu in parts} == {0, 1, 2, 3}
     assert bare == [localization_oracles.sum_is_polynomial(data, [mu], False) for mu in parts]
-    want = ([4 + 3 * 4], {"_lattice_terms": 1})
+    assert not any(bare)
+    want = ([4 + 3], {"_lattice_terms": 1})
     assert (kronecker, calls) == want
     assert (signed_pass(data), bare_pass(data)) == (first, bare)
     assert (kronecker, calls) == want
     fresh = FixedPointData("z", 3, data.points)
     assert (signed_pass(fresh), bare_pass(fresh)) == (first, bare)
+    monkeypatch.setattr(localization, "_probe_terms", lambda loc, signed: [])
+    unprobed = FixedPointData("z", 3, data.points)
+    kronecker[0] = 0
+    assert bare_pass(unprobed) == bare and kronecker == [3 * 4]
+    assert bare_pass(unprobed) == bare and kronecker == [3 * 4]
 
 
 @pytest.mark.parametrize("n", [7, 8])
@@ -581,6 +600,33 @@ def test_identity_point_sweeps_reject_at_one_point_per_plane(monkeypatch, n):
     cap, numbers = chern_sweep(FixedPointData("z", n, [FixedPoint(1, identity)]))
     assert [r.is_polynomial for r in numbers] == [False] * ((cap + 2) ** 2 // 4)
     assert built == []
+
+
+def test_mutant_sweeps_reject_at_one_point_per_plane(monkeypatch):
+    # the one-point probe is the fast path for data that is not a kernel
+    # element's: on the sign-flipped and point-dropped mutants of the
+    # standard and a seeded random coloring of every shape of ranks 5-6,
+    # the default sweep rejects every number and builds no plane's terms
+    # (2,288 numbers: some random colorings give no points, so no mutants).
+    # The probe runs at every rank and degree: CP^3 with one sign flipped
+    # fails (6, 0), of degree 2n, at one point too
+    calls = counting(monkeypatch, "_plane_terms")
+    swept = 0
+    for n in (5, 6):
+        rng = random.Random(223 + n)
+        for shape, data in torus_manifolds(n, rng):
+            for other in mutants(data, rng):
+                cap, numbers = chern_sweep(other)
+                verdicts = [r.is_polynomial for r in numbers]
+                assert verdicts == [False] * ((cap + 2) ** 2 // 4), shape
+                swept += len(verdicts)
+    assert swept == 2288
+    points = list(fixed_point_data((3,), standard_z_coloring((3,))).points)
+    points[0] = FixedPoint(-points[0].sign, points[0].weights)
+    flipped = FixedPointData("z", 3, points)
+    assert not equivariant_chern_number(flipped, 6, 0).is_polynomial
+    assert calls == {"_plane_terms": 0}
+    assert not localization_oracles.chern_number(flipped, 6, 0)[0]
 
 
 # -- differential checks against the pre-accumulator algorithms -------------
@@ -718,19 +764,19 @@ def unfolded(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_chern_planes_on_the_lattice_match_the_summand_loop(monkeypatch, n):
-    # above degree 2n, with every plane of a Chern number tested on its
-    # simplex lattice, as the planes with large Kronecker integers are, every
+    # above degree 2n, where a Chern value is read off the lattice, every
     # verdict and value is the summand loop's, on the manifolds and their
-    # mutants.  A manifold's planes fold away, so the fold is turned off
-    # here: the point is the lattice route
-    monkeypatch.setattr(localization, "LATTICE_BITS_PER_POINT", 0)
+    # mutants, and each plane is tested by one Kronecker evaluation.  A
+    # manifold's planes fold away, so the fold is turned off here: the
+    # point is the planes, and some are built
     unfolded(monkeypatch)
     planes = []
 
-    def lattice(loc, t, *args, _real=localization._lattice):
-        planes.append(t)
-        return _real(loc, t, *args)
-    monkeypatch.setattr(localization, "_lattice", lattice)
+    def plane_terms(*args, _real=localization._plane_terms):
+        built = _real(*args)
+        planes.extend(plane for plane in built if plane is not None)
+        return built
+    monkeypatch.setattr(localization, "_plane_terms", plane_terms)
     rng = random.Random(191 + n)
     indices = [(d - 2 * j, j) for d in range(2 * n + 1, 2 * n + (4 if n < 4 else 2))
                for j in range(d // 2 + 1)]
@@ -738,16 +784,14 @@ def test_chern_planes_on_the_lattice_match_the_summand_loop(monkeypatch, n):
     for _, data in torus_manifolds(n, rng):
         for other in [data] + mutants(data, rng):
             outcomes |= assert_chern_matches_oracle(other, indices)
-    assert outcomes == {True, False} and any(t is not None for t in planes)
+    assert outcomes == {True, False} and planes
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_a_lattice_plane_rejects_alone(monkeypatch, n):
-    # with the one-point probe emptied and every Chern plane on its simplex
-    # lattice, a non-polynomial sum above degree 2n can be rejected only on
-    # some plane's lattice: the verdicts on the manifolds with one sign
-    # flipped are the summand loop's
-    monkeypatch.setattr(localization, "LATTICE_BITS_PER_POINT", 0)
+    # with the one-point probe emptied, a non-polynomial sum above degree
+    # 2n can be rejected only by some plane's Kronecker evaluation: the
+    # verdicts on the manifolds with one sign flipped are the summand loop's
     probed = []
 
     def empty_probe(loc, signed):
@@ -765,20 +809,16 @@ def test_a_lattice_plane_rejects_alone(monkeypatch, n):
 
 
 def test_planes_take_the_lattice_where_kronecker_integers_are_large():
-    # one term per point (the fold off), the default sweeps of CP^4 and
-    # CP^5 reach at most about 150 bits per lattice point on any plane, and
-    # every plane of CP^6 at degree 12 over 220.  With the fold every plane
-    # of theirs folds away, signed and bare, and builds nothing
+    # with one term per point (the fold off) every plane of CP^4 and CP^5
+    # builds its Kronecker terms at degree 2n; with the fold every plane of
+    # CP^4, CP^5 and CP^6 folds away, signed and bare, and builds nothing
     cp4, cp5, cp6 = (localization._localization(fixed_point_data((n,), standard_z_coloring((n,))))
                      for n in (4, 5, 6))
     for loc in (cp4, cp5):
-        assert all(plane[3] is not None for plane in
-                   localization._plane_terms(loc, True, 2 * loc.n, True, fold=False))
-    assert all(plane[3] is None
-               for plane in localization._plane_terms(cp6, True, 12, True, fold=False))
+        assert None not in localization._plane_terms(loc, True, 2 * loc.n, fold=False)
     for loc in (cp4, cp5, cp6):
         for signed in (True, False):
-            assert localization._plane_terms(loc, signed, 2 * loc.n, True) == [None] * len(
+            assert localization._plane_terms(loc, signed, 2 * loc.n) == [None] * len(
                 loc.chars)
 
 
@@ -867,7 +907,7 @@ def test_integrality_checks_match_the_summand_loop(n):
 
 
 def test_integrality_checks_at_rank_five_match_the_summand_loop():
-    # from rank 5 every plane is first tried at one point: CP^5 and a
+    # every plane is first tried at one point, at rank 5 too: CP^5 and a
     # seeded random coloring of CP^3 x CP^2, their mutants, signed and bare,
     # and the manifolds' reductions mod 2, for every m_mu of degree <= 3
     rng = random.Random(181)
